@@ -12,8 +12,8 @@ from .constants import (BoundCalibration, CalibrationCase, ECalibration, Recursi
                         verify_convolution_discrete, w_sum)
 from .duals import (DualSystem, biorthogonality_residual, coefficient_decay_fit,
                     dual_envelope, gram_duals_check, invert_section, synthesize_dual)
-from .errors import (ConfigError, ConvergenceError, HypothesisViolation, InvariantFailure,
-                     NotRieszError, SingularSectionError)
+from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, HypothesisViolation,
+                     InvariantFailure, NotRieszError, SingularSectionError)
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, inner_product,
                       offdiag_fit, riesz_bounds, schur_bound, sections, spectral_norm)
 from .lattice import (BasisSet, EnvelopeFit, GeneratorSpec, Grid, LatticeWindow,

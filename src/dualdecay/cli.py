@@ -13,8 +13,11 @@ its prerequisites in memory and writes its own artifacts):
     all      basis exports plus the full report
     verify   re-check invariants from a previous run's artifacts
 
-Exit codes: 0 success, 2 config/artifact error, 3 hypothesis violation,
-4 convergence failure, 5 invariant failure.
+Exit codes: 0 success, 2 config/artifact error (including a sample matrix
+over the sample_all entry cap), 3 hypothesis violation (including a section
+that is not a Riesz sequence at this resolution), 4 convergence failure,
+5 invariant failure (including a measured envelope over its claimed C).
+Every error exit prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from . import gramian as gr
 from . import lattice as lat
 from . import pipeline as pl
 from .duals import biorthogonality_residual, invert_section
-from .errors import ConfigError, ConvergenceError, HypothesisViolation, InvariantFailure
+from .errors import (ConfigError, ConvergenceError, HypothesisViolation, InvariantFailure,
+                     NotRieszError)
 
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
@@ -273,10 +277,10 @@ def main(argv=None) -> int:
             _stage_basis(settings)
             return _stage_report(settings)
         return _stage_verify(settings)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except HypothesisViolation as exc:
+    except (HypothesisViolation, NotRieszError) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ConvergenceError as exc:

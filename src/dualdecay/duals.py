@@ -154,7 +154,7 @@ def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid,
     if basis.window.N != ds.window.N or basis.window.d != ds.window.d:
         raise ValueError("basis window must match the coefficient window")
     row = ds.coeffs[ds.window.index_of(k)]
-    samples = row @ basis.sample_all(grid)
+    samples = row @ basis.sample_matrix(grid)
     tail = math.nan
     if t is not None:
         envelope_C = abs(basis.amplitude) * basis.spec.claimed_C
@@ -169,7 +169,7 @@ def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid,
 def biorthogonality_residual(ds: DualSystem, basis: BasisSet, grid: Grid) -> float:
     """max over core k and window j of |<g_k, f_j> - delta_{k,j}| by quadrature."""
     nodes = ds.core_nodes()
-    F = basis.sample_all(grid)
+    F = basis.sample_matrix(grid)
     rows = []
     for node in nodes:
         if node not in ds.duals:

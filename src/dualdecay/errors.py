@@ -24,3 +24,7 @@ class NotRieszError(RuntimeError):
 
 class InvariantFailure(RuntimeError):
     """A hard invariant check failed.  Exit code 5."""
+
+
+class EnvelopeClaimError(InvariantFailure, ValueError):
+    """A measured envelope constant exceeds the claimed C.  Exit code 5."""

@@ -150,6 +150,8 @@ class DecayMatrix:
 def assemble(basis: BasisSet, window: LatticeWindow | None, grid: Grid) -> DecayMatrix:
     """Hermitian Gramian of the basis over the window by midpoint quadrature.
 
+    The rows of a sub-window are taken by position from the basis's shared
+    sample matrix, so the sample_all entry cap bounds assembly too.
     Symmetry is enforced by averaging (M + M^T)/2; an asymmetry residual far
     above the quadrature tail bound signals a misconfigured grid and raises.
     """
@@ -161,9 +163,9 @@ def assemble(basis: BasisSet, window: LatticeWindow | None, grid: Grid) -> Decay
     for m in members:
         if grid.R < np.max(np.abs(m.center)) + 1.0:
             raise ValueError("grid extent must reach one unit past every member center")
-    samples = np.empty((len(members), grid.n_points))
-    for row, m in enumerate(members):
-        samples[row] = m(grid.points)
+    samples = basis.sample_matrix(grid)
+    if window != basis.window:
+        samples = samples[basis.window.positions_of(window)]
     raw = (samples @ samples.T) * grid.weight
     asym = float(np.max(np.abs(raw - raw.T)))
     tails = [_tail_bound(members[0], members[0], grid)]

@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import EnvelopeClaimError
+
 MAX_PERTURBATION = 0.5  # keeps every node inside its own unit cell
 
 
@@ -51,24 +53,25 @@ class LatticeWindow:
 
     def contains(self, k) -> bool:
         k = np.atleast_1d(np.asarray(k, dtype=int))
-        return k.shape == (self.d,) and bool(np.max(np.abs(k)) <= self.N)
+        return k.shape == (self.d,) and bool(np.abs(k).max() <= self.N)
 
     def index_of(self, k) -> int:
         """Position of node k in the enumeration."""
         k = np.atleast_1d(np.asarray(k, dtype=int))
         if not self.contains(k):
             raise IndexError(f"node {tuple(k)} outside window N={self.N}, d={self.d}")
-        side = 2 * self.N + 1
-        pos = 0
-        for c in k:
-            pos = pos * side + (int(c) + self.N)
-        return pos
+        return int(np.dot(k + self.N, self._strides))
 
     def positions_of(self, sub: "LatticeWindow") -> np.ndarray:
         """Enumeration positions of a centered sub-window's nodes."""
         if sub.d != self.d or sub.N > self.N:
             raise ValueError("sub-window must have same dimension and radius <= N")
-        return np.array([self.index_of(k) for k in sub.indices], dtype=int)
+        return (sub.indices + self.N) @ self._strides
+
+    @cached_property
+    def _strides(self) -> np.ndarray:
+        """Position weights of the shifted coordinates k + N, last axis fastest."""
+        return (2 * self.N + 1) ** np.arange(self.d - 1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -330,6 +333,7 @@ class BasisSet:
                 envelope_s=spec.claimed_s,
                 support_radius=spec.support_radius,
             )
+        self._sampled = None  # (grid, read-only sample_all(grid)), see sample_matrix
 
     def __len__(self) -> int:
         return self.window.size
@@ -363,11 +367,24 @@ class BasisSet:
         """All members at all grid points, shape (window.size, n_points)."""
         total = self.window.size * grid.n_points
         if total > 8e7:
-            raise MemoryError(f"sample matrix would hold {total:.2g} entries")
+            raise MemoryError(f"sample matrix would hold {total:.2g} entries, over the "
+                              "8e7 cap; shrink the window or coarsen the grid")
         out = np.empty((self.window.size, grid.n_points))
         for row, k in enumerate(self.window.indices):
             out[row] = self._members[tuple(int(c) for c in k)](grid.points)
         return out
+
+    def sample_matrix(self, grid: Grid) -> np.ndarray:
+        """sample_all(grid), built once per grid and shared read-only.
+
+        Assembly, dual synthesis and the biorthogonality check all read this
+        one matrix, so a family is sampled once however many duals it has.
+        """
+        if self._sampled is None or self._sampled[0] != grid:
+            samples = self.sample_all(grid)
+            samples.setflags(write=False)
+            self._sampled = (grid, samples)
+        return self._sampled[1]
 
     def scaled(self, alpha: float) -> "BasisSet":
         """The family {alpha * f_k} on the same window."""
@@ -410,7 +427,7 @@ def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):
         measured[node] = fit.constant
         bound = abs(basis.amplitude) * spec.claimed_C
         if fit.constant > bound * (1.0 + rtol):
-            raise ValueError(
+            raise EnvelopeClaimError(
                 f"measured envelope constant {fit.constant:.6g} at node {node} "
                 f"exceeds claimed {bound:.6g}")
     return measured

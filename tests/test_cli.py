@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import tracemalloc
 
 import pytest
 
@@ -195,3 +197,93 @@ def test_shipped_config_parses(tmp_path):
     assert settings.d == 1
     assert settings.radii == (4, 8, 12, 16)
     assert len(settings.families) == 5
+
+
+def _one_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err, err
+    return lines[0]
+
+
+def test_cli_claimed_envelope_exceeded_exits_invariant(tmp_path, capsys):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "d1_suite.ini")
+    text = re.sub(r"(?m)^claimed_C = .*$", "claimed_C = 1.5", open(config).read())
+    bad = tmp_path / "claimed.ini"
+    bad.write_text(text)
+    assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_INVARIANT
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("invariant failure:") and "exceeds claimed" in line
+
+
+NOT_RIESZ_CONFIG = """
+[run]
+name = not-riesz
+out = {out}
+
+[window]
+d = 1
+radii = 1 2
+
+[grid]
+h = 0.25
+R = 10
+
+[targets]
+t = 2
+
+[family:needle]
+family = gaussian
+sigma = 0.001
+claimed_C = 1
+claimed_s = 4
+perturb = 0:0.1
+"""
+
+
+def test_cli_not_riesz_exits_hypothesis(tmp_path, capsys):
+    # a needle shifted off the grid samples to zero: the section has a zero row
+    path = tmp_path / "not_riesz.ini"
+    path.write_text(NOT_RIESZ_CONFIG.format(out=tmp_path / "out"))
+    assert cli.main(["report", "--config", str(path)]) == cli.EXIT_HYPOTHESIS
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("hypothesis violation:") and "not a Riesz sequence" in line
+
+
+SAMPLE_CAP_CONFIG = """
+[run]
+name = over-cap
+out = {out}
+
+[window]
+d = 2
+radii = 1 16
+
+[grid]
+h = 0.125
+R = 24
+
+[targets]
+t = 3
+
+[family:indicator]
+family = bspline-indicator
+claimed_C = 64
+claimed_s = 6
+"""
+
+
+def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
+    # 1089 window nodes x 148225 grid points would be a 1.3 GB sample matrix
+    path = tmp_path / "over_cap.ini"
+    path.write_text(SAMPLE_CAP_CONFIG.format(out=tmp_path / "out"))
+    tracemalloc.start()
+    try:
+        code = cli.main(["report", "--config", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CONFIG
+    assert peak < 64e6
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("config error:") and "8e7 cap" in line

@@ -250,3 +250,11 @@ def test_synthesis_tail_estimate_decreases_away_from_edge():
     _, tail0 = du.synthesize_dual(ds, basis, 0, GRID, t=2)
     _, tail_edge = du.synthesize_dual(ds, basis, ds.core_radius, GRID, t=2)
     assert 0.0 < tail0 < tail_edge
+
+
+def test_synthesized_dual_bitwise_equals_fresh_rows():
+    basis, _, ds = gaussian_system()
+    rows = np.stack([m(GRID.points) for m in basis.members()])
+    for k in (0, ds.core_radius):
+        g, _ = du.synthesize_dual(ds, basis, k, GRID)
+        assert np.array_equal(g, ds.coeffs[ds.window.index_of(k)] @ rows)

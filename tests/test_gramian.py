@@ -312,3 +312,15 @@ def test_matrix_text_rejects_truncation(tmp_path):
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ValueError, match="expected"):
         gr.DecayMatrix.from_text(path)
+
+
+@pytest.mark.parametrize("d, N, sub_N", [(1, 6, 2), (2, 2, 1)])
+def test_assemble_bitwise_equals_fresh_rows(d, N, sub_N):
+    spec = lat.GeneratorSpec("gaussian", d, 6.0, 5.0, params={"sigma": 0.5})
+    basis = lat.make_basis(spec, lat.LatticeWindow(d, N))
+    grid = lat.Grid(h=1 / 8, R=N + 8.0, d=d)
+    for window in (None, lat.LatticeWindow(d, sub_N)):
+        M = gr.assemble(basis, window, grid)
+        rows = np.stack([basis.member(k)(grid.points) for k in M.window.indices])
+        raw = (rows @ rows.T) * grid.weight
+        assert np.array_equal(M.entries, 0.5 * (raw + raw.T))

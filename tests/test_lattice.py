@@ -240,3 +240,42 @@ def test_scaled_basis_amplitude():
     basis = lat.make_basis(spec, lat.LatticeWindow(1, 0)).scaled(2.0)
     assert basis.evaluate(0, 1.0) == pytest.approx(2.0 * 2.0**-5)
     assert basis.member(0).envelope_C == 2.0
+
+
+def _positions_by_loop(win, sub):
+    """Reference: one Horner step per coordinate of every sub-window node."""
+    side = 2 * win.N + 1
+    out = []
+    for k in sub.indices:
+        pos = 0
+        for c in k:
+            pos = pos * side + (int(c) + win.N)
+        out.append(pos)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_positions_of_matches_loop(d):
+    win = lat.LatticeWindow(d, 3)
+    for r in range(win.N + 1):
+        sub = lat.LatticeWindow(d, r)
+        pos = win.positions_of(sub)
+        assert pos.dtype.kind == "i"
+        assert pos.tolist() == _positions_by_loop(win, sub)
+        assert [win.index_of(k) for k in sub.indices] == pos.tolist()
+        assert np.array_equal(win.indices[pos], sub.indices)
+
+
+def test_sample_matrix_built_once_and_read_only():
+    spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
+    basis = lat.make_basis(spec, lat.LatticeWindow(1, 3))
+    grid = lat.Grid(h=1 / 16, R=12.0, d=1)
+    F = basis.sample_matrix(grid)
+    assert F.flags.writeable is False
+    with pytest.raises(ValueError):
+        F[0, 0] = 1.0
+    assert basis.sample_matrix(grid) is F
+    assert basis.sample_matrix(lat.Grid(h=1 / 16, R=12.0, d=1)) is F
+    assert np.array_equal(F, np.stack([m(grid.points) for m in basis.members()]))
+    coarse = lat.Grid(h=1 / 8, R=12.0, d=1)
+    assert basis.sample_matrix(coarse).shape == (7, coarse.n_points)

@@ -1,12 +1,16 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
 from dualdecay import artifacts
+from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 from dualdecay.errors import ConfigError, HypothesisViolation
 from dualdecay.lattice import GeneratorSpec
 
-from conftest import standard_families
+from conftest import standard_families, suite_settings
 
 
 def test_suite_all_verdicts_pass(d1_suite):
@@ -87,3 +91,69 @@ def test_suite_timings_recorded(d1_suite):
     assert d1_suite.timings["families"] > 0
     for fam in d1_suite.families:
         assert fam.elapsed > 0
+
+
+@pytest.fixture()
+def sample_builds(monkeypatch):
+    """(amplitude, weak reference to the result) for every sample_all call."""
+    built = []
+    real = lat.BasisSet.sample_all
+
+    def counting(self, grid):
+        out = real(self, grid)
+        built.append((self.amplitude, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(lat.BasisSet, "sample_all", counting)
+    return built
+
+
+def _big_arrays(obj, entries: int) -> list:
+    """Fields of a dataclass holding an array of at least `entries` entries."""
+    found = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        items = value.values() if isinstance(value, dict) else \
+            value if isinstance(value, (list, tuple)) else (value,)
+        found += [f.name for x in items if isinstance(x, np.ndarray) and x.size >= entries]
+    return found
+
+
+def test_run_family_samples_each_basis_once(sample_builds):
+    settings = suite_settings(16, (4, 8, 12, 16))
+    grid = settings.grid()
+    window_by_grid = (2 * settings.radii[-1] + 1) * grid.n_points
+    for fam in settings.families:
+        sample_builds.clear()
+        result = pl.run_family(fam, settings)
+        # once for the basis, once for the alpha = 0.5 rerun
+        assert [amplitude for amplitude, _ in sample_builds] == [1.0, 0.5], fam.name
+        assert all(ref() is None for _, ref in sample_builds), "matrix outlived the family"
+        assert _big_arrays(result, window_by_grid) == []
+        assert _big_arrays(result.dual_system, window_by_grid) == []
+        assert result.biorth_residual < 1e-12
+
+
+def d2_indicator_settings() -> pl.RunSettings:
+    def indicator(name, claimed_C, perturbations=()):
+        return pl.FamilySettings(name, GeneratorSpec(
+            "bspline-indicator", 2, claimed_C, 6.0, perturbations=perturbations))
+
+    # shifts point inward, so every perturbed support stays inside radius 1
+    return pl.RunSettings(
+        name="d2_tiny", d=2, radii=(1, 2), grid_h=0.25, grid_R=10.0, t=3,
+        families=[
+            indicator("indicator", 64.0),
+            indicator("indicator-p1", 245.0, {(0, 0): (0.25, -0.25), (1, 0): (-0.25, 0.0)}),
+            indicator("indicator-p2", 245.0, {(-1, 0): (0.25, 0.25), (0, 1): (0.0, -0.25)}),
+        ],
+        convolution_windows={2: 4})
+
+
+def test_d2_indicator_suite_end_to_end(sample_builds):
+    suite = pl.run_suite(d2_indicator_settings())
+    assert len(sample_builds) == 6
+    for fam in suite.families:
+        assert fam.core_radius == 1
+        for inv in ("biorthogonality", "dual_norm_bound", "interlacing"):
+            assert suite.verdict(f"{fam.name}.{inv}").passed, (fam.name, inv)
