@@ -14,11 +14,12 @@ import os
 
 import numpy as np
 
-from . import constants as cst
 from .errors import ConfigError
 from .gramian import DecayMatrix
 from .lattice import LatticeWindow
-from .pipeline import SuiteResult, Verdict
+from .pipeline import (RunSettings, SuiteResult, Verdict, core_norms,
+                       dual_decay_domination, dual_norm_bound, interlacing,
+                       inverse_norm_bound)
 
 
 def _fmt(x) -> str:
@@ -33,28 +34,72 @@ def _binding_label(cal) -> str:
     return "far-field" if cal.binding is None else _node_label(cal.binding)
 
 
-def convolution_row(d, cal) -> str:
-    """constants.csv row of one certified discrete convolution bracket:
-    the valid constant (upper end), its binding node and the bracket."""
-    return (f"convolution_discrete,{d},u={cal.u:g},{_fmt(cal.constant)},"
-            f"{_binding_label(cal)},lower={_fmt(cal.lower)} "
-            f"normalized={_fmt(cal.normalized)} scan_radius={cal.scan_radius}")
+def _bounds_rows(lattice_sum_cal: dict, convolution: dict) -> list:
+    """constants.csv rows of the lattice-sum bounds and of the certified
+    discrete convolution brackets (valid constant = upper end, binding node,
+    bracket)."""
+    rows = [f"lattice_sum_bound,{d},lattice_sum_vs_1_over_u_minus_d,{_fmt(cal.constant)},"
+            f"u={cal.binding[0]:g}," for d, cal in lattice_sum_cal.items()]
+    return rows + [f"convolution_discrete,{d},u={cal.u:g},{_fmt(cal.constant)},"
+                   f"{_binding_label(cal)},lower={_fmt(cal.lower)} "
+                   f"normalized={_fmt(cal.normalized)} scan_radius={cal.scan_radius}"
+                   for d, cals in convolution.items() for cal in cals]
+
+
+_CONSTANTS_HEADER = "scope,dimension,name,value,binding,detail"
 
 
 def family_dir(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _write_lines(path: str, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_samples(path: str, grid, values):
+    """One `x_1..x_d,value` row per grid point."""
+    lines = [",".join(f"x_{i + 1}" for i in range(grid.d)) + ",value"]
+    lines += [",".join(_fmt(c) for c in pt) + f",{_fmt(v)}"
+              for pt, v in zip(grid.points, values)]
+    _write_lines(path, lines)
+
+
+def write_basis(out_dir: str, grid, families):
+    """basis_envelopes.csv, and basis_k0.csv per family, from one
+    (name, spec, basis rows, origin samples) per family."""
+    lines = ["family,node,claimed_C,measured_C,regression_exponent"]
+    for name, spec, rows, k0 in families:
+        lines += [f"{name},{_node_label(node)},{_fmt(spec.claimed_C)},{_fmt(C)},"
+                  f"{_fmt(exponent)}" for node, C, exponent in rows]
+        fdir = family_dir(out_dir, name)
+        os.makedirs(fdir, exist_ok=True)
+        _write_samples(os.path.join(fdir, "basis_k0.csv"), grid, k0)
+    _write_lines(os.path.join(out_dir, "basis_envelopes.csv"), lines)
+
+
+def write_bounds(out_dir: str, lattice_sum_cal: dict, convolution: dict):
+    """constants.csv holding the bounds rows alone."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_lines(os.path.join(out_dir, "constants.csv"),
+                 [_CONSTANTS_HEADER] + _bounds_rows(lattice_sum_cal, convolution))
+
+
 def write_suite(out_dir: str, suite: SuiteResult):
     os.makedirs(out_dir, exist_ok=True)
+    grid, limit = suite.settings.grid(), suite.settings.dual_export_radius
     for fam in suite.families:
         fdir = family_dir(out_dir, fam.name)
         os.makedirs(fdir, exist_ok=True)
         fam.gramian.to_text(os.path.join(fdir, "gramian.csv"))
         fam.dual_system.coefficient_matrix().to_text(os.path.join(fdir, "coeffs.csv"))
-        _write_eigens(os.path.join(fdir, "eigens.csv"), fam.riesz)
+        write_eigens(os.path.join(fdir, "eigens.csv"), fam.riesz)
         _write_envelopes(os.path.join(fdir, "envelopes.csv"), fam.envelope_rows)
-        _write_duals(fdir, fam, suite.settings)
+        for node, samples in sorted(fam.dual_system.duals.items()):
+            if limit is None or max(abs(c) for c in node) <= limit:
+                _write_samples(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"), grid,
+                               samples)
     _write_constants(out_dir, suite)
     _write_calibration_text(out_dir, suite)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -62,39 +107,20 @@ def write_suite(out_dir: str, suite: SuiteResult):
         fh.write("\n")
 
 
-def _write_eigens(path: str, riesz):
-    lines = ["N,lambda_min,lambda_max"]
-    for N, lo, hi in zip(riesz.radii, riesz.lambda_min, riesz.lambda_max):
-        lines.append(f"{N},{_fmt(lo)},{_fmt(hi)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_eigens(path: str, riesz):
+    _write_lines(path, ["N,lambda_min,lambda_max"] + [
+        f"{N},{_fmt(lo)},{_fmt(hi)}"
+        for N, lo, hi in zip(riesz.radii, riesz.lambda_min, riesz.lambda_max)])
 
 
 def _write_envelopes(path: str, rows):
-    lines = ["k,t,D_emp,exponent_fit"]
-    for node, u, const, exponent in rows:
-        lines.append(f"{_node_label(node)},{_fmt(u)},{_fmt(const)},{_fmt(exponent)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_duals(fdir: str, fam, settings):
-    grid = settings.grid()
-    header = ",".join(f"x_{i + 1}" for i in range(grid.d)) + ",value"
-    limit = settings.dual_export_radius
-    for node, samples in sorted(fam.dual_system.duals.items()):
-        if limit is not None and max(abs(c) for c in node) > limit:
-            continue
-        lines = [header]
-        for pt, val in zip(grid.points, samples):
-            coords = ",".join(_fmt(c) for c in pt)
-            lines.append(f"{coords},{_fmt(val)}")
-        with open(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["k,t,D_emp,exponent_fit"] + [
+        f"{_node_label(node)},{_fmt(u)},{_fmt(const)},{_fmt(exponent)}"
+        for node, u, const, exponent in rows])
 
 
 def _write_constants(out_dir: str, suite: SuiteResult):
-    lines = ["scope,dimension,name,value,binding,detail"]
+    lines = [_CONSTANTS_HEADER]
 
     def add(scope, d, name, value, binding="", detail=""):
         lines.append(f"{scope},{d},{name},{_fmt(value)},{binding},{detail}")
@@ -104,21 +130,13 @@ def _write_constants(out_dir: str, suite: SuiteResult):
         suite.schur_binding)
     add("suite", suite.settings.d, "transfer_constant", suite.c_transfer,
         suite.binding_transfer)
-    for d, cal in suite.lattice_sum_cal.items():
-        add("lattice_sum_bound", d, "lattice_sum_vs_1_over_u_minus_d", cal.constant,
-            f"u={cal.binding[0]:g}")
-    for d, cals in suite.convolution.items():
-        lines.extend(convolution_row(d, cal) for cal in cals)
+    lines += _bounds_rows(suite.lattice_sum_cal, suite.convolution)
     for d, worst in suite.leibniz_worst.items():
         add("leibniz", d, "worst_residual", worst)
     for fam in suite.families:
-        add("family", suite.settings.d, f"{fam.name}.A_est", fam.A_est)
-        add("family", suite.settings.d, f"{fam.name}.B_est", fam.B_est)
-        add("family", suite.settings.d, f"{fam.name}.C_meas", fam.C_meas)
-        add("family", suite.settings.d, f"{fam.name}.D_emp", fam.D_emp)
-        add("family", suite.settings.d, f"{fam.name}.core_radius", fam.core_radius)
-    with open(os.path.join(out_dir, "constants.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for key in ("A_est", "B_est", "C_meas", "D_emp", "core_radius"):
+            add("family", suite.settings.d, f"{fam.name}.{key}", getattr(fam, key))
+    _write_lines(os.path.join(out_dir, "constants.csv"), lines)
 
 
 def _write_calibration_text(out_dir: str, suite: SuiteResult):
@@ -147,17 +165,20 @@ def _write_calibration_text(out_dir: str, suite: SuiteResult):
                        f"exact scan radius {cal.scan_radius}")
     out.append("")
     out.append("verdicts:")
-    for v in suite.verdicts:
-        status = "pass" if v.passed else "FAIL"
-        out.append(f"    [{status}] {v.name}: value={v.value!r} threshold={v.threshold!r}")
-    with open(os.path.join(out_dir, "calibration.txt"), "w") as fh:
-        fh.write("\n".join(out) + "\n")
+    out += [f"    {v}" for v in suite.verdicts]
+    _write_lines(os.path.join(out_dir, "calibration.txt"), out)
 
 
 def _finite(x):
     """Non-finite fits (e.g. banded matrices) become null in the report."""
     x = float(x)
     return x if math.isfinite(x) else None
+
+
+def _settings_dict(s) -> dict:
+    return {"d": s.d, "radii": list(s.radii), "grid_h": s.grid_h, "grid_R": s.grid_R,
+            "t": s.t, "seed": s.seed, "tolerances": s.tolerances,
+            "bounds_dims": list(s.bounds_dims)}
 
 
 def report_dict(suite: SuiteResult) -> dict:
@@ -202,11 +223,7 @@ def report_dict(suite: SuiteResult) -> dict:
         }
     return {
         "name": s.name,
-        "settings": {
-            "d": s.d, "radii": list(s.radii), "grid_h": s.grid_h, "grid_R": s.grid_R,
-            "t": s.t, "seed": s.seed, "tolerances": s.tolerances,
-            "bounds_dims": list(s.bounds_dims),
-        },
+        "settings": _settings_dict(s),
         "families": fams,
         "calibration": {
             "E_emp": suite.E_cal.E_emp,
@@ -243,25 +260,27 @@ def _require(path: str) -> str:
     return path
 
 
-def _load_eigens(path: str):
-    radii, lo, hi = [], [], []
+def _read_rows(path: str) -> list:
+    """The comma-split data rows of a stored CSV."""
     with open(_require(path)) as fh:
         next(fh)
-        for line in fh:
-            n, a, b = line.strip().split(",")
-            radii.append(int(n))
-            lo.append(float(a))
-            hi.append(float(b))
-    return radii, lo, hi
+        return [line.strip().split(",") for line in fh]
 
 
-def verify_artifacts(out_dir: str) -> list:
-    """Re-check invariants from stored artifacts; returns verdicts."""
-    report_path = _require(os.path.join(out_dir, "report.json"))
-    with open(report_path) as fh:
+def verify_artifacts(settings: RunSettings) -> list:
+    """Re-check invariants from the artifacts in settings.out_dir; returns verdicts."""
+    out_dir = settings.out_dir
+    with open(_require(os.path.join(out_dir, "report.json"))) as fh:
         report = json.load(fh)
+    # artifacts of another problem are rejected; seed, out and tolerances may differ
+    was = dict(report["settings"], families=sorted(report["families"]))
+    now = dict(_settings_dict(settings), families=sorted(f.name for f in settings.families))
+    for key in ("d", "radii", "grid_h", "grid_R", "t", "families"):
+        if was[key] != now[key]:
+            raise ConfigError(f"artifacts in {out_dir} were written with {key} = "
+                              f"{was[key]!r}, the config has {now[key]!r}")
     tol = report["settings"]["tolerances"]
-    slack = 1.0 + tol["bound_slack"]
+    t, d = report["settings"]["t"], report["settings"]["d"]
     verdicts = []
 
     def add(name, passed, value, threshold, detail=""):
@@ -279,36 +298,26 @@ def verify_artifacts(out_dir: str) -> list:
         add(f"{name}.biorthogonality", biorth < tol["biorthogonality"],
             biorth, tol["biorthogonality"], "max |CM - I| from stored matrices")
 
-        radii, lo, hi = _load_eigens(os.path.join(fdir, "eigens.csv"))
+        eigens = _read_rows(os.path.join(fdir, "eigens.csv"))
+        radii = [int(r) for r, _, _ in eigens]
+        lo, hi = [float(a) for _, a, _ in eigens], [float(b) for _, _, b in eigens]
         a_est = lo[-1]
         add(f"{name}.eigens_consistent",
             math.isclose(a_est, fam["A_est"], rel_tol=1e-12), a_est, fam["A_est"])
-        inter = all(lo[i] >= lo[i + 1] - tol["interlacing"] for i in range(len(lo) - 1)) \
-            and all(hi[i] <= hi[i + 1] + tol["interlacing"] for i in range(len(hi) - 1))
-        add(f"{name}.interlacing", inter, 0.0, tol["interlacing"])
+        verdicts.append(interlacing(name, radii, lo, hi, tol))
 
         core = LatticeWindow(coeffs.window.d, int(fam["core_radius"]))
         pos = coeffs.window.positions_of(core)
-        block = coeffs.entries[np.ix_(pos, pos)]
-        lam = float(np.linalg.eigvalsh(block)[-1])
-        add(f"{name}.inverse_norm_bound", lam <= slack / a_est, lam, slack / a_est)
-        dual_norm = float(np.max(np.diag(block)))
-        add(f"{name}.dual_norm_bound", dual_norm <= slack / a_est, dual_norm,
-            slack / a_est)
+        dual_norm, lam = core_norms(coeffs.entries[np.ix_(pos, pos)])
+        verdicts.append(inverse_norm_bound(name, lam, a_est, tol))
+        verdicts.append(dual_norm_bound(name, dual_norm, a_est, tol))
 
-        envelopes = _require(os.path.join(fdir, "envelopes.csv"))
-        t = report["settings"]["t"]
-        d_emp = 0.0
-        with open(envelopes) as fh:
-            next(fh)
-            for line in fh:
-                _, u, const, _ = line.strip().rsplit(",", 3)
-                if float(u) == float(t):
-                    d_emp = max(d_emp, float(const))
-        tb = cst.TheoreticalBound(C=fam["C_meas"], A=a_est, s=fam["claimed_s"],
-                                  t=t, d=report["settings"]["d"],
-                                  E=report["calibration"]["E_emp"])
-        add(f"{name}.dual_decay_domination", d_emp <= tb.D * (1 + 1e-9), d_emp, tb.D)
+        d_emp = max([0.0] + [float(c) for _, u, c, _ in
+                             _read_rows(os.path.join(fdir, "envelopes.csv"))
+                             if float(u) == t])
+        verdicts.append(dual_decay_domination(name, d_emp, fam["C_meas"], a_est,
+                                              fam["claimed_s"], t, d,
+                                              report["calibration"]["E_emp"]))
 
     stored_fail = [v["name"] for v in report["invariants"] if not v["passed"]]
     add("stored_verdicts_pass", not stored_fail, float(len(stored_fail)), 0.0,

@@ -2,8 +2,8 @@
 
 Usage: dualdecay <subcommand> --config <path> [--out <dir>] [--seed <int>]
 
-Subcommands run pipeline stages in dependency order (each stage recomputes
-its prerequisites in memory and writes its own artifacts):
+Each subcommand but verify runs the pipeline once, as far as it needs, and
+writes its slice of the results:
 
     basis    envelope measurements and sampled-function exports
     gramian  sections and eigenvalue traces
@@ -13,10 +13,11 @@ its prerequisites in memory and writes its own artifacts):
     all      basis exports plus the full report
     verify   re-check invariants from a previous run's artifacts
 
-Exit codes: 0 success, 2 config/artifact error (including a sample matrix
-over the sample_all entry cap), 3 hypothesis violation (including a section
-that is not a Riesz sequence at this resolution), 4 convergence failure,
-5 invariant failure (including a measured envelope over its claimed C).
+Exit codes: 0 success, 2 config/artifact error (including a malformed config
+value, artifacts written for another config and a sample matrix over the
+sample_all entry cap), 3 hypothesis violation (including a section that is
+not a Riesz sequence at this resolution), 4 convergence failure, 5 invariant
+failure (including a measured envelope over its claimed C).
 Every error exit prints one line to stderr.
 """
 
@@ -28,11 +29,9 @@ import os
 import sys
 
 from . import artifacts
-from . import constants as cst
-from . import gramian as gr
 from . import lattice as lat
 from . import pipeline as pl
-from .duals import biorthogonality_residual, invert_section
+from .duals import biorthogonality_residual  # noqa: F401  kept in this namespace for tracing
 from .errors import (ConfigError, ConvergenceError, HypothesisViolation, InvariantFailure,
                      NotRieszError)
 
@@ -91,36 +90,25 @@ def load_config(path: str, out_override=None, seed_override=None) -> pl.RunSetti
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"could not parse config: {exc}") from exc
-    try:
-        run = parser["run"]
-        window = parser["window"]
-        grid = parser["grid"]
-        targets = parser["targets"]
-    except KeyError as exc:
-        raise ConfigError(f"config is missing section {exc}") from exc
-
-    d = int(window.get("d", 1))
-    families = [_family_from_section(sec.split(":", 1)[1], parser[sec], d)
-                for sec in parser.sections() if sec.startswith("family:")]
-    tolerances = {}
-    if parser.has_section("tolerances"):
-        for key, value in parser["tolerances"].items():
-            tolerances[key] = float(value)
-    bounds_dims = ()
-    conv_windows = {1: 128, 2: 16}
-    if parser.has_section("bounds"):
-        sec = parser["bounds"]
-        if "dims" in sec:
-            bounds_dims = tuple(int(x) for x in sec["dims"].split())
-        for key, value in sec.items():
-            if key.startswith("convolution_window_d"):
-                conv_windows[int(key.rsplit("d", 1)[1])] = int(value)
-
-    dual_export = run.get("dual_export_radius")
-    try:
-        settings = pl.RunSettings(
+        run, window, grid, targets = (parser[k] for k in ("run", "window", "grid", "targets"))
+        d = int(window.get("d", 1))
+        families = [_family_from_section(sec.split(":", 1)[1], parser[sec], d)
+                    for sec in parser.sections() if sec.startswith("family:")]
+        tolerances = {}
+        if parser.has_section("tolerances"):
+            for key, value in parser["tolerances"].items():
+                tolerances[key] = float(value)
+        bounds_dims = ()
+        conv_windows = {}
+        if parser.has_section("bounds"):
+            sec = parser["bounds"]
+            if "dims" in sec:
+                bounds_dims = tuple(int(x) for x in sec["dims"].split())
+            for key, value in sec.items():
+                if key.startswith("convolution_window_d"):
+                    conv_windows[int(key.rsplit("d", 1)[1])] = int(value)
+        dual_export = run.get("dual_export_radius")
+        return pl.RunSettings(
             name=run.get("name", os.path.basename(path)),
             d=d,
             radii=tuple(int(x) for x in window["radii"].split()),
@@ -137,113 +125,51 @@ def load_config(path: str, out_override=None, seed_override=None) -> pl.RunSetti
             convolution_windows=conv_windows,
             dual_export_radius=int(dual_export) if dual_export is not None else None,
         )
-    except HypothesisViolation:
+    except configparser.Error as exc:
+        raise ConfigError(f"could not parse config: {exc}") from exc
+    except (ConfigError, HypothesisViolation):
         raise
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"config is missing section or key {exc}") from exc
+    except ValueError as exc:
         raise ConfigError(f"invalid run configuration: {exc}") from exc
-    return settings
 
 
-def _stage_basis(settings: pl.RunSettings):
-    grid = settings.grid()
-    os.makedirs(settings.out_dir, exist_ok=True)
-    header = ",".join(f"x_{i + 1}" for i in range(settings.d)) + ",value"
-    lines = ["family,node,claimed_C,measured_C,regression_exponent"]
+def _stage_families(settings: pl.RunSettings, stage: str):
+    """basis, gramian and duals: run each family's pipeline through `stage`."""
+    measured = []
     for fam in settings.families:
-        basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
-        lat.validate_claimed_envelope(basis, grid,
-                                      rtol=settings.tolerances["claimed_rtol"])
-        nodes = [(0,) * settings.d] + [n for n, _ in fam.spec.perturbations]
-        for node in dict.fromkeys(nodes):
-            fit = lat.measure_decay(basis, node, grid, fam.spec.claimed_s)
-            reg = lat.measure_decay(basis, node, grid, fam.spec.claimed_s,
-                                    method="loglog-regression")
-            label = "_".join(str(c) for c in node)
-            lines.append(f"{fam.name},{label},{fam.spec.claimed_C!r},"
-                         f"{fit.constant!r},{reg.exponent!r}")
+        basis, rows, k0 = pl.measure_basis(fam, settings)
+        measured.append((fam.name, fam.spec, rows, k0))
+        if stage == "basis":
+            continue
         fdir = artifacts.family_dir(settings.out_dir, fam.name)
         os.makedirs(fdir, exist_ok=True)
-        samples = basis.sample((0,) * settings.d, grid)
-        rows = [header]
-        rows += [",".join(repr(float(c)) for c in pt) + f",{float(v)!r}"
-                 for pt, v in zip(grid.points, samples)]
-        with open(os.path.join(fdir, "basis_k0.csv"), "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-    with open(os.path.join(settings.out_dir, "basis_envelopes.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"basis stage: wrote {settings.out_dir}/basis_envelopes.csv")
-    return 0
-
-
-def _stage_gramian(settings: pl.RunSettings):
-    grid = settings.grid()
-    for fam in settings.families:
-        basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
-        secs = gr.sections(basis, settings.radii, grid)
-        riesz = gr.riesz_bounds(secs, rtol=settings.tolerances["riesz_rtol"])
-        fdir = artifacts.family_dir(settings.out_dir, fam.name)
-        os.makedirs(fdir, exist_ok=True)
+        secs, riesz = pl.gramian_sections(basis, settings)
         secs[-1].to_text(os.path.join(fdir, "gramian.csv"))
-        artifacts._write_eigens(os.path.join(fdir, "eigens.csv"), riesz)
+        artifacts.write_eigens(os.path.join(fdir, "eigens.csv"), riesz)
         print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
-    return 0
-
-
-def _stage_duals(settings: pl.RunSettings):
-    grid = settings.grid()
-    for fam in settings.families:
-        basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
-        secs = gr.sections(basis, settings.radii, grid)
-        ds = invert_section(secs, tol=settings.tolerances["inversion"])
-        residual = biorthogonality_residual(ds, basis, grid)
-        fdir = artifacts.family_dir(settings.out_dir, fam.name)
-        os.makedirs(fdir, exist_ok=True)
+        if stage == "gramian":
+            continue
+        ds, residual = pl.dual_system(basis, secs, settings)
         ds.coefficient_matrix().to_text(os.path.join(fdir, "coeffs.csv"))
         print(f"duals stage: {fam.name}: core={ds.core_radius} "
               f"biorthogonality={residual!r}")
         if residual >= settings.tolerances["biorthogonality"]:
             raise InvariantFailure(
                 f"{fam.name}: biorthogonality residual {residual!r} over tolerance")
+    artifacts.write_basis(settings.out_dir, settings.grid(), measured)
+    print(f"basis stage: wrote {settings.out_dir}/basis_envelopes.csv")
     return 0
 
 
-def _stage_bounds(settings: pl.RunSettings):
-    os.makedirs(settings.out_dir, exist_ok=True)
-    lines = ["scope,dimension,name,value,binding,detail"]
-    for d in settings.bounds_dims:
-        cal = cst.calibrate_lattice_sum_bound(d)
-        lines.append(f"lattice_sum_bound,{d},c,{cal.constant!r},u={cal.binding[0]:g},")
-        win = settings.convolution_windows.get(d, 16)
-        for u_off in (1, 2, 4):
-            conv = cst.verify_convolution_discrete(float(d + u_off), d, win)
-            lines.append(artifacts.convolution_row(d, conv))
-    with open(os.path.join(settings.out_dir, "constants.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"bounds stage: wrote {settings.out_dir}/constants.csv")
-    return 0
-
-
-def _stage_report(settings: pl.RunSettings):
-    suite = pl.run_suite(settings)
-    artifacts.write_suite(settings.out_dir, suite)
-    failed = [v for v in suite.verdicts if not v.passed]
-    for v in suite.verdicts:
-        status = "pass" if v.passed else "FAIL"
-        print(f"[{status}] {v.name}: value={v.value!r} threshold={v.threshold!r}")
-    print(f"report written to {settings.out_dir}/report.json "
-          f"({len(suite.verdicts) - len(failed)}/{len(suite.verdicts)} invariants pass)")
-    return EXIT_INVARIANT if failed else 0
-
-
-def _stage_verify(settings: pl.RunSettings):
-    verdicts = artifacts.verify_artifacts(settings.out_dir)
-    failed = [v for v in verdicts if not v.passed]
+def _print_verdicts(verdicts: list, summary: str) -> int:
+    """One line per verdict, then `summary` with the pass count; the exit code."""
     for v in verdicts:
-        status = "pass" if v.passed else "FAIL"
-        print(f"[{status}] {v.name}: value={v.value!r} threshold={v.threshold!r}"
-              + (f" ({v.detail})" if v.detail else ""))
-    print(f"verify: {len(verdicts) - len(failed)}/{len(verdicts)} checks pass")
-    return EXIT_INVARIANT if failed else 0
+        print(f"{v} ({v.detail})" if v.detail else v)
+    passed = sum(v.passed for v in verdicts)
+    print(summary.format(f"{passed}/{len(verdicts)}"))
+    return 0 if passed == len(verdicts) else EXIT_INVARIANT
 
 
 def main(argv=None) -> int:
@@ -259,23 +185,23 @@ def main(argv=None) -> int:
     try:
         settings = load_config(args.config, out_override=args.out,
                                seed_override=args.seed)
-        if args.stage == "basis":
-            return _stage_basis(settings)
-        if args.stage == "gramian":
-            _stage_basis(settings)
-            return _stage_gramian(settings)
-        if args.stage == "duals":
-            _stage_basis(settings)
-            _stage_gramian(settings)
-            return _stage_duals(settings)
+        if args.stage in ("basis", "gramian", "duals"):
+            return _stage_families(settings, args.stage)
         if args.stage == "bounds":
-            return _stage_bounds(settings)
-        if args.stage == "report":
-            return _stage_report(settings)
+            artifacts.write_bounds(settings.out_dir, *pl.calibrate_bounds(settings))
+            print(f"bounds stage: wrote {settings.out_dir}/constants.csv")
+            return 0
+        if args.stage == "verify":
+            return _print_verdicts(artifacts.verify_artifacts(settings),
+                                   "verify: {} checks pass")
+        suite = pl.run_suite(settings)  # report, and all with the basis exports
+        artifacts.write_suite(settings.out_dir, suite)
         if args.stage == "all":
-            _stage_basis(settings)
-            return _stage_report(settings)
-        return _stage_verify(settings)
+            artifacts.write_basis(settings.out_dir, settings.grid(),
+                                  [(f.name, f.spec, f.basis_rows, f.basis_k0)
+                                   for f in suite.families])
+        return _print_verdicts(suite.verdicts, f"report written to {settings.out_dir}/"
+                               "report.json ({} invariants pass)")
     except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolation
+from .errors import ConfigError, HypothesisViolation
 from .gramian import DecayMatrix, apply_derivation
 from .lattice import LatticeWindow, max_norm
 
@@ -343,7 +343,13 @@ def verify_convolution_discrete(u: float, d: int, window: int,
 
 def verify_convolution_continuous(u: float, d: int, grid,
                                   x_window: int = 4) -> ConvolutionCalibration:
-    """Quadrature analogue: int (1+|x-y|)^(-u) (1+|y|)^(-u) dy <= c (1+|x|)^(-u)."""
+    """Quadrature analogue: int (1+|x-y|)^(-u) (1+|y|)^(-u) dy <= c (1+|x|)^(-u).
+
+    `constant` is the largest ratio over the lattice points |x| <= x_window,
+    a scan maximum with no far-field or grid-tail bound, so it is not a
+    certified least constant.  `binding` is None when that maximum sits on
+    the scan edge, where the ratio may still be rising.
+    """
     from .gramian import decay_integral
 
     if u < d + 1:
@@ -356,11 +362,12 @@ def verify_convolution_continuous(u: float, d: int, grid,
         lhs = float(np.sum(np.power(1.0 + max_norm(x - pts), -u) * y_weight)) * grid.weight
         ratios[a] = lhs * (1.0 + np.max(np.abs(x))) ** u
     best = int(np.argmax(ratios))
+    node = tuple(int(c) for c in xwin.indices[best])
     scale = decay_integral(u, d)
     return ConvolutionCalibration(constant=float(ratios[best]),
                                   normalized=float(ratios[best]) / scale,
                                   scale=scale,
-                                  binding=tuple(int(c) for c in xwin.indices[best]),
+                                  binding=None if max(map(abs, node)) == xwin.N else node,
                                   u=u, d=d)
 
 
@@ -446,7 +453,8 @@ def calibrate_E(suite) -> ECalibration:
         raise ValueError("calibrate one dimension at a time")
     d = dims.pop()
     if len(cases) < 3:
-        raise ValueError(f"need >= 3 families per dimension, got {len(cases)}")
+        raise ConfigError(f"calibrating E needs >= 3 families per dimension, "
+                          f"got {len(cases)}")
     per_family = []
     for c in cases:
         validate_hypotheses(c.C_meas, c.s, c.t, c.d)

@@ -8,7 +8,7 @@ constants and evaluates every invariant with a pass/fail verdict.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,9 +54,7 @@ class RunSettings:
     out_dir: str = "out"
     tolerances: dict = field(default_factory=dict)
     bounds_dims: tuple = ()          # dimensions for the constants stage
-    # starting radius, per dimension, of the exact axis scan that brackets
-    # the convolution constants over all of Z^d
-    convolution_windows: dict = field(default_factory=lambda: {1: 128, 2: 16})
+    convolution_windows: dict = field(default_factory=dict)
     dual_export_radius: int | None = None
 
     def __post_init__(self):
@@ -71,17 +69,24 @@ class RunSettings:
             raise ConfigError(f"radii must be strictly increasing, got {self.radii}")
         if not self.bounds_dims:
             self.bounds_dims = (self.d,)
+        # starting radius, per dimension, of the exact axis scan that
+        # brackets the convolution constants over all of Z^d
+        self.convolution_windows = {d: self.convolution_windows.get(d, 128 if d == 1 else 16)
+                                    for d in self.bounds_dims}
         if not self.families:
             raise ConfigError("at least one family is required")
         if self.grid_R < self.radii[-1] + 8:
             raise ConfigError(
                 f"grid extent {self.grid_R} must reach 8 units past the largest "
                 f"radius {self.radii[-1]}")
+        self.grid()  # the grid rejects its own bad spacing or extent
+        window = lat.LatticeWindow(self.d, self.radii[-1])
         for fam in self.families:
             if fam.spec.d != self.d:
                 raise ConfigError(f"family {fam.name!r} has dimension {fam.spec.d} != {self.d}")
             # reject bad parameter sets before any heavy computation
             cst.validate_hypotheses(fam.spec.claimed_C, fam.spec.claimed_s, self.t, self.d)
+            lat.make_basis(fam.spec, window)  # rejects perturbed nodes outside the window
 
     def grid(self) -> lat.Grid:
         return lat.Grid(h=self.grid_h, R=self.grid_R, d=self.d)
@@ -94,6 +99,10 @@ class Verdict:
     value: float
     threshold: float
     detail: str = ""
+
+    def __str__(self) -> str:
+        return (f"[{'pass' if self.passed else 'FAIL'}] {self.name}: "
+                f"value={self.value!r} threshold={self.threshold!r}")
 
 
 @dataclass
@@ -109,6 +118,8 @@ class FamilyResult:
     gram_duals_residual: float
     dual_norm_max: float        # max_k ||g_k||^2 over the core
     lam_max_core: float
+    basis_rows: list            # (node, measured C at claimed s, regression exponent)
+    basis_k0: np.ndarray        # the member at the origin, sampled on the grid
     D_emp: float                # max dual envelope constant at exponent t
     envelope_rows: list         # (k, exponent, constant, regression_exponent)
     inverse_decay: lat.EnvelopeFit
@@ -125,7 +136,6 @@ class FamilyResult:
     derivation_exact: float     # residual of D^1 D^1 vs D^2 on the Gramian
     dual_system: du.DualSystem
     gramian: gr.DecayMatrix
-    sections: list
     elapsed: float
 
     @property
@@ -165,45 +175,58 @@ class SuiteResult:
         return all(v.passed for v in self.verdicts)
 
 
-def _measure_family_constant(basis: lat.BasisSet, grid: lat.Grid) -> float:
-    spec = basis.spec
-    nodes = [(0,) * spec.d] + [node for node, _ in spec.perturbations]
-    return max(lat.measure_decay(basis, node, grid, spec.claimed_s).constant
-               for node in dict.fromkeys(nodes))
+def measure_basis(fam: FamilySettings, settings: RunSettings):
+    """(basis, rows, origin samples) of `fam` on the largest window, validated
+    against its claimed envelope; one row (node, measured C at the claimed s,
+    regression exponent) for the origin and each perturbed node."""
+    grid = settings.grid()
+    basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
+    measured = lat.validate_claimed_envelope(basis, grid,
+                                             rtol=settings.tolerances["claimed_rtol"])
+    rows = [(node, C, lat.measure_decay(basis, node, grid, fam.spec.claimed_s,
+                                        method="loglog-regression").exponent)
+            for node, C in measured.items()]
+    return basis, rows, basis.sample((0,) * settings.d, grid)
+
+
+def gramian_sections(basis: lat.BasisSet, settings: RunSettings):
+    """Nested Gramian sections of `basis` and their Riesz bounds."""
+    secs = gr.sections(basis, settings.radii, settings.grid())
+    return secs, gr.riesz_bounds(secs, rtol=settings.tolerances["riesz_rtol"])
+
+
+def dual_system(basis: lat.BasisSet, secs: list, settings: RunSettings):
+    """Dual system of `basis` with every core dual synthesized, and its
+    biorthogonality residual."""
+    ds = du.invert_section(secs, tol=settings.tolerances["inversion"])
+    return ds, du.biorthogonality_residual(ds, basis, settings.grid())
 
 
 def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     t0 = time.perf_counter()
     grid = settings.grid()
     t = settings.t
+    s = fam.spec.claimed_s
     tol = settings.tolerances
-    window = lat.LatticeWindow(settings.d, settings.radii[-1])
-    basis = lat.make_basis(fam.spec, window)
+    origin = (0,) * settings.d
 
-    lat.validate_claimed_envelope(basis, grid, rtol=tol["claimed_rtol"])
-    C_meas = _measure_family_constant(basis, grid)
+    basis, basis_rows, basis_k0 = measure_basis(fam, settings)
+    C_meas = max(C for _, C, _ in basis_rows)
     if fam.spec.perturbations:
-        bare = lat.GeneratorSpec(fam.spec.family, fam.spec.d, fam.spec.claimed_C,
-                                 fam.spec.claimed_s, dict(fam.spec.params))
+        bare = replace(fam.spec, perturbations=())
         bare_basis = lat.make_basis(bare, lat.LatticeWindow(settings.d, 0))
-        C_base = lat.measure_decay(bare_basis, (0,) * settings.d, grid,
-                                   fam.spec.claimed_s).constant
+        C_base = lat.measure_decay(bare_basis, origin, grid, s).constant
     else:
         C_base = C_meas
 
-    secs = gr.sections(basis, settings.radii, grid)
-    riesz = gr.riesz_bounds(secs, rtol=tol["riesz_rtol"])
+    secs, riesz = gramian_sections(basis, settings)
     M = secs[-1]
-    ds = du.invert_section(secs, tol=tol["inversion"])
-
-    biorth = du.biorthogonality_residual(ds, basis, grid)
+    ds, biorth = dual_system(basis, secs, settings)
     gram_res = du.gram_duals_check(ds, grid)
-    dual_norm = max(ds.coefficient(k, k) for k in ds.core_nodes())
-    lam_core = float(np.linalg.eigvalsh(ds.core_block())[-1])
+    dual_norm, lam_core = core_norms(ds.core_block())
 
     envelope_rows = []
     D_emp = 0.0
-    s = fam.spec.claimed_s
     for node in ds.core_nodes():
         for u in dict.fromkeys((float(t), float(s))):
             fit = du.dual_envelope(ds, node, u, grid)
@@ -235,14 +258,14 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     bilinearity_err = float(np.max(np.abs(scaled_secs[-1].entries
                                           - alpha**2 * M.entries)))
     ds_scaled = du.invert_section(scaled_secs, tol=tol["inversion"])
-    origin = (0,) * settings.d
     g0 = ds.duals[origin]
     g0_scaled, _ = du.synthesize_dual(ds_scaled, scaled, origin, grid)
     scaling_err = float(np.max(np.abs(g0_scaled - g0 / alpha)) / np.max(np.abs(g0)))
 
     covariance_err = _translation_covariance(basis, grid)
-    env_consts = [lat.measure_decay(basis, (0,) * settings.d, grid, u).constant
-                  for u in (s / 2, 0.75 * s, s)]
+    # the fit at u = s is the origin's basis row
+    env_consts = [lat.measure_decay(basis, origin, grid, u).constant
+                  for u in (s / 2, 0.75 * s)] + [basis_rows[0][1]]
     envelope_ordered = all(a <= b * (1 + 1e-14)
                            for a, b in zip(env_consts, env_consts[1:]))
 
@@ -252,14 +275,15 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         name=fam.name, spec=fam.spec, riesz=riesz, C_meas=C_meas, C_base=C_base,
         core_radius=ds.core_radius, convergence=ds.convergence,
         biorth_residual=biorth, gram_duals_residual=gram_res,
-        dual_norm_max=dual_norm, lam_max_core=lam_core, D_emp=D_emp,
+        dual_norm_max=dual_norm, lam_max_core=lam_core,
+        basis_rows=basis_rows, basis_k0=basis_k0, D_emp=D_emp,
         envelope_rows=envelope_rows, inverse_decay=inverse_decay, alpha_t=alpha_t,
         schur_ratio=schur_ratio, schur_M=gr.schur_bound(M),
         spectral_M=gr.spectral_norm(M), W_value=W_value,
         scaling_rel_err=scaling_err, bilinearity_err=bilinearity_err,
         covariance_err=covariance_err, envelope_ordered=envelope_ordered,
         offdiag=offdiag,
-        derivation_exact=deriv_exact, dual_system=ds, gramian=M, sections=secs,
+        derivation_exact=deriv_exact, dual_system=ds, gramian=M,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -298,6 +322,17 @@ def _leibniz_sweep(d: int, seed: int, trials: int = 100) -> float:
     return worst
 
 
+def calibrate_bounds(settings: RunSettings):
+    """(lattice_sum_cal, convolution): the lattice-sum bound and the three
+    certified convolution brackets for every dimension in bounds_dims."""
+    lattice_sum_cal = {d: cst.calibrate_lattice_sum_bound(d) for d in settings.bounds_dims}
+    convolution = {d: [cst.verify_convolution_discrete(float(d + off), d,
+                                                       settings.convolution_windows[d])
+                       for off in (1, 2, 4)]
+                   for d in settings.bounds_dims}
+    return lattice_sum_cal, convolution
+
+
 def run_suite(settings: RunSettings) -> SuiteResult:
     timings = {}
     t_start = time.perf_counter()
@@ -326,13 +361,7 @@ def run_suite(settings: RunSettings) -> SuiteResult:
                                     schur_constant=schur_constant).final
         recursion[r.name] = (measured, bound)
 
-    lattice_sum_cal = {d: cst.calibrate_lattice_sum_bound(d)
-                       for d in settings.bounds_dims}
-    convolution = {}
-    for d in settings.bounds_dims:
-        win = settings.convolution_windows.get(d, 16)
-        convolution[d] = [cst.verify_convolution_discrete(float(d + du_), d, win)
-                          for du_ in (1, 2, 4)]
+    lattice_sum_cal, convolution = calibrate_bounds(settings)
     leibniz_worst = {d: _leibniz_sweep(d, settings.seed) for d in settings.bounds_dims}
 
     # honesty of the lattice-sum tail: doubling the radius moves the value
@@ -355,10 +384,46 @@ def run_suite(settings: RunSettings) -> SuiteResult:
                        w_honesty=w_honesty, verdicts=verdicts, timings=timings)
 
 
+# Invariants checked both on a run in memory and, by
+# artifacts.verify_artifacts, on the values read back from its artifacts.
+
+
+def interlacing(family: str, radii, lam_min, lam_max, tol: dict) -> Verdict:
+    """Cauchy interlacing of nested sections: lambda_min nonincreasing and
+    lambda_max nondecreasing in the radius."""
+    eps = tol["interlacing"]
+    ok = all(a >= b - eps for a, b in zip(lam_min, lam_min[1:])) \
+        and all(a <= b + eps for a, b in zip(lam_max, lam_max[1:]))
+    return Verdict(f"{family}.interlacing", ok, 0.0, eps, f"radii {tuple(radii)}")
+
+
+def core_norms(block: np.ndarray) -> tuple:
+    """(max_k ||g_k||^2, lambda_max) of a core block of dual coefficients."""
+    return float(np.max(np.diag(block))), float(np.linalg.eigvalsh(block)[-1])
+
+
+def dual_norm_bound(family: str, dual_norm_max: float, A: float, tol: dict) -> Verdict:
+    bound = (1.0 + tol["bound_slack"]) / A
+    return Verdict(f"{family}.dual_norm_bound", dual_norm_max <= bound, dual_norm_max,
+                   bound, "max ||g_k||^2 vs 1/A")
+
+
+def inverse_norm_bound(family: str, lam_max_core: float, A: float, tol: dict) -> Verdict:
+    bound = (1.0 + tol["bound_slack"]) / A
+    return Verdict(f"{family}.inverse_norm_bound", lam_max_core <= bound, lam_max_core,
+                   bound, "lambda_max of core coefficients vs 1/A")
+
+
+def dual_decay_domination(family: str, D_emp: float, C: float, A: float, s: float,
+                          t: int, d: int, E: float) -> Verdict:
+    D = cst.TheoreticalBound(C=C, A=A, s=s, t=t, d=d, E=E).D
+    return Verdict(f"{family}.dual_decay_domination", D_emp <= D * (1 + 1e-9), D_emp, D,
+                   "measured dual envelope vs theoretical D at E_emp")
+
+
 def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolution,
                     leibniz_worst, w_honesty, suite_transfer) -> list:
     tol = settings.tolerances
-    slack = 1.0 + tol["bound_slack"]
     verdicts = []
 
     def add(name, passed, value, threshold, detail=""):
@@ -368,17 +433,12 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
         pre = f"{r.name}."
         add(pre + "biorthogonality", r.biorth_residual < tol["biorthogonality"],
             r.biorth_residual, tol["biorthogonality"])
-        add(pre + "dual_norm_bound", r.dual_norm_max <= slack / r.A_est,
-            r.dual_norm_max, slack / r.A_est, "max ||g_k||^2 vs 1/A")
-        add(pre + "inverse_norm_bound", r.lam_max_core <= slack / r.A_est,
-            r.lam_max_core, slack / r.A_est, "lambda_max of core coefficients vs 1/A")
+        verdicts.append(dual_norm_bound(r.name, r.dual_norm_max, r.A_est, tol))
+        verdicts.append(inverse_norm_bound(r.name, r.lam_max_core, r.A_est, tol))
         add(pre + "scaling_homogeneity", r.scaling_rel_err < tol["scaling_rtol"],
             r.scaling_rel_err, tol["scaling_rtol"])
-        lo, hi = r.riesz.lambda_min, r.riesz.lambda_max
-        inter = all(lo[i] >= lo[i + 1] - tol["interlacing"] for i in range(len(lo) - 1)) \
-            and all(hi[i] <= hi[i + 1] + tol["interlacing"] for i in range(len(hi) - 1))
-        add(pre + "interlacing", inter, 0.0, tol["interlacing"],
-            f"radii {r.riesz.radii}")
+        verdicts.append(interlacing(r.name, r.riesz.radii, r.riesz.lambda_min,
+                                    r.riesz.lambda_max, tol))
         add(pre + "schur_dominates", r.schur_M >= r.spectral_M - tol["schur_slack"],
             r.spectral_M - r.schur_M, tol["schur_slack"])
         add(pre + "claimed_C", r.C_meas <= r.spec.claimed_C * (1 + tol["claimed_rtol"]),
@@ -411,10 +471,9 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
             "schur(D^t inverse core) vs iterated bound")
         add(pre + "gramian_vs_A", r.A_est <= r.schur_M * (1 + tol["bound_slack"]),
             r.A_est, r.schur_M, "A <= ||M|| so 1 <= c A^-1 C^2 W")
-        tb = cst.TheoreticalBound(C=r.C_meas, A=r.A_est, s=r.spec.claimed_s,
-                                  t=settings.t, d=settings.d, E=E_cal.E_emp)
-        add(pre + "dual_decay_domination", r.D_emp <= tb.D * (1 + 1e-9),
-            r.D_emp, tb.D, "measured dual envelope vs theoretical D at E_emp")
+        verdicts.append(dual_decay_domination(r.name, r.D_emp, r.C_meas, r.A_est,
+                                              r.spec.claimed_s, settings.t, settings.d,
+                                              E_cal.E_emp))
 
     for d, worst in leibniz_worst.items():
         add(f"leibniz_exact.d{d}", worst < tol["leibniz"], worst, tol["leibniz"])
@@ -433,15 +492,10 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
         w_vals[0], w_vals[-1], "W decreasing over an exponent grid")
     base = cst.TheoreticalBound(C=2.0, A=0.5, s=settings.d + settings.t + 2.0,
                                 t=settings.t, d=settings.d, E=1.25)
-    monotone = (
-        cst.TheoreticalBound(C=2.5, A=base.A, s=base.s, t=base.t, d=base.d,
-                             E=base.E).D > base.D
-        and cst.TheoreticalBound(C=base.C, A=base.A, s=base.s, t=base.t, d=base.d,
-                                 E=1.5).D > base.D
-        and cst.TheoreticalBound(C=base.C, A=0.8, s=base.s, t=base.t, d=base.d,
-                                 E=base.E).D < base.D
-        and cst.TheoreticalBound(C=base.C, A=base.A, s=base.s + 1.0, t=base.t,
-                                 d=base.d, E=base.E).D < base.D)
+    moved = [replace(base, **change).D
+             for change in ({"C": 2.5}, {"E": 1.5}, {"A": 0.8}, {"s": base.s + 1.0})]
+    monotone = moved[0] > base.D and moved[1] > base.D \
+        and moved[2] < base.D and moved[3] < base.D
     add("theoretical_D_monotone", monotone, 0.0, 0.0,
         "nondecreasing in C and E, nonincreasing in A and s")
     return verdicts

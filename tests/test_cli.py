@@ -1,11 +1,15 @@
+import inspect
 import json
 import os
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dualdecay import cli
+from dualdecay import gramian as gr
+from dualdecay import lattice as lat
 from dualdecay.errors import ConfigError, HypothesisViolation
 
 MINI_CONFIG = """
@@ -162,7 +166,12 @@ def test_cli_exit_codes(tmp_path, mini_config, capsys):
     capsys.readouterr()
 
 
-def test_cli_stage_artifacts(mini_config, capsys):
+def _files(root: str) -> list:
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, names in os.walk(root) for f in names)
+
+
+def test_cli_stage_artifacts(mini_config, tmp_path, capsys):
     path, out = mini_config
     assert cli.main(["basis", "--config", path]) == 0
     assert os.path.exists(os.path.join(out, "basis_envelopes.csv"))
@@ -173,6 +182,98 @@ def test_cli_stage_artifacts(mini_config, capsys):
         assert os.path.exists(os.path.join(out, fam, "coeffs.csv"))
     assert cli.main(["bounds", "--config", path]) == 0
     assert os.path.exists(os.path.join(out, "constants.csv"))
+
+    # every stage writes a slice of what `all` writes, byte for byte
+    full = str(tmp_path / "all")
+    assert cli.main(["all", "--config", path, "--out", full]) == 0
+    for stage, count in (("basis", 4), ("gramian", 10), ("duals", 13)):
+        part = str(tmp_path / stage)
+        assert cli.main([stage, "--config", path, "--out", part]) == 0
+        assert len(_files(part)) == count, stage
+        for rel in _files(part):
+            with open(os.path.join(part, rel), "rb") as a, \
+                    open(os.path.join(full, rel), "rb") as b:
+                assert a.read() == b.read(), (stage, rel)
+    bounds = open(os.path.join(out, "constants.csv")).read().splitlines()
+    rows = open(os.path.join(full, "constants.csv")).read().splitlines()
+    assert bounds[0] == rows[0]
+    assert bounds[1:] == [r for r in rows
+                          if r.startswith(("lattice_sum_bound,", "convolution_discrete,"))]
+    capsys.readouterr()
+
+
+def _recorder(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records the arguments of each call."""
+    calls = []
+    real = getattr(module, name)
+    signature = inspect.signature(real)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(tuple(tuple(np.atleast_1d(v)) if isinstance(v, (tuple, np.ndarray))
+                           else v for v in bound.arguments.values()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys):
+    path, _ = mini_config
+    sections = _recorder(monkeypatch, gr, "sections")
+    assert cli.main(["duals", "--config", path]) == 0
+    assert len(sections) == 3  # one assembly per family
+
+    validations = _recorder(monkeypatch, lat, "validate_claimed_envelope")
+    fits = _recorder(monkeypatch, lat, "measure_decay")
+    assert cli.main(["all", "--config", path]) == 0
+    assert len(validations) == 3
+    # per family: the validated fit, its regression and two more exponents
+    assert len(fits) == len(set(fits)) == 12
+    capsys.readouterr()
+
+
+def test_cli_family_stages_accept_two_families(mini_config, tmp_path, capsys):
+    path, out = mini_config
+    two = tmp_path / "two.ini"
+    two.write_text(open(path).read().replace("[family:hat]", "[unused]"))
+    assert cli.main(["basis", "--config", str(two)]) == 0
+    assert open(os.path.join(out, "basis_envelopes.csv")).read().count("\n") == 3
+    capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def mini_run(tmp_path_factory):
+    """Text of the mini config, after one `all` run wrote its artifacts."""
+    root = tmp_path_factory.mktemp("mini_run")
+    path = root / "mini.ini"
+    path.write_text(MINI_CONFIG.format(out=root / "out"))
+    assert cli.main(["all", "--config", str(path)]) == 0
+    return path.read_text()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("h = 0.015625", "h = 0.03125"),
+    ("radii = 4 8 12", "radii = 4 12"),
+    ("t = 2", "t = 3"),
+    ("[family:hat]", "[family:tent]"),
+], ids=["grid-h", "radii", "t", "family-names"])
+def test_cli_verify_rejects_artifacts_of_another_config(mini_run, tmp_path, old, new,
+                                                        capsys):
+    other = tmp_path / "other.ini"
+    other.write_text(mini_run.replace(old, new))
+    assert cli.main(["verify", "--config", str(other)]) == cli.EXIT_CONFIG
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("config error:") and "were written with" in line
+
+
+def test_cli_verify_ignores_seed_out_and_tolerances(mini_run, tmp_path, capsys):
+    out = re.search(r"(?m)^out = (.*)$", mini_run)[1]
+    other = tmp_path / "other.ini"
+    other.write_text(mini_run.replace("seed = 77", "seed = 5").replace(
+        "[bounds]", "[tolerances]\nbound_slack = 1e-5\n\n[bounds]"))
+    assert cli.main(["verify", "--config", str(other), "--out", out, "--seed", "9"]) == 0
     capsys.readouterr()
 
 
@@ -287,3 +388,29 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
     assert peak < 64e6
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("config error:") and "8e7 cap" in line
+
+
+@pytest.mark.parametrize("old,new,stage", [
+    ("d = 1", "d = one", "all"),
+    ("[bounds]", "[tolerances]\ninversion = tight\n\n[bounds]", "all"),
+    ("dims = 1", "dims = one", "all"),
+    ("convolution_window_d1 = 32", "convolution_window_d1 = wide", "all"),
+    ("convolution_window_d1 = 32", "convolution_window_dx = 32", "all"),
+    ("order = 2", "order = 2.5", "all"),
+    ("h = 0.015625", "h = 0.5", "all"),
+    ("claimed_C = 32\n", "claimed_C = 32\nperturb = 40:0.3\n", "all"),
+    ("[family:hat]", "[unused]", "report"),
+    ("[family:hat]", "[unused]", "all"),
+], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
+        "order", "grid-h", "perturbed-outside", "two-families-report",
+        "two-families-all"])
+def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
+                                           capsys):
+    path, out = mini_config
+    text = open(path).read()
+    assert old in text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(old, new, 1))
+    assert cli.main([stage, "--config", str(bad)]) == cli.EXIT_CONFIG
+    assert _one_line(capsys.readouterr().err).startswith("config error:")
+    assert not os.path.exists(out)

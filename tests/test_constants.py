@@ -191,6 +191,16 @@ def test_convolution_continuous_closed_form_at_origin():
     assert math.isfinite(cal.normalized)
 
 
+def test_convolution_continuous_edge_maximum_binds_no_node():
+    # at u = 2 the ratio still rises at every scan edge
+    grid = lat.Grid(h=1 / 16, R=24.0, d=1)
+    cals = [cst.verify_convolution_continuous(2.0, 1, grid, x_window=w) for w in (3, 6, 12)]
+    assert [c.binding for c in cals] == [None, None, None]
+    assert cals[0].constant < cals[1].constant < cals[2].constant
+    interior = cst.verify_convolution_continuous(5.0, 1, grid, x_window=6)
+    assert interior.binding is not None and max(map(abs, interior.binding)) < 6
+
+
 def test_convolution_continuous_symmetric_in_x():
     grid = lat.Grid(h=1 / 16, R=12.0, d=1)
     pts = grid.points[:, 0]
