@@ -131,8 +131,6 @@ def _write_constants(out_dir: str, suite: SuiteResult):
     add("suite", suite.settings.d, "transfer_constant", suite.c_transfer,
         suite.binding_transfer)
     lines += _bounds_rows(suite.lattice_sum_cal, suite.convolution)
-    for d, worst in suite.leibniz_worst.items():
-        add("leibniz", d, "worst_residual", worst)
     for fam in suite.families:
         for key in ("A_est", "B_est", "C_meas", "D_emp", "core_radius"):
             add("family", suite.settings.d, f"{fam.name}.{key}", getattr(fam, key))
@@ -211,8 +209,6 @@ def report_dict(suite: SuiteResult) -> dict:
             "schur_norm_gramian": fam.schur_M,
             "spectral_norm_gramian": fam.spectral_M,
             "W_value": fam.W_value,
-            "scaling_rel_err": fam.scaling_rel_err,
-            "bilinearity_err": fam.bilinearity_err,
             "translation_covariance_err": fam.covariance_err,
             "envelope_consistency": fam.envelope_ordered,
             "offdiag_constant": fam.offdiag.constant,
@@ -239,7 +235,6 @@ def report_dict(suite: SuiteResult) -> dict:
                           "scan_radius": c.scan_radius}
                          for c in cals]
                 for d, cals in suite.convolution.items()},
-            "leibniz_worst": {str(d): w for d, w in suite.leibniz_worst.items()},
             "w_honesty": list(suite.w_honesty),
         },
         "invariants": [{"name": v.name, "passed": v.passed, "value": v.value,
@@ -270,8 +265,15 @@ def _read_rows(path: str) -> list:
 def verify_artifacts(settings: RunSettings) -> list:
     """Re-check invariants from the artifacts in settings.out_dir; returns verdicts."""
     out_dir = settings.out_dir
-    with open(_require(os.path.join(out_dir, "report.json"))) as fh:
-        report = json.load(fh)
+    path = _require(os.path.join(out_dir, "report.json"))
+    with open(path) as fh:
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    for key in ("settings", "families", "calibration", "invariants"):
+        if key not in report:
+            raise ConfigError(f"{path} has no {key!r} entry")
     # artifacts of another problem are rejected; seed, out and tolerances may differ
     was = dict(report["settings"], families=sorted(report["families"]))
     now = dict(_settings_dict(settings), families=sorted(f.name for f in settings.families))

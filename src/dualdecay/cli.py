@@ -62,17 +62,29 @@ def _parse_perturbations(text: str, d: int):
     return out
 
 
+def _value(section, key: str, convert, default=None):
+    """`convert` of the text at `key` (or of `default` if the key is absent);
+    a value it rejects is a ConfigError naming the section and key."""
+    text = section[key] if default is None else section.get(key, default)
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key}: {exc}") from exc
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split())
+
+
 def _family_from_section(name: str, section, d: int) -> pl.FamilySettings:
     try:
         family = section["family"]
-        claimed_C = float(section["claimed_C"])
-        claimed_s = float(section["claimed_s"])
+        claimed_C = _value(section, "claimed_C", float)
+        claimed_s = _value(section, "claimed_s", float)
     except KeyError as exc:
         raise ConfigError(f"family {name!r} is missing key {exc}") from exc
-    params = {}
-    for key in ("s", "sigma", "order"):
-        if key in section:
-            params[key] = float(section[key]) if key != "order" else int(section[key])
+    params = {key: _value(section, key, float if key != "order" else int)
+              for key in ("s", "sigma", "order") if key in section}
     perturbations = {}
     if "perturb" in section:
         perturbations = _parse_perturbations(section["perturb"], d)
@@ -91,39 +103,40 @@ def load_config(path: str, out_override=None, seed_override=None) -> pl.RunSetti
     try:
         parser.read(path)
         run, window, grid, targets = (parser[k] for k in ("run", "window", "grid", "targets"))
-        d = int(window.get("d", 1))
+        d = _value(window, "d", int, "1")
         families = [_family_from_section(sec.split(":", 1)[1], parser[sec], d)
                     for sec in parser.sections() if sec.startswith("family:")]
         tolerances = {}
         if parser.has_section("tolerances"):
-            for key, value in parser["tolerances"].items():
-                tolerances[key] = float(value)
+            sec = parser["tolerances"]
+            tolerances = {key: _value(sec, key, float) for key in sec}
         bounds_dims = ()
         conv_windows = {}
         if parser.has_section("bounds"):
             sec = parser["bounds"]
             if "dims" in sec:
-                bounds_dims = tuple(int(x) for x in sec["dims"].split())
-            for key, value in sec.items():
+                bounds_dims = _value(sec, "dims", _ints)
+            for key in sec:
                 if key.startswith("convolution_window_d"):
-                    conv_windows[int(key.rsplit("d", 1)[1])] = int(value)
-        dual_export = run.get("dual_export_radius")
+                    dim = _value(sec, key, lambda _: int(key.rsplit("d", 1)[1]))
+                    conv_windows[dim] = _value(sec, key, int)
         return pl.RunSettings(
             name=run.get("name", os.path.basename(path)),
             d=d,
-            radii=tuple(int(x) for x in window["radii"].split()),
-            grid_h=float(grid["h"]),
-            grid_R=float(grid["r"]) if "r" in grid else float(grid["R"]),
-            t=int(targets["t"]),
+            radii=_value(window, "radii", _ints),
+            grid_h=_value(grid, "h", float),
+            grid_R=_value(grid, "R", float),
+            t=_value(targets, "t", int),
             families=families,
-            seed=int(seed_override if seed_override is not None
-                     else run.get("seed", 1234)),
+            seed=int(seed_override) if seed_override is not None
+            else _value(run, "seed", int, "1234"),
             out_dir=str(out_override if out_override is not None
                         else run.get("out", "out")),
             tolerances=tolerances,
             bounds_dims=bounds_dims,
             convolution_windows=conv_windows,
-            dual_export_radius=int(dual_export) if dual_export is not None else None,
+            dual_export_radius=(_value(run, "dual_export_radius", int)
+                                if "dual_export_radius" in run else None),
         )
     except configparser.Error as exc:
         raise ConfigError(f"could not parse config: {exc}") from exc

@@ -23,8 +23,6 @@ DEFAULT_TOLERANCES = {
     "biorthogonality": 1e-6,
     "bound_slack": 1e-6,       # multiplicative slack on the 1/A bounds
     "riesz_rtol": 1e-6,
-    "scaling_rtol": 1e-10,
-    "leibniz": 1e-13,
     "interlacing": 1e-10,
     "claimed_rtol": 1e-12,
     "schur_slack": 1e-10,
@@ -58,6 +56,10 @@ class RunSettings:
     dual_export_radius: int | None = None
 
     def __post_init__(self):
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(f"unknown tolerance {unknown[0]!r}; the tolerances are "
+                              + ", ".join(DEFAULT_TOLERANCES))
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances)
         self.tolerances = tol
@@ -128,12 +130,9 @@ class FamilyResult:
     schur_M: float
     spectral_M: float
     W_value: float
-    scaling_rel_err: float
-    bilinearity_err: float      # max |assemble(alpha f) - alpha^2 M|
     covariance_err: float       # translation covariance residual on the grid
     envelope_ordered: bool      # envelope constants nondecreasing in the exponent
     offdiag: lat.EnvelopeFit
-    derivation_exact: float     # residual of D^1 D^1 vs D^2 on the Gramian
     dual_system: du.DualSystem
     gramian: gr.DecayMatrix
     elapsed: float
@@ -158,7 +157,6 @@ class SuiteResult:
     binding_transfer: str
     lattice_sum_cal: dict
     convolution: dict           # d -> list of ConvolutionCalibration
-    leibniz_worst: dict         # d -> residual
     recursion: dict             # family -> (measured, bound)
     w_honesty: tuple            # (delta, reported bound)
     verdicts: list
@@ -242,26 +240,6 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
 
     alpha_t = max(du.coefficient_tail_bound(ds, node, t)[0] for node in ds.core_nodes())
 
-    # multiplicativity of the derivation on this Gramian; the composed and
-    # direct powers differ only by one rounding of the entry product
-    d1 = gr.apply_derivation(gr.apply_derivation(M, 1, 1), 1, 1)
-    d2 = gr.apply_derivation(M, 1, 2)
-    deriv_exact = float(np.max(np.abs(d1.entries - d2.entries)))
-    deriv_scale = float(np.max(np.abs(d2.entries))) or 1.0
-    deriv_exact /= deriv_scale
-
-    # homogeneity: duals of {alpha f_k} must equal alpha^-1 g_k pointwise,
-    # and the scaled Gramian must equal alpha^2 M entrywise
-    alpha = 0.5
-    scaled = basis.scaled(alpha)
-    scaled_secs = gr.sections(scaled, settings.radii, grid)
-    bilinearity_err = float(np.max(np.abs(scaled_secs[-1].entries
-                                          - alpha**2 * M.entries)))
-    ds_scaled = du.invert_section(scaled_secs, tol=tol["inversion"])
-    g0 = ds.duals[origin]
-    g0_scaled, _ = du.synthesize_dual(ds_scaled, scaled, origin, grid)
-    scaling_err = float(np.max(np.abs(g0_scaled - g0 / alpha)) / np.max(np.abs(g0)))
-
     covariance_err = _translation_covariance(basis, grid)
     # the fit at u = s is the origin's basis row
     env_consts = [lat.measure_decay(basis, origin, grid, u).constant
@@ -280,10 +258,8 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         envelope_rows=envelope_rows, inverse_decay=inverse_decay, alpha_t=alpha_t,
         schur_ratio=schur_ratio, schur_M=gr.schur_bound(M),
         spectral_M=gr.spectral_norm(M), W_value=W_value,
-        scaling_rel_err=scaling_err, bilinearity_err=bilinearity_err,
         covariance_err=covariance_err, envelope_ordered=envelope_ordered,
-        offdiag=offdiag,
-        derivation_exact=deriv_exact, dual_system=ds, gramian=M,
+        offdiag=offdiag, dual_system=ds, gramian=M,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -304,22 +280,6 @@ def _translation_covariance(basis: lat.BasisSet, grid: lat.Grid) -> float:
     direct = basis.member(b)(grid.points)
     moved = basis.member(a)(grid.points - shift)
     return float(np.max(np.abs(direct - moved)))
-
-
-def _leibniz_sweep(d: int, seed: int, trials: int = 100) -> float:
-    """Worst Leibniz residual over seeded random symmetric 9x9 pairs."""
-    window = lat.LatticeWindow(d, 4 if d == 1 else 1)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    n = window.size
-    for _ in range(trials):
-        p = rng.standard_normal((n, n))
-        q = rng.standard_normal((n, n))
-        P = gr.DecayMatrix(window, 0.5 * (p + p.T))
-        Q = gr.DecayMatrix(window, 0.5 * (q + q.T))
-        for h in range(1, d + 1):
-            worst = max(worst, cst.leibniz_check(P, Q, h))
-    return worst
 
 
 def calibrate_bounds(settings: RunSettings):
@@ -362,7 +322,6 @@ def run_suite(settings: RunSettings) -> SuiteResult:
         recursion[r.name] = (measured, bound)
 
     lattice_sum_cal, convolution = calibrate_bounds(settings)
-    leibniz_worst = {d: _leibniz_sweep(d, settings.seed) for d in settings.bounds_dims}
 
     # honesty of the lattice-sum tail: doubling the radius moves the value
     # by less than the reported bracket width
@@ -374,13 +333,13 @@ def run_suite(settings: RunSettings) -> SuiteResult:
     timings["bounds"] = time.perf_counter() - t0
 
     verdicts = _build_verdicts(settings, results, E_cal, schur_constant, recursion,
-                               convolution, leibniz_worst, w_honesty, c_transfer)
+                               convolution, w_honesty, c_transfer)
     timings["total"] = time.perf_counter() - t_start
     return SuiteResult(settings=settings, families=results, E_cal=E_cal,
                        schur_constant=schur_constant, schur_binding=schur_binding,
                        c_transfer=c_transfer, binding_transfer=binding_transfer,
                        lattice_sum_cal=lattice_sum_cal, convolution=convolution,
-                       leibniz_worst=leibniz_worst, recursion=recursion,
+                       recursion=recursion,
                        w_honesty=w_honesty, verdicts=verdicts, timings=timings)
 
 
@@ -422,7 +381,7 @@ def dual_decay_domination(family: str, D_emp: float, C: float, A: float, s: floa
 
 
 def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolution,
-                    leibniz_worst, w_honesty, suite_transfer) -> list:
+                    w_honesty, suite_transfer) -> list:
     tol = settings.tolerances
     verdicts = []
 
@@ -435,8 +394,6 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
             r.biorth_residual, tol["biorthogonality"])
         verdicts.append(dual_norm_bound(r.name, r.dual_norm_max, r.A_est, tol))
         verdicts.append(inverse_norm_bound(r.name, r.lam_max_core, r.A_est, tol))
-        add(pre + "scaling_homogeneity", r.scaling_rel_err < tol["scaling_rtol"],
-            r.scaling_rel_err, tol["scaling_rtol"])
         verdicts.append(interlacing(r.name, r.riesz.radii, r.riesz.lambda_min,
                                     r.riesz.lambda_max, tol))
         add(pre + "schur_dominates", r.schur_M >= r.spectral_M - tol["schur_slack"],
@@ -454,8 +411,6 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
                 f"shell regression over core radius {r.core_radius}")
         add(pre + "gram_duals", r.gram_duals_residual < tol["biorthogonality"],
             r.gram_duals_residual, tol["biorthogonality"])
-        add(pre + "bilinearity", r.bilinearity_err == 0.0, r.bilinearity_err, 0.0,
-            "assemble of the alpha-scaled family vs alpha^2 M")
         add(pre + "translation_covariance", r.covariance_err <= 1e-14,
             r.covariance_err, 1e-14)
         add(pre + "envelope_consistency", r.envelope_ordered, 0.0, 0.0,
@@ -464,8 +419,6 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
         add(pre + "coefficient_transfer",
             r.D_emp <= transfer_bound * (1 + 1e-12), r.D_emp, transfer_bound,
             "dual envelope vs c^t alpha C with the suite transfer constant")
-        add(pre + "derivation_multiplicative", r.derivation_exact <= 1e-15,
-            r.derivation_exact, 1e-15, "relative to the direct power")
         measured, bound = recursion[r.name]
         add(pre + "recursion_bound", measured <= bound, measured, bound,
             "schur(D^t inverse core) vs iterated bound")
@@ -475,8 +428,6 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
                                               r.spec.claimed_s, settings.t, settings.d,
                                               E_cal.E_emp))
 
-    for d, worst in leibniz_worst.items():
-        add(f"leibniz_exact.d{d}", worst < tol["leibniz"], worst, tol["leibniz"])
     for d, cals in convolution.items():
         norms = [c.normalized for c in cals]
         mean = sum(norms) / len(norms)
@@ -486,16 +437,4 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
             f"normalized constants {[round(x, 4) for x in norms]}, certified "
             f"brackets {[(round(c.lower / c.scale, 4), round(x, 4)) for c, x in zip(cals, norms)]}")
     add("w_tail_honesty", w_honesty[0] <= w_honesty[1], w_honesty[0], w_honesty[1])
-    w_vals = [cst.compute_W(settings.d + off, settings.d, tol["w_tol"])
-              for off in (0.5, 1.0, 2.0, 4.0, 9.0)]
-    add("w_monotone", all(a > b for a, b in zip(w_vals, w_vals[1:])),
-        w_vals[0], w_vals[-1], "W decreasing over an exponent grid")
-    base = cst.TheoreticalBound(C=2.0, A=0.5, s=settings.d + settings.t + 2.0,
-                                t=settings.t, d=settings.d, E=1.25)
-    moved = [replace(base, **change).D
-             for change in ({"C": 2.5}, {"E": 1.5}, {"A": 0.8}, {"s": base.s + 1.0})]
-    monotone = moved[0] > base.D and moved[1] > base.D \
-        and moved[2] < base.D and moved[3] < base.D
-    add("theoretical_D_monotone", monotone, 0.0, 0.0,
-        "nondecreasing in C and E, nonincreasing in A and s")
     return verdicts

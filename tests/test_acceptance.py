@@ -61,7 +61,19 @@ def test_c03_inverse_norm_bound(d1_suite):
 
 
 def test_c04_scaling_homogeneity(d1_suite):
-    rows = [(f.name, f.scaling_rel_err) for f in d1_suite.families]
+    # duals of {alpha f_k} must equal alpha^-1 g_k pointwise
+    settings, alpha = d1_suite.settings, 0.5
+    grid, origin = settings.grid(), (0,) * settings.d
+    rows = []
+    for f in d1_suite.families:
+        basis = lat.make_basis(f.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
+        scaled = basis.scaled(alpha)
+        ds = du.invert_section(gr.sections(scaled, settings.radii, grid),
+                               tol=settings.tolerances["inversion"])
+        g0_scaled, _ = du.synthesize_dual(ds, scaled, origin, grid)
+        g0 = f.dual_system.duals[origin]
+        rows.append((f.name, float(np.max(np.abs(g0_scaled - g0 / alpha))
+                                   / np.max(np.abs(g0)))))
     worst = max(rows, key=lambda r: r[1])
     ok = all(v < 1e-10 for _, v in rows)
     report(4, "alpha scaling of duals", ok,

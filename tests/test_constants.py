@@ -63,9 +63,10 @@ def test_w_sum_d2_against_zeta_oracle():
 
 
 def test_w_sum_monotone_decreasing_in_u():
-    vals = [cst.compute_W(u, 1, tol=1e-9) for u in (1.5, 2.0, 3.0, 5.0, 10.0)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(1.0, abs=0.01)
+    for d in (1, 2):
+        vals = [cst.compute_W(d + off, d, tol=1e-10) for off in (0.5, 1.0, 2.0, 4.0, 9.0)]
+        assert all(a > b for a, b in zip(vals, vals[1:])), (d, vals)
+        assert vals[-1] == pytest.approx(1.0, abs=0.01), d
 
 
 def test_w_sum_divergence_guard():
@@ -231,11 +232,13 @@ def test_theoretical_D_halved_A():
 
 
 def test_theoretical_D_monotonicity():
-    base = cst.TheoreticalBound(C=2.0, A=0.5, s=5.0, t=2, d=1, E=1.2)
-    assert cst.TheoreticalBound(C=2.5, A=0.5, s=5.0, t=2, d=1, E=1.2).D > base.D
-    assert cst.TheoreticalBound(C=2.0, A=0.5, s=5.0, t=2, d=1, E=1.5).D > base.D
-    assert cst.TheoreticalBound(C=2.0, A=0.8, s=5.0, t=2, d=1, E=1.2).D < base.D
-    assert cst.TheoreticalBound(C=2.0, A=0.5, s=6.0, t=2, d=1, E=1.2).D < base.D
+    for d, t in ((1, 2), (2, 3)):
+        s = d + t + 2.0
+        base = cst.TheoreticalBound(C=2.0, A=0.5, s=s, t=t, d=d, E=1.2)
+        assert cst.TheoreticalBound(C=2.5, A=0.5, s=s, t=t, d=d, E=1.2).D > base.D, d
+        assert cst.TheoreticalBound(C=2.0, A=0.5, s=s, t=t, d=d, E=1.5).D > base.D, d
+        assert cst.TheoreticalBound(C=2.0, A=0.8, s=s, t=t, d=d, E=1.2).D < base.D, d
+        assert cst.TheoreticalBound(C=2.0, A=0.5, s=s + 1.0, t=t, d=d, E=1.2).D < base.D, d
 
 
 @pytest.mark.parametrize("kwargs,fragment", [

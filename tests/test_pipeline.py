@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,19 +24,23 @@ def test_suite_all_verdicts_pass(d1_suite):
 def test_every_family_invariant_reported(d1_suite):
     names = {v.name for v in d1_suite.verdicts}
     per_family = ("biorthogonality", "dual_norm_bound", "inverse_norm_bound",
-                  "scaling_homogeneity", "interlacing", "schur_dominates",
-                  "claimed_C", "gram_duals", "bilinearity", "translation_covariance",
-                  "envelope_consistency", "coefficient_transfer",
-                  "derivation_multiplicative", "recursion_bound", "gramian_vs_A",
+                  "interlacing", "schur_dominates", "claimed_C", "gram_duals",
+                  "translation_covariance", "envelope_consistency",
+                  "coefficient_transfer", "recursion_bound", "gramian_vs_A",
                   "dual_decay_domination")
     for fam in d1_suite.families:
         for inv in per_family:
             assert f"{fam.name}.{inv}" in names, (fam.name, inv)
     assert "gauss-pert.perturbation_penalty" in names
     assert "bump.inverse_decay_exponent" in names
-    for suite_inv in ("leibniz_exact.d1", "convolution_u_stability.d1",
-                      "w_tail_honesty", "w_monotone", "theoretical_D_monotone"):
+    for suite_inv in ("convolution_u_stability.d1", "w_tail_honesty"):
         assert suite_inv in names
+
+
+def test_readme_lists_every_tolerance():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"(?s)\[tolerances\](.*?)\(all optional", readme)[1]
+    assert re.findall(r"[a-z_]+", listed) == list(pl.DEFAULT_TOLERANCES)
 
 
 def test_report_dict_numbers_trace_to_results(d1_suite):
@@ -126,8 +132,7 @@ def test_run_family_samples_each_basis_once(sample_builds):
     for fam in settings.families:
         sample_builds.clear()
         result = pl.run_family(fam, settings)
-        # once for the basis, once for the alpha = 0.5 rerun
-        assert [amplitude for amplitude, _ in sample_builds] == [1.0, 0.5], fam.name
+        assert [amplitude for amplitude, _ in sample_builds] == [1.0], fam.name
         assert all(ref() is None for _, ref in sample_builds), "matrix outlived the family"
         assert _big_arrays(result, window_by_grid) == []
         assert _big_arrays(result.dual_system, window_by_grid) == []
@@ -152,7 +157,7 @@ def d2_indicator_settings() -> pl.RunSettings:
 
 def test_d2_indicator_suite_end_to_end(sample_builds):
     suite = pl.run_suite(d2_indicator_settings())
-    assert len(sample_builds) == 6
+    assert len(sample_builds) == 3
     for fam in suite.families:
         assert fam.core_radius == 1
         for inv in ("biorthogonality", "dual_norm_bound", "interlacing"):
