@@ -8,6 +8,7 @@ re-checks the invariants from those files alone, with no quadrature.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .gramian import DecayMatrix
 from .lattice import LatticeWindow
-from .pipeline import (RunSettings, SuiteResult, Verdict, core_norms,
+from .pipeline import (DEFAULT_TOLERANCES, RunSettings, SuiteResult, Verdict, core_norms,
                        dual_decay_domination, dual_norm_bound, interlacing,
                        inverse_norm_bound)
 
@@ -58,24 +59,37 @@ def _write_lines(path: str, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_samples(path: str, grid, values):
-    """One `x_1..x_d,value` row per grid point."""
-    lines = [",".join(f"x_{i + 1}" for i in range(grid.d)) + ",value"]
-    lines += [",".join(_fmt(c) for c in pt) + f",{_fmt(v)}"
-              for pt, v in zip(grid.points, values)]
-    _write_lines(path, lines)
+_CHUNK_ROWS = 4096  # rows formatted per write of a sample file
+
+
+def _row_prefixes(grid) -> list:
+    """The `x_1,..,x_d,` text of every grid point, in grid.points order."""
+    axis = [_fmt(c) + "," for c in grid.axis.tolist()]
+    return ["".join(p) for p in itertools.product(axis, repeat=grid.d)]
+
+
+def _write_samples(path: str, d: int, prefixes: list, values):
+    """One `x_1..x_d,value` row per grid point, from the grid's row prefixes."""
+    values = np.asarray(values, dtype=float)
+    with open(path, "w") as fh:
+        fh.write(",".join(f"x_{i + 1}" for i in range(d)) + ",value\n")
+        for start in range(0, len(prefixes), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            fh.write("".join(p + v + "\n" for p, v in zip(
+                prefixes[start:stop], map(repr, values[start:stop].tolist()))))
 
 
 def write_basis(out_dir: str, grid, families):
     """basis_envelopes.csv, and basis_k0.csv per family, from one
     (name, spec, basis rows, origin samples) per family."""
     lines = ["family,node,claimed_C,measured_C,regression_exponent"]
+    prefixes = _row_prefixes(grid)
     for name, spec, rows, k0 in families:
         lines += [f"{name},{_node_label(node)},{_fmt(spec.claimed_C)},{_fmt(C)},"
                   f"{_fmt(exponent)}" for node, C, exponent in rows]
         fdir = family_dir(out_dir, name)
         os.makedirs(fdir, exist_ok=True)
-        _write_samples(os.path.join(fdir, "basis_k0.csv"), grid, k0)
+        _write_samples(os.path.join(fdir, "basis_k0.csv"), grid.d, prefixes, k0)
     _write_lines(os.path.join(out_dir, "basis_envelopes.csv"), lines)
 
 
@@ -89,6 +103,7 @@ def write_bounds(out_dir: str, lattice_sum_cal: dict, convolution: dict):
 def write_suite(out_dir: str, suite: SuiteResult):
     os.makedirs(out_dir, exist_ok=True)
     grid, limit = suite.settings.grid(), suite.settings.dual_export_radius
+    prefixes = _row_prefixes(grid)
     for fam in suite.families:
         fdir = family_dir(out_dir, fam.name)
         os.makedirs(fdir, exist_ok=True)
@@ -98,8 +113,8 @@ def write_suite(out_dir: str, suite: SuiteResult):
         _write_envelopes(os.path.join(fdir, "envelopes.csv"), fam.envelope_rows)
         for node, samples in sorted(fam.dual_system.duals.items()):
             if limit is None or max(abs(c) for c in node) <= limit:
-                _write_samples(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"), grid,
-                               samples)
+                _write_samples(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"),
+                               grid.d, prefixes, samples)
     _write_constants(out_dir, suite)
     _write_calibration_text(out_dir, suite)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -255,15 +270,37 @@ def _require(path: str) -> str:
     return path
 
 
-def _read_rows(path: str) -> list:
-    """The comma-split data rows of a stored CSV."""
+def _read_rows(path: str, types: tuple) -> list:
+    """The data rows of a stored CSV, each field converted by its entry of
+    `types`; a malformed row is a ConfigError naming the file and the line."""
     with open(_require(path)) as fh:
-        next(fh)
-        return [line.strip().split(",") for line in fh]
+        lines = fh.read().splitlines()[1:]
+    rows = []
+    for number, line in enumerate(lines, start=2):
+        fields = line.strip().split(",")
+        try:
+            if len(fields) != len(types):
+                raise ValueError(f"{len(fields)} fields, expected {len(types)}")
+            rows.append([convert(f) for convert, f in zip(types, fields)])
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {number}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"{path} has no data rows")
+    return rows
+
+
+def _read_matrix(path: str) -> DecayMatrix:
+    try:
+        return DecayMatrix.from_text(_require(path))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def verify_artifacts(settings: RunSettings) -> list:
-    """Re-check invariants from the artifacts in settings.out_dir; returns verdicts."""
+    """Re-check invariants from the artifacts in settings.out_dir; returns verdicts.
+
+    Missing or malformed artifacts are a ConfigError naming the file and the
+    key or line."""
     out_dir = settings.out_dir
     path = _require(os.path.join(out_dir, "report.json"))
     with open(path) as fh:
@@ -271,27 +308,42 @@ def verify_artifacts(settings: RunSettings) -> list:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    for key in ("settings", "families", "calibration", "invariants"):
-        if key not in report:
-            raise ConfigError(f"{path} has no {key!r} entry")
+
+    def entry(*keys):
+        """report[keys[0]][keys[1]]...; a missing one is a ConfigError naming
+        the file and the dotted key."""
+        value = report
+        for i, key in enumerate(keys):
+            try:
+                value = value[key]
+            except (KeyError, IndexError, TypeError):
+                raise ConfigError(f"{path} has no {'.'.join(map(str, keys[:i + 1]))!r} "
+                                  "entry") from None
+        return value
+
     # artifacts of another problem are rejected; seed, out and tolerances may differ
-    was = dict(report["settings"], families=sorted(report["families"]))
     now = dict(_settings_dict(settings), families=sorted(f.name for f in settings.families))
     for key in ("d", "radii", "grid_h", "grid_R", "t", "families"):
-        if was[key] != now[key]:
+        was = sorted(entry("families")) if key == "families" else entry("settings", key)
+        if was != now[key]:
             raise ConfigError(f"artifacts in {out_dir} were written with {key} = "
-                              f"{was[key]!r}, the config has {now[key]!r}")
-    tol = report["settings"]["tolerances"]
-    t, d = report["settings"]["t"], report["settings"]["d"]
+                              f"{was!r}, the config has {now[key]!r}")
+    tol = {key: entry("settings", "tolerances", key) for key in DEFAULT_TOLERANCES}
+    t, d = entry("settings", "t"), entry("settings", "d")
+    E_emp = entry("calibration", "E_emp")
+    invariants = entry("invariants")
     verdicts = []
 
     def add(name, passed, value, threshold, detail=""):
         verdicts.append(Verdict(name, bool(passed), float(value), float(threshold), detail))
 
-    for name, fam in sorted(report["families"].items()):
+    for name in sorted(entry("families")):
+        A_stored, core_radius, C_meas, claimed_s = (
+            entry("families", name, key) for key in ("A_est", "core_radius", "C_meas",
+                                                     "claimed_s"))
         fdir = family_dir(out_dir, name)
-        gram = DecayMatrix.from_text(_require(os.path.join(fdir, "gramian.csv")))
-        coeffs = DecayMatrix.from_text(_require(os.path.join(fdir, "coeffs.csv")))
+        gram = _read_matrix(os.path.join(fdir, "gramian.csv"))
+        coeffs = _read_matrix(os.path.join(fdir, "coeffs.csv"))
         if gram.window != coeffs.window:
             raise ConfigError(f"window mismatch between stored matrices for {name!r}")
         n = gram.size
@@ -300,28 +352,26 @@ def verify_artifacts(settings: RunSettings) -> list:
         add(f"{name}.biorthogonality", biorth < tol["biorthogonality"],
             biorth, tol["biorthogonality"], "max |CM - I| from stored matrices")
 
-        eigens = _read_rows(os.path.join(fdir, "eigens.csv"))
-        radii = [int(r) for r, _, _ in eigens]
-        lo, hi = [float(a) for _, a, _ in eigens], [float(b) for _, _, b in eigens]
+        eigens = _read_rows(os.path.join(fdir, "eigens.csv"), (int, float, float))
+        radii, lo, hi = (list(column) for column in zip(*eigens))
         a_est = lo[-1]
         add(f"{name}.eigens_consistent",
-            math.isclose(a_est, fam["A_est"], rel_tol=1e-12), a_est, fam["A_est"])
+            math.isclose(a_est, A_stored, rel_tol=1e-12), a_est, A_stored)
         verdicts.append(interlacing(name, radii, lo, hi, tol))
 
-        core = LatticeWindow(coeffs.window.d, int(fam["core_radius"]))
+        core = LatticeWindow(coeffs.window.d, int(core_radius))
         pos = coeffs.window.positions_of(core)
         dual_norm, lam = core_norms(coeffs.entries[np.ix_(pos, pos)])
         verdicts.append(inverse_norm_bound(name, lam, a_est, tol))
         verdicts.append(dual_norm_bound(name, dual_norm, a_est, tol))
 
-        d_emp = max([0.0] + [float(c) for _, u, c, _ in
-                             _read_rows(os.path.join(fdir, "envelopes.csv"))
-                             if float(u) == t])
-        verdicts.append(dual_decay_domination(name, d_emp, fam["C_meas"], a_est,
-                                              fam["claimed_s"], t, d,
-                                              report["calibration"]["E_emp"]))
+        envelopes = _read_rows(os.path.join(fdir, "envelopes.csv"), (str, float, float, float))
+        d_emp = max([0.0] + [c for _, u, c, _ in envelopes if u == t])
+        verdicts.append(dual_decay_domination(name, d_emp, C_meas, a_est, claimed_s, t, d,
+                                              E_emp))
 
-    stored_fail = [v["name"] for v in report["invariants"] if not v["passed"]]
+    stored_fail = [entry("invariants", i, "name") for i in range(len(invariants))
+                   if not entry("invariants", i, "passed")]
     add("stored_verdicts_pass", not stored_fail, float(len(stored_fail)), 0.0,
         "failed: " + ", ".join(stored_fail) if stored_fail else "")
     return verdicts

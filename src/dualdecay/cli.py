@@ -14,7 +14,8 @@ writes its slice of the results:
     verify   re-check invariants from a previous run's artifacts
 
 Exit codes: 0 success, 2 config/artifact error (including a malformed config
-value, artifacts written for another config and a sample matrix over the
+value, fewer than three families for report/all, a missing or malformed
+artifact, artifacts written for another config and a sample matrix over the
 sample_all entry cap), 3 hypothesis violation (including a section that is
 not a Riesz sequence at this resolution), 4 convergence failure, 5 invariant
 failure (including a measured envelope over its claimed C).
@@ -29,6 +30,7 @@ import os
 import sys
 
 from . import artifacts
+from . import constants as cst
 from . import lattice as lat
 from . import pipeline as pl
 from .duals import biorthogonality_residual  # noqa: F401  kept in this namespace for tracing
@@ -96,7 +98,10 @@ def _family_from_section(name: str, section, d: int) -> pl.FamilySettings:
     return pl.FamilySettings(name=name, spec=spec)
 
 
-def load_config(path: str, out_override=None, seed_override=None) -> pl.RunSettings:
+def load_config(path: str, out_override=None, seed_override=None,
+                stage: str = "all") -> pl.RunSettings:
+    """The validated settings of the config at `path` for running `stage`;
+    `report` and `all` calibrate E, so they need three families."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -120,7 +125,7 @@ def load_config(path: str, out_override=None, seed_override=None) -> pl.RunSetti
                 if key.startswith("convolution_window_d"):
                     dim = _value(sec, key, lambda _: int(key.rsplit("d", 1)[1]))
                     conv_windows[dim] = _value(sec, key, int)
-        return pl.RunSettings(
+        settings = pl.RunSettings(
             name=run.get("name", os.path.basename(path)),
             d=d,
             radii=_value(window, "radii", _ints),
@@ -138,6 +143,9 @@ def load_config(path: str, out_override=None, seed_override=None) -> pl.RunSetti
             dual_export_radius=(_value(run, "dual_export_radius", int)
                                 if "dual_export_radius" in run else None),
         )
+        if stage in ("report", "all"):
+            cst.check_E_family_count(len(settings.families))
+        return settings
     except configparser.Error as exc:
         raise ConfigError(f"could not parse config: {exc}") from exc
     except (ConfigError, HypothesisViolation):
@@ -197,7 +205,7 @@ def main(argv=None) -> int:
 
     try:
         settings = load_config(args.config, out_override=args.out,
-                               seed_override=args.seed)
+                               seed_override=args.seed, stage=args.stage)
         if args.stage in ("basis", "gramian", "duals"):
             return _stage_families(settings, args.stage)
         if args.stage == "bounds":

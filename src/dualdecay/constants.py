@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, HypothesisViolation
-from .gramian import DecayMatrix, apply_derivation
 from .lattice import LatticeWindow, max_norm
 
 _SHELL_CAP = 200_000_000  # largest truncation radius attempted
@@ -439,6 +438,12 @@ class ECalibration:
     d: int
 
 
+def check_E_family_count(count: int):
+    """E is calibrated over at least three families per dimension."""
+    if count < 3:
+        raise ConfigError(f"calibrating E needs >= 3 families per dimension, got {count}")
+
+
 def calibrate_E(suite) -> ECalibration:
     """Least E for which the theoretical D dominates every measured one.
 
@@ -452,9 +457,7 @@ def calibrate_E(suite) -> ECalibration:
     if len(dims) != 1:
         raise ValueError("calibrate one dimension at a time")
     d = dims.pop()
-    if len(cases) < 3:
-        raise ConfigError(f"calibrating E needs >= 3 families per dimension, "
-                          f"got {len(cases)}")
+    check_E_family_count(len(cases))
     per_family = []
     for c in cases:
         validate_hypotheses(c.C_meas, c.s, c.t, c.d)
@@ -467,43 +470,6 @@ def calibrate_E(suite) -> ECalibration:
     binding, e_emp = max(per_family, key=lambda item: item[1])
     return ECalibration(E_emp=e_emp, binding_family=binding,
                         per_family=tuple(per_family), d=d)
-
-
-# ---------------------------------------------------------------------------
-# Derivation algebra
-# ---------------------------------------------------------------------------
-
-
-def leibniz_check(P: DecayMatrix, Q: DecayMatrix, h: int) -> float:
-    """max |D_h(PQ) - D_h(P)Q - P D_h(Q)|; exact algebra, so machine-zero."""
-    if P.window != Q.window:
-        raise ValueError("matrices must share a window")
-    diffs = P.node_diffs(h)
-    prod = P.entries @ Q.entries
-    lhs = diffs * prod
-    rhs = (diffs * P.entries) @ Q.entries + P.entries @ (diffs * Q.entries)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def binomial_identity_residual(coeffs: DecayMatrix, gram: DecayMatrix, h: int,
-                               u: int, eval_radius: int) -> float:
-    """max over the central block of |sum_l C(u,l) D^l(inv) D^(u-l)(gram)|.
-
-    Zero exactly when `coeffs` is the exact window inverse; with converged
-    core coefficients standing in for the infinite inverse, the residual
-    measures how far the finite window is from the full-lattice identity.
-    """
-    if coeffs.window != gram.window:
-        raise ValueError("matrices must share a window")
-    n = coeffs.window.size
-    total = np.zeros((n, n))
-    for el in range(u + 1):
-        left = apply_derivation(coeffs, h, el).entries
-        right = apply_derivation(gram, h, u - el).entries
-        total += math.comb(u, el) * (left @ right)
-    sub = LatticeWindow(coeffs.window.d, eval_radius)
-    pos = coeffs.window.positions_of(sub)
-    return float(np.max(np.abs(total[np.ix_(pos, pos)])))
 
 
 @dataclass(frozen=True)

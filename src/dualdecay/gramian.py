@@ -114,37 +114,75 @@ class DecayMatrix:
     # -- simple text format: header "d N symmetric", rows "k_1..k_d j_1..j_d value"
 
     def to_text(self, path):
-        lines = [f"{self.window.d} {self.window.N} {int(self.symmetric)}"]
-        idx = self.window.indices
-        for a, k in enumerate(idx):
-            for b, j in enumerate(idx):
-                coords = " ".join(str(int(c)) for c in k) + " " + " ".join(str(int(c)) for c in j)
-                lines.append(f"{coords} {float(self.entries[a, b])!r}")
+        labels = _node_labels(self.window)
+        values = np.asarray(self.entries, dtype=float).tolist()
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"{self.window.d} {self.window.N} {int(self.symmetric)}\n")
+            for k, row in zip(labels, values):
+                fh.write("".join(f"{k} {j} {v!r}\n" for j, v in zip(labels, row)))
 
     @classmethod
     def from_text(cls, path) -> "DecayMatrix":
+        """The matrix stored by `to_text`; a ValueError names the file and the
+        row or the (k, j) entry that is malformed, outside the window, missing
+        or repeated."""
         with open(path) as fh:
-            header = fh.readline().split()
-            d, N, sym = int(header[0]), int(header[1]), bool(int(header[2]))
+            header, _, body = fh.read().partition("\n")
+        try:
+            d, N, sym = (int(c) for c in header.split())
             window = LatticeWindow(d, N)
-            n = window.size
-            entries = np.empty((n, n))
-            count = 0
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                k = [int(c) for c in parts[:d]]
-                j = [int(c) for c in parts[d:2 * d]]
-                entries[window.index_of(k), window.index_of(j)] = float(parts[2 * d])
-                count += 1
-            if count != n * n:
-                raise ValueError(f"expected {n * n} matrix rows, found {count}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad header {header!r}: {exc}") from exc
+        n, width = window.size, 2 * d + 1
+        fields = body.split()
+        rows, extra = divmod(len(fields), width)
+        if extra or rows != n * n:
+            found = f"{rows}" if not extra else f"{len(fields)} fields, not rows of {width}"
+            raise ValueError(f"{path}: expected {n * n} matrix rows, found {found}")
+
+        def bad_row(r, why):
+            text = " ".join(fields[r * width:(r + 1) * width])
+            return ValueError(f"{path}: matrix row {r + 1} {why}: {text!r}")
+
+        try:
+            nodes = np.stack([np.array(fields[c::width], dtype=np.int64)
+                              for c in range(2 * d)], axis=1)
+            values = np.array(fields[2 * d::width], dtype=float)
+        except (ValueError, OverflowError):
+            raise bad_row(next(r for r in range(rows)
+                               if not _is_row(fields[r * width:(r + 1) * width], d)),
+                          "is not `k j value`") from None
+        outside = np.flatnonzero(np.abs(nodes).max(axis=1) > N)
+        if outside.size:
+            raise bad_row(outside[0], f"has a node outside the window N={N}")
+        flat = window.positions(nodes[:, :d]) * n + window.positions(nodes[:, d:])
+        counts = np.bincount(flat, minlength=n * n)
+        if np.any(counts != 1):
+            labels = _node_labels(window)
+            missing, repeated = (divmod(int(np.flatnonzero(test)[0]), n)
+                                 for test in (counts == 0, counts > 1))
+            raise ValueError(f"{path}: no matrix row for k j = "
+                             f"{' '.join(labels[i] for i in missing)!r}, more than one "
+                             f"for {' '.join(labels[i] for i in repeated)!r}")
+        entries = np.empty((n, n))
+        entries.flat[flat] = values
         if sym:
             entries = 0.5 * (entries + entries.T)
-        return cls(window, entries, symmetric=sym)
+        return cls(window, entries, symmetric=bool(sym))
+
+
+def _node_labels(window: LatticeWindow) -> list:
+    """The `k_1 .. k_d` text of every window node, in enumeration order."""
+    return [" ".join(map(str, k)) for k in window.indices.tolist()]
+
+
+def _is_row(fields, d) -> bool:
+    """Whether `fields` parse as 2d integer coordinates and a float."""
+    try:
+        np.array(fields[:2 * d], dtype=np.int64), np.array(fields[2 * d], dtype=float)
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 def assemble(basis: BasisSet, window: LatticeWindow | None, grid: Grid) -> DecayMatrix:

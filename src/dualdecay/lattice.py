@@ -60,13 +60,17 @@ class LatticeWindow:
         k = np.atleast_1d(np.asarray(k, dtype=int))
         if not self.contains(k):
             raise IndexError(f"node {tuple(k)} outside window N={self.N}, d={self.d}")
-        return int(np.dot(k + self.N, self._strides))
+        return int(self.positions(k))
 
     def positions_of(self, sub: "LatticeWindow") -> np.ndarray:
         """Enumeration positions of a centered sub-window's nodes."""
         if sub.d != self.d or sub.N > self.N:
             raise ValueError("sub-window must have same dimension and radius <= N")
-        return (sub.indices + self.N) @ self._strides
+        return self.positions(sub.indices)
+
+    def positions(self, nodes: np.ndarray) -> np.ndarray:
+        """Enumeration positions of window nodes given as a (..., d) array."""
+        return (nodes + self.N) @ self._strides
 
     @cached_property
     def _strides(self) -> np.ndarray:
@@ -151,20 +155,18 @@ def fit_envelope(values: np.ndarray, radii: np.ndarray, u: float,
         constant = float(np.max(values * np.power(1.0 + radii, u)))
         return EnvelopeFit(constant, u, 0.0, method)
     if method == "loglog-regression":
-        # bin by radius, regress log(shell max) on log(1+r) at the argmax radius
+        # bin by radius (radii >= 0), regress log(shell max) on log(1+r) at the
+        # first point of each bin that attains the bin's maximum
         nbins = int(math.floor(radii.max() / bin_width)) + 1
         which = np.minimum((radii / bin_width).astype(int), nbins - 1)
-        xs, ys = [], []
-        for b in range(nbins):
-            mask = which == b
-            if not np.any(mask):
-                continue
-            vals = values[mask]
-            imax = np.argmax(vals)
-            if vals[imax] <= 0.0:
-                continue
-            xs.append(math.log(1.0 + radii[mask][imax]))
-            ys.append(math.log(vals[imax]))
+        shell_max = np.full(nbins, -np.inf)
+        np.maximum.at(shell_max, which, values)
+        hits = np.flatnonzero(values == shell_max[which])
+        first = np.full(nbins, values.size)
+        np.minimum.at(first, which[hits], hits)
+        heads = first[shell_max > 0.0]
+        xs = [math.log(1.0 + r) for r in radii[heads].tolist()]
+        ys = [math.log(v) for v in values[heads].tolist()]
         if len(xs) < 3:
             flag = "all-zero" if not np.any(values > 0) else "super-polynomial"
             return EnvelopeFit(0.0, math.inf, 0.0, method, flag=flag)
@@ -385,10 +387,6 @@ class BasisSet:
             samples.setflags(write=False)
             self._sampled = (grid, samples)
         return self._sampled[1]
-
-    def scaled(self, alpha: float) -> "BasisSet":
-        """The family {alpha * f_k} on the same window."""
-        return BasisSet(self.spec, self.window, amplitude=self.amplitude * alpha)
 
 
 def make_basis(spec: GeneratorSpec, window: LatticeWindow) -> BasisSet:

@@ -1,7 +1,25 @@
+import numpy as np
 import pytest
 
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
+
+
+def scaled_basis(basis: lat.BasisSet, alpha: float) -> lat.BasisSet:
+    """The family {alpha * f_k} on the same window."""
+    return lat.BasisSet(basis.spec, basis.window, amplitude=basis.amplitude * alpha)
+
+
+def leibniz_check(P, Q, h: int) -> float:
+    """max |D_h(PQ) - D_h(P)Q - P D_h(Q)| of two window matrices; exact
+    algebra, so machine-zero."""
+    if P.window != Q.window:
+        raise ValueError("matrices must share a window")
+    diffs = P.node_diffs(h)
+    prod = P.entries @ Q.entries
+    lhs = diffs * prod
+    rhs = (diffs * P.entries) @ Q.entries + P.entries @ (diffs * Q.entries)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def standard_families():

@@ -11,6 +11,7 @@ import pytest
 from dualdecay import cli
 from dualdecay import gramian as gr
 from dualdecay import lattice as lat
+from dualdecay import pipeline as pl
 from dualdecay.errors import ConfigError, HypothesisViolation
 
 MINI_CONFIG = """
@@ -297,6 +298,62 @@ def test_cli_verify_rejects_damaged_report(mini_run, tmp_path, key, capsys):
     assert key is None or repr(key) in line, line
 
 
+def _replace_line(number: int, new):
+    """An edit of a text file that replaces line `number` (1-based) by
+    new(lines), or drops it when `new` is None."""
+    def edit(text):
+        lines = text.splitlines()
+        lines[number - 1:number] = [] if new is None else [new(lines)]
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _drop_A_est(text):
+    data = json.loads(text)
+    del data["families"]["bump"]["A_est"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("rel,edit,fragment", [
+    ("bump/gramian.csv", _replace_line(626, None), "expected 625 matrix rows, found 624"),
+    ("bump/coeffs.csv", _replace_line(4, lambda lines: "-12 -10 abc"),
+     "matrix row 3 is not `k j value`: '-12 -10 abc'"),
+    ("bump/gramian.csv", _replace_line(6, lambda lines: "40 -8 0.5"),
+     "matrix row 5 has a node outside the window N=12"),
+    ("bump/eigens.csv", _replace_line(2, lambda lines: lines[1].rsplit(",", 1)[0]),
+     "line 2: 2 fields, expected 3"),
+    ("report.json", _drop_A_est, "has no 'families.bump.A_est' entry"),
+    ("bump/gramian.csv", _replace_line(5, lambda lines: lines[3]),
+     "no matrix row for k j = '-12 -9', more than one for '-12 -10'"),
+], ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
+        "eigens-short-row", "nested-report-key", "gramian-row-repeated"])
+def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
+                                               capsys):
+    out = tmp_path / "out"
+    shutil.copytree(re.search(r"(?m)^out = (.*)$", mini_run)[1], out)
+    damaged = out / rel
+    damaged.write_text(edit(damaged.read_text()))
+    config = tmp_path / "mini.ini"
+    config.write_text(mini_run)
+    assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("config error:") and str(damaged) in line, line
+    assert fragment in line, line
+
+
+@pytest.mark.parametrize("stage", ["report", "all"])
+def test_cli_family_count_checked_before_any_family(mini_config, tmp_path, monkeypatch,
+                                                    stage, capsys):
+    path, _ = mini_config
+    two = tmp_path / "two.ini"
+    two.write_text(open(path).read().replace("[family:hat]", "[unused]"))
+    computed = _recorder(monkeypatch, pl, "run_family")
+    assert cli.main([stage, "--config", str(two)]) == cli.EXIT_CONFIG
+    assert computed == []
+    assert ">= 3 families" in _one_line(capsys.readouterr().err)
+
+
 def test_cli_runs_are_bit_identical(mini_config, tmp_path, capsys):
     path, _ = mini_config
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -359,6 +416,17 @@ sigma = 0.001
 claimed_C = 1
 claimed_s = 4
 perturb = 0:0.1
+
+[family:indicator]
+family = bspline-indicator
+claimed_C = 32
+claimed_s = 4
+
+[family:bump]
+family = polynomial-bump
+s = 4
+claimed_C = 1
+claimed_s = 4
 """
 
 
@@ -390,6 +458,18 @@ t = 3
 [family:indicator]
 family = bspline-indicator
 claimed_C = 64
+claimed_s = 6
+
+[family:bump]
+family = polynomial-bump
+s = 7
+claimed_C = 1
+claimed_s = 6
+
+[family:gauss]
+family = gaussian
+sigma = 0.5
+claimed_C = 6
 claimed_s = 6
 """
 

@@ -10,6 +10,8 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay.errors import HypothesisViolation
 
+from conftest import leibniz_check
+
 
 # --- shell machinery -----------------------------------------------------------
 
@@ -301,7 +303,7 @@ def test_calibrate_E_validation():
 def test_leibniz_identity_matrices():
     win = lat.LatticeWindow(1, 4)
     eye = gr.DecayMatrix(win, np.eye(9))
-    assert cst.leibniz_check(eye, eye, 1) == 0.0
+    assert leibniz_check(eye, eye, 1) == 0.0
 
 
 def test_leibniz_random_pairs_machine_exact():
@@ -313,7 +315,7 @@ def test_leibniz_random_pairs_machine_exact():
         q = rng.standard_normal((9, 9))
         P = gr.DecayMatrix(win, 0.5 * (p + p.T))
         Q = gr.DecayMatrix(win, 0.5 * (q + q.T))
-        worst = max(worst, cst.leibniz_check(P, Q, 1))
+        worst = max(worst, leibniz_check(P, Q, 1))
     assert worst < 1e-13
 
 
@@ -321,7 +323,27 @@ def test_leibniz_window_mismatch():
     P = gr.DecayMatrix(lat.LatticeWindow(1, 1), np.eye(3))
     Q = gr.DecayMatrix(lat.LatticeWindow(1, 2), np.eye(5))
     with pytest.raises(ValueError, match="share a window"):
-        cst.leibniz_check(P, Q, 1)
+        leibniz_check(P, Q, 1)
+
+
+def binomial_identity_residual(coeffs, gram, h: int, u: int, eval_radius: int) -> float:
+    """max over the central block of |sum_l C(u,l) D^l(inv) D^(u-l)(gram)|.
+
+    Zero exactly when `coeffs` is the exact window inverse; with converged
+    core coefficients standing in for the infinite inverse, the residual
+    measures how far the finite window is from the full-lattice identity.
+    """
+    if coeffs.window != gram.window:
+        raise ValueError("matrices must share a window")
+    n = coeffs.window.size
+    total = np.zeros((n, n))
+    for el in range(u + 1):
+        left = gr.apply_derivation(coeffs, h, el).entries
+        right = gr.apply_derivation(gram, h, u - el).entries
+        total += math.comb(u, el) * (left @ right)
+    sub = lat.LatticeWindow(coeffs.window.d, eval_radius)
+    pos = coeffs.window.positions_of(sub)
+    return float(np.max(np.abs(total[np.ix_(pos, pos)])))
 
 
 def test_binomial_identity_residual_shrinks_with_window():
@@ -336,8 +358,8 @@ def test_binomial_identity_residual_shrinks_with_window():
         pos = ds.window.positions_of(wN)
         block = ds.coeffs[np.ix_(pos, pos)]
         C = gr.DecayMatrix(wN, 0.5 * (block + block.T))
-        residuals.append(cst.binomial_identity_residual(C, secs[0], 1, 2,
-                                                        eval_radius=N // 4))
+        residuals.append(binomial_identity_residual(C, secs[0], 1, 2,
+                                                    eval_radius=N // 4))
     assert residuals[2] < residuals[1] < residuals[0]
 
 
@@ -348,7 +370,7 @@ def test_binomial_identity_exact_for_window_inverse():
     M = np.where(np.abs(idx[:, None] - idx[None, :]) == 0, 1.0, 0.0) \
         + np.where(np.abs(idx[:, None] - idx[None, :]) == 1, 0.25, 0.0)
     inv = np.linalg.inv(M)
-    res = cst.binomial_identity_residual(
+    res = binomial_identity_residual(
         gr.DecayMatrix(win, 0.5 * (inv + inv.T)),
         gr.DecayMatrix(win, M), 1, 2, eval_radius=8)
     assert res < 1e-12

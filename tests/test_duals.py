@@ -8,6 +8,8 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay.errors import ConvergenceError, SingularSectionError
 
+from conftest import scaled_basis
+
 GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 
 
@@ -124,7 +126,7 @@ def test_synthesis_outside_core_rejected():
 def test_scaling_halves_the_duals():
     basis, _, ds = gaussian_system()
     g0, _ = du.synthesize_dual(ds, basis, 0, GRID)
-    scaled = basis.scaled(2.0)
+    scaled = scaled_basis(basis, 2.0)
     secs = gr.sections(scaled, (4, 8, 12, 16), GRID)
     ds2 = du.invert_section(secs, tol=1e-8)
     g0_scaled, _ = du.synthesize_dual(ds2, scaled, 0, GRID)
@@ -188,7 +190,7 @@ def test_dual_envelope_scales_inversely():
     basis, _, ds = gaussian_system()
     du.synthesize_dual(ds, basis, 0, GRID)
     base = du.dual_envelope(ds, 0, 2.0, GRID).constant
-    scaled = basis.scaled(2.0)
+    scaled = scaled_basis(basis, 2.0)
     ds2 = du.invert_section(gr.sections(scaled, (4, 8, 12, 16), GRID), tol=1e-8)
     du.synthesize_dual(ds2, scaled, 0, GRID)
     assert du.dual_envelope(ds2, 0, 2.0, GRID).constant == 0.5 * base
@@ -222,7 +224,7 @@ def test_doubled_gramian_gives_half_norms():
     ds = du.invert_section(secs, tol=1e-8)
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     # indicator scaled by sqrt(2) has Gramian 2I; duals have squared norm 1/2
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 8)).scaled(math.sqrt(2.0))
+    basis = scaled_basis(lat.make_basis(spec, lat.LatticeWindow(1, 8)), math.sqrt(2.0))
     g0, _ = du.synthesize_dual(ds, basis, 0, GRID)
     norm_sq = float(np.dot(g0, g0) * GRID.weight)
     assert norm_sq == pytest.approx(0.5, abs=1e-12)

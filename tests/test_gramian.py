@@ -8,6 +8,8 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay.errors import NotRieszError
 
+from conftest import scaled_basis
+
 GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 
 
@@ -115,7 +117,7 @@ def test_assembly_bilinearity_under_scaling():
             (d2_indicator_basis, D2_GRID, 0.5)):
         basis = make_basis()
         M = gr.assemble(basis, None, grid)
-        M2 = gr.assemble(basis.scaled(alpha), None, grid)
+        M2 = gr.assemble(scaled_basis(basis, alpha), None, grid)
         assert np.array_equal(M2.entries, alpha**2 * M.entries), (make_basis, alpha)
 
 
@@ -255,7 +257,7 @@ def test_riesz_bounds_scale_quadratically():
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
     basis = gaussian_basis(N=4)
     rb = gr.riesz_bounds(gr.sections(basis, (2, 4), grid))
-    rb_scaled = gr.riesz_bounds(gr.sections(basis.scaled(2.0), (2, 4), grid))
+    rb_scaled = gr.riesz_bounds(gr.sections(scaled_basis(basis, 2.0), (2, 4), grid))
     assert rb_scaled.A_est == pytest.approx(4.0 * rb.A_est, rel=1e-13)
     assert rb_scaled.B_est == pytest.approx(4.0 * rb.B_est, rel=1e-13)
 
@@ -346,6 +348,77 @@ def test_matrix_text_rejects_truncation(tmp_path):
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(ValueError, match="expected"):
         gr.DecayMatrix.from_text(path)
+
+
+def loop_to_text(M, path):
+    """The row-by-row writer that DecayMatrix.to_text must match byte for byte."""
+    lines = [f"{M.window.d} {M.window.N} {int(M.symmetric)}"]
+    idx = M.window.indices
+    for a, k in enumerate(idx):
+        for b, j in enumerate(idx):
+            coords = " ".join(str(int(c)) for c in k) + " " + " ".join(str(int(c)) for c in j)
+            lines.append(f"{coords} {float(M.entries[a, b])!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def loop_from_text(path):
+    """The line-by-line reader that DecayMatrix.from_text must match bitwise."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        d, N, sym = int(header[0]), int(header[1]), bool(int(header[2]))
+        window = lat.LatticeWindow(d, N)
+        entries = np.empty((window.size, window.size))
+        for line in fh:
+            parts = line.split()
+            k, j = [int(c) for c in parts[:d]], [int(c) for c in parts[d:2 * d]]
+            entries[window.index_of(k), window.index_of(j)] = float(parts[2 * d])
+    if sym:
+        entries = 0.5 * (entries + entries.T)
+    return gr.DecayMatrix(window, entries, symmetric=sym)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+@pytest.mark.parametrize("d, N", [(1, 7), (2, 2), (3, 1)])
+def test_matrix_text_matches_loop_oracles(tmp_path, d, N, symmetric):
+    window = lat.LatticeWindow(d, N)
+    rng = np.random.default_rng(17 * d + N)
+    a = rng.standard_normal((window.size,) * 2) * 10.0 ** rng.integers(
+        -300, 300, (window.size,) * 2)
+    a[0, 1], a[1, 2], a[2, 0] = 0.0, -0.0, 5e-324
+    M = gr.DecayMatrix(window, 0.5 * (a + a.T) if symmetric else a, symmetric=symmetric)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    M.to_text(fast)
+    loop_to_text(M, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+    back = gr.DecayMatrix.from_text(fast)
+    assert back.window == window and back.symmetric == symmetric
+    assert np.array_equal(bits(back.entries), bits(M.entries))
+    assert np.array_equal(bits(back.entries), bits(loop_from_text(fast).entries))
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda rows: rows[:3] + rows[4:], "expected 9 matrix rows, found 8"),
+    (lambda rows: rows[:3] + ["0 1"] + rows[4:], "found 26 fields, not rows of 3"),
+    (lambda rows: rows[:3] + ["0 x 0.5"] + rows[4:], "matrix row 4 is not `k j value`: '0 x 0.5'"),
+    (lambda rows: rows[:3] + ["0 99999999999999999999 0.5"] + rows[4:],
+     "matrix row 4 is not `k j value`"),
+    (lambda rows: rows[:3] + ["2 0 0.5"] + rows[4:], "matrix row 4 has a node outside"),
+    (lambda rows: rows[:3] + [rows[2]] + rows[4:],
+     "no matrix row for k j = '0 -1', more than one for '-1 1'"),
+], ids=["truncated", "short-row", "non-numeric", "overflow", "outside", "repeated"])
+def test_matrix_text_rejects_malformed_rows(tmp_path, edit, fragment):
+    path = tmp_path / "m.csv"
+    gr.DecayMatrix(lat.LatticeWindow(1, 1), np.eye(3)).to_text(path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + edit(rows)) + "\n")
+    with pytest.raises(ValueError) as err:
+        gr.DecayMatrix.from_text(path)
+    assert str(path) in str(err.value) and fragment in str(err.value), str(err.value)
 
 
 @pytest.mark.parametrize("d, N, sub_N", [(1, 6, 2), (2, 2, 1)])

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdecay import lattice as lat
+
+from conftest import scaled_basis
 
 
 def test_window_cardinality():
@@ -214,6 +218,58 @@ def test_all_zero_samples_flagged():
     assert fit.flag == "all-zero"
 
 
+def loop_loglog_fit(values, radii, u, bin_width):
+    """The per-bin loop that fit_envelope's loglog-regression must match exactly."""
+    values = np.abs(np.asarray(values, dtype=float)).ravel()
+    radii = np.asarray(radii, dtype=float).ravel()
+    nbins = int(math.floor(radii.max() / bin_width)) + 1
+    which = np.minimum((radii / bin_width).astype(int), nbins - 1)
+    xs, ys = [], []
+    for b in range(nbins):
+        mask = which == b
+        if not np.any(mask):
+            continue
+        vals = values[mask]
+        imax = np.argmax(vals)
+        if vals[imax] <= 0.0:
+            continue
+        xs.append(math.log(1.0 + radii[mask][imax]))
+        ys.append(math.log(vals[imax]))
+    method = "loglog-regression"
+    if len(xs) < 3:
+        flag = "all-zero" if not np.any(values > 0) else "super-polynomial"
+        return lat.EnvelopeFit(0.0, math.inf, 0.0, method, flag=flag)
+    slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
+    resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.array(ys)) ** 2)))
+    return lat.EnvelopeFit(float(math.exp(intercept)), float(-slope), resid, method)
+
+
+# few distinct values and radii on a coarse lattice, so bins hold ties and gaps
+_values = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, 3.5]),
+                    st.floats(-1e3, 1e3, allow_nan=False))
+_radii = st.one_of(st.integers(0, 24).map(lambda m: m / 4),
+                   st.floats(0.0, 12.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_values, _radii), min_size=1, max_size=60),
+       bin_width=st.sampled_from([0.3, 0.5, 1.0, 2.5]), all_zero=st.booleans())
+def test_loglog_fit_matches_per_bin_loop(pairs, bin_width, all_zero):
+    values = np.array([0.0 if all_zero else v for v, _ in pairs])
+    radii = np.array([r for _, r in pairs])
+
+    def outcome(fit, *args, **kwargs):
+        # an intercept past the float range overflows math.exp in both
+        try:
+            return repr(fit(*args, **kwargs))
+        except OverflowError as exc:
+            return repr(exc)
+
+    assert outcome(lat.fit_envelope, values, radii, 5.0, method="loglog-regression",
+                   bin_width=bin_width) == outcome(loop_loglog_fit, values, radii, 5.0,
+                                                   bin_width)
+
+
 def test_perturbation_penalty_bound():
     sigma, s = 0.5, 5.0
     base = lat.GeneratorSpec("gaussian", 1, 6.0, s, params={"sigma": sigma})
@@ -237,7 +293,7 @@ def test_validate_claimed_envelope():
 
 def test_scaled_basis_amplitude():
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0)).scaled(2.0)
+    basis = scaled_basis(lat.make_basis(spec, lat.LatticeWindow(1, 0)), 2.0)
     assert basis.evaluate(0, 1.0) == pytest.approx(2.0 * 2.0**-5)
     assert basis.member(0).envelope_C == 2.0
 
