@@ -8,8 +8,7 @@ constant involved, including the headline dual-decay bound.
 from .constants import (BoundCalibration, CalibrationCase, ECalibration, RecursionTrace,
                         TheoreticalBound, calibrate_lattice_sum_bound,
                         calibrate_E, compute_W, recursion_trace,
-                        theoretical_D, verify_convolution_continuous,
-                        verify_convolution_discrete, w_sum)
+                        theoretical_D, verify_convolution_discrete, w_sum)
 from .duals import (DualSystem, biorthogonality_residual, coefficient_decay_fit,
                     dual_envelope, gram_duals_check, invert_section, synthesize_dual)
 from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, HypothesisViolation,

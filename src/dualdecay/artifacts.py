@@ -60,6 +60,7 @@ def _write_lines(path: str, lines):
 
 
 _CHUNK_ROWS = 4096  # rows formatted per write of a sample file
+_NUMBER = (int, float)  # what verify accepts where report.json holds a number
 
 
 def _row_prefixes(grid) -> list:
@@ -309,9 +310,10 @@ def verify_artifacts(settings: RunSettings) -> list:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
-    def entry(*keys):
-        """report[keys[0]][keys[1]]...; a missing one is a ConfigError naming
-        the file and the dotted key."""
+    def entry(*keys, kind=None):
+        """report[keys[0]][keys[1]]...; a missing one, or one that is not of
+        `kind` (_NUMBER or a type), is a ConfigError naming the file and the
+        dotted key."""
         value = report
         for i, key in enumerate(keys):
             try:
@@ -319,28 +321,35 @@ def verify_artifacts(settings: RunSettings) -> list:
             except (KeyError, IndexError, TypeError):
                 raise ConfigError(f"{path} has no {'.'.join(map(str, keys[:i + 1]))!r} "
                                   "entry") from None
+        # bool is an int subclass, so it is a number only when asked for
+        if kind is not None and not (isinstance(value, kind)
+                                     and isinstance(value, bool) == (kind is bool)):
+            noun = "number" if kind is _NUMBER else kind.__name__
+            raise ConfigError(f"{path} entry {'.'.join(map(str, keys))!r} is not a "
+                              f"{noun}: {value!r}")
         return value
 
     # artifacts of another problem are rejected; seed, out and tolerances may differ
     now = dict(_settings_dict(settings), families=sorted(f.name for f in settings.families))
     for key in ("d", "radii", "grid_h", "grid_R", "t", "families"):
-        was = sorted(entry("families")) if key == "families" else entry("settings", key)
+        was = sorted(entry("families", kind=dict)) if key == "families" else entry("settings", key)
         if was != now[key]:
             raise ConfigError(f"artifacts in {out_dir} were written with {key} = "
                               f"{was!r}, the config has {now[key]!r}")
-    tol = {key: entry("settings", "tolerances", key) for key in DEFAULT_TOLERANCES}
+    tol = {key: entry("settings", "tolerances", key, kind=_NUMBER)
+           for key in DEFAULT_TOLERANCES}
     t, d = entry("settings", "t"), entry("settings", "d")
-    E_emp = entry("calibration", "E_emp")
-    invariants = entry("invariants")
+    E_emp = entry("calibration", "E_emp", kind=_NUMBER)
+    invariants = entry("invariants", kind=list)
     verdicts = []
 
     def add(name, passed, value, threshold, detail=""):
         verdicts.append(Verdict(name, bool(passed), float(value), float(threshold), detail))
 
-    for name in sorted(entry("families")):
+    for name in sorted(entry("families", kind=dict)):
         A_stored, core_radius, C_meas, claimed_s = (
-            entry("families", name, key) for key in ("A_est", "core_radius", "C_meas",
-                                                     "claimed_s"))
+            entry("families", name, key, kind=_NUMBER)
+            for key in ("A_est", "core_radius", "C_meas", "claimed_s"))
         fdir = family_dir(out_dir, name)
         gram = _read_matrix(os.path.join(fdir, "gramian.csv"))
         coeffs = _read_matrix(os.path.join(fdir, "coeffs.csv"))
@@ -370,8 +379,8 @@ def verify_artifacts(settings: RunSettings) -> list:
         verdicts.append(dual_decay_domination(name, d_emp, C_meas, a_est, claimed_s, t, d,
                                               E_emp))
 
-    stored_fail = [entry("invariants", i, "name") for i in range(len(invariants))
-                   if not entry("invariants", i, "passed")]
+    stored_fail = [entry("invariants", i, "name", kind=str) for i in range(len(invariants))
+                   if not entry("invariants", i, "passed", kind=bool)]
     add("stored_verdicts_pass", not stored_fail, float(len(stored_fail)), 0.0,
         "failed: " + ", ".join(stored_fail) if stored_fail else "")
     return verdicts

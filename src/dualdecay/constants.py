@@ -1,10 +1,12 @@
 """Every explicit constant: lattice sums W_u, convolution-inequality
 calibrations, the dual-decay constant D, and the derivation recursion.
 
-W_u = sum_{k in Z^d} (1 + |k|_inf)^(-u) is computed by exact shell sums up
-to a truncation radius, with the remaining tail bracketed between two
-integral comparisons; the bracket midpoint is added to the partial sum and
-the half-width is the reported error bound.
+W_u = sum_{k in Z^d} (1 + |k|_inf)^(-u) is computed in closed form: the
+shells up to a small cutoff are summed directly, and beyond it the shell
+count is a polynomial in 1 + |k|, so the rest is a short combination of
+Hurwitz-zeta tails, each evaluated by Euler-Maclaurin.  The reported error
+bound is the Euler-Maclaurin remainder plus an explicit allowance for float
+rounding.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, HypothesisViolation
-from .lattice import LatticeWindow, max_norm
 
-_SHELL_CAP = 200_000_000  # largest truncation radius attempted
-_SHELL_CHUNK = 1_000_000
+_W_CUTOFF = 32                # shells summed directly before the zeta tails
+_W_ROUNDING = 8 * 2.0**-52    # relative allowance on sum |terms| for float rounding
+# B_2j / (2j)! for j = 1..9, the Euler-Maclaurin weights; the last one only
+# bounds the remainder
+_EM_WEIGHTS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+     43867 / 798), start=1))
 
 
 def shell_count(d: int, n: int) -> int:
@@ -69,60 +75,76 @@ def lattice_tail_upper(u: float, d: int, radius: int) -> float:
     return _poly_tail_integral(shell_poly(d), u, float(radius))
 
 
+def _shifted_shell_poly(d: int) -> list:
+    """a_p with shell_count(d, m - 1) = sum_p a_p m^p for m >= 2, lowest degree first.
+
+    (2m-1)^d - (2m-3)^d expanded in powers of 2m; the integers are exact.
+    """
+    return [math.comb(d, p) * 2**p * ((-1) ** (d - p) - (-3) ** (d - p)) for p in range(d)]
+
+
+def _zeta_tail(sigma: float, N: int):
+    """(terms, dropped): sum_{m >= N} m^(-sigma) for sigma > 1 is sum(terms)
+    up to at most `dropped`.
+
+    Euler-Maclaurin: the integral N^(1-sigma)/(sigma-1), the end term
+    N^(-sigma)/2 and B_2j/(2j)! (sigma)_(2j-1) N^(1-sigma-2j) for every
+    weight but the last.  Every derivative of x^(-sigma) keeps its sign, so
+    the remainder is at most the first omitted term.
+    """
+    x = float(N)
+    terms = [x ** (1.0 - sigma) / (sigma - 1.0), 0.5 * x ** -sigma]
+    rising = sigma * x ** (-sigma - 1.0)     # (sigma)_(2j-1) N^(1-sigma-2j) at j = 1
+    for j, weight in enumerate(_EM_WEIGHTS):
+        terms.append(weight * rising)
+        rising *= (sigma + 2 * j + 1) * (sigma + 2 * j + 2) / (x * x)
+    return terms[:-1], abs(terms[-1])
+
+
 @dataclass(frozen=True)
 class WSum:
-    """Truncated lattice sum with its bracketed tail estimate."""
+    """Lattice sum with a bound on its error."""
 
     value: float
-    error_bound: float   # half of the tail bracket: |value - W_u| <= error_bound
-    radius: int
+    error_bound: float   # |value - W_u| <= error_bound
+    radius: int          # shells summed directly before the zeta tails
     u: float
     d: int
 
     @property
     def tail_bound(self) -> float:
-        """The full bracket width; refining the radius moves the value by less."""
+        """Twice the error bound; moving the cutoff moves the value by less."""
         return 2.0 * self.error_bound
 
 
 def w_sum(u: float, d: int, tol: float = 1e-10, radius: int | None = None) -> WSum:
     """W_u = sum_k (1+|k|)^(-u) over Z^d, to within tol.
 
-    Shells are summed exactly (ascending radius, fixed order) up to n0; the
-    tail is bracketed by the integral comparisons over [n0+1, inf) and
-    [n0, inf) and replaced by the bracket midpoint.  A radius may be forced
-    (e.g. to double it) as long as it still meets the tolerance.
+    The shells n <= n0 are summed directly.  Beyond them the shell count is
+    sum_p a_p m^p in m = n + 1 (`_shifted_shell_poly`), so the rest is
+    sum_p a_p sum_{m >= n0+2} m^(p-u), each tail by `_zeta_tail`.  All terms
+    are added exactly rounded (math.fsum); each is within a few ulps, so the
+    error bound is the Euler-Maclaurin remainders plus _W_ROUNDING times the
+    sum of |terms|.  n0 is _W_CUTOFF unless a radius is forced (e.g. to
+    double it); either way a bound above tol raises.
     """
     if u <= d:
         raise ValueError(f"W_u diverges for u <= d (u={u}, d={d})")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    poly = shell_poly(d)
-
-    def width(n: int) -> float:
-        return _poly_tail_integral(poly, u, float(n)) - _poly_tail_integral(
-            poly, u, float(n + 1))
-
-    if radius is None:
-        n0 = max(64, 2 * d)
-        while width(n0) > 2.0 * tol:
-            n0 *= 2
-            if n0 > _SHELL_CAP:
-                raise ValueError(f"tolerance {tol:g} unattainable for u={u}, d={d}")
-    else:
-        n0 = int(radius)
-        if n0 < max(2, d) or width(n0) > 2.0 * tol:
-            raise ValueError(f"forced radius {n0} does not meet tol {tol:g}")
-
-    total = 1.0  # the k = 0 term
-    for start in range(1, n0 + 1, _SHELL_CHUNK):
-        stop = min(start + _SHELL_CHUNK - 1, n0)
-        n = np.arange(start, stop + 1, dtype=float)
-        total += float(np.sum(np.polyval(poly, n) * np.power(1.0 + n, -u)))
-    upper = _poly_tail_integral(poly, u, float(n0))
-    lower = _poly_tail_integral(poly, u, float(n0 + 1))
-    return WSum(value=total + 0.5 * (upper + lower),
-                error_bound=0.5 * (upper - lower), radius=n0, u=u, d=d)
+    n0 = _W_CUTOFF if radius is None else int(radius)
+    n = np.arange(1, n0 + 1, dtype=float)
+    terms = [1.0] + (np.polyval(shell_poly(d), n) * np.power(1.0 + n, -u)).tolist()
+    dropped = 0.0
+    for p, a in enumerate(_shifted_shell_poly(d)):
+        tail, rest = _zeta_tail(u - p, n0 + 2)
+        terms += [a * term for term in tail]
+        dropped += abs(a) * rest
+    error = dropped + _W_ROUNDING * math.fsum(map(abs, terms))
+    if error > tol or n0 < max(2, d):
+        raise ValueError(f"tolerance {tol:g} unattainable for u={u}, d={d}" if radius is None
+                         else f"forced radius {n0} does not meet tol {tol:g}")
+    return WSum(value=math.fsum(terms), error_bound=error, radius=n0, u=u, d=d)
 
 
 def compute_W(u: float, d: int, tol: float = 1e-10) -> float:
@@ -142,9 +164,9 @@ class BoundCalibration:
 def calibrate_lattice_sum_bound(d: int, u_grid=None, tol: float = 1e-7) -> BoundCalibration:
     """Least c with W_u <= c (1 + 1/(u-d)) over a grid of exponents in (d, d+10].
 
-    Near u = d the direct shell sum converges like n^-(u-d), so only the
-    integral-corrected estimate stays affordable; tol below ~1e-8 becomes
-    unattainable for the smallest grid exponents.
+    Each W_u is the closed form of `w_sum`, which costs the same at every
+    exponent; near u = d, W_u grows like 2^d / (u - d), so its float
+    rounding allowance (and the least attainable tol) grows with it.
     """
     if u_grid is None:
         u_grid = [d + 2.0**-i for i in range(7)] + [d + k for k in range(2, 11)]
@@ -161,17 +183,16 @@ def calibrate_lattice_sum_bound(d: int, u_grid=None, tol: float = 1e-7) -> Bound
 
 @dataclass(frozen=True)
 class ConvolutionCalibration:
-    """Calibrated constants for a discrete or continuous convolution bound.
+    """Certified constants for the discrete convolution bound.
 
-    Discrete: the least c with LHS(k) <= c (1+|k|)^(-u) over all of Z^d lies
-    in the certified bracket [lower, constant], so `constant` is a valid c.
-    Continuous: `constant` is the largest ratio over the scan and `lower` is
-    None.  `normalized` is `constant` divided by the lattice sum (resp.
-    integral) of the single factor.  That scale does not remove the
-    dependence on u: in the far field the discrete ratio tends to exactly
-    2 W_u for every u, and the least constant adds a u-dependent overshoot
-    near the origin.  `binding` is the node where `lower` is attained, or
-    None when the supremum is approached only in the far field.
+    The least c with LHS(k) <= c (1+|k|)^(-u) over all of Z^d lies in the
+    bracket [lower, constant], so `constant` is a valid c.  `normalized` is
+    `constant` divided by the lattice sum W_u of the single factor.  That
+    scale does not remove the dependence on u: in the far field the ratio
+    tends to exactly 2 W_u for every u, and the least constant adds a
+    u-dependent overshoot near the origin.  `binding` is the node where
+    `lower` is attained, or None when the supremum is approached only in the
+    far field.
     """
 
     constant: float
@@ -180,8 +201,8 @@ class ConvolutionCalibration:
     binding: tuple | None
     u: float
     d: int
-    lower: float | None = None
-    scan_radius: int | None = None   # last axis radius summed exactly
+    lower: float
+    scan_radius: int   # last axis radius summed exactly
 
 
 _CONV_WIDTH = 0.005          # target relative width upper/lower - 1 of the bracket
@@ -328,8 +349,8 @@ def verify_convolution_discrete(u: float, d: int, window: int,
         pad = np.power(2.0 + J - m, -u) * lattice_tail_upper(u, d, J)
         lows = lhs * weight
         lower = float(lows.max()) * (1.0 - _CONV_ROUNDING)
-        upper = max(float(np.max((lhs + pad) * weight)),
-                    _far_field_bound(u, d, M)) * (1.0 + _CONV_ROUNDING)
+        upper = float(max(np.max((lhs + pad) * weight),
+                          _far_field_bound(u, d, M))) * (1.0 + _CONV_ROUNDING)
         if upper <= (1.0 + _CONV_WIDTH) * lower or M >= _CONV_SCAN_CAP:
             break
         M *= 2
@@ -338,36 +359,6 @@ def verify_convolution_discrete(u: float, d: int, window: int,
     return ConvolutionCalibration(constant=upper, normalized=upper / scale, scale=scale,
                                   binding=None if best == M else (best,) + (0,) * (d - 1),
                                   u=u, d=d, lower=lower, scan_radius=M)
-
-
-def verify_convolution_continuous(u: float, d: int, grid,
-                                  x_window: int = 4) -> ConvolutionCalibration:
-    """Quadrature analogue: int (1+|x-y|)^(-u) (1+|y|)^(-u) dy <= c (1+|x|)^(-u).
-
-    `constant` is the largest ratio over the lattice points |x| <= x_window,
-    a scan maximum with no far-field or grid-tail bound, so it is not a
-    certified least constant.  `binding` is None when that maximum sits on
-    the scan edge, where the ratio may still be rising.
-    """
-    from .gramian import decay_integral
-
-    if u < d + 1:
-        raise ValueError(f"need u >= d + 1, got u={u}, d={d}")
-    pts = grid.points
-    y_weight = np.power(1.0 + max_norm(pts), -u)
-    xwin = LatticeWindow(d, int(x_window))
-    ratios = np.empty(xwin.size)
-    for a, x in enumerate(xwin.indices.astype(float)):
-        lhs = float(np.sum(np.power(1.0 + max_norm(x - pts), -u) * y_weight)) * grid.weight
-        ratios[a] = lhs * (1.0 + np.max(np.abs(x))) ** u
-    best = int(np.argmax(ratios))
-    node = tuple(int(c) for c in xwin.indices[best])
-    scale = decay_integral(u, d)
-    return ConvolutionCalibration(constant=float(ratios[best]),
-                                  normalized=float(ratios[best]) / scale,
-                                  scale=scale,
-                                  binding=None if max(map(abs, node)) == xwin.N else node,
-                                  u=u, d=d)
 
 
 # ---------------------------------------------------------------------------

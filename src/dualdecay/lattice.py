@@ -132,7 +132,8 @@ class EnvelopeFit:
     For fit_method="max-envelope", `constant` is the least c with
     |f(x)| <= c (1+r)^(-exponent) over all samples (r = max-norm radius).
     For fit_method="loglog-regression", `exponent` is the fitted decay
-    rate of binned radial maxima and `residual` the rms log10 misfit.
+    rate of binned radial maxima and `residual` the rms log10 misfit; a
+    fitted constant past the float range is inf, flagged "overflow".
     """
 
     constant: float
@@ -172,7 +173,11 @@ def fit_envelope(values: np.ndarray, radii: np.ndarray, u: float,
             return EnvelopeFit(0.0, math.inf, 0.0, method, flag=flag)
         slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
         resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.array(ys)) ** 2)))
-        return EnvelopeFit(float(math.exp(intercept)), float(-slope), resid, method)
+        try:
+            constant, flag = math.exp(intercept), ""
+        except OverflowError:   # a steep fit's intercept is past the float range
+            constant, flag = math.inf, "overflow"
+        return EnvelopeFit(constant, float(-slope), resid, method, flag=flag)
     raise ValueError(f"unknown fit method {method!r}")
 
 

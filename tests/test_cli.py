@@ -314,6 +314,18 @@ def _drop_A_est(text):
     return json.dumps(data)
 
 
+def _null_A_est(text):
+    data = json.loads(text)
+    data["families"]["bump"]["A_est"] = None
+    return json.dumps(data)
+
+
+def _text_passed(text):
+    data = json.loads(text)
+    data["invariants"][0]["passed"] = "yes"
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("rel,edit,fragment", [
     ("bump/gramian.csv", _replace_line(626, None), "expected 625 matrix rows, found 624"),
     ("bump/coeffs.csv", _replace_line(4, lambda lines: "-12 -10 abc"),
@@ -323,10 +335,13 @@ def _drop_A_est(text):
     ("bump/eigens.csv", _replace_line(2, lambda lines: lines[1].rsplit(",", 1)[0]),
      "line 2: 2 fields, expected 3"),
     ("report.json", _drop_A_est, "has no 'families.bump.A_est' entry"),
+    ("report.json", _null_A_est, "entry 'families.bump.A_est' is not a number: None"),
+    ("report.json", _text_passed, "entry 'invariants.0.passed' is not a bool: 'yes'"),
     ("bump/gramian.csv", _replace_line(5, lambda lines: lines[3]),
      "no matrix row for k j = '-12 -9', more than one for '-12 -10'"),
 ], ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
-        "eigens-short-row", "nested-report-key", "gramian-row-repeated"])
+        "eigens-short-row", "nested-report-key", "nested-report-null",
+        "invariant-passed-text", "gramian-row-repeated"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
     out = tmp_path / "out"
@@ -367,6 +382,18 @@ def test_cli_runs_are_bit_identical(mini_config, tmp_path, capsys):
             a = os.path.join(root, name)
             b = a.replace(out_a, out_b, 1)
             assert open(a, "rb").read() == open(b, "rb").read(), name
+
+
+def test_shipped_suite_artifacts_hold_no_numpy_reprs(tmp_path, capsys):
+    # every float is written as its Python repr, never as np.float64(...)
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "d1_suite.ini")
+    assert cli.main(["all", "--config", config, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = [os.path.join(root, name) for root, _, names in os.walk(tmp_path)
+               for name in names]
+    assert any(path.endswith("calibration.txt") for path in written)
+    for path in written:
+        assert "np." not in open(path).read(), path
 
 
 def test_shipped_config_parses(tmp_path):

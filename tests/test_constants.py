@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -79,14 +80,84 @@ def test_w_sum_divergence_guard():
 
 
 def test_w_sum_unattainable_tolerance():
+    # W is about 256 here, so float rounding alone allows more than 1e-13
     with pytest.raises(ValueError, match="unattainable"):
         cst.w_sum(1.0078125, 1, tol=1e-13)
 
 
 def test_w_tail_honesty_under_radius_doubling():
-    ws = cst.w_sum(3.0, 1, tol=1e-10)
-    doubled = cst.w_sum(3.0, 1, tol=1e-10, radius=2 * ws.radius)
-    assert abs(doubled.value - ws.value) < ws.tail_bound
+    # the radius is the direct-sum cutoff: doubling it moves shells from the
+    # zeta tails into the direct sum, and the value by less than the bound
+    for u, d in ((3.0, 1), (2.0 + 2.0**-6, 2), (4.5, 3)):
+        ws = cst.w_sum(u, d, tol=1e-10)
+        doubled = cst.w_sum(u, d, tol=1e-10, radius=2 * ws.radius)
+        assert doubled.radius == 2 * ws.radius
+        assert abs(doubled.value - ws.value) < ws.tail_bound, (u, d)
+
+
+def shifted_shell_coeffs(d):
+    """a_p with (2m-1)^d - (2m-3)^d = sum_p a_p m^p, by numpy polynomial powers."""
+    P = np.polynomial.Polynomial
+    return (P([-1, 2]) ** d - P([-3, 2]) ** d).coef[:d]
+
+
+# u in d + {2^-6, ..., 1/2, 1, 2, 5, 10}
+W_POINTS = [(d, d + off) for d in (1, 2, 3)
+            for off in [2.0**-i for i in range(6, 0, -1)] + [1.0, 2.0, 5.0, 10.0]]
+
+
+@pytest.mark.parametrize("d, u", W_POINTS)
+def test_w_sum_against_scipy_zeta(d, u):
+    # past the origin W_u = 1 + sum_p a_p (zeta(u - p) - 1)
+    oracle = 1.0 + sum(a * (zeta(u - p) - 1.0) for p, a in enumerate(shifted_shell_coeffs(d)))
+    ws = cst.w_sum(u, d, tol=1e-7)
+    assert type(ws.value) is float and type(ws.error_bound) is float
+    assert ws.value == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+def test_w_sum_error_bound_covers_true_error():
+    with mpmath.workdps(30):
+        for d, u in W_POINTS:
+            exact = 1 + sum(int(a) * (mpmath.zeta(mpmath.mpf(u) - p) - 1)
+                            for p, a in enumerate(shifted_shell_coeffs(d)))
+            for radius in (None, 64):
+                ws = cst.w_sum(u, d, tol=1e-7, radius=radius)
+                assert abs(mpmath.mpf(ws.value) - exact) <= ws.error_bound, (d, u, radius)
+
+
+def test_zeta_tail_remainder_within_first_omitted_term():
+    # at small N the Euler-Maclaurin remainder is far above float rounding:
+    # it lies within the first omitted term, and not far below it
+    with mpmath.workdps(30):
+        for N in (2, 3, 4, 6):
+            for sigma in (1.5, 3.0, 7.0):
+                terms, dropped = cst._zeta_tail(sigma, N)
+                err = abs(mpmath.fsum(map(mpmath.mpf, terms)) - mpmath.zeta(sigma, N))
+                assert dropped / 10 <= err <= dropped, (N, sigma)
+
+
+def shell_loop_w(u, d, tol):
+    """W_u by exact shell sums to the first radius 64 * 2^i whose tail bracket
+    (between the integral comparisons from n0 and n0 + 1) is at most 2 tol
+    wide, plus the bracket midpoint; returns (value, half-width)."""
+    radius = 64
+    while True:
+        upper = cst.lattice_tail_upper(u, d, radius)
+        lower = cst.lattice_tail_upper(u, d, radius + 1)
+        if upper - lower <= 2.0 * tol:
+            break
+        radius *= 2
+    n = np.arange(1, radius + 1, dtype=float)
+    total = 1.0 + float(np.sum(np.polyval(cst.shell_poly(d), n) * np.power(1.0 + n, -u)))
+    return total + 0.5 * (upper + lower), 0.5 * (upper - lower)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_w_sum_matches_shell_loop(d):
+    for u in (d + 1.5, d + 2.0, d + 4.0):
+        value, half_width = shell_loop_w(u, d, 1e-10)
+        ws = cst.w_sum(u, d)
+        assert abs(ws.value - value) <= half_width + ws.error_bound + 1e-14 * value, (d, u)
 
 
 # --- comparison bounds ------------------------------------------------------------
@@ -182,36 +253,6 @@ def test_convolution_bracket_contains_wider_source_ratio(u, d, window, radius):
     ratio = _cube_lhs(u, cal.binding, radius) * (1.0 + max(map(abs, cal.binding))) ** u
     assert cal.lower <= ratio <= cal.constant
     assert cal.constant <= 1.01 * cal.lower
-
-
-def test_convolution_continuous_closed_form_at_origin():
-    grid = lat.Grid(h=1 / 64, R=30.0, d=1)
-    pts = grid.points[:, 0]
-    lhs0 = float(np.sum(np.power(1 + np.abs(pts), -4.0)) * grid.weight)
-    assert lhs0 == pytest.approx(2.0 / 3.0, abs=1e-3)
-    cal = cst.verify_convolution_continuous(2.0, 1, grid, x_window=3)
-    assert cal.constant >= lhs0
-    assert math.isfinite(cal.normalized)
-
-
-def test_convolution_continuous_edge_maximum_binds_no_node():
-    # at u = 2 the ratio still rises at every scan edge
-    grid = lat.Grid(h=1 / 16, R=24.0, d=1)
-    cals = [cst.verify_convolution_continuous(2.0, 1, grid, x_window=w) for w in (3, 6, 12)]
-    assert [c.binding for c in cals] == [None, None, None]
-    assert cals[0].constant < cals[1].constant < cals[2].constant
-    interior = cst.verify_convolution_continuous(5.0, 1, grid, x_window=6)
-    assert interior.binding is not None and max(map(abs, interior.binding)) < 6
-
-
-def test_convolution_continuous_symmetric_in_x():
-    grid = lat.Grid(h=1 / 16, R=12.0, d=1)
-    pts = grid.points[:, 0]
-    weight = np.power(1 + np.abs(pts), -2.0)
-    for x in (1.0, 2.0, 3.0):
-        plus = float(np.sum(np.power(1 + np.abs(x - pts), -2.0) * weight))
-        minus = float(np.sum(np.power(1 + np.abs(-x - pts), -2.0) * weight))
-        assert plus == pytest.approx(minus, rel=1e-14)
 
 
 # --- the dual-decay constant -------------------------------------------------------

@@ -241,7 +241,12 @@ def loop_loglog_fit(values, radii, u, bin_width):
         return lat.EnvelopeFit(0.0, math.inf, 0.0, method, flag=flag)
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
     resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.array(ys)) ** 2)))
-    return lat.EnvelopeFit(float(math.exp(intercept)), float(-slope), resid, method)
+    try:
+        constant = math.exp(intercept)
+    except OverflowError as exc:
+        exc.exponent, exc.residual = float(-slope), resid
+        raise
+    return lat.EnvelopeFit(constant, float(-slope), resid, method)
 
 
 # few distinct values and radii on a coarse lattice, so bins hold ties and gaps
@@ -258,16 +263,27 @@ def test_loglog_fit_matches_per_bin_loop(pairs, bin_width, all_zero):
     values = np.array([0.0 if all_zero else v for v, _ in pairs])
     radii = np.array([r for _, r in pairs])
 
-    def outcome(fit, *args, **kwargs):
-        # an intercept past the float range overflows math.exp in both
-        try:
-            return repr(fit(*args, **kwargs))
-        except OverflowError as exc:
-            return repr(exc)
+    fit = lat.fit_envelope(values, radii, 5.0, method="loglog-regression",
+                           bin_width=bin_width)
+    try:
+        expected = loop_loglog_fit(values, radii, 5.0, bin_width)
+    except OverflowError as exc:
+        # where the loop's intercept overflows math.exp, the fit keeps its
+        # exponent and residual and flags the infinite constant
+        expected = lat.EnvelopeFit(math.inf, exc.exponent, exc.residual, "loglog-regression",
+                                   flag="overflow")
+    assert repr(fit) == repr(expected)
 
-    assert outcome(lat.fit_envelope, values, radii, 5.0, method="loglog-regression",
-                   bin_width=bin_width) == outcome(loop_loglog_fit, values, radii, 5.0,
-                                                   bin_width)
+
+def test_steep_loglog_fit_flags_overflow():
+    # a drop by 600 decades between two adjacent bins: the intercept is near 1000
+    values = np.array([1e300, 1e-300, 1e-301])
+    radii = np.array([0.49, 0.5, 1.0])
+    with pytest.raises(OverflowError):
+        loop_loglog_fit(values, radii, 5.0, 0.5)
+    fit = lat.fit_envelope(values, radii, 5.0, method="loglog-regression")
+    assert fit.flag == "overflow" and fit.constant == math.inf
+    assert math.isfinite(fit.exponent) and fit.exponent > 0
 
 
 def test_perturbation_penalty_bound():
