@@ -13,12 +13,13 @@ writes its slice of the results:
     all      basis exports plus the full report
     verify   re-check invariants from a previous run's artifacts
 
-Exit codes: 0 success, 2 config/artifact error (including a malformed config
-value, fewer than three families for report/all, a missing or malformed
-artifact, artifacts written for another config and a sample matrix over the
-sample_all entry cap), 3 hypothesis violation (including a section that is
-not a Riesz sequence at this resolution), 4 convergence failure, 5 invariant
-failure (including a measured envelope over its claimed C).
+Exit codes: 0 success, 2 config/artifact error (including a malformed or
+non-finite config value, fewer than three families for report/all, a missing
+or malformed artifact, artifacts written for another config and a sample
+matrix over the sample_all entry cap), 3 hypothesis violation (including a
+section that is not a Riesz sequence at this resolution), 4 convergence
+failure, 5 invariant failure (including a measured envelope over its claimed
+C).
 Every error exit prints one line to stderr.
 """
 

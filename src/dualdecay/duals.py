@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularSectionError
 from .gramian import DecayMatrix
-from .lattice import BasisSet, EnvelopeFit, Grid, LatticeWindow, fit_envelope, max_norm
+from .lattice import (BasisSet, EnvelopeFit, Grid, LatticeWindow, axes_max_norm, fit_envelope,
+                      max_norm)
 
 ROUNDOFF_FLOOR = 1e-13  # convergence estimates cannot resolve below this, relatively
 
@@ -191,7 +192,7 @@ def dual_envelope(ds: DualSystem, k, t: float, grid: Grid,
         raise ValueError(f"dual for node {node} has not been synthesized")
     if grid.R - max(abs(c) for c in node) < 8.0 - 1e-9:
         raise ValueError("grid must cover |x - k| <= 8 around the node")
-    radii = max_norm(grid.points - np.asarray(node, dtype=float))
+    radii = axes_max_norm(grid.offsets(node))
     return fit_envelope(ds.duals[node], radii, t, method=method)
 
 

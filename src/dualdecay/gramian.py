@@ -54,8 +54,7 @@ def inner_product(f: Member, g: Member, grid: Grid) -> tuple[float, float]:
             raise ValueError(f"envelope exponent {fn.envelope_s} not integrable in d={grid.d}")
         if grid.R < np.max(np.abs(fn.center)) + 1.0:
             raise ValueError("grid extent must reach one unit past both centers")
-    pts = grid.points
-    value = float(np.dot(f(pts), g(pts)) * grid.weight)
+    value = float(np.dot(f.sample(grid), g.sample(grid)) * grid.weight)
     return value, _tail_bound(f, g, grid)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -18,11 +18,18 @@ import numpy as np
 from .errors import EnvelopeClaimError
 
 MAX_PERTURBATION = 0.5  # keeps every node inside its own unit cell
+SAMPLE_CAP = 8e7        # entries of one family's window x grid sample matrix
 
 
 def max_norm(x: np.ndarray) -> np.ndarray:
     """Coordinate-max norm along the last axis."""
-    return np.max(np.abs(x), axis=-1)
+    return axes_max_norm(np.moveaxis(np.asarray(x), -1, 0))
+
+
+def axes_max_norm(ys) -> np.ndarray:
+    """max_i |y_i| of a sequence of broadcastable per-axis coordinate arrays,
+    elementwise; exact, so equal to max_norm of the stacked coordinates."""
+    return reduce(np.maximum, [np.abs(y) for y in ys])
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,8 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.h <= 0.25:
             raise ValueError(f"grid spacing must be in (0, 1/4], got {self.h}")
-        if self.R <= 0:
-            raise ValueError(f"grid extent must be positive, got {self.R}")
+        if not 0 < self.R / self.h < math.inf:  # also rejects R = nan
+            raise ValueError(f"grid extent must be positive with R/h finite, got {self.R}")
 
     @property
     def steps(self) -> int:
@@ -119,6 +126,18 @@ class Grid:
         out = np.stack(mesh, axis=-1).reshape(-1, self.d)
         out.setflags(write=False)
         return out
+
+    def offsets(self, center) -> list:
+        """The d per-axis offsets axis - c_i from `center`, axis i shaped along
+        dimension i, so that they broadcast as an open mesh over the grid.
+
+        An elementwise function of all d of them has the shape (len(axis),)*d
+        and, raveled, follows grid.points: it sees the values of
+        grid.points - center without that array being built.
+        """
+        c = np.asarray(center, dtype=float).reshape(self.d)
+        return [(self.axis - c[i]).reshape((-1,) + (1,) * (self.d - 1 - i))
+                for i in range(self.d)]
 
     @property
     def n_points(self) -> int:
@@ -210,7 +229,7 @@ def _normalize_perturbations(perturbations, d: int):
         delta = tuple(float(c) for c in np.atleast_1d(delta))
         if len(node) != d or len(delta) != d:
             raise ValueError(f"perturbation {node}:{delta} has wrong dimension (d={d})")
-        if max(abs(c) for c in delta) > MAX_PERTURBATION:
+        if not all(abs(c) <= MAX_PERTURBATION for c in delta):  # also rejects nan
             raise ValueError(
                 f"perturbation {delta} at node {node} exceeds max magnitude {MAX_PERTURBATION}")
         items.append((node, delta))
@@ -238,17 +257,19 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.claimed_C < 1.0:
-            raise ValueError(f"claimed_C must be >= 1, got {self.claimed_C}")
+        if not 1.0 <= self.claimed_C < math.inf:
+            raise ValueError(f"claimed_C must be finite and >= 1, got {self.claimed_C}")
+        if not math.isfinite(self.claimed_s):
+            raise ValueError(f"claimed_s must be finite, got {self.claimed_s}")
         object.__setattr__(self, "perturbations",
                            _normalize_perturbations(self.perturbations, self.d))
         p = dict(self.params)
         if self.family == "polynomial-bump":
-            if p.get("s", 0.0) <= 0.0:
-                raise ValueError("polynomial-bump needs exponent parameter s > 0")
+            if not 0.0 < p.get("s", 0.0) < math.inf:
+                raise ValueError("polynomial-bump needs a finite exponent parameter s > 0")
         elif self.family == "gaussian":
-            if p.get("sigma", 0.0) <= 0.0:
-                raise ValueError("gaussian needs width parameter sigma > 0")
+            if not 0.0 < p.get("sigma", 0.0) < math.inf:
+                raise ValueError("gaussian needs a finite width parameter sigma > 0")
         elif self.family == "bspline-order-m":
             order = p.get("order")
             if order is None or int(order) < 1 or int(order) != order:
@@ -264,23 +285,31 @@ class GeneratorSpec:
         return np.zeros(self.d)
 
     @property
-    def generator(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The un-translated generator, evaluated on (..., d) arrays."""
+    def generator(self) -> Callable:
+        """The un-translated generator, evaluated elementwise on a sequence
+        (y_1, ..., y_d) of broadcastable per-axis coordinate arrays."""
         if self.family == "polynomial-bump":
             s = float(self.params["s"])
-            return lambda y: np.power(1.0 + max_norm(y), -s)
+            return lambda ys: np.power(1.0 + axes_max_norm(ys), -s)
         if self.family == "gaussian":
             sig = float(self.params["sigma"])
-            return lambda y: np.exp(-np.sum(y * y, axis=-1) / (2.0 * sig * sig))
+
+            def gaussian(ys):
+                squares = ys[0] * ys[0]
+                for y in ys[1:]:
+                    squares = squares + y * y
+                return np.exp(-squares / (2.0 * sig * sig))
+
+            return gaussian
         if self.family == "bspline-indicator":
             order = 1
         else:
             order = int(self.params["order"])
 
-        def spline(y: np.ndarray) -> np.ndarray:
-            out = np.ones(y.shape[:-1])
-            for i in range(self.d):
-                out = out * _bspline_1d(y[..., i], order)
+        def spline(ys):
+            out = 1.0
+            for y in ys:
+                out = out * _bspline_1d(y, order)
             return out
 
         return spline
@@ -314,7 +343,12 @@ class Member:
             x = x.reshape(1)
         if x.shape[-1] != self.center.shape[0]:
             raise ValueError(f"points must have last axis of size {self.center.shape[0]}")
-        return self.amplitude * self.generator(x - self.center)
+        return self.amplitude * self.generator(np.moveaxis(x - self.center, -1, 0))
+
+    def sample(self, grid: Grid) -> np.ndarray:
+        """f at every grid point, shape (n_points,), evaluated axis by axis on
+        grid.offsets; equal to self(grid.points)."""
+        return (self.amplitude * self.generator(grid.offsets(self.center))).reshape(-1)
 
 
 class BasisSet:
@@ -368,17 +402,14 @@ class BasisSet:
 
     def sample(self, k, grid: Grid) -> np.ndarray:
         """f_k at every grid point, shape (n_points,)."""
-        return self.member(k)(grid.points)
+        return self.member(k).sample(grid)
 
     def sample_all(self, grid: Grid) -> np.ndarray:
         """All members at all grid points, shape (window.size, n_points)."""
-        total = self.window.size * grid.n_points
-        if total > 8e7:
-            raise MemoryError(f"sample matrix would hold {total:.2g} entries, over the "
-                              "8e7 cap; shrink the window or coarsen the grid")
+        check_sample_cap(self.window, grid)
         out = np.empty((self.window.size, grid.n_points))
         for row, k in enumerate(self.window.indices):
-            out[row] = self._members[tuple(int(c) for c in k)](grid.points)
+            out[row] = self._members[tuple(int(c) for c in k)].sample(grid)
         return out
 
     def sample_matrix(self, grid: Grid) -> np.ndarray:
@@ -392,6 +423,17 @@ class BasisSet:
             samples.setflags(write=False)
             self._sampled = (grid, samples)
         return self._sampled[1]
+
+
+def check_sample_cap(window: LatticeWindow, grid: Grid) -> None:
+    """Raise MemoryError if the window x grid sample matrix is over SAMPLE_CAP."""
+    total = window.size * grid.n_points
+    if total > SAMPLE_CAP:
+        # Decimal formats an int past the float range too; imported only here,
+        # since the import costs every run memory
+        from decimal import Decimal
+        raise MemoryError(f"sample matrix would hold {Decimal(total):.2g} entries, over "
+                          "the 8e7 cap; shrink the window or coarsen the grid")
 
 
 def make_basis(spec: GeneratorSpec, window: LatticeWindow) -> BasisSet:
@@ -413,7 +455,7 @@ def measure_decay(basis: BasisSet, k, grid: Grid, u: float,
     if grid.R - np.max(np.abs(node)) < 8.0 - 1e-9:
         raise ValueError("grid must cover |x - k| <= 8 around the node")
     values = basis.sample(k, grid)
-    radii = max_norm(grid.points - node)
+    radii = axes_max_norm(grid.offsets(node))
     return fit_envelope(values, radii, u, method=method)
 
 

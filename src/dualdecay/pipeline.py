@@ -7,6 +7,7 @@ constants and evaluates every invariant with a pass/fail verdict.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -63,14 +64,18 @@ class RunSettings:
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(self.tolerances)
         self.tolerances = tol
-        if any(v <= 0 for v in tol.values()):
-            raise ConfigError("all tolerances must be positive")
+        if not all(0 < v < math.inf for v in tol.values()):
+            raise ConfigError("all tolerances must be positive and finite")
         self.radii = tuple(int(r) for r in self.radii)
         if len(self.radii) < 2 or sorted(self.radii) != list(self.radii) or \
                 len(set(self.radii)) != len(self.radii):
             raise ConfigError(f"radii must be strictly increasing, got {self.radii}")
+        if self.radii[0] < 0:
+            raise ConfigError(f"radii must be >= 0, got {self.radii}")
         if not self.bounds_dims:
             self.bounds_dims = (self.d,)
+        if min(self.bounds_dims) < 1:
+            raise ConfigError(f"bounds dims must be >= 1, got {self.bounds_dims}")
         # starting radius, per dimension, of the exact axis scan that
         # brackets the convolution constants over all of Z^d
         self.convolution_windows = {d: self.convolution_windows.get(d, 128 if d == 1 else 16)
@@ -81,7 +86,7 @@ class RunSettings:
             raise ConfigError(
                 f"grid extent {self.grid_R} must reach 8 units past the largest "
                 f"radius {self.radii[-1]}")
-        self.grid()  # the grid rejects its own bad spacing or extent
+        grid = self.grid()  # the grid rejects its own bad spacing or extent
         window = lat.LatticeWindow(self.d, self.radii[-1])
         for fam in self.families:
             if fam.spec.d != self.d:
@@ -89,6 +94,7 @@ class RunSettings:
             # reject bad parameter sets before any heavy computation
             cst.validate_hypotheses(fam.spec.claimed_C, fam.spec.claimed_s, self.t, self.d)
             lat.make_basis(fam.spec, window)  # rejects perturbed nodes outside the window
+        lat.check_sample_cap(window, grid)  # before any family is sampled
 
     def grid(self) -> lat.Grid:
         return lat.Grid(h=self.grid_h, R=self.grid_R, d=self.d)
@@ -226,9 +232,10 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     envelope_rows = []
     D_emp = 0.0
     for node in ds.core_nodes():
+        # the log-log regression does not depend on the exponent u
+        reg = du.dual_envelope(ds, node, float(t), grid, method="loglog-regression")
         for u in dict.fromkeys((float(t), float(s))):
             fit = du.dual_envelope(ds, node, u, grid)
-            reg = du.dual_envelope(ds, node, u, grid, method="loglog-regression")
             envelope_rows.append((node, u, fit.constant, reg.exponent))
             if u == float(t):
                 D_emp = max(D_emp, fit.constant)
@@ -277,7 +284,7 @@ def _translation_covariance(basis: lat.BasisSet, grid: lat.Grid) -> float:
         return 0.0
     a, b = pairs[0]
     shift = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    direct = basis.member(b)(grid.points)
+    direct = basis.member(b).sample(grid)
     moved = basis.member(a)(grid.points - shift)
     return float(np.max(np.abs(direct - moved)))
 

@@ -1,12 +1,19 @@
+import configparser
+import contextlib
 import inspect
+import io
 import json
 import os
 import re
 import shutil
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualdecay import cli
 from dualdecay import gramian as gr
@@ -536,9 +543,15 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
      "unknown tolerance 'inverson'"),
     ("[bounds]", "[tolerances]\nleibniz = 1e-13\n\n[bounds]", "all",
      "unknown tolerance 'leibniz'"),
+    ("radii = 4 8 12", "radii = -1 2", "all", "radii must be >= 0"),
+    ("R = 20", "R = inf", "all", "grid extent must be positive with R/h finite"),
+    ("dims = 1", "dims = 0", "all", "bounds dims must be >= 1"),
+    ("[bounds]", "[tolerances]\ninversion = nan\n\n[bounds]", "all",
+     "all tolerances must be positive and finite"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
-        "two-families-all", "tolerance-typo", "tolerance-removed"])
+        "two-families-all", "tolerance-typo", "tolerance-removed", "negative-radius",
+        "infinite-extent", "zero-bounds-dim", "nan-tolerance"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config
@@ -550,3 +563,87 @@ def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stag
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("config error:") and fragment in line, line
     assert not os.path.exists(out)
+
+
+# --- fuzzed configs -----------------------------------------------------------
+
+# MINI_CONFIG on a coarser grid and with a smaller convolution window, so that
+# a config the fuzz leaves valid runs `all` in about 0.1 s
+FUZZ_BASE = configparser.ConfigParser(interpolation=None)
+FUZZ_BASE.read_string(MINI_CONFIG.replace("h = 0.015625", "h = 0.125")
+                      .replace("convolution_window_d1 = 32", "convolution_window_d1 = 8"))
+# values that keep the grid and the window small: the sample cap bounds the
+# memory of a valid config, not its run time
+_NON_NUMERIC = st.text(alphabet="abxyz.,:-+ e", max_size=4)
+_FLOATS = st.sampled_from(["0", "-1", "0.5", "1e-3", "nan", "inf", "-inf", "1e300"])
+_RADII = st.one_of(
+    st.sampled_from(["4 8 12", "2 4 6", "0 1", "-1 2", "8 4", "12"]),
+    st.lists(st.integers(-2, 14), max_size=4).map(lambda r: " ".join(map(str, r))))
+_PERTURBATION = st.lists(
+    st.tuples(st.sampled_from(["0", "1", "-2", "13", "0,1", "a", ""]),
+              st.sampled_from(["0.25", "-0.125", "0.5", "0.6", "nan", "inf", "x",
+                               "0.1,0.2", ""])).map(":".join),
+    min_size=1, max_size=3).map("; ".join)
+_NUMERIC_KEYS = [("window", "d"), ("window", "radii"), ("grid", "h"), ("grid", "R"),
+                 ("targets", "t"), ("tolerances", "inversion"), ("bounds", "dims"),
+                 ("family:indicator", "claimed_C"), ("family:bump", "s"),
+                 ("family:hat", "order")]
+_EDITS = st.one_of(
+    st.tuples(st.just("window"), st.just("radii"), _RADII),
+    st.tuples(st.just("grid"), st.just("h"), st.sampled_from(
+        ["0.25", "0.0625", "0.3", "0", "-0.125", "nan", "inf", "1e-320"])),
+    st.tuples(st.just("grid"), st.just("R"), st.sampled_from(
+        ["16", "24.5", "3", "0", "-5", "nan", "inf", "1e300", "4e307"])),
+    st.tuples(st.sampled_from(["family:indicator", "family:bump", "family:hat"]),
+              st.just("perturb"), _PERTURBATION),
+    st.tuples(st.sampled_from(["targets", "bounds"]), st.sampled_from(["t", "dims"]),
+              st.sampled_from(["-1", "0", "1", "3"])),
+    st.tuples(st.sampled_from(["family:indicator", "family:bump", "family:hat",
+                               "tolerances"]),
+              st.sampled_from(["claimed_C", "claimed_s", "s", "inversion"]), _FLOATS),
+    st.tuples(st.sampled_from(["window", "family:hat"]), st.sampled_from(["d", "order"]),
+              st.sampled_from(["0", "-1", "2.5"])),
+    st.sampled_from(_NUMERIC_KEYS).flatmap(lambda key: st.tuples(*map(st.just, key),
+                                                                 _NON_NUMERIC)),
+    # a missing key
+    st.tuples(st.sampled_from(["window", "grid", "targets", "family:bump", "family:hat"]),
+              st.sampled_from(["radii", "h", "R", "t", "family", "claimed_C", "s", "order"]),
+              st.none()),
+)
+
+
+@st.composite
+def fuzzed_configs(draw) -> dict:
+    """FUZZ_BASE with one to three keys set to fuzzed text or removed."""
+    cfg = {name: dict(FUZZ_BASE[name]) for name in FUZZ_BASE.sections()}
+    for name, key, value in draw(st.lists(_EDITS, min_size=1, max_size=3)):
+        if value is None:
+            cfg[name].pop(key, None)
+        else:
+            cfg.setdefault(name, {})[key] = value
+    return cfg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(cfg=fuzzed_configs())
+def test_cli_fuzzed_config_keeps_exit_code_contract(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["run"]["out"] = os.path.join(tmp, "out")
+        path = os.path.join(tmp, "fuzz.ini")
+        with open(path, "w") as fh:
+            for name, keys in cfg.items():
+                fh.write(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(["all", "--config", path])
+    # a warning reaches the stderr of a real run
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, cli.EXIT_CONFIG, cli.EXIT_HYPOTHESIS, cli.EXIT_CONVERGENCE,
+                    cli.EXIT_INVARIANT), (code, lines)
+    assert not any("Traceback" in line for line in lines), lines
+    if code in (cli.EXIT_CONFIG, cli.EXIT_HYPOTHESIS, cli.EXIT_CONVERGENCE):
+        assert len(lines) == 1, lines
+    if code == 0:
+        assert lines == [], lines

@@ -351,3 +351,43 @@ def test_sample_matrix_built_once_and_read_only():
     assert np.array_equal(F, np.stack([m(grid.points) for m in basis.members()]))
     coarse = lat.Grid(h=1 / 8, R=12.0, d=1)
     assert basis.sample_matrix(coarse).shape == (7, coarse.n_points)
+
+
+def _dense_generator(spec: lat.GeneratorSpec, y: np.ndarray) -> np.ndarray:
+    """The generator written point by point on dense (..., d) offsets."""
+    if spec.family == "polynomial-bump":
+        return np.power(1.0 + np.max(np.abs(y), axis=-1), -spec.params["s"])
+    if spec.family == "gaussian":
+        return np.exp(-np.sum(y * y, axis=-1) / (2.0 * spec.params["sigma"] ** 2))
+    order = spec.params.get("order", 1)
+    out = np.ones(y.shape[:-1])
+    for i in range(spec.d):
+        out = out * lat._bspline_1d(y[..., i], order)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family,params", [
+    ("polynomial-bump", {"s": 5.0}),
+    ("gaussian", {"sigma": 0.5}),
+    ("bspline-indicator", {}),
+    ("bspline-order-m", {"order": 3}),
+])
+def test_axis_wise_sampling_matches_dense_points(family, params, d):
+    # centers off the dyadic grid, so every offset axis - c_i is rounded
+    rng = np.random.default_rng(d)
+    perturbations = {(0,) * d: tuple(rng.uniform(-0.5, 0.5, d)),
+                     (1,) + (-1,) * (d - 1): tuple(rng.uniform(-0.5, 0.5, d))}
+    spec = lat.GeneratorSpec(family, d, 1e3, d + 4.0, params=params,
+                             perturbations=perturbations)
+    basis = lat.make_basis(spec, lat.LatticeWindow(d, 1))
+    grid = lat.Grid(h=0.25, R=3.0, d=d)
+    F = basis.sample_all(grid)
+    for row, m in enumerate(basis.members()):
+        dense = m(grid.points)
+        assert np.array_equal(F[row], dense), m.node
+        assert np.array_equal(basis.sample(m.node, grid), dense), m.node
+        assert np.array_equal(dense, _dense_generator(spec, grid.points - m.center)), m.node
+        radii = lat.axes_max_norm(grid.offsets(m.center)).reshape(-1)
+        assert np.array_equal(radii, lat.max_norm(grid.points - m.center)), m.node
+        assert np.array_equal(radii, np.max(np.abs(grid.points - m.center), axis=-1)), m.node

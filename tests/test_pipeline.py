@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dualdecay import artifacts
+from dualdecay import duals as du
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 from dualdecay.errors import ConfigError, HypothesisViolation
@@ -137,6 +138,27 @@ def test_run_family_samples_each_basis_once(sample_builds):
         assert _big_arrays(result, window_by_grid) == []
         assert _big_arrays(result.dual_system, window_by_grid) == []
         assert result.biorth_residual < 1e-12
+
+
+def test_dual_regression_fitted_once_per_core_node(monkeypatch):
+    methods = []
+    real = du.fit_envelope
+
+    def counting(values, radii, u, method="max-envelope", bin_width=0.5):
+        methods.append(method)
+        return real(values, radii, u, method=method, bin_width=bin_width)
+
+    monkeypatch.setattr(du, "fit_envelope", counting)
+    settings = suite_settings(16, (4, 8, 12, 16))
+    result = pl.run_family(settings.families[1], settings)
+    nodes = result.dual_system.core_nodes()
+    # one regression per core dual, plus the coefficient decay fit
+    assert methods.count("loglog-regression") == len(nodes) + 1
+    exponents = {}
+    for node, _, _, exponent in result.envelope_rows:
+        exponents.setdefault(node, []).append(exponent)
+    assert list(exponents) == nodes
+    assert all(len(e) == 2 and e[0] == e[1] for e in exponents.values())
 
 
 def d2_indicator_settings() -> pl.RunSettings:
