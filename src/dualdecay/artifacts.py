@@ -2,8 +2,12 @@
 
 Every run writes a report.json plus per-family CSVs (Gramian and coefficient
 matrices in the window text format, eigenvalue traces, dual samples, and
-envelope summaries) and a top-level constants table.  `verify_artifacts`
-re-checks the invariants from those files alone, with no quadrature.
+envelope summaries) and a top-level constants table.  The writers make one
+job per file and share the jobs out over up to one process per usable CPU
+(`_write_files`); every file is formatted by the same code in whichever
+process writes it, so its bytes do not depend on how many processes wrote.
+`verify_artifacts` re-checks the invariants from those files alone, with no
+quadrature.
 """
 
 from __future__ import annotations
@@ -80,18 +84,150 @@ def _write_samples(path: str, d: int, prefixes: list, values):
                 prefixes[start:stop], map(repr, values[start:stop].tolist()))))
 
 
-def write_basis(out_dir: str, grid, families):
-    """basis_envelopes.csv, and basis_k0.csv per family, from one
-    (name, spec, basis rows, origin samples) per family."""
+def _write_matrix(path: str, matrix: DecayMatrix):
+    matrix.to_text(path)
+
+
+# A job is (rows, path, write, *args): write(path, *args) writes one file of
+# `rows` lines, the cost by which the jobs are shared out.
+
+
+def _lines_job(path: str, lines: list) -> tuple:
+    return len(lines), path, _write_lines, lines
+
+
+def _samples_job(path: str, d: int, prefixes: list, values) -> tuple:
+    return len(prefixes), path, _write_samples, d, prefixes, values
+
+
+def _matrix_jobs(fdir: str, gramian, riesz, coeffs) -> list:
+    """gramian.csv and eigens.csv of an assembled family, and coeffs.csv of
+    an inverted one; None stands for what was not computed."""
+    jobs = []
+    if gramian is not None:
+        jobs += [(gramian.size ** 2, os.path.join(fdir, "gramian.csv"), _write_matrix, gramian),
+                 _lines_job(os.path.join(fdir, "eigens.csv"), _eigens_lines(riesz))]
+    if coeffs is not None:
+        jobs.append((coeffs.size ** 2, os.path.join(fdir, "coeffs.csv"), _write_matrix, coeffs))
+    return jobs
+
+
+def _basis_jobs(out_dir: str, d: int, prefixes: list, families) -> list:
+    """basis_envelopes.csv, and basis_k0.csv per family, from one (name,
+    spec, basis rows, origin samples, ...) per family."""
     lines = ["family,node,claimed_C,measured_C,regression_exponent"]
-    prefixes = _row_prefixes(grid)
-    for name, spec, rows, k0 in families:
+    jobs = []
+    for name, spec, rows, k0, *_ in families:
         lines += [f"{name},{_node_label(node)},{_fmt(spec.claimed_C)},{_fmt(C)},"
                   f"{_fmt(exponent)}" for node, C, exponent in rows]
-        fdir = family_dir(out_dir, name)
-        os.makedirs(fdir, exist_ok=True)
-        _write_samples(os.path.join(fdir, "basis_k0.csv"), grid.d, prefixes, k0)
-    _write_lines(os.path.join(out_dir, "basis_envelopes.csv"), lines)
+        jobs.append(_samples_job(os.path.join(family_dir(out_dir, name), "basis_k0.csv"),
+                                 d, prefixes, k0))
+    return jobs + [_lines_job(os.path.join(out_dir, "basis_envelopes.csv"), lines)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _write(job):
+    """Write one job's file; an OSError that names no file gets its path."""
+    _, path, write, *args = job
+    try:
+        write(path, *args)
+    except OSError as exc:
+        if exc.filename is None and exc.errno is not None:
+            exc.filename = path
+        raise
+
+
+def _writer(jobs: list, pipe: int):
+    """The body of a forked writer. It writes `jobs`, reports a failure on
+    `pipe` as `errno NUL text NUL path` (errno empty unless it is an
+    OSError), and leaves through os._exit, so nothing the parent set up
+    (buffered output, atexit handlers, the caller's `finally`) runs twice."""
+    code, path = 1, ""
+    try:
+        for job in jobs:
+            path = job[1]
+            _write(job)
+        code = 0
+    except BaseException as exc:  # reported to the parent, which raises it
+        errno = exc.errno if isinstance(exc, OSError) and exc.errno else ""
+        text = exc.strerror if errno else f"{type(exc).__name__}: {exc}"
+        os.write(pipe, f"{errno}\0{text}\0{path}".encode(errors="replace"))
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, pipe: int, jobs: list):
+    """Wait for the writer `pid` of `jobs`; the error it reported, or None."""
+    with os.fdopen(pipe, "rb") as fh:
+        report = fh.read().decode(errors="replace")
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status == 0:
+        return None
+    if not report:
+        return ChildProcessError(f"artifact writer ended with status {status} while writing "
+                                 f"{jobs[0][1]} and {len(jobs) - 1} more files")
+    errno, _, rest = report.partition("\0")
+    text, _, path = rest.rpartition("\0")
+    if errno:
+        return OSError(int(errno), text, path)
+    return ChildProcessError(f"artifact writer failed on {path}: {text}")
+
+
+def _write_files(jobs: list):
+    """Write every job, largest first, on up to one process per usable CPU,
+    into folders made here.
+
+    With n = min(usable CPUs, jobs) > 1, n - 1 writers forked here take
+    every n-th job and this process the rest; the files are the same bytes
+    either way. The writers only format text and write files (no BLAS, no
+    output), so forking a process with BLAS threads is safe. A failed job is
+    an OSError naming its file (a ChildProcessError naming it when a writer
+    failed otherwise); every writer is reaped, also when this process's own
+    share raises."""
+    for folder in sorted({os.path.dirname(job[1]) for job in jobs}):
+        os.makedirs(folder, exist_ok=True)
+    jobs = sorted(jobs, key=lambda job: -job[0])
+    n = min(_usable_cpus(), len(jobs)) if hasattr(os, "fork") else 1
+    writers = []  # (pid, read end of its report pipe, its jobs)
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _writer(jobs[i::n], write)
+            os.close(write)
+            writers.append((pid, read, jobs[i::n]))
+        for job in jobs[::n]:
+            _write(job)
+    finally:
+        failures = [_reap(*writer) for writer in writers]
+    for failure in failures:
+        if failure is not None:
+            raise failure
+
+
+def write_stage(out_dir: str, grid, families):
+    """The files of the basis, gramian and duals stages: basis_envelopes.csv
+    and, per family, basis_k0.csv, gramian.csv and eigens.csv once the
+    sections are assembled, and coeffs.csv once they are inverted. One
+    (name, spec, basis rows, origin samples, last section, riesz bounds,
+    coefficient matrix) per family, with None for what was not computed."""
+    jobs = _basis_jobs(out_dir, grid.d, _row_prefixes(grid), families)
+    for name, _, _, _, gramian, riesz, coeffs in families:
+        jobs += _matrix_jobs(family_dir(out_dir, name), gramian, riesz, coeffs)
+    _write_files(jobs)
 
 
 def write_bounds(out_dir: str, lattice_sum_cal: dict, convolution: dict):
@@ -101,41 +237,46 @@ def write_bounds(out_dir: str, lattice_sum_cal: dict, convolution: dict):
                  [_CONSTANTS_HEADER] + _bounds_rows(lattice_sum_cal, convolution))
 
 
-def write_suite(out_dir: str, suite: SuiteResult):
-    os.makedirs(out_dir, exist_ok=True)
+def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
+    """Every file of the `report` stage and, with `basis`, the basis exports
+    of `all`, all in one pass of the writers."""
     grid, limit = suite.settings.grid(), suite.settings.dual_export_radius
     prefixes = _row_prefixes(grid)
+    jobs = []
+    if basis:
+        jobs = _basis_jobs(out_dir, grid.d, prefixes, [
+            (fam.name, fam.spec, fam.basis_rows, fam.basis_k0) for fam in suite.families])
     for fam in suite.families:
         fdir = family_dir(out_dir, fam.name)
-        os.makedirs(fdir, exist_ok=True)
-        fam.gramian.to_text(os.path.join(fdir, "gramian.csv"))
-        fam.dual_system.coefficient_matrix().to_text(os.path.join(fdir, "coeffs.csv"))
-        write_eigens(os.path.join(fdir, "eigens.csv"), fam.riesz)
-        _write_envelopes(os.path.join(fdir, "envelopes.csv"), fam.envelope_rows)
-        for node, samples in sorted(fam.dual_system.duals.items()):
-            if limit is None or max(abs(c) for c in node) <= limit:
-                _write_samples(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"),
-                               grid.d, prefixes, samples)
-    _write_constants(out_dir, suite)
-    _write_calibration_text(out_dir, suite)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report_dict(suite), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        jobs += _matrix_jobs(fdir, fam.gramian, fam.riesz,
+                             fam.dual_system.coefficient_matrix())
+        jobs.append(_lines_job(os.path.join(fdir, "envelopes.csv"),
+                               _envelope_lines(fam.envelope_rows)))
+        jobs += [_samples_job(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"),
+                              grid.d, prefixes, samples)
+                 for node, samples in sorted(fam.dual_system.duals.items())
+                 if limit is None or max(abs(c) for c in node) <= limit]
+    report = json.dumps(report_dict(suite), indent=2, sort_keys=True)
+    _write_files(jobs + [_lines_job(os.path.join(out_dir, "constants.csv"),
+                                    _constants_lines(suite)),
+                         _lines_job(os.path.join(out_dir, "calibration.txt"),
+                                    _calibration_lines(suite)),
+                         _lines_job(os.path.join(out_dir, "report.json"), [report])])
 
 
-def write_eigens(path: str, riesz):
-    _write_lines(path, ["N,lambda_min,lambda_max"] + [
+def _eigens_lines(riesz) -> list:
+    return ["N,lambda_min,lambda_max"] + [
         f"{N},{_fmt(lo)},{_fmt(hi)}"
-        for N, lo, hi in zip(riesz.radii, riesz.lambda_min, riesz.lambda_max)])
+        for N, lo, hi in zip(riesz.radii, riesz.lambda_min, riesz.lambda_max)]
 
 
-def _write_envelopes(path: str, rows):
-    _write_lines(path, ["k,t,D_emp,exponent_fit"] + [
+def _envelope_lines(rows) -> list:
+    return ["k,t,D_emp,exponent_fit"] + [
         f"{_node_label(node)},{_fmt(u)},{_fmt(const)},{_fmt(exponent)}"
-        for node, u, const, exponent in rows])
+        for node, u, const, exponent in rows]
 
 
-def _write_constants(out_dir: str, suite: SuiteResult):
+def _constants_lines(suite: SuiteResult) -> list:
     lines = [_CONSTANTS_HEADER]
 
     def add(scope, d, name, value, binding="", detail=""):
@@ -150,10 +291,10 @@ def _write_constants(out_dir: str, suite: SuiteResult):
     for fam in suite.families:
         for key in ("A_est", "B_est", "C_meas", "D_emp", "core_radius"):
             add("family", suite.settings.d, f"{fam.name}.{key}", getattr(fam, key))
-    _write_lines(os.path.join(out_dir, "constants.csv"), lines)
+    return lines
 
 
-def _write_calibration_text(out_dir: str, suite: SuiteResult):
+def _calibration_lines(suite: SuiteResult) -> list:
     out = []
     out.append(f"calibration report: {suite.settings.name}")
     out.append("")
@@ -180,7 +321,7 @@ def _write_calibration_text(out_dir: str, suite: SuiteResult):
     out.append("")
     out.append("verdicts:")
     out += [f"    {v}" for v in suite.verdicts]
-    _write_lines(os.path.join(out_dir, "calibration.txt"), out)
+    return out
 
 
 def _finite(x):

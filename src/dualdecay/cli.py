@@ -15,11 +15,11 @@ writes its slice of the results:
 
 Exit codes: 0 success, 2 config/artifact error (including a malformed or
 non-finite config value, fewer than three families for report/all, a missing
-or malformed artifact, artifacts written for another config and a sample
-matrix over the sample_all entry cap), 3 hypothesis violation (including a
-section that is not a Riesz sequence at this resolution), 4 convergence
-failure, 5 invariant failure (including a measured envelope over its claimed
-C).
+or malformed artifact, artifacts written for another config, a sample matrix
+over the sample_all entry cap and an artifact that cannot be written), 3
+hypothesis violation (including claimed C < 1 and a section that is not a
+Riesz sequence at this resolution), 4 convergence failure, 5 invariant
+failure (including a measured envelope over its claimed C).
 Every error exit prints one line to stderr.
 """
 
@@ -158,29 +158,30 @@ def load_config(path: str, out_override=None, seed_override=None,
 
 
 def _stage_families(settings: pl.RunSettings, stage: str):
-    """basis, gramian and duals: run each family's pipeline through `stage`."""
-    measured = []
+    """basis, gramian and duals: run each family's pipeline through `stage`,
+    then write what was computed, also when a dual residual failed."""
+    computed, failure = [], None
     for fam in settings.families:
         basis, rows, k0 = pl.measure_basis(fam, settings)
-        measured.append((fam.name, fam.spec, rows, k0))
-        if stage == "basis":
-            continue
-        fdir = artifacts.family_dir(settings.out_dir, fam.name)
-        os.makedirs(fdir, exist_ok=True)
-        secs, riesz = pl.gramian_sections(basis, settings)
-        secs[-1].to_text(os.path.join(fdir, "gramian.csv"))
-        artifacts.write_eigens(os.path.join(fdir, "eigens.csv"), riesz)
-        print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
-        if stage == "gramian":
-            continue
-        ds, residual = pl.dual_system(basis, secs, settings)
-        ds.coefficient_matrix().to_text(os.path.join(fdir, "coeffs.csv"))
-        print(f"duals stage: {fam.name}: core={ds.core_radius} "
-              f"biorthogonality={residual!r}")
-        if residual >= settings.tolerances["biorthogonality"]:
-            raise InvariantFailure(
-                f"{fam.name}: biorthogonality residual {residual!r} over tolerance")
-    artifacts.write_basis(settings.out_dir, settings.grid(), measured)
+        gramian = riesz = coeffs = None
+        if stage != "basis":
+            secs, riesz = pl.gramian_sections(basis, settings)
+            gramian = secs[-1]
+            print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
+        if stage == "duals":
+            ds, residual = pl.dual_system(basis, secs, settings)
+            coeffs = ds.coefficient_matrix()
+            print(f"duals stage: {fam.name}: core={ds.core_radius} "
+                  f"biorthogonality={residual!r}")
+            if residual >= settings.tolerances["biorthogonality"]:
+                failure = InvariantFailure(
+                    f"{fam.name}: biorthogonality residual {residual!r} over tolerance")
+        computed.append((fam.name, fam.spec, rows, k0, gramian, riesz, coeffs))
+        if failure is not None:
+            break
+    artifacts.write_stage(settings.out_dir, settings.grid(), computed)
+    if failure is not None:
+        raise failure
     print(f"basis stage: wrote {settings.out_dir}/basis_envelopes.csv")
     return 0
 
@@ -217,15 +218,14 @@ def main(argv=None) -> int:
             return _print_verdicts(artifacts.verify_artifacts(settings),
                                    "verify: {} checks pass")
         suite = pl.run_suite(settings)  # report, and all with the basis exports
-        artifacts.write_suite(settings.out_dir, suite)
-        if args.stage == "all":
-            artifacts.write_basis(settings.out_dir, settings.grid(),
-                                  [(f.name, f.spec, f.basis_rows, f.basis_k0)
-                                   for f in suite.families])
+        artifacts.write_suite(settings.out_dir, suite, basis=args.stage == "all")
         return _print_verdicts(suite.verdicts, f"report written to {settings.out_dir}/"
                                "report.json ({} invariants pass)")
     except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reading or writing artifacts; names the file
+        print(f"artifact error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (HypothesisViolation, NotRieszError) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)

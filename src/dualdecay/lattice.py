@@ -257,10 +257,10 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if not 1.0 <= self.claimed_C < math.inf:
-            raise ValueError(f"claimed_C must be finite and >= 1, got {self.claimed_C}")
-        if not math.isfinite(self.claimed_s):
-            raise ValueError(f"claimed_s must be finite, got {self.claimed_s}")
+        # C >= 1 is a hypothesis of the bound, checked by validate_hypotheses
+        for key in ("claimed_C", "claimed_s"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         object.__setattr__(self, "perturbations",
                            _normalize_perturbations(self.perturbations, self.d))
         p = dict(self.params)

@@ -52,6 +52,22 @@ def suite_settings(N: int, radii) -> pl.RunSettings:
     )
 
 
+def d2_indicator_settings() -> pl.RunSettings:
+    def indicator(name, claimed_C, perturbations=()):
+        return pl.FamilySettings(name, lat.GeneratorSpec(
+            "bspline-indicator", 2, claimed_C, 6.0, perturbations=perturbations))
+
+    # shifts point inward, so every perturbed support stays inside radius 1
+    return pl.RunSettings(
+        name="d2_tiny", d=2, radii=(1, 2), grid_h=0.25, grid_R=10.0, t=3,
+        families=[
+            indicator("indicator", 64.0),
+            indicator("indicator-p1", 245.0, {(0, 0): (0.25, -0.25), (1, 0): (-0.25, 0.0)}),
+            indicator("indicator-p2", 245.0, {(-1, 0): (0.25, 0.25), (0, 1): (0.0, -0.25)}),
+        ],
+        convolution_windows={2: 4})
+
+
 @pytest.fixture(scope="session")
 def d1_suite() -> pl.SuiteResult:
     """The five-family d=1 suite at window N=16."""

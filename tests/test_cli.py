@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualdecay import cli
+from dualdecay import artifacts, cli
 from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
@@ -171,6 +171,33 @@ def test_cli_exit_codes(tmp_path, mini_config, capsys):
     bad.write_text(open(path).read().replace("claimed_s = 5", "claimed_s = 3"))
     assert cli.main(["all", "--config", str(bad)]) == cli.EXIT_HYPOTHESIS
     capsys.readouterr()
+    bad.write_text(open(path).read().replace("claimed_C = 1\n", "claimed_C = 0.5\n"))
+    assert cli.main(["all", "--config", str(bad)]) == cli.EXIT_HYPOTHESIS
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("hypothesis violation:") and "C >= 1" in line
+
+
+@pytest.mark.parametrize("stage", ["all", "basis"])
+def test_cli_unwritable_out_exits_config(mini_config, tmp_path, stage, capsys):
+    path, _ = mini_config
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert cli.main([stage, "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("artifact error:") and out in line
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_file_in_the_way_exits_config(mini_config, tmp_path, monkeypatch, cpus, capsys):
+    # with two writers, bump/basis_k0.csv is the forked writer's job
+    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: cpus)
+    path, _ = mini_config
+    out = tmp_path / "out"
+    (out / "bump" / "basis_k0.csv").mkdir(parents=True)
+    assert cli.main(["all", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("artifact error:") and str(out / "bump" / "basis_k0.csv") in line
 
 
 def _files(root: str) -> list:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdecay import lattice as lat
+from dualdecay import pipeline as pl
+from dualdecay.errors import HypothesisViolation
 
 from conftest import scaled_basis
 
@@ -106,8 +108,14 @@ def test_perturbed_node_must_lie_in_window():
 
 
 def test_claimed_C_must_be_at_least_one():
-    with pytest.raises(ValueError, match="claimed_C"):
-        lat.GeneratorSpec("gaussian", 1, 0.5, 5.0, params={"sigma": 0.5})
+    # C >= 1 is a hypothesis of the bound (exit 3), checked when a run is set up;
+    # the spec itself rejects only a value that is not finite (exit 2)
+    spec = lat.GeneratorSpec("gaussian", 1, 0.5, 5.0, params={"sigma": 0.5})
+    with pytest.raises(HypothesisViolation, match="C >= 1"):
+        pl.RunSettings(name="c", d=1, radii=(1, 2), grid_h=0.25, grid_R=10.0, t=2,
+                       families=[pl.FamilySettings("gauss", spec)])
+    with pytest.raises(ValueError, match="claimed_C must be finite"):
+        lat.GeneratorSpec("gaussian", 1, math.nan, 5.0, params={"sigma": 0.5})
 
 
 @pytest.mark.parametrize("family,params", [

@@ -13,7 +13,7 @@ from dualdecay import pipeline as pl
 from dualdecay.errors import ConfigError, HypothesisViolation
 from dualdecay.lattice import GeneratorSpec
 
-from conftest import standard_families, suite_settings
+from conftest import d2_indicator_settings, standard_families, suite_settings
 
 
 def test_suite_all_verdicts_pass(d1_suite):
@@ -159,22 +159,6 @@ def test_dual_regression_fitted_once_per_core_node(monkeypatch):
         exponents.setdefault(node, []).append(exponent)
     assert list(exponents) == nodes
     assert all(len(e) == 2 and e[0] == e[1] for e in exponents.values())
-
-
-def d2_indicator_settings() -> pl.RunSettings:
-    def indicator(name, claimed_C, perturbations=()):
-        return pl.FamilySettings(name, GeneratorSpec(
-            "bspline-indicator", 2, claimed_C, 6.0, perturbations=perturbations))
-
-    # shifts point inward, so every perturbed support stays inside radius 1
-    return pl.RunSettings(
-        name="d2_tiny", d=2, radii=(1, 2), grid_h=0.25, grid_R=10.0, t=3,
-        families=[
-            indicator("indicator", 64.0),
-            indicator("indicator-p1", 245.0, {(0, 0): (0.25, -0.25), (1, 0): (-0.25, 0.0)}),
-            indicator("indicator-p2", 245.0, {(-1, 0): (0.25, 0.25), (0, 1): (0.0, -0.25)}),
-        ],
-        convolution_windows={2: 4})
 
 
 def test_d2_indicator_suite_end_to_end(sample_builds):
