@@ -19,12 +19,13 @@ import os
 
 import numpy as np
 
+from .duals import biorthogonality_residual, gram_duals_check
 from .errors import ConfigError
 from .gramian import DecayMatrix
 from .lattice import LatticeWindow
-from .pipeline import (DEFAULT_TOLERANCES, RunSettings, SuiteResult, Verdict, core_norms,
-                       dual_decay_domination, dual_norm_bound, interlacing,
-                       inverse_norm_bound)
+from .pipeline import (DEFAULT_TOLERANCES, RunSettings, SuiteResult, Verdict, biorthogonality,
+                       core_norms, dual_decay_domination, dual_norm_bound, gram_duals,
+                       interlacing, inverse_norm_bound)
 
 
 def _fmt(x) -> str:
@@ -254,7 +255,7 @@ def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
                                _envelope_lines(fam.envelope_rows)))
         jobs += [_samples_job(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"),
                               grid.d, prefixes, samples)
-                 for node, samples in sorted(fam.dual_system.duals.items())
+                 for node, samples in sorted(fam.duals.items())
                  if limit is None or max(abs(c) for c in node) <= limit]
     report = json.dumps(report_dict(suite), indent=2, sort_keys=True)
     _write_files(jobs + [_lines_job(os.path.join(out_dir, "constants.csv"),
@@ -488,19 +489,22 @@ def verify_artifacts(settings: RunSettings) -> list:
         verdicts.append(Verdict(name, bool(passed), float(value), float(threshold), detail))
 
     for name in sorted(entry("families", kind=dict)):
-        A_stored, core_radius, C_meas, claimed_s = (
-            entry("families", name, key, kind=_NUMBER)
-            for key in ("A_est", "core_radius", "C_meas", "claimed_s"))
+        A_stored, C_meas, claimed_s = (entry("families", name, key, kind=_NUMBER)
+                                       for key in ("A_est", "C_meas", "claimed_s"))
+        core_radius = entry("families", name, "core_radius")
+        if type(core_radius) is not int or not 0 <= core_radius <= settings.radii[-1]:
+            raise ConfigError(f"{path} entry 'families.{name}.core_radius' is not an integer "
+                              f"in [0, {settings.radii[-1]}]: {core_radius!r}")
         fdir = family_dir(out_dir, name)
         gram = _read_matrix(os.path.join(fdir, "gramian.csv"))
         coeffs = _read_matrix(os.path.join(fdir, "coeffs.csv"))
         if gram.window != coeffs.window:
             raise ConfigError(f"window mismatch between stored matrices for {name!r}")
-        n = gram.size
-        product = coeffs.entries @ gram.entries
-        biorth = float(np.max(np.abs(product - np.eye(n))))
-        add(f"{name}.biorthogonality", biorth < tol["biorthogonality"],
-            biorth, tol["biorthogonality"], "max |CM - I| from stored matrices")
+        core = coeffs.window.positions_of(LatticeWindow(coeffs.window.d, core_radius))
+        verdicts.append(biorthogonality(
+            name, biorthogonality_residual(coeffs.entries, gram.entries), tol))
+        verdicts.append(gram_duals(
+            name, gram_duals_check(coeffs.entries, gram.entries, core), tol))
 
         eigens = _read_rows(os.path.join(fdir, "eigens.csv"), (int, float, float))
         radii, lo, hi = (list(column) for column in zip(*eigens))
@@ -509,9 +513,7 @@ def verify_artifacts(settings: RunSettings) -> list:
             math.isclose(a_est, A_stored, rel_tol=1e-12), a_est, A_stored)
         verdicts.append(interlacing(name, radii, lo, hi, tol))
 
-        core = LatticeWindow(coeffs.window.d, int(core_radius))
-        pos = coeffs.window.positions_of(core)
-        dual_norm, lam = core_norms(coeffs.entries[np.ix_(pos, pos)])
+        dual_norm, lam = core_norms(coeffs.entries[np.ix_(core, core)])
         verdicts.append(inverse_norm_bound(name, lam, a_est, tol))
         verdicts.append(dual_norm_bound(name, dual_norm, a_est, tol))
 

@@ -7,7 +7,7 @@ writes its slice of the results:
 
     basis    envelope measurements and sampled-function exports
     gramian  sections and eigenvalue traces
-    duals    inversion, dual synthesis, residuals
+    duals    inversion, biorthogonality and dual-Gramian residuals
     bounds   lattice sums and calibrated constants
     report   full pipeline, all per-family artifacts, report.json
     all      basis exports plus the full report
@@ -169,13 +169,16 @@ def _stage_families(settings: pl.RunSettings, stage: str):
             gramian = secs[-1]
             print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
         if stage == "duals":
-            ds, residual = pl.dual_system(basis, secs, settings)
+            ds, biorth, gram = pl.dual_system(secs, settings)
             coeffs = ds.coefficient_matrix()
             print(f"duals stage: {fam.name}: core={ds.core_radius} "
-                  f"biorthogonality={residual!r}")
-            if residual >= settings.tolerances["biorthogonality"]:
-                failure = InvariantFailure(
-                    f"{fam.name}: biorthogonality residual {residual!r} over tolerance")
+                  f"biorthogonality={biorth!r} gram_duals={gram!r}")
+            failed = [v for v in (pl.biorthogonality(fam.name, biorth, settings.tolerances),
+                                  pl.gram_duals(fam.name, gram, settings.tolerances))
+                      if not v.passed]
+            if failed:
+                failure = InvariantFailure(f"{failed[0].name} residual "
+                                           f"{failed[0].value!r} over tolerance")
         computed.append((fam.name, fam.spec, rows, k0, gramian, riesz, coeffs))
         if failure is not None:
             break

@@ -3,13 +3,14 @@
 The inverse Gramian entries c_{k,j} are the pairwise inner products of the
 dual functions, and g_k = sum_j c_{k,j} f_j.  Finite sections only converge
 in a central core, so coefficients are trusted (and duals synthesized) only
-for nodes inside the stabilized core radius.
+for nodes inside the stabilized core radius.  With M the largest section
+and C its inverse, <g_k, f_j> = (C M)_{k,j} and <g_k, g_j> = (C M C)_{k,j},
+so the biorthogonality and dual-Gramian checks need the two matrices only.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class SectionConvergence:
 
 @dataclass
 class DualSystem:
-    """Inverse-Gramian coefficients plus sampled dual functions.
+    """Inverse-Gramian coefficients of the largest section.
 
     `coeffs` is the full inverse of the largest section; only entries with
     both nodes inside the stabilized core are section-converged.
@@ -44,15 +45,15 @@ class DualSystem:
     coeffs: np.ndarray
     core_radius: int
     convergence: SectionConvergence
-    duals: dict = field(default_factory=dict)
-    dual_tails: dict = field(default_factory=dict)
 
     def coefficient(self, k, j) -> float:
         return self.coeffs[self.window.index_of(k), self.window.index_of(j)]
 
+    def core_positions(self) -> np.ndarray:
+        return self.window.positions_of(LatticeWindow(self.window.d, self.core_radius))
+
     def core_block(self) -> np.ndarray:
-        sub = LatticeWindow(self.window.d, self.core_radius)
-        pos = self.window.positions_of(sub)
+        pos = self.core_positions()
         return self.coeffs[np.ix_(pos, pos)]
 
     def core_nodes(self) -> list:
@@ -141,12 +142,11 @@ def coefficient_tail_bound(ds: DualSystem, k, t: int) -> tuple[float, float]:
     return alpha, alpha * lattice_tail_upper(float(t), d, max(gap, 1))
 
 
-def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid,
-                    t: int | None = None) -> tuple[np.ndarray, float]:
-    """Sample g_k = sum_j c_{k,j} f_j on the grid.
+def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid) -> np.ndarray:
+    """Samples of g_k = sum_j c_{k,j} f_j on the grid.
 
     Only core nodes have trusted coefficients; requesting any other node is
-    an error.  When t is given, a truncation-tail estimate is attached.
+    an error.
     """
     if not ds.in_core(k):
         raise ValueError(
@@ -154,57 +154,29 @@ def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid,
             f"{ds.core_radius}; coefficients there are not trusted")
     if basis.window.N != ds.window.N or basis.window.d != ds.window.d:
         raise ValueError("basis window must match the coefficient window")
-    row = ds.coeffs[ds.window.index_of(k)]
-    samples = row @ basis.sample_matrix(grid)
-    tail = math.nan
-    if t is not None:
-        envelope_C = abs(basis.amplitude) * basis.spec.claimed_C
-        _, lattice_tail = coefficient_tail_bound(ds, k, t)
-        tail = lattice_tail * envelope_C
-    node = tuple(int(c) for c in np.atleast_1d(k))
-    ds.duals[node] = samples
-    ds.dual_tails[node] = tail
-    return samples, tail
+    return ds.coeffs[ds.window.index_of(k)] @ basis.sample_matrix(grid)
 
 
-def biorthogonality_residual(ds: DualSystem, basis: BasisSet, grid: Grid) -> float:
-    """max over core k and window j of |<g_k, f_j> - delta_{k,j}| by quadrature."""
-    nodes = ds.core_nodes()
-    F = basis.sample_matrix(grid)
-    rows = []
-    for node in nodes:
-        if node not in ds.duals:
-            synthesize_dual(ds, basis, node, grid)
-        rows.append(ds.duals[node])
-    G = np.stack(rows)
-    inner = (G @ F.T) * grid.weight
-    expected = np.zeros_like(inner)
-    for a, node in enumerate(nodes):
-        expected[a, ds.window.index_of(node)] = 1.0
-    return float(np.max(np.abs(inner - expected)))
+def biorthogonality_residual(coeffs: np.ndarray, gramian: np.ndarray) -> float:
+    """max over the window of |<g_k, f_j> - delta_{k,j}| = |C M - I|."""
+    product = coeffs @ gramian
+    return float(np.max(np.abs(product - np.eye(len(product)))))
 
 
-def dual_envelope(ds: DualSystem, k, t: float, grid: Grid,
+def gram_duals_check(coeffs: np.ndarray, gramian: np.ndarray, core_pos) -> float:
+    """max over core pairs of |<g_k, g_j> - c_{k,j}| = |(C M C - C)_core|."""
+    inner = coeffs[core_pos] @ gramian @ coeffs[:, core_pos]
+    return float(np.max(np.abs(inner - coeffs[np.ix_(core_pos, core_pos)])))
+
+
+def dual_envelope(samples: np.ndarray, k, t: float, grid: Grid,
                   method: str = "max-envelope") -> EnvelopeFit:
-    """Envelope of a synthesized dual around its node at exponent t."""
+    """Envelope at exponent t of the samples of the dual at node k."""
     node = tuple(int(c) for c in np.atleast_1d(k))
-    if node not in ds.duals:
-        raise ValueError(f"dual for node {node} has not been synthesized")
     if grid.R - max(abs(c) for c in node) < 8.0 - 1e-9:
         raise ValueError("grid must cover |x - k| <= 8 around the node")
     radii = axes_max_norm(grid.offsets(node))
-    return fit_envelope(ds.duals[node], radii, t, method=method)
-
-
-def gram_duals_check(ds: DualSystem, grid: Grid) -> float:
-    """max over core pairs of |<g_k, g_j> - c_{k,j}| by quadrature."""
-    nodes = [n for n in ds.core_nodes() if n in ds.duals]
-    if not nodes:
-        raise ValueError("no synthesized duals to check")
-    G = np.stack([ds.duals[n] for n in nodes])
-    inner = (G @ G.T) * grid.weight
-    pos = np.array([ds.window.index_of(n) for n in nodes])
-    return float(np.max(np.abs(inner - ds.coeffs[np.ix_(pos, pos)])))
+    return fit_envelope(samples, radii, t, method=method)
 
 
 def coefficient_decay_fit(ds: DualSystem, node=None) -> EnvelopeFit:

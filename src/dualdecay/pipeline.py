@@ -140,6 +140,7 @@ class FamilyResult:
     envelope_ordered: bool      # envelope constants nondecreasing in the exponent
     offdiag: lat.EnvelopeFit
     dual_system: du.DualSystem
+    duals: dict                 # core node -> samples of its dual on the grid
     gramian: gr.DecayMatrix
     elapsed: float
 
@@ -199,11 +200,13 @@ def gramian_sections(basis: lat.BasisSet, settings: RunSettings):
     return secs, gr.riesz_bounds(secs, rtol=settings.tolerances["riesz_rtol"])
 
 
-def dual_system(basis: lat.BasisSet, secs: list, settings: RunSettings):
-    """Dual system of `basis` with every core dual synthesized, and its
-    biorthogonality residual."""
+def dual_system(secs: list, settings: RunSettings):
+    """Dual system of the nested sections `secs`, with its biorthogonality
+    and dual-Gramian residuals."""
     ds = du.invert_section(secs, tol=settings.tolerances["inversion"])
-    return ds, du.biorthogonality_residual(ds, basis, settings.grid())
+    M = secs[-1].entries
+    return (ds, du.biorthogonality_residual(ds.coeffs, M),
+            du.gram_duals_check(ds.coeffs, M, ds.core_positions()))
 
 
 def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
@@ -225,17 +228,17 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
 
     secs, riesz = gramian_sections(basis, settings)
     M = secs[-1]
-    ds, biorth = dual_system(basis, secs, settings)
-    gram_res = du.gram_duals_check(ds, grid)
+    ds, biorth, gram_res = dual_system(secs, settings)
     dual_norm, lam_core = core_norms(ds.core_block())
+    duals = {node: du.synthesize_dual(ds, basis, node, grid) for node in ds.core_nodes()}
 
     envelope_rows = []
     D_emp = 0.0
-    for node in ds.core_nodes():
+    for node, samples in duals.items():
         # the log-log regression does not depend on the exponent u
-        reg = du.dual_envelope(ds, node, float(t), grid, method="loglog-regression")
+        reg = du.dual_envelope(samples, node, float(t), grid, method="loglog-regression")
         for u in dict.fromkeys((float(t), float(s))):
-            fit = du.dual_envelope(ds, node, u, grid)
+            fit = du.dual_envelope(samples, node, u, grid)
             envelope_rows.append((node, u, fit.constant, reg.exponent))
             if u == float(t):
                 D_emp = max(D_emp, fit.constant)
@@ -266,7 +269,7 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         schur_ratio=schur_ratio, schur_M=gr.schur_bound(M),
         spectral_M=gr.spectral_norm(M), W_value=W_value,
         covariance_err=covariance_err, envelope_ordered=envelope_ordered,
-        offdiag=offdiag, dual_system=ds, gramian=M,
+        offdiag=offdiag, dual_system=ds, duals=duals, gramian=M,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -363,6 +366,18 @@ def interlacing(family: str, radii, lam_min, lam_max, tol: dict) -> Verdict:
     return Verdict(f"{family}.interlacing", ok, 0.0, eps, f"radii {tuple(radii)}")
 
 
+def biorthogonality(family: str, residual: float, tol: dict) -> Verdict:
+    """max |C M - I|, i.e. |<g_k, f_j> - delta_{k,j}|, under tolerance."""
+    return Verdict(f"{family}.biorthogonality", residual < tol["biorthogonality"],
+                   residual, tol["biorthogonality"])
+
+
+def gram_duals(family: str, residual: float, tol: dict) -> Verdict:
+    """max |(C M C - C)_core|, i.e. |<g_k, g_j> - c_{k,j}|, under tolerance."""
+    return Verdict(f"{family}.gram_duals", residual < tol["biorthogonality"],
+                   residual, tol["biorthogonality"])
+
+
 def core_norms(block: np.ndarray) -> tuple:
     """(max_k ||g_k||^2, lambda_max) of a core block of dual coefficients."""
     return float(np.max(np.diag(block))), float(np.linalg.eigvalsh(block)[-1])
@@ -397,8 +412,7 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
 
     for r in results:
         pre = f"{r.name}."
-        add(pre + "biorthogonality", r.biorth_residual < tol["biorthogonality"],
-            r.biorth_residual, tol["biorthogonality"])
+        verdicts.append(biorthogonality(r.name, r.biorth_residual, tol))
         verdicts.append(dual_norm_bound(r.name, r.dual_norm_max, r.A_est, tol))
         verdicts.append(inverse_norm_bound(r.name, r.lam_max_core, r.A_est, tol))
         verdicts.append(interlacing(r.name, r.riesz.radii, r.riesz.lambda_min,
@@ -416,8 +430,7 @@ def _build_verdicts(settings, results, E_cal, schur_constant, recursion, convolu
             add(pre + "inverse_decay_exponent", r.inverse_decay.exponent >= settings.t,
                 r.inverse_decay.exponent, settings.t,
                 f"shell regression over core radius {r.core_radius}")
-        add(pre + "gram_duals", r.gram_duals_residual < tol["biorthogonality"],
-            r.gram_duals_residual, tol["biorthogonality"])
+        verdicts.append(gram_duals(r.name, r.gram_duals_residual, tol))
         add(pre + "translation_covariance", r.covariance_err <= 1e-14,
             r.covariance_err, 1e-14)
         add(pre + "envelope_consistency", r.envelope_ordered, 0.0, 0.0,

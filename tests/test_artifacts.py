@@ -76,7 +76,7 @@ def test_parallel_and_in_process_writers_write_identical_trees(request, tmp_path
         trees[cpus] = _tree(tmp_path / str(cpus))
     assert trees[1] == trees[3]
     limit = suite.settings.dual_export_radius
-    duals = sum(1 for fam in suite.families for node in fam.dual_system.duals
+    duals = sum(1 for fam in suite.families for node in fam.duals
                 if limit is None or max(map(abs, node)) <= limit)
     per_family = ("basis_k0.csv", "gramian.csv", "coeffs.csv", "eigens.csv", "envelopes.csv")
     assert len(trees[1]) == 4 + duals + len(per_family) * len(suite.families)

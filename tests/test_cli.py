@@ -354,6 +354,15 @@ def _null_A_est(text):
     return json.dumps(data)
 
 
+def _core_radius(value):
+    """An edit of report.json that sets families.bump.core_radius to `value`."""
+    def edit(text):
+        data = json.loads(text)
+        data["families"]["bump"]["core_radius"] = value
+        return json.dumps(data)
+    return edit
+
+
 def _text_passed(text):
     data = json.loads(text)
     data["invariants"][0]["passed"] = "yes"
@@ -373,9 +382,13 @@ def _text_passed(text):
     ("report.json", _text_passed, "entry 'invariants.0.passed' is not a bool: 'yes'"),
     ("bump/gramian.csv", _replace_line(5, lambda lines: lines[3]),
      "no matrix row for k j = '-12 -9', more than one for '-12 -10'"),
-], ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
-        "eigens-short-row", "nested-report-key", "nested-report-null",
-        "invariant-passed-text", "gramian-row-repeated"])
+] + [("report.json", _core_radius(value),
+      f"entry 'families.bump.core_radius' is not an integer in [0, 12]: {value!r}")
+     for value in (-1, 99, 1e300, 2.5)],
+    ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
+         "eigens-short-row", "nested-report-key", "nested-report-null",
+         "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
+         "core-radius-over-window", "core-radius-huge", "core-radius-fraction"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
     out = tmp_path / "out"
@@ -389,6 +402,28 @@ def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fr
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("config error:") and str(damaged) in line, line
     assert fragment in line, line
+
+
+def test_cli_run_verify_and_duals_stage_agree_on_residuals(mini_run, tmp_path, capsys):
+    out = re.search(r"(?m)^out = (.*)$", mini_run)[1]
+    report = json.load(open(os.path.join(out, "report.json")))
+    in_run = {v["name"]: v["value"] for v in report["invariants"]}
+    config = tmp_path / "mini.ini"
+    config.write_text(mini_run)
+    settings = cli.load_config(str(config))
+    checked = [v for v in artifacts.verify_artifacts(settings)
+               if v.name.endswith((".biorthogonality", ".gram_duals"))]
+    assert len(checked) == 2 * len(report["families"])
+    for v in checked:
+        assert v.value == in_run[v.name], v.name
+
+    capsys.readouterr()
+    assert cli.main(["duals", "--config", str(config), "--out", str(tmp_path / "duals")]) == 0
+    printed = {name: (float(biorth), float(gram)) for name, biorth, gram in re.findall(
+        r"duals stage: (\S+): core=\d+ biorthogonality=(\S+) gram_duals=(\S+)",
+        capsys.readouterr().out)}
+    assert printed == {name: (fam["biorthogonality_residual"], fam["gram_duals_residual"])
+                       for name, fam in report["families"].items()}
 
 
 @pytest.mark.parametrize("stage", ["report", "all"])

@@ -112,9 +112,8 @@ def test_coeffs_hermitian_and_core_block():
 
 def test_indicator_duals_are_the_basis():
     basis, _, ds = indicator_system()
-    g0, tail = du.synthesize_dual(ds, basis, 0, GRID, t=2)
+    g0 = du.synthesize_dual(ds, basis, 0, GRID)
     assert np.array_equal(g0, basis.sample(0, GRID))
-    assert tail >= 0.0
 
 
 def test_synthesis_outside_core_rejected():
@@ -125,18 +124,18 @@ def test_synthesis_outside_core_rejected():
 
 def test_scaling_halves_the_duals():
     basis, _, ds = gaussian_system()
-    g0, _ = du.synthesize_dual(ds, basis, 0, GRID)
+    g0 = du.synthesize_dual(ds, basis, 0, GRID)
     scaled = scaled_basis(basis, 2.0)
     secs = gr.sections(scaled, (4, 8, 12, 16), GRID)
     ds2 = du.invert_section(secs, tol=1e-8)
-    g0_scaled, _ = du.synthesize_dual(ds2, scaled, 0, GRID)
+    g0_scaled = du.synthesize_dual(ds2, scaled, 0, GRID)
     rel = np.max(np.abs(g0_scaled - 0.5 * g0)) / np.max(np.abs(g0))
     assert rel < 1e-10
 
 
 def test_gaussian_dual_matches_normal_equations_oracle():
     basis, _, ds = gaussian_system()
-    g0, _ = du.synthesize_dual(ds, basis, 0, GRID)
+    g0 = du.synthesize_dual(ds, basis, 0, GRID)
     # least-squares route over a much larger section
     big = lat.make_basis(basis.spec, lat.LatticeWindow(1, 64))
     grid_big = lat.Grid(h=1 / 64, R=72.0, d=1)
@@ -153,13 +152,13 @@ def test_gaussian_dual_matches_normal_equations_oracle():
 
 
 def test_indicator_biorthogonality_exact():
-    basis, _, ds = indicator_system()
-    assert du.biorthogonality_residual(ds, basis, GRID) < 1e-12
+    _, secs, ds = indicator_system()
+    assert du.biorthogonality_residual(ds.coeffs, secs[-1].entries) < 1e-12
 
 
 def test_gaussian_biorthogonality():
-    basis, _, ds = gaussian_system()
-    assert du.biorthogonality_residual(ds, basis, GRID) < 1e-6
+    _, secs, ds = gaussian_system()
+    assert du.biorthogonality_residual(ds.coeffs, secs[-1].entries) < 1e-6
 
 
 def test_truncated_coefficients_break_biorthogonality():
@@ -180,41 +179,43 @@ def test_truncated_coefficients_break_biorthogonality():
 
 def test_indicator_dual_envelope_bounded_by_four():
     basis, _, ds = indicator_system()
-    du.synthesize_dual(ds, basis, 0, GRID)
-    fit = du.dual_envelope(ds, 0, 2.0, GRID)
+    fit = du.dual_envelope(du.synthesize_dual(ds, basis, 0, GRID), 0, 2.0, GRID)
     assert fit.constant <= 4.0
     assert fit.constant == pytest.approx((1 + 63 / 64) ** 2, rel=1e-12)
 
 
 def test_dual_envelope_scales_inversely():
     basis, _, ds = gaussian_system()
-    du.synthesize_dual(ds, basis, 0, GRID)
-    base = du.dual_envelope(ds, 0, 2.0, GRID).constant
+    base = du.dual_envelope(du.synthesize_dual(ds, basis, 0, GRID), 0, 2.0, GRID).constant
     scaled = scaled_basis(basis, 2.0)
     ds2 = du.invert_section(gr.sections(scaled, (4, 8, 12, 16), GRID), tol=1e-8)
-    du.synthesize_dual(ds2, scaled, 0, GRID)
-    assert du.dual_envelope(ds2, 0, 2.0, GRID).constant == 0.5 * base
-
-
-def test_dual_envelope_requires_synthesis():
-    _, _, ds = gaussian_system()
-    with pytest.raises(ValueError, match="not been synthesized"):
-        du.dual_envelope(ds, 1, 2.0, GRID)
+    g0_scaled = du.synthesize_dual(ds2, scaled, 0, GRID)
+    assert du.dual_envelope(g0_scaled, 0, 2.0, GRID).constant == 0.5 * base
 
 
 # --- dual Gramian consistency -------------------------------------------------------
 
 
+def gram_duals_both_ways(basis, secs, ds) -> tuple:
+    """(quadrature, algebraic) max over core pairs of |<g_k, g_j> - c_{k,j}|:
+    the inner products of the synthesized duals taken by quadrature, and
+    gram_duals_check from the coefficients and the largest section."""
+    G = np.stack([du.synthesize_dual(ds, basis, node, GRID) for node in ds.core_nodes()])
+    pos = ds.core_positions()
+    quadrature = float(np.max(np.abs((G @ G.T) * GRID.weight - ds.coeffs[np.ix_(pos, pos)])))
+    return quadrature, du.gram_duals_check(ds.coeffs, secs[-1].entries, pos)
+
+
 def test_indicator_gram_duals_exact():
-    basis, _, ds = indicator_system()
-    du.biorthogonality_residual(ds, basis, GRID)  # synthesizes every core dual
-    assert du.gram_duals_check(ds, GRID) < 1e-12
+    quadrature, algebraic = gram_duals_both_ways(*indicator_system())
+    assert quadrature < 1e-12 and algebraic < 1e-12
+    assert abs(quadrature - algebraic) < 1e-13
 
 
 def test_gaussian_gram_duals():
-    basis, _, ds = gaussian_system()
-    du.biorthogonality_residual(ds, basis, GRID)
-    assert du.gram_duals_check(ds, GRID) < 1e-6
+    quadrature, algebraic = gram_duals_both_ways(*gaussian_system())
+    assert quadrature < 1e-6 and algebraic < 1e-6
+    assert abs(quadrature - algebraic) < 1e-13
 
 
 def test_doubled_gramian_gives_half_norms():
@@ -225,7 +226,7 @@ def test_doubled_gramian_gives_half_norms():
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     # indicator scaled by sqrt(2) has Gramian 2I; duals have squared norm 1/2
     basis = scaled_basis(lat.make_basis(spec, lat.LatticeWindow(1, 8)), math.sqrt(2.0))
-    g0, _ = du.synthesize_dual(ds, basis, 0, GRID)
+    g0 = du.synthesize_dual(ds, basis, 0, GRID)
     norm_sq = float(np.dot(g0, g0) * GRID.weight)
     assert norm_sq == pytest.approx(0.5, abs=1e-12)
     assert norm_sq == pytest.approx(ds.coefficient(0, 0), abs=1e-12)
@@ -248,9 +249,9 @@ def test_coefficient_tail_bound_needs_t_above_d():
 
 
 def test_synthesis_tail_estimate_decreases_away_from_edge():
-    basis, _, ds = bump_system()
-    _, tail0 = du.synthesize_dual(ds, basis, 0, GRID, t=2)
-    _, tail_edge = du.synthesize_dual(ds, basis, ds.core_radius, GRID, t=2)
+    _, _, ds = bump_system()
+    tail0 = du.coefficient_tail_bound(ds, 0, 2)[1]
+    tail_edge = du.coefficient_tail_bound(ds, ds.core_radius, 2)[1]
     assert 0.0 < tail0 < tail_edge
 
 
@@ -258,5 +259,5 @@ def test_synthesized_dual_bitwise_equals_fresh_rows():
     basis, _, ds = gaussian_system()
     rows = np.stack([m(GRID.points) for m in basis.members()])
     for k in (0, ds.core_radius):
-        g, _ = du.synthesize_dual(ds, basis, k, GRID)
+        g = du.synthesize_dual(ds, basis, k, GRID)
         assert np.array_equal(g, ds.coeffs[ds.window.index_of(k)] @ rows)
