@@ -10,12 +10,12 @@ from .constants import (BoundCalibration, CalibrationCase, ECalibration, Recursi
                         calibrate_E, compute_W, recursion_trace,
                         theoretical_D, verify_convolution_discrete, w_sum)
 from .duals import (DualSystem, biorthogonality_residual, coefficient_decay_fit,
-                    dual_envelope, gram_duals_check, invert_section, synthesize_dual)
+                    gram_duals_check, invert_section, synthesize_dual)
 from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, HypothesisViolation,
                      InvariantFailure, NotRieszError, SingularSectionError)
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, inner_product,
                       offdiag_fit, riesz_bounds, schur_bound, sections, spectral_norm)
-from .lattice import (BasisSet, EnvelopeFit, GeneratorSpec, Grid, LatticeWindow,
-                      make_basis, measure_decay, validate_claimed_envelope)
+from .lattice import (BasisSet, EnvelopeFit, GeneratorSpec, Grid, LatticeWindow, fit_envelope,
+                      make_basis, measure_decay, radial_profile, validate_claimed_envelope)
 
 __version__ = "0.1.0"

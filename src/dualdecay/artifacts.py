@@ -241,7 +241,7 @@ def write_bounds(out_dir: str, lattice_sum_cal: dict, convolution: dict):
 def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
     """Every file of the `report` stage and, with `basis`, the basis exports
     of `all`, all in one pass of the writers."""
-    grid, limit = suite.settings.grid(), suite.settings.dual_export_radius
+    grid = suite.settings.grid()
     prefixes = _row_prefixes(grid)
     jobs = []
     if basis:
@@ -255,8 +255,7 @@ def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
                                _envelope_lines(fam.envelope_rows)))
         jobs += [_samples_job(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"),
                               grid.d, prefixes, samples)
-                 for node, samples in sorted(fam.duals.items())
-                 if limit is None or max(abs(c) for c in node) <= limit]
+                 for node, samples in sorted(fam.duals.items())]
     report = json.dumps(report_dict(suite), indent=2, sort_keys=True)
     _write_files(jobs + [_lines_job(os.path.join(out_dir, "constants.csv"),
                                     _constants_lines(suite)),

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularSectionError
 from .gramian import DecayMatrix
-from .lattice import (BasisSet, EnvelopeFit, Grid, LatticeWindow, axes_max_norm, fit_envelope,
-                      max_norm)
+from .lattice import BasisSet, EnvelopeFit, Grid, LatticeWindow, fit_envelope, radial_profile
 
 ROUNDOFF_FLOOR = 1e-13  # convergence estimates cannot resolve below this, relatively
 
@@ -123,25 +122,6 @@ def invert_section(sections_list, tol: float = 1e-8, min_core_radius: int = 1) -
     return DualSystem(window=big_win, coeffs=big, core_radius=core, convergence=conv)
 
 
-def coefficient_tail_bound(ds: DualSystem, k, t: int) -> tuple[float, float]:
-    """(alpha, lattice tail) for the synthesis mass dropped outside the window.
-
-    alpha is the measured coefficient envelope constant at exponent t; the
-    omitted coefficient mass is bounded by alpha * sum_{|m| > gap} (1+|m|)^(-t),
-    and the lattice tail is controlled by an integral comparison.
-    """
-    from .constants import lattice_tail_upper  # local import avoids a cycle
-
-    d = ds.window.d
-    if t <= d:
-        raise ValueError(f"tail arithmetic needs t > d, got t={t}, d={d}")
-    row = ds.coeffs[ds.window.index_of(k)]
-    sep = max_norm(ds.window.indices - np.asarray(np.atleast_1d(k)))
-    alpha = float(np.max(np.abs(row) * np.power(1.0 + sep, float(t))))
-    gap = ds.window.N - int(np.max(np.abs(np.atleast_1d(k))))
-    return alpha, alpha * lattice_tail_upper(float(t), d, max(gap, 1))
-
-
 def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid) -> np.ndarray:
     """Samples of g_k = sum_j c_{k,j} f_j on the grid.
 
@@ -169,16 +149,6 @@ def gram_duals_check(coeffs: np.ndarray, gramian: np.ndarray, core_pos) -> float
     return float(np.max(np.abs(inner - coeffs[np.ix_(core_pos, core_pos)])))
 
 
-def dual_envelope(samples: np.ndarray, k, t: float, grid: Grid,
-                  method: str = "max-envelope") -> EnvelopeFit:
-    """Envelope at exponent t of the samples of the dual at node k."""
-    node = tuple(int(c) for c in np.atleast_1d(k))
-    if grid.R - max(abs(c) for c in node) < 8.0 - 1e-9:
-        raise ValueError("grid must cover |x - k| <= 8 around the node")
-    radii = axes_max_norm(grid.offsets(node))
-    return fit_envelope(samples, radii, t, method=method)
-
-
 def coefficient_decay_fit(ds: DualSystem, node=None) -> EnvelopeFit:
     """Shell regression of |c_{k,j}| over |k-j| <= core radius.
 
@@ -187,13 +157,8 @@ def coefficient_decay_fit(ds: DualSystem, node=None) -> EnvelopeFit:
     """
     if node is None:
         node = (0,) * ds.window.d
-    row = ds.coeffs[ds.window.index_of(node)]
-    sep = max_norm(ds.window.indices - np.asarray(np.atleast_1d(node)))
-    maxima, shells = [], []
-    for r in range(ds.core_radius + 1):
-        mask = sep == r
-        if np.any(mask):
-            maxima.append(np.max(np.abs(row[mask])))
-            shells.append(float(r))
-    return fit_envelope(np.array(maxima), np.array(shells), 0.0,
+    offsets = (ds.window.indices - np.asarray(np.atleast_1d(node))).T
+    maxima, shells = radial_profile(ds.coeffs[ds.window.index_of(node)], offsets)
+    core = shells <= ds.core_radius
+    return fit_envelope(maxima[core], shells[core], 0.0,
                         method="loglog-regression", bin_width=1.0)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRieszError
-from .lattice import BasisSet, EnvelopeFit, Grid, LatticeWindow, Member, fit_envelope, max_norm
+from .lattice import (BasisSet, EnvelopeFit, Grid, LatticeWindow, Member, fit_envelope,
+                      radial_profile)
 
 
 def decay_integral(u: float, d: int) -> float:
@@ -71,7 +72,6 @@ class DecayMatrix:
     symmetric: bool = True
     quadrature_tail: float = 0.0
     asymmetry_residual: float = 0.0
-    decay_fit: EnvelopeFit | None = None
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries)
@@ -96,11 +96,6 @@ class DecayMatrix:
             raise ValueError(f"axis {axis} out of range 1..{self.window.d}")
         coords = self.window.indices[:, axis - 1].astype(float)
         return coords[:, None] - coords[None, :]
-
-    def separation(self) -> np.ndarray:
-        """Matrix of |k - j|_inf over the window."""
-        idx = self.window.indices
-        return max_norm(idx[:, None, :] - idx[None, :, :]).astype(float)
 
     def central_block(self, radius: int) -> "DecayMatrix":
         """Principal submatrix on the centered sub-window of given radius."""
@@ -308,11 +303,7 @@ def riesz_bounds(sections_list, rtol: float = 1e-6) -> RieszBounds:
 def offdiag_fit(L: DecayMatrix, u: float) -> EnvelopeFit:
     """Max-envelope constant K with |l_{k,j}| <= K (1+|k-j|)^(-u), plus a
     shell regression; banded matrices are flagged super-polynomial."""
-    sep = L.separation()
-    vals = np.abs(L.entries)
-    shells = np.arange(int(sep.max()) + 1)
-    maxima = np.array([vals[sep == r].max() if np.any(sep == r) else 0.0 for r in shells])
-    constant = float(np.max(maxima * np.power(1.0 + shells, u)))
-    reg = fit_envelope(maxima, shells.astype(float), u, method="loglog-regression",
-                       bin_width=1.0)
+    profile = radial_profile(L.entries, [L.node_diffs(h) for h in range(1, L.window.d + 1)])
+    constant = fit_envelope(*profile, u).constant
+    reg = fit_envelope(*profile, u, method="loglog-regression", bin_width=1.0)
     return EnvelopeFit(constant, reg.exponent, reg.residual, "max-envelope", flag=reg.flag)

@@ -200,6 +200,36 @@ def fit_envelope(values: np.ndarray, radii: np.ndarray, u: float,
     raise ValueError(f"unknown fit method {method!r}")
 
 
+def radial_profile(values: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
+    """(maxima, radii): the largest |value| on each distinct max-norm radius,
+    for samples at the per-axis offsets `ys`, a sequence of broadcastable
+    arrays as axes_max_norm takes them.
+
+    Shells are the exact distinct radii, and they come in the order of the
+    first sample that attains each shell's maximum. So fit_envelope of the
+    profile equals fit_envelope of all the samples against axes_max_norm(ys):
+    the max-envelope products are the same floats, and the regression keeps
+    the first sample at each bin's maximum. A radius is one of its sample's
+    axis distances, so its shell is the largest of their indices into the
+    sorted distinct distances; a grid is never searched point by point.
+    """
+    values = np.abs(np.asarray(values, dtype=float)).ravel()
+    dists = [np.abs(np.asarray(y, dtype=float)) for y in ys]
+    # sorted, not np.unique, which hashes: slower and more memory on a 1-D grid
+    ranked = np.sort(np.concatenate([x.ravel() for x in dists]))
+    shells = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    which = reduce(np.maximum, [np.searchsorted(shells, x) for x in dists]).ravel()
+    if values.shape != which.shape:
+        raise ValueError("values and offsets must have matching shapes")
+    maxima = np.full(shells.size, -np.inf)
+    np.maximum.at(maxima, which, values)
+    hits = np.flatnonzero(values == maxima[which])
+    first = np.full(shells.size, values.size)
+    np.minimum.at(first, which[hits], hits)
+    heads = np.sort(first[first < values.size])  # distances that are no radius drop out
+    return values[heads], shells[which[heads]]
+
+
 # ---------------------------------------------------------------------------
 # Generator families
 # ---------------------------------------------------------------------------
@@ -415,8 +445,8 @@ class BasisSet:
     def sample_matrix(self, grid: Grid) -> np.ndarray:
         """sample_all(grid), built once per grid and shared read-only.
 
-        Assembly, dual synthesis and the biorthogonality check all read this
-        one matrix, so a family is sampled once however many duals it has.
+        Assembly and dual synthesis both read this one matrix, so a family
+        is sampled once however many duals it has.
         """
         if self._sampled is None or self._sampled[0] != grid:
             samples = self.sample_all(grid)
@@ -444,9 +474,10 @@ def make_basis(spec: GeneratorSpec, window: LatticeWindow) -> BasisSet:
     return BasisSet(spec, window)
 
 
-def measure_decay(basis: BasisSet, k, grid: Grid, u: float,
-                  method: str = "max-envelope") -> EnvelopeFit:
-    """Envelope of |f_k| against the max-norm distance to node k.
+def measure_decay(values: np.ndarray, k, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """radial_profile of the grid samples `values` of a function against the
+    max-norm distance to node k; every envelope of the function is a
+    fit_envelope of this profile.
 
     The grid must cover at least |x - k| <= 8 so that the envelope is
     probed well beyond the unit cell.
@@ -454,25 +485,25 @@ def measure_decay(basis: BasisSet, k, grid: Grid, u: float,
     node = np.asarray(np.atleast_1d(k), dtype=float)
     if grid.R - np.max(np.abs(node)) < 8.0 - 1e-9:
         raise ValueError("grid must cover |x - k| <= 8 around the node")
-    values = basis.sample(k, grid)
-    radii = axes_max_norm(grid.offsets(node))
-    return fit_envelope(values, radii, u, method=method)
+    return radial_profile(values, grid.offsets(node))
 
 
 def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):
     """Measured envelope constants at claimed_s, checked against claimed_C.
 
-    Returns {node: measured_constant}; raises if any member exceeds its claim.
+    Returns {node: (measured constant, measure_decay profile)} for the origin
+    and each perturbed node; raises if any member exceeds its claim.
     """
     spec = basis.spec
     nodes = [(0,) * spec.d] + [node for node, _ in spec.perturbations]
     measured = {}
     for node in dict.fromkeys(nodes):
-        fit = measure_decay(basis, node, grid, spec.claimed_s)
-        measured[node] = fit.constant
+        profile = measure_decay(basis.sample(node, grid), node, grid)
+        constant = fit_envelope(*profile, spec.claimed_s).constant
+        measured[node] = constant, profile
         bound = abs(basis.amplitude) * spec.claimed_C
-        if fit.constant > bound * (1.0 + rtol):
+        if constant > bound * (1.0 + rtol):
             raise EnvelopeClaimError(
-                f"measured envelope constant {fit.constant:.6g} at node {node} "
+                f"measured envelope constant {constant:.6g} at node {node} "
                 f"exceeds claimed {bound:.6g}")
     return measured

@@ -140,7 +140,7 @@ class FamilyResult:
     envelope_ordered: bool      # envelope constants nondecreasing in the exponent
     offdiag: lat.EnvelopeFit
     dual_system: du.DualSystem
-    duals: dict                 # core node -> samples of its dual on the grid
+    duals: dict                 # exported core node -> samples of its dual on the grid
     gramian: gr.DecayMatrix
     elapsed: float
 
@@ -181,17 +181,19 @@ class SuiteResult:
 
 
 def measure_basis(fam: FamilySettings, settings: RunSettings):
-    """(basis, rows, origin samples) of `fam` on the largest window, validated
-    against its claimed envelope; one row (node, measured C at the claimed s,
-    regression exponent) for the origin and each perturbed node."""
+    """(basis, rows, origin samples, origin profile) of `fam` on the largest
+    window, validated against its claimed envelope; one row (node, measured C
+    at the claimed s, regression exponent) for the origin and each perturbed
+    node, and the origin's measure_decay profile."""
     grid = settings.grid()
+    origin = (0,) * settings.d
     basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
     measured = lat.validate_claimed_envelope(basis, grid,
                                              rtol=settings.tolerances["claimed_rtol"])
-    rows = [(node, C, lat.measure_decay(basis, node, grid, fam.spec.claimed_s,
-                                        method="loglog-regression").exponent)
-            for node, C in measured.items()]
-    return basis, rows, basis.sample((0,) * settings.d, grid)
+    rows = [(node, C, lat.fit_envelope(*profile, fam.spec.claimed_s,
+                                       method="loglog-regression").exponent)
+            for node, (C, profile) in measured.items()]
+    return basis, rows, basis.sample(origin, grid), measured[origin][1]
 
 
 def gramian_sections(basis: lat.BasisSet, settings: RunSettings):
@@ -217,12 +219,13 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     tol = settings.tolerances
     origin = (0,) * settings.d
 
-    basis, basis_rows, basis_k0 = measure_basis(fam, settings)
+    basis, basis_rows, basis_k0, k0_profile = measure_basis(fam, settings)
     C_meas = max(C for _, C, _ in basis_rows)
     if fam.spec.perturbations:
         bare = replace(fam.spec, perturbations=())
         bare_basis = lat.make_basis(bare, lat.LatticeWindow(settings.d, 0))
-        C_base = lat.measure_decay(bare_basis, origin, grid, s).constant
+        bare_profile = lat.measure_decay(bare_basis.sample(origin, grid), origin, grid)
+        C_base = lat.fit_envelope(*bare_profile, s).constant
     else:
         C_base = C_meas
 
@@ -230,15 +233,19 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     M = secs[-1]
     ds, biorth, gram_res = dual_system(secs, settings)
     dual_norm, lam_core = core_norms(ds.core_block())
-    duals = {node: du.synthesize_dual(ds, basis, node, grid) for node in ds.core_nodes()}
 
-    envelope_rows = []
-    D_emp = 0.0
-    for node, samples in duals.items():
+    # each dual is profiled once; only the exported ones keep their samples
+    limit = settings.dual_export_radius
+    duals, envelope_rows, D_emp = {}, [], 0.0
+    for node in ds.core_nodes():
+        samples = du.synthesize_dual(ds, basis, node, grid)
+        profile = lat.measure_decay(samples, node, grid)
+        if limit is None or max(abs(c) for c in node) <= limit:
+            duals[node] = samples
         # the log-log regression does not depend on the exponent u
-        reg = du.dual_envelope(samples, node, float(t), grid, method="loglog-regression")
+        reg = lat.fit_envelope(*profile, float(t), method="loglog-regression")
         for u in dict.fromkeys((float(t), float(s))):
-            fit = du.dual_envelope(samples, node, u, grid)
+            fit = lat.fit_envelope(*profile, u)
             envelope_rows.append((node, u, fit.constant, reg.exponent))
             if u == float(t):
                 D_emp = max(D_emp, fit.constant)
@@ -248,11 +255,15 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     schur_worst = max(gr.schur_bound(gr.apply_derivation(M, 1, u)) for u in range(t + 1))
     schur_ratio = schur_worst / (C_meas**2 * W_value)
 
-    alpha_t = max(du.coefficient_tail_bound(ds, node, t)[0] for node in ds.core_nodes())
+    # the largest envelope constant of a core row: one profile of all core rows
+    core, coeffs = ds.core_positions(), ds.coefficient_matrix()
+    offsets = [coeffs.node_diffs(h)[core] for h in range(1, settings.d + 1)]
+    alpha_t = lat.fit_envelope(*lat.radial_profile(coeffs.entries[core], offsets),
+                               float(t)).constant
 
     covariance_err = _translation_covariance(basis, grid)
     # the fit at u = s is the origin's basis row
-    env_consts = [lat.measure_decay(basis, origin, grid, u).constant
+    env_consts = [lat.fit_envelope(*k0_profile, u).constant
                   for u in (s / 2, 0.75 * s)] + [basis_rows[0][1]]
     envelope_ordered = all(a <= b * (1 + 1e-14)
                            for a, b in zip(env_consts, env_consts[1:]))

@@ -75,11 +75,19 @@ def test_parallel_and_in_process_writers_write_identical_trees(request, tmp_path
         assert len(forks) == cpus - 1  # one process writes, in-process, with one CPU
         trees[cpus] = _tree(tmp_path / str(cpus))
     assert trees[1] == trees[3]
-    limit = suite.settings.dual_export_radius
-    duals = sum(1 for fam in suite.families for node in fam.duals
-                if limit is None or max(map(abs, node)) <= limit)
+    duals = sum(len(fam.duals) for fam in suite.families)
     per_family = ("basis_k0.csv", "gramian.csv", "coeffs.csv", "eigens.csv", "envelopes.csv")
     assert len(trees[1]) == 4 + duals + len(per_family) * len(suite.families)
+
+
+def test_only_exported_duals_keep_their_samples(d2_suite_export_0, tmp_path):
+    artifacts.write_suite(str(tmp_path), d2_suite_export_0)
+    for fam in d2_suite_export_0.families:
+        assert list(fam.duals) == [(0, 0)]
+        with open(tmp_path / fam.name / "envelopes.csv") as fh:
+            labels = {line.split(",")[0] for line in fh.read().splitlines()[1:]}
+        core = fam.dual_system.core_nodes()
+        assert len(core) == 9 and labels == {artifacts._node_label(k) for k in core}
 
 
 def _job(path, rows: int, write=artifacts._write_lines):

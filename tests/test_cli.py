@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdecay import artifacts, cli
+from dualdecay import duals as du
 from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
@@ -254,17 +255,34 @@ def _recorder(monkeypatch, module, name) -> list:
 
 
 def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys):
-    path, _ = mini_config
+    path, out = mini_config
     sections = _recorder(monkeypatch, gr, "sections")
     assert cli.main(["duals", "--config", path]) == 0
     assert len(sections) == 3  # one assembly per family
 
     validations = _recorder(monkeypatch, lat, "validate_claimed_envelope")
-    fits = _recorder(monkeypatch, lat, "measure_decay")
+    profiles = _recorder(monkeypatch, lat, "measure_decay")
+    n_points = cli.load_config(path).grid().n_points
+    # the number of samples each shell-maximum or envelope pass reads
+    passes = {"radial_profile": [], "fit_envelope": []}
+
+    def sizing(real, sizes):
+        def call(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return real(values, *args, **kwargs)
+        return call
+
+    for module in (lat, du, gr):
+        for name, sizes in passes.items():
+            monkeypatch.setattr(module, name, sizing(getattr(module, name), sizes))
     assert cli.main(["all", "--config", path]) == 0
     assert len(validations) == 3
-    # per family: the validated fit, its regression and two more exponents
-    assert len(fits) == len(set(fits)) == 12
+    with open(os.path.join(out, "report.json")) as fh:
+        cores = [fam["core_radius"] for fam in json.load(fh)["families"].values()]
+    # per family: one profile of the validated origin and one per core dual
+    assert len(profiles) == sum(1 + (2 * c + 1) for c in cores)
+    assert passes["radial_profile"].count(n_points) == len(profiles)
+    assert max(passes["fit_envelope"]) < n_points
     capsys.readouterr()
 
 

@@ -177,20 +177,25 @@ def test_truncated_coefficients_break_biorthogonality():
 # --- dual envelopes ---------------------------------------------------------------
 
 
+def dual_envelope(samples, k, u) -> lat.EnvelopeFit:
+    """Envelope at exponent u of the dual at node k, from its profile."""
+    return lat.fit_envelope(*lat.measure_decay(samples, k, GRID), u)
+
+
 def test_indicator_dual_envelope_bounded_by_four():
     basis, _, ds = indicator_system()
-    fit = du.dual_envelope(du.synthesize_dual(ds, basis, 0, GRID), 0, 2.0, GRID)
+    fit = dual_envelope(du.synthesize_dual(ds, basis, 0, GRID), 0, 2.0)
     assert fit.constant <= 4.0
     assert fit.constant == pytest.approx((1 + 63 / 64) ** 2, rel=1e-12)
 
 
 def test_dual_envelope_scales_inversely():
     basis, _, ds = gaussian_system()
-    base = du.dual_envelope(du.synthesize_dual(ds, basis, 0, GRID), 0, 2.0, GRID).constant
+    base = dual_envelope(du.synthesize_dual(ds, basis, 0, GRID), 0, 2.0).constant
     scaled = scaled_basis(basis, 2.0)
     ds2 = du.invert_section(gr.sections(scaled, (4, 8, 12, 16), GRID), tol=1e-8)
     g0_scaled = du.synthesize_dual(ds2, scaled, 0, GRID)
-    assert du.dual_envelope(g0_scaled, 0, 2.0, GRID).constant == 0.5 * base
+    assert dual_envelope(g0_scaled, 0, 2.0).constant == 0.5 * base
 
 
 # --- dual Gramian consistency -------------------------------------------------------
@@ -240,19 +245,6 @@ def test_bump_coefficient_decay_exponent():
     fit = du.coefficient_decay_fit(ds)
     assert ds.core_radius >= 4
     assert fit.exponent >= 2.0
-
-
-def test_coefficient_tail_bound_needs_t_above_d():
-    _, _, ds = gaussian_system()
-    with pytest.raises(ValueError, match="t > d"):
-        du.coefficient_tail_bound(ds, 0, 1)
-
-
-def test_synthesis_tail_estimate_decreases_away_from_edge():
-    _, _, ds = bump_system()
-    tail0 = du.coefficient_tail_bound(ds, 0, 2)[1]
-    tail_edge = du.coefficient_tail_bound(ds, ds.core_radius, 2)[1]
-    assert 0.0 < tail0 < tail_edge
 
 
 def test_synthesized_dual_bitwise_equals_fresh_rows():

@@ -149,11 +149,12 @@ def test_dual_regression_fitted_once_per_core_node(monkeypatch):
         return real(values, radii, u, method=method, bin_width=bin_width)
 
     monkeypatch.setattr(du, "fit_envelope", counting)
+    monkeypatch.setattr(lat, "fit_envelope", counting)
     settings = suite_settings(16, (4, 8, 12, 16))
     result = pl.run_family(settings.families[1], settings)
     nodes = result.dual_system.core_nodes()
-    # one regression per core dual, plus the coefficient decay fit
-    assert methods.count("loglog-regression") == len(nodes) + 1
+    # one regression per core dual and per basis row, plus the coefficient decay fit
+    assert methods.count("loglog-regression") == len(nodes) + len(result.basis_rows) + 1
     exponents = {}
     for node, _, _, exponent in result.envelope_rows:
         exponents.setdefault(node, []).append(exponent)
