@@ -14,7 +14,7 @@ from .duals import (DualSystem, biorthogonality_residual, coefficient_decay_fit,
 from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, HypothesisViolation,
                      InvariantFailure, NotRieszError, SingularSectionError)
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, inner_product,
-                      offdiag_fit, riesz_bounds, schur_bound, sections, spectral_norm)
+                      offdiag_fit, riesz_bounds, schur_bound, sections)
 from .lattice import (BasisSet, EnvelopeFit, GeneratorSpec, Grid, LatticeWindow, fit_envelope,
                       make_basis, measure_decay, radial_profile, validate_claimed_envelope)
 

@@ -364,10 +364,7 @@ def report_dict(suite: SuiteResult) -> dict:
             "coefficient_envelope_alpha": fam.alpha_t,
             "schur_ratio_gramian": fam.schur_ratio,
             "schur_norm_gramian": fam.schur_M,
-            "spectral_norm_gramian": fam.spectral_M,
             "W_value": fam.W_value,
-            "translation_covariance_err": fam.covariance_err,
-            "envelope_consistency": fam.envelope_ordered,
             "offdiag_constant": fam.offdiag.constant,
             "offdiag_exponent": _finite(fam.offdiag.exponent),
             "recursion_measured": suite.recursion[fam.name][0],
@@ -392,7 +389,6 @@ def report_dict(suite: SuiteResult) -> dict:
                           "scan_radius": c.scan_radius}
                          for c in cals]
                 for d, cals in suite.convolution.items()},
-            "w_honesty": list(suite.w_honesty),
         },
         "invariants": [{"name": v.name, "passed": v.passed, "value": v.value,
                         "threshold": v.threshold, "detail": v.detail}

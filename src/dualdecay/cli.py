@@ -162,7 +162,7 @@ def _stage_families(settings: pl.RunSettings, stage: str):
     then write what was computed, also when a dual residual failed."""
     computed, failure = [], None
     for fam in settings.families:
-        basis, rows, k0, _ = pl.measure_basis(fam, settings)
+        basis, rows, k0 = pl.measure_basis(fam, settings)
         gramian = riesz = coeffs = None
         if stage != "basis":
             secs, riesz = pl.gramian_sections(basis, settings)

@@ -111,11 +111,6 @@ class WSum:
     u: float
     d: int
 
-    @property
-    def tail_bound(self) -> float:
-        """Twice the error bound; moving the cutoff moves the value by less."""
-        return 2.0 * self.error_bound
-
 
 def w_sum(u: float, d: int, tol: float = 1e-10, radius: int | None = None) -> WSum:
     """W_u = sum_k (1+|k|)^(-u) over Z^d, to within tol.

@@ -252,11 +252,6 @@ def schur_bound(L: DecayMatrix) -> float:
     return float(max(np.max(a.sum(axis=1)), np.max(a.sum(axis=0))))
 
 
-def spectral_norm(L: DecayMatrix) -> float:
-    """Dense 2-norm, used only to cross-check the Schur bound."""
-    return float(np.linalg.norm(L.entries, 2))
-
-
 @dataclass(frozen=True)
 class RieszBounds:
     """Two-sided stability bounds estimated from nested section eigenvalues.
@@ -306,4 +301,4 @@ def offdiag_fit(L: DecayMatrix, u: float) -> EnvelopeFit:
     profile = radial_profile(L.entries, [L.node_diffs(h) for h in range(1, L.window.d + 1)])
     constant = fit_envelope(*profile, u).constant
     reg = fit_envelope(*profile, u, method="loglog-regression", bin_width=1.0)
-    return EnvelopeFit(constant, reg.exponent, reg.residual, "max-envelope", flag=reg.flag)
+    return EnvelopeFit(constant, reg.exponent, "max-envelope", flag=reg.flag)

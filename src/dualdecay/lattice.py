@@ -151,13 +151,12 @@ class EnvelopeFit:
     For fit_method="max-envelope", `constant` is the least c with
     |f(x)| <= c (1+r)^(-exponent) over all samples (r = max-norm radius).
     For fit_method="loglog-regression", `exponent` is the fitted decay
-    rate of binned radial maxima and `residual` the rms log10 misfit; a
-    fitted constant past the float range is inf, flagged "overflow".
+    rate of binned radial maxima; a fitted constant past the float range
+    is inf, flagged "overflow".
     """
 
     constant: float
     exponent: float
-    residual: float
     fit_method: str
     flag: str = ""
 
@@ -171,9 +170,9 @@ def fit_envelope(values: np.ndarray, radii: np.ndarray, u: float,
         raise ValueError("values and radii must have matching shapes")
     if method == "max-envelope":
         if not np.any(values > 0):
-            return EnvelopeFit(0.0, u, 0.0, method, flag="all-zero")
+            return EnvelopeFit(0.0, u, method, flag="all-zero")
         constant = float(np.max(values * np.power(1.0 + radii, u)))
-        return EnvelopeFit(constant, u, 0.0, method)
+        return EnvelopeFit(constant, u, method)
     if method == "loglog-regression":
         # bin by radius (radii >= 0), regress log(shell max) on log(1+r) at the
         # first point of each bin that attains the bin's maximum
@@ -189,14 +188,13 @@ def fit_envelope(values: np.ndarray, radii: np.ndarray, u: float,
         ys = [math.log(v) for v in values[heads].tolist()]
         if len(xs) < 3:
             flag = "all-zero" if not np.any(values > 0) else "super-polynomial"
-            return EnvelopeFit(0.0, math.inf, 0.0, method, flag=flag)
+            return EnvelopeFit(0.0, math.inf, method, flag=flag)
         slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
-        resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.array(ys)) ** 2)))
         try:
             constant, flag = math.exp(intercept), ""
         except OverflowError:   # a steep fit's intercept is past the float range
             constant, flag = math.inf, "overflow"
-        return EnvelopeFit(constant, float(-slope), resid, method, flag=flag)
+        return EnvelopeFit(constant, float(-slope), method, flag=flag)
     raise ValueError(f"unknown fit method {method!r}")
 
 

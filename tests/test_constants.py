@@ -92,7 +92,7 @@ def test_w_tail_honesty_under_radius_doubling():
         ws = cst.w_sum(u, d, tol=1e-10)
         doubled = cst.w_sum(u, d, tol=1e-10, radius=2 * ws.radius)
         assert doubled.radius == 2 * ws.radius
-        assert abs(doubled.value - ws.value) < ws.tail_bound, (u, d)
+        assert abs(doubled.value - ws.value) < 2 * ws.error_bound, (u, d)
 
 
 def shifted_shell_coeffs(d):

@@ -232,13 +232,16 @@ def test_schur_bound_approaches_lattice_sum():
     assert bound == pytest.approx(W2, abs=0.02)
 
 
-def test_schur_dominates_spectral_norm():
+def test_schur_dominates_spectral_norm(d1_suite):
     rng = np.random.default_rng(321)
     win = lat.LatticeWindow(1, 4)
-    for _ in range(50):
-        m = rng.standard_normal((9, 9))
-        M = gr.DecayMatrix(win, 0.5 * (m + m.T))
-        assert gr.schur_bound(M) >= gr.spectral_norm(M) - 1e-10
+    sections = [gr.DecayMatrix(win, 0.5 * (m + m.T))
+                for m in rng.standard_normal((50, 9, 9))]
+    for M in sections + [fam.gramian for fam in d1_suite.families]:
+        assert gr.schur_bound(M) >= np.linalg.norm(M.entries, 2) - 1e-10
+    # lambda_min <= lambda_max <= ||M||_2 <= schur(M) on each largest section
+    for fam in d1_suite.families:
+        assert fam.A_est <= gr.schur_bound(fam.gramian), fam.name
 
 
 # --- Riesz bounds ----------------------------------------------------------------

@@ -159,6 +159,17 @@ def test_translation_covariance_zero_perturbations():
         shifted = basis.evaluate(2, x)
         reference = basis.evaluate(0, x - 2.0)
         assert np.array_equal(shifted, reference)
+    # d=2: the axis-by-axis samples of a shifted member against the dense
+    # evaluation of the origin's member at shifted points
+    grid = lat.Grid(h=1 / 8, R=4.0, d=2)
+    for family, params in [("polynomial-bump", {"s": 6.0}),
+                           ("gaussian", {"sigma": 0.5}),
+                           ("bspline-indicator", {})]:
+        spec = lat.GeneratorSpec(family, 2, 64.0, 6.0, params=params)
+        basis = lat.make_basis(spec, lat.LatticeWindow(2, 1))
+        shifted = basis.member((1, 0)).sample(grid)
+        reference = basis.member((0, 0))(grid.points - np.array([1.0, 0.0]))
+        assert np.array_equal(shifted, reference), family
 
 
 def test_two_dimensional_evaluation():
@@ -211,12 +222,20 @@ def test_gaussian_envelope_and_regression():
     assert reg.exponent >= 5.0
 
 
-def test_envelope_consistency_in_exponent():
+def test_envelope_consistency_in_exponent(d1_suite):
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
     grid = lat.Grid(h=0.05, R=8.0, d=1)
     consts = [member_fit(basis, 0, grid, u).constant for u in (1.0, 2.0, 3.0, 5.0)]
     assert all(a <= b + 1e-15 for a, b in zip(consts, consts[1:]))
+    # the origin member of each run family, up to its claimed s
+    grid = d1_suite.settings.grid()
+    for fam in d1_suite.families:
+        s = fam.spec.claimed_s
+        profile = lat.measure_decay(fam.basis_k0, (0,), grid)
+        consts = [lat.fit_envelope(*profile, u).constant for u in (s / 2, 0.75 * s, s)]
+        assert consts[-1] == fam.basis_rows[0][1], fam.name
+        assert all(a <= b * (1 + 1e-14) for a, b in zip(consts, consts[1:])), fam.name
 
 
 def test_measure_decay_requires_coverage():
@@ -254,15 +273,14 @@ def loop_loglog_fit(values, radii, u, bin_width):
     method = "loglog-regression"
     if len(xs) < 3:
         flag = "all-zero" if not np.any(values > 0) else "super-polynomial"
-        return lat.EnvelopeFit(0.0, math.inf, 0.0, method, flag=flag)
+        return lat.EnvelopeFit(0.0, math.inf, method, flag=flag)
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
-    resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.array(ys)) ** 2)))
     try:
         constant = math.exp(intercept)
     except OverflowError as exc:
-        exc.exponent, exc.residual = float(-slope), resid
+        exc.exponent = float(-slope)
         raise
-    return lat.EnvelopeFit(constant, float(-slope), resid, method)
+    return lat.EnvelopeFit(constant, float(-slope), method)
 
 
 # few distinct values and radii on a coarse lattice, so bins hold ties and gaps
@@ -285,8 +303,8 @@ def test_loglog_fit_matches_per_bin_loop(pairs, bin_width, all_zero):
         expected = loop_loglog_fit(values, radii, 5.0, bin_width)
     except OverflowError as exc:
         # where the loop's intercept overflows math.exp, the fit keeps its
-        # exponent and residual and flags the infinite constant
-        expected = lat.EnvelopeFit(math.inf, exc.exponent, exc.residual, "loglog-regression",
+        # exponent and flags the infinite constant
+        expected = lat.EnvelopeFit(math.inf, exc.exponent, "loglog-regression",
                                    flag="overflow")
     assert repr(fit) == repr(expected)
 
