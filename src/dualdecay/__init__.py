@@ -10,7 +10,8 @@ from .constants import (BoundCalibration, CalibrationCase, ECalibration, Recursi
                         calibrate_E, compute_W, recursion_trace,
                         theoretical_D, verify_convolution_discrete, w_sum)
 from .duals import (DualSystem, biorthogonality_residual, coefficient_decay_fit,
-                    gram_duals_check, invert_section, synthesize_dual)
+                    gram_duals_check, invert_section, synthesize_dual,
+                    synthesize_duals)
 from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, HypothesisViolation,
                      InvariantFailure, NotRieszError, SingularSectionError)
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, inner_product,

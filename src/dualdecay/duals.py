@@ -59,10 +59,6 @@ class DualSystem:
         sub = LatticeWindow(self.window.d, self.core_radius)
         return [tuple(int(c) for c in k) for k in sub.indices]
 
-    def in_core(self, k) -> bool:
-        k = np.atleast_1d(np.asarray(k, dtype=int))
-        return bool(np.max(np.abs(k)) <= self.core_radius)
-
     def coefficient_matrix(self) -> DecayMatrix:
         return DecayMatrix(self.window, self.coeffs, symmetric=True)
 
@@ -122,19 +118,28 @@ def invert_section(sections_list, tol: float = 1e-8, min_core_radius: int = 1) -
     return DualSystem(window=big_win, coeffs=big, core_radius=core, convergence=conv)
 
 
-def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid) -> np.ndarray:
-    """Samples of g_k = sum_j c_{k,j} f_j on the grid.
+def synthesize_duals(ds: DualSystem, basis: BasisSet, nodes, grid: Grid) -> np.ndarray:
+    """Samples of g_k = sum_j c_{k,j} f_j on the grid, one row per node k of
+    `nodes`, from one matrix product that reads the sample matrix once.
 
     Only core nodes have trusted coefficients; requesting any other node is
-    an error.
+    an error.  Over the core the result is never larger than the window x
+    grid sample matrix, whose size `check_sample_cap` bounds.
     """
-    if not ds.in_core(k):
+    ks = np.asarray(nodes, dtype=int).reshape(len(nodes), ds.window.d)
+    outside = np.flatnonzero(np.max(np.abs(ks), axis=1) > ds.core_radius)
+    if outside.size:
         raise ValueError(
-            f"node {tuple(np.atleast_1d(k))} outside stabilized core radius "
-            f"{ds.core_radius}; coefficients there are not trusted")
+            f"node {tuple(ks[outside[0]].tolist())} outside stabilized core "
+            f"radius {ds.core_radius}; coefficients there are not trusted")
     if basis.window.N != ds.window.N or basis.window.d != ds.window.d:
         raise ValueError("basis window must match the coefficient window")
-    return ds.coeffs[ds.window.index_of(k)] @ basis.sample_matrix(grid)
+    return ds.coeffs[ds.window.positions(ks)] @ basis.sample_matrix(grid)
+
+
+def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid) -> np.ndarray:
+    """Samples of the single dual g_k on the grid (see synthesize_duals)."""
+    return synthesize_duals(ds, basis, [k], grid)[0]
 
 
 def biorthogonality_residual(coeffs: np.ndarray, gramian: np.ndarray) -> float:

@@ -228,14 +228,15 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     ds, biorth, gram_res = dual_system(secs, settings)
     dual_norm, lam_core = core_norms(ds.core_block())
 
-    # each dual is profiled once; only the exported ones keep their samples
+    # all core duals come from one product and each is profiled once; the
+    # exported ones keep copies of their rows, so the block dies with the family
     limit = settings.dual_export_radius
+    nodes = ds.core_nodes()
     duals, envelope_rows, D_emp = {}, [], 0.0
-    for node in ds.core_nodes():
-        samples = du.synthesize_dual(ds, basis, node, grid)
+    for node, samples in zip(nodes, du.synthesize_duals(ds, basis, nodes, grid)):
         profile = lat.measure_decay(samples, node, grid)
         if limit is None or max(abs(c) for c in node) <= limit:
-            duals[node] = samples
+            duals[node] = samples.copy()
         # the log-log regression does not depend on the exponent u
         reg = lat.fit_envelope(*profile, float(t), method="loglog-regression")
         for u in dict.fromkeys((float(t), float(s))):

@@ -42,7 +42,7 @@ def test_c01_biorthogonality_runtime():
         ds = du.invert_section(secs, tol=1e-8)
         # <g_k, f_j> by quadrature over core k and window j
         nodes = ds.core_nodes()
-        G = np.stack([du.synthesize_dual(ds, basis, node, grid) for node in nodes])
+        G = du.synthesize_duals(ds, basis, nodes, grid)
         inner = (G @ basis.sample_all(grid).T) * grid.weight
         inner[np.arange(len(nodes)), [ds.window.index_of(node) for node in nodes]] -= 1.0
         residual = float(np.max(np.abs(inner)))

@@ -112,14 +112,28 @@ def test_coeffs_hermitian_and_core_block():
 
 def test_indicator_duals_are_the_basis():
     basis, _, ds = indicator_system()
-    g0 = du.synthesize_dual(ds, basis, 0, GRID)
-    assert np.array_equal(g0, basis.sample(0, GRID))
+    nodes = ds.core_nodes()
+    G = du.synthesize_duals(ds, basis, nodes, GRID)
+    assert np.array_equal(G, np.stack([basis.sample(k, GRID) for k in nodes]))
 
 
 def test_synthesis_outside_core_rejected():
     basis, _, ds = gaussian_system()
-    with pytest.raises(ValueError, match="outside stabilized core"):
-        du.synthesize_dual(ds, basis, ds.core_radius + 1, GRID)
+    outside = ds.core_radius + 1
+    message = rf"node \({outside},\) outside stabilized core radius {ds.core_radius}"
+    with pytest.raises(ValueError, match=message):
+        du.synthesize_dual(ds, basis, outside, GRID)
+    with pytest.raises(ValueError, match=message):
+        du.synthesize_duals(ds, basis, [(0,), (outside,), (-outside,)], GRID)
+
+
+@pytest.mark.parametrize("system", [gaussian_system, bump_system])
+def test_block_rows_match_single_duals(system):
+    basis, _, ds = system()
+    nodes = ds.core_nodes()
+    for node, row in zip(nodes, du.synthesize_duals(ds, basis, nodes, GRID)):
+        g = du.synthesize_dual(ds, basis, node, GRID)
+        assert np.max(np.abs(row - g)) <= 1e-14 * np.max(np.abs(g)), node
 
 
 def test_scaling_halves_the_duals():
@@ -205,7 +219,7 @@ def gram_duals_both_ways(basis, secs, ds) -> tuple:
     """(quadrature, algebraic) max over core pairs of |<g_k, g_j> - c_{k,j}|:
     the inner products of the synthesized duals taken by quadrature, and
     gram_duals_check from the coefficients and the largest section."""
-    G = np.stack([du.synthesize_dual(ds, basis, node, GRID) for node in ds.core_nodes()])
+    G = du.synthesize_duals(ds, basis, ds.core_nodes(), GRID)
     pos = ds.core_positions()
     quadrature = float(np.max(np.abs((G @ G.T) * GRID.weight - ds.coeffs[np.ix_(pos, pos)])))
     return quadrature, du.gram_duals_check(ds.coeffs, secs[-1].entries, pos)
@@ -247,9 +261,9 @@ def test_bump_coefficient_decay_exponent():
     assert fit.exponent >= 2.0
 
 
-def test_synthesized_dual_bitwise_equals_fresh_rows():
+def test_synthesized_duals_bitwise_equal_fresh_rows():
+    # the whole core against the same block product: a GEMM's bits depend on its shape
     basis, _, ds = gaussian_system()
     rows = np.stack([m(GRID.points) for m in basis.members()])
-    for k in (0, ds.core_radius):
-        g = du.synthesize_dual(ds, basis, k, GRID)
-        assert np.array_equal(g, ds.coeffs[ds.window.index_of(k)] @ rows)
+    G = du.synthesize_duals(ds, basis, ds.core_nodes(), GRID)
+    assert np.array_equal(G, ds.coeffs[ds.core_positions()] @ rows)

@@ -141,6 +141,14 @@ def test_run_family_samples_each_basis_once(sample_builds):
         assert result.biorth_residual < 1e-12
 
 
+def test_exported_duals_own_their_samples():
+    # a view would pin the whole core block of the family
+    settings = dataclasses.replace(d2_indicator_settings(), dual_export_radius=0)
+    result = pl.run_family(settings.families[0], settings)
+    assert list(result.duals) == [(0, 0)]
+    assert result.duals[(0, 0)].base is None
+
+
 def test_dual_regression_fitted_once_per_core_node(monkeypatch):
     methods = []
     real = du.fit_envelope
