@@ -119,8 +119,10 @@ def invert_section(sections_list, tol: float = 1e-8, min_core_radius: int = 1) -
 
 
 def synthesize_duals(ds: DualSystem, basis: BasisSet, nodes, grid: Grid) -> np.ndarray:
-    """Samples of g_k = sum_j c_{k,j} f_j on the grid, one row per node k of
-    `nodes`, from one matrix product that reads the sample matrix once.
+    """Samples of g_k = sum_j c_{k,j} f_j on basis.support_grid(grid), one
+    row per node k of `nodes`, from one matrix product that reads the sample
+    matrix once.  Every dual is 0 off that sub-grid; grid.embed pads a row
+    to the whole grid.
 
     Only core nodes have trusted coefficients; requesting any other node is
     an error.  Over the core the result is never larger than the window x
@@ -138,7 +140,8 @@ def synthesize_duals(ds: DualSystem, basis: BasisSet, nodes, grid: Grid) -> np.n
 
 
 def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid) -> np.ndarray:
-    """Samples of the single dual g_k on the grid (see synthesize_duals)."""
+    """Samples of the single dual g_k on basis.support_grid(grid) (see
+    synthesize_duals)."""
     return synthesize_duals(ds, basis, [k], grid)[0]
 
 

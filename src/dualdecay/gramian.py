@@ -183,7 +183,10 @@ def assemble(basis: BasisSet, window: LatticeWindow | None, grid: Grid) -> Decay
     """Hermitian Gramian of the basis over the window by midpoint quadrature.
 
     The rows of a sub-window are taken by position from the basis's shared
-    sample matrix, so the sample_all entry cap bounds assembly too.
+    sample matrix, so the sample_all entry cap bounds assembly too.  That
+    matrix covers only basis.support_grid(grid); the points it leaves out
+    add 0 * 0 to every entry, and the weight is h^d on either grid.  The
+    tail bound and the reach check below use the whole grid.
     Symmetry is enforced by averaging (M + M^T)/2; an asymmetry residual far
     above the quadrature tail bound signals a misconfigured grid and raises.
     """

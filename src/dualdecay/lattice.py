@@ -143,6 +143,17 @@ class Grid:
     def n_points(self) -> int:
         return (2 * self.steps + 1) ** self.d
 
+    def embed(self, values: np.ndarray, sub: "Grid") -> np.ndarray:
+        """Samples on the centred sub-grid `sub`, zero-padded to a new array
+        over this grid, in the order of this grid's points."""
+        if sub.h != self.h or sub.d != self.d or sub.steps > self.steps:
+            raise ValueError("sub must be a centred sub-grid with the same spacing")
+        width, lo = 2 * sub.steps + 1, self.steps - sub.steps
+        out = np.zeros(self.n_points)
+        box = out.reshape((2 * self.steps + 1,) * self.d)
+        box[(slice(lo, lo + width),) * self.d] = np.reshape(values, (width,) * self.d)
+        return out
+
 
 @dataclass(frozen=True)
 class EnvelopeFit:
@@ -402,7 +413,7 @@ class BasisSet:
                 envelope_s=spec.claimed_s,
                 support_radius=spec.support_radius,
             )
-        self._sampled = None  # (grid, read-only sample_all(grid)), see sample_matrix
+        self._sampled = None  # (grid, read-only samples), see sample_matrix
 
     def __len__(self) -> int:
         return self.window.size
@@ -440,14 +451,30 @@ class BasisSet:
             out[row] = self._members[tuple(int(c) for c in k)].sample(grid)
         return out
 
+    def support_grid(self, grid: Grid) -> Grid:
+        """The centred sub-grid of `grid` outside which every member is
+        exactly 0: the points with |x|_inf <= N + support radius, or `grid`
+        itself for a family without compact support or one whose supports
+        reach the grid's edge.
+
+        Both grids build their axes as arange(-m, m+1) * h, so a sample on
+        this grid is the same float as at that point of `grid`.
+        """
+        rho = self.spec.support_radius
+        if rho is None or self.window.N + rho >= grid.R:
+            return grid
+        return Grid(grid.h, self.window.N + rho, grid.d)
+
     def sample_matrix(self, grid: Grid) -> np.ndarray:
-        """sample_all(grid), built once per grid and shared read-only.
+        """sample_all(support_grid(grid)), built once per grid and shared
+        read-only.
 
         Assembly and dual synthesis both read this one matrix, so a family
-        is sampled once however many duals it has.
+        is sampled once however many duals it has, and none of them reads
+        the grid points where every member is 0.
         """
         if self._sampled is None or self._sampled[0] != grid:
-            samples = self.sample_all(grid)
+            samples = self.sample_all(self.support_grid(grid))
             samples.setflags(write=False)
             self._sampled = (grid, samples)
         return self._sampled[1]
@@ -472,18 +499,24 @@ def make_basis(spec: GeneratorSpec, window: LatticeWindow) -> BasisSet:
     return BasisSet(spec, window)
 
 
-def measure_decay(values: np.ndarray, k, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """radial_profile of the grid samples `values` of a function against the
+def measure_decay(values: np.ndarray, k, grid: Grid,
+                  support: Grid | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """radial_profile of the samples `values` of a function against the
     max-norm distance to node k; every envelope of the function is a
     fit_envelope of this profile.
 
+    The samples are on `support` (default: `grid`), a centred sub-grid of
+    `grid` outside which the function is 0.  The dropped samples are +0.0,
+    so they change no max-envelope product and no regression bin that has a
+    positive maximum, and the kept ones stay in the grid's order: every fit
+    equals that of the zero-padded samples.
     The grid must cover at least |x - k| <= 8 so that the envelope is
     probed well beyond the unit cell.
     """
     node = np.asarray(np.atleast_1d(k), dtype=float)
     if grid.R - np.max(np.abs(node)) < 8.0 - 1e-9:
         raise ValueError("grid must cover |x - k| <= 8 around the node")
-    return radial_profile(values, grid.offsets(node))
+    return radial_profile(values, (support or grid).offsets(node))
 
 
 def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):

@@ -228,15 +228,19 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     ds, biorth, gram_res = dual_system(secs, settings)
     dual_norm, lam_core = core_norms(ds.core_block())
 
-    # all core duals come from one product and each is profiled once; the
-    # exported ones keep copies of their rows, so the block dies with the family
+    # all core duals come from one product on the support grid and each is
+    # profiled there once; the exported ones are zero-padded to the grid into
+    # arrays of their own, so the block dies with the family
     limit = settings.dual_export_radius
     nodes = ds.core_nodes()
+    support = basis.support_grid(grid)
+    block = du.synthesize_duals(ds, basis, nodes, grid)
+    del basis  # synthesis reads the sample matrix last: free it before the profiles
     duals, envelope_rows, D_emp = {}, [], 0.0
-    for node, samples in zip(nodes, du.synthesize_duals(ds, basis, nodes, grid)):
-        profile = lat.measure_decay(samples, node, grid)
+    for node, samples in zip(nodes, block):
+        profile = lat.measure_decay(samples, node, grid, support)
         if limit is None or max(abs(c) for c in node) <= limit:
-            duals[node] = samples.copy()
+            duals[node] = grid.embed(samples, support)
         # the log-log regression does not depend on the exponent u
         reg = lat.fit_envelope(*profile, float(t), method="loglog-regression")
         for u in dict.fromkeys((float(t), float(s))):

@@ -81,7 +81,8 @@ def test_c04_scaling_homogeneity(d1_suite):
         scaled = scaled_basis(basis, alpha)
         ds = du.invert_section(gr.sections(scaled, settings.radii, grid),
                                tol=settings.tolerances["inversion"])
-        g0_scaled = du.synthesize_dual(ds, scaled, origin, grid)
+        g0_scaled = grid.embed(du.synthesize_dual(ds, scaled, origin, grid),
+                               scaled.support_grid(grid))
         g0 = f.duals[origin]
         rows.append((f.name, float(np.max(np.abs(g0_scaled - g0 / alpha))
                                    / np.max(np.abs(g0)))))

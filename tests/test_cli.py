@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -175,6 +177,18 @@ def test_cli_exit_codes(tmp_path, mini_config, capsys):
     assert line.startswith("hypothesis violation:") and "C >= 1" in line
 
 
+def test_python_m_dualdecay_missing_config_exits_config(tmp_path):
+    # the package runs from src/ uninstalled, as the tests import it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    missing = str(tmp_path / "missing.ini")
+    proc = subprocess.run([sys.executable, "-m", "dualdecay", "all", "--config", missing],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert _one_line(proc.stderr) == f"config error: config file not found: {missing}"
+
+
 @pytest.mark.parametrize("stage", ["all", "basis"])
 def test_cli_unwritable_out_exits_config(mini_config, tmp_path, stage, capsys):
     path, _ = mini_config
@@ -259,7 +273,14 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
 
     validations = _recorder(monkeypatch, lat, "validate_claimed_envelope")
     profiles = _recorder(monkeypatch, lat, "measure_decay")
-    n_points = cli.load_config(path).grid().n_points
+    settings = cli.load_config(path)
+    grid, window = settings.grid(), lat.LatticeWindow(settings.d, settings.radii[-1])
+    n_points = grid.n_points
+    # indicator's and hat's duals are profiled on their support grids, bump's on the grid
+    support_points = {fam.name: lat.make_basis(fam.spec, window).support_grid(grid).n_points
+                      for fam in settings.families}
+    assert support_points["bump"] == n_points
+    assert support_points["indicator"] < support_points["hat"] < n_points
     # the number of samples each shell-maximum or envelope pass reads
     passes = {"radial_profile": [], "fit_envelope": []}
 
@@ -275,10 +296,14 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     assert cli.main(["all", "--config", path]) == 0
     assert len(validations) == 3
     with open(os.path.join(out, "report.json")) as fh:
-        cores = [fam["core_radius"] for fam in json.load(fh)["families"].values()]
-    # per family: one profile of the validated origin and one per core dual
-    assert len(profiles) == sum(1 + (2 * c + 1) for c in cores)
-    assert passes["radial_profile"].count(n_points) == len(profiles)
+        cores = {name: fam["core_radius"] for name, fam in json.load(fh)["families"].items()}
+    # per family: one profile of the validated origin over the grid, and one
+    # per core dual over the family's support grid
+    assert len(profiles) == sum(1 + (2 * c + 1) for c in cores.values())
+    sizes = [n_points] * len(cores) + [support_points[name] for name, c in cores.items()
+                                        for _ in range(2 * c + 1)]
+    for n in set(sizes):
+        assert passes["radial_profile"].count(n) == sizes.count(n), n
     assert max(passes["fit_envelope"]) < n_points
     capsys.readouterr()
 

@@ -416,6 +416,59 @@ def test_sample_matrix_built_once_and_read_only():
     assert basis.sample_matrix(coarse).shape == (7, coarse.n_points)
 
 
+# the compact families at spacings dyadic and not; d=2 windows stay small
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), h=st.sampled_from([1 / 64, 1 / 8, 0.1, 0.07]),
+       order=st.sampled_from([None, 1, 2, 3]))
+def test_support_grid_holds_every_nonzero_sample(data, d, h, order):
+    window = lat.LatticeWindow(d, data.draw(st.integers(0, 2 if d == 1 else 1)))
+    nodes = [tuple(k) for k in window.indices.tolist()]
+    shift = st.floats(-lat.MAX_PERTURBATION, lat.MAX_PERTURBATION)
+    perturbations = data.draw(st.dictionaries(st.sampled_from(nodes),
+                                              st.tuples(*[shift] * d), max_size=3))
+    family, params = ("bspline-indicator", {}) if order is None else \
+        ("bspline-order-m", {"order": order})
+    spec = lat.GeneratorSpec(family, d, 1e3, d + 4.0, params=params,
+                             perturbations=perturbations)
+    basis = lat.make_basis(spec, window)
+    grid = lat.Grid(h=h, R=window.N + 4.0, d=d)
+    support = basis.support_grid(grid)
+    assert (support.h, support.d) == (grid.h, grid.d)
+    assert support.R == window.N + spec.support_radius < grid.R
+    lo = grid.steps - support.steps
+    assert grid.axis[lo:lo + support.axis.size].tobytes() == support.axis.tobytes()
+    for m in basis.members():
+        # padded with +0.0, the support-grid samples are the grid samples bit for
+        # bit: every sample off the support grid is exactly 0
+        padded = grid.embed(m.sample(support), support)
+        assert padded.tobytes() == m.sample(grid).tobytes(), m.node
+
+
+@pytest.mark.parametrize("family,params", [("polynomial-bump", {"s": 5.0}),
+                                           ("gaussian", {"sigma": 0.5}),
+                                           ("bspline-order-m", {"order": 2})])
+@pytest.mark.parametrize("d", [1, 2])
+def test_support_grid_is_the_grid_without_room_to_drop(family, params, d):
+    spec = lat.GeneratorSpec(family, d, 1e3, d + 4.0, params=params)
+    basis = lat.make_basis(spec, lat.LatticeWindow(d, 1))
+    # no compact support, or supports that reach the grid's edge
+    grid = lat.Grid(h=1 / 8, R=3.0 if spec.support_radius is not None else 9.0, d=d)
+    assert basis.support_grid(grid) is grid
+    assert basis.sample_matrix(grid).shape == (len(basis), grid.n_points)
+
+
+def test_embed_pads_a_centred_sub_grid():
+    grid, sub = lat.Grid(h=0.25, R=0.5, d=2), lat.Grid(h=0.25, R=0.25, d=2)
+    values = np.arange(1.0, 10.0)
+    padded = grid.embed(values, sub).reshape(5, 5)
+    assert np.array_equal(padded[1:4, 1:4].ravel(), values)
+    assert not np.any(padded[[0, 4]]) and not np.any(padded[:, [0, 4]])
+    with pytest.raises(ValueError, match="sub-grid"):
+        sub.embed(np.zeros(grid.n_points), grid)
+    with pytest.raises(ValueError, match="sub-grid"):
+        grid.embed(values, lat.Grid(h=0.125, R=0.125, d=2))
+
+
 def _dense_generator(spec: lat.GeneratorSpec, y: np.ndarray) -> np.ndarray:
     """The generator written point by point on dense (..., d) offsets."""
     if spec.family == "polynomial-bump":

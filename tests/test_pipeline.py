@@ -171,6 +171,73 @@ def test_dual_regression_fitted_once_per_core_node(monkeypatch):
     assert all(len(e) == 2 and e[0] == e[1] for e in exponents.values())
 
 
+def _oracle_settings(spec: GeneratorSpec, h: float, t: int, **extra) -> pl.RunSettings:
+    return pl.RunSettings(name="oracle", d=spec.d, radii=(2, 4), grid_h=h, grid_R=12.0, t=t,
+                          families=[pl.FamilySettings("oracle", spec)],
+                          dual_export_radius=None, **extra)
+
+
+def _hat(perturbations=()) -> GeneratorSpec:
+    return GeneratorSpec("bspline-order-m", 1, 150.0, 5.0, params={"order": 2},
+                         perturbations=perturbations)
+
+
+# (settings, whether every sample and grid weight is dyadic): indicator values
+# are 0 or 1 at h = 1/8, so the Gramian is exact on any grid; at h = 0.1 the
+# hat's are not, and a shorter contraction may regroup the Gramian's sums.
+# The hat's inverse converges slowly, so its sections are compared at a
+# looser inversion tolerance.
+ORACLE_CASES = {
+    "d2-indicator-shifted": (_oracle_settings(
+        GeneratorSpec("bspline-indicator", 2, 245.0, 6.0,
+                      perturbations={(0, 0): (0.125, -0.375), (1, 0): (-0.25, 0.0),
+                                     (-4, 4): (-0.125, 0.25)}),
+        0.125, 3, convolution_windows={2: 4}), True),
+    "d1-hat": (_oracle_settings(_hat(), 0.1, 2, tolerances={"inversion": 1e-2}), False),
+    "d1-hat-perturbed": (_oracle_settings(_hat({(0,): (0.3,), (4,): (0.45,)}), 0.1, 2,
+                                          tolerances={"inversion": 1e-2}), False),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_support_grid_run_matches_full_grid_oracle(case):
+    settings, dyadic = ORACLE_CASES[case]
+    fam, grid = settings.families[0], settings.grid()
+    t, s = float(settings.t), fam.spec.claimed_s
+    result = pl.run_family(fam, settings)
+    basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
+    assert basis.support_grid(grid).n_points < grid.n_points
+
+    def same(found, dense):
+        found, dense = np.asarray(found, dtype=float), np.asarray(dense, dtype=float)
+        if dyadic:
+            assert found.tobytes() == dense.tobytes()
+        else:
+            scale = np.max(np.abs(dense[np.isfinite(dense)]))
+            np.testing.assert_allclose(found, dense, rtol=1e-15, atol=1e-15 * scale)
+
+    # the dense computation: every member on the whole grid, every fit over all samples
+    F = basis.sample_all(grid)
+    raw = (F @ F.T) * grid.weight
+    same(result.gramian.entries, 0.5 * (raw + raw.T))
+    ds = result.dual_system
+    nodes = ds.core_nodes()
+    G = ds.coeffs[ds.core_positions()] @ F
+    same(np.stack([result.duals[node] for node in nodes]), G)
+
+    def fits(samples, node, us):
+        radii = lat.axes_max_norm(grid.offsets(node))
+        reg = lat.fit_envelope(samples, radii, t, method="loglog-regression").exponent
+        return [(lat.fit_envelope(samples, radii, u).constant, reg) for u in us]
+
+    dense = [fit for node, g in zip(nodes, G) for fit in fits(g, node, dict.fromkeys((t, s)))]
+    assert [row[:2] for row in result.envelope_rows] == \
+        [(node, u) for node in nodes for u in dict.fromkeys((t, s))]
+    same([row[2:] for row in result.envelope_rows], dense)
+    members = [fits(basis.sample(node, grid), node, [s])[0] for node, _, _ in result.basis_rows]
+    same([row[1:] for row in result.basis_rows], members)
+
+
 def test_d2_indicator_suite_end_to_end(sample_builds):
     suite = pl.run_suite(d2_indicator_settings())
     assert len(sample_builds) == 3
