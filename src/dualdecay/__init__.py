@@ -16,7 +16,8 @@ from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, Hypothes
                      InvariantFailure, NotRieszError, SingularSectionError)
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, inner_product,
                       offdiag_fit, riesz_bounds, schur_bound, sections)
-from .lattice import (BasisSet, EnvelopeFit, GeneratorSpec, Grid, LatticeWindow, fit_envelope,
-                      make_basis, measure_decay, radial_profile, validate_claimed_envelope)
+from .lattice import (BasisSet, GeneratorSpec, Grid, LatticeWindow, decay_exponent,
+                      envelope_constant, make_basis, measure_decay, radial_profile,
+                      validate_claimed_envelope)
 
 __version__ = "0.1.0"

@@ -360,13 +360,13 @@ def report_dict(suite: SuiteResult) -> dict:
             "gram_duals_residual": fam.gram_duals_residual,
             "dual_norm_max": fam.dual_norm_max,
             "lambda_max_core_coeffs": fam.lam_max_core,
-            "inverse_decay_exponent": _finite(fam.inverse_decay.exponent),
+            "inverse_decay_exponent": _finite(fam.inverse_decay),
             "coefficient_envelope_alpha": fam.alpha_t,
             "schur_ratio_gramian": fam.schur_ratio,
             "schur_norm_gramian": fam.schur_M,
             "W_value": fam.W_value,
-            "offdiag_constant": fam.offdiag.constant,
-            "offdiag_exponent": _finite(fam.offdiag.exponent),
+            "offdiag_constant": fam.offdiag_constant,
+            "offdiag_exponent": _finite(fam.offdiag_exponent),
             "recursion_measured": suite.recursion[fam.name][0],
             "recursion_bound": suite.recursion[fam.name][1],
             "elapsed": fam.elapsed,

@@ -108,8 +108,6 @@ class WSum:
     value: float
     error_bound: float   # |value - W_u| <= error_bound
     radius: int          # shells summed directly before the zeta tails
-    u: float
-    d: int
 
 
 def w_sum(u: float, d: int, tol: float = 1e-10, radius: int | None = None) -> WSum:
@@ -139,7 +137,7 @@ def w_sum(u: float, d: int, tol: float = 1e-10, radius: int | None = None) -> WS
     if error > tol or n0 < max(2, d):
         raise ValueError(f"tolerance {tol:g} unattainable for u={u}, d={d}" if radius is None
                          else f"forced radius {n0} does not meet tol {tol:g}")
-    return WSum(value=math.fsum(terms), error_bound=error, radius=n0, u=u, d=d)
+    return WSum(value=math.fsum(terms), error_bound=error, radius=n0)
 
 
 def compute_W(u: float, d: int, tol: float = 1e-10) -> float:
@@ -153,7 +151,6 @@ class BoundCalibration:
     constant: float
     binding: tuple
     grid: tuple
-    d: int
 
 
 def calibrate_lattice_sum_bound(d: int, u_grid=None, tol: float = 1e-7) -> BoundCalibration:
@@ -173,7 +170,7 @@ def calibrate_lattice_sum_bound(d: int, u_grid=None, tol: float = 1e-7) -> Bound
         ratio = compute_W(u, d, tol) / (1.0 + 1.0 / (u - d))
         if ratio > best_c:
             best_c, best_u = ratio, u
-    return BoundCalibration(constant=best_c, binding=(best_u,), grid=tuple(u_grid), d=d)
+    return BoundCalibration(constant=best_c, binding=(best_u,), grid=tuple(u_grid))
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,6 @@ class ConvolutionCalibration:
     scale: float
     binding: tuple | None
     u: float
-    d: int
     lower: float
     scan_radius: int   # last axis radius summed exactly
 
@@ -353,7 +349,7 @@ def verify_convolution_discrete(u: float, d: int, window: int,
     scale = compute_W(u, d, tol=1e-10)
     return ConvolutionCalibration(constant=upper, normalized=upper / scale, scale=scale,
                                   binding=None if best == M else (best,) + (0,) * (d - 1),
-                                  u=u, d=d, lower=lower, scan_radius=M)
+                                  u=u, lower=lower, scan_radius=M)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +417,6 @@ class ECalibration:
     E_emp: float
     binding_family: str
     per_family: tuple
-    d: int
 
 
 def check_E_family_count(count: int):
@@ -439,10 +434,8 @@ def calibrate_E(suite) -> ECalibration:
     cases = list(suite)
     if not cases:
         raise ValueError("empty calibration suite")
-    dims = {c.d for c in cases}
-    if len(dims) != 1:
+    if len({c.d for c in cases}) != 1:
         raise ValueError("calibrate one dimension at a time")
-    d = dims.pop()
     check_E_family_count(len(cases))
     per_family = []
     for c in cases:
@@ -454,8 +447,7 @@ def calibrate_E(suite) -> ECalibration:
                 * (1.0 + 1.0 / (c.s - t - c.d)) ** t)
         per_family.append((c.family, (c.D_emp / base) ** (1.0 / (t * t))))
     binding, e_emp = max(per_family, key=lambda item: item[1])
-    return ECalibration(E_emp=e_emp, binding_family=binding,
-                        per_family=tuple(per_family), d=d)
+    return ECalibration(E_emp=e_emp, binding_family=binding, per_family=tuple(per_family))
 
 
 @dataclass(frozen=True)

@@ -16,20 +16,18 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularSectionError
 from .gramian import DecayMatrix
-from .lattice import BasisSet, EnvelopeFit, Grid, LatticeWindow, fit_envelope, radial_profile
+from .lattice import BasisSet, Grid, LatticeWindow, decay_exponent, radial_profile
 
 ROUNDOFF_FLOOR = 1e-13  # convergence estimates cannot resolve below this, relatively
+MIN_CORE_RADIUS = 1     # a core of the origin alone leaves no off-diagonal coefficient
 
 
 @dataclass(frozen=True)
 class SectionConvergence:
     """Stabilization report for the central block of nested section inverses."""
 
-    radii: tuple
-    core_radius: int
     estimate: float       # bound on remaining drift of core entries (abs., floored)
     max_change: float     # raw max |Delta c| over the core, two largest radii
-    scale: float          # max |c| at the largest radius
 
 
 @dataclass
@@ -75,7 +73,7 @@ def _invert_pd(entries: np.ndarray, radius: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def invert_section(sections_list, tol: float = 1e-8, min_core_radius: int = 1) -> DualSystem:
+def invert_section(sections_list, tol: float = 1e-8) -> DualSystem:
     """Invert nested sections and find the stabilized central core.
 
     The core radius is the largest r such that every coefficient with both
@@ -106,15 +104,13 @@ def invert_section(sections_list, tol: float = 1e-8, min_core_radius: int = 1) -
             core = r
             max_change_core = change
             break
-    if core < min_core_radius:
+    if core < MIN_CORE_RADIUS:
         raise ConvergenceError(
             f"section inverse did not stabilize: core radius {max(core, 0)} "
-            f"< {min_core_radius} at largest radius {radii[-1]} (tol={tol:g})")
+            f"< {MIN_CORE_RADIUS} at largest radius {radii[-1]} (tol={tol:g})")
 
     estimate = max(max_change_core, ROUNDOFF_FLOOR * scale)
-    conv = SectionConvergence(radii=tuple(radii), core_radius=core,
-                              estimate=estimate, max_change=max_change_core,
-                              scale=scale)
+    conv = SectionConvergence(estimate=estimate, max_change=max_change_core)
     return DualSystem(window=big_win, coeffs=big, core_radius=core, convergence=conv)
 
 
@@ -157,16 +153,13 @@ def gram_duals_check(coeffs: np.ndarray, gramian: np.ndarray, core_pos) -> float
     return float(np.max(np.abs(inner - coeffs[np.ix_(core_pos, core_pos)])))
 
 
-def coefficient_decay_fit(ds: DualSystem, node=None) -> EnvelopeFit:
-    """Shell regression of |c_{k,j}| over |k-j| <= core radius.
+def coefficient_decay_fit(ds: DualSystem) -> float:
+    """Shell-regression decay exponent of |c_{0,j}| over |j| <= core radius.
 
     Quantifies how much off-diagonal decay the inverse inherited; the fit is
     restricted to the stabilized core so section artifacts stay out of it.
     """
-    if node is None:
-        node = (0,) * ds.window.d
-    offsets = (ds.window.indices - np.asarray(np.atleast_1d(node))).T
-    maxima, shells = radial_profile(ds.coeffs[ds.window.index_of(node)], offsets)
+    origin = (0,) * ds.window.d
+    maxima, shells = radial_profile(ds.coeffs[ds.window.index_of(origin)], ds.window.indices.T)
     core = shells <= ds.core_radius
-    return fit_envelope(maxima[core], shells[core], 0.0,
-                        method="loglog-regression", bin_width=1.0)
+    return decay_exponent(maxima[core], shells[core], bin_width=1.0)

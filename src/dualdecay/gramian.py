@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRieszError
-from .lattice import (BasisSet, EnvelopeFit, Grid, LatticeWindow, Member, fit_envelope,
+from .lattice import (BasisSet, Grid, LatticeWindow, Member, decay_exponent, envelope_constant,
                       radial_profile)
 
 
@@ -71,7 +71,6 @@ class DecayMatrix:
     entries: np.ndarray
     symmetric: bool = True
     quadrature_tail: float = 0.0
-    asymmetry_residual: float = 0.0
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries)
@@ -214,8 +213,7 @@ def assemble(basis: BasisSet, window: LatticeWindow | None, grid: Grid) -> Decay
         raise ValueError(
             f"asymmetry residual {asym:.3g} exceeds 100x quadrature tail bound {tail:.3g}")
     sym = 0.5 * (raw + raw.T)
-    return DecayMatrix(window, sym, symmetric=True,
-                       quadrature_tail=tail, asymmetry_residual=asym)
+    return DecayMatrix(window, sym, symmetric=True, quadrature_tail=tail)
 
 
 def sections(basis: BasisSet, radii, grid: Grid) -> list[DecayMatrix]:
@@ -298,10 +296,8 @@ def riesz_bounds(sections_list, rtol: float = 1e-6) -> RieszBounds:
                        lambda_min=tuple(lo), lambda_max=tuple(hi), converged=converged)
 
 
-def offdiag_fit(L: DecayMatrix, u: float) -> EnvelopeFit:
-    """Max-envelope constant K with |l_{k,j}| <= K (1+|k-j|)^(-u), plus a
-    shell regression; banded matrices are flagged super-polynomial."""
+def offdiag_fit(L: DecayMatrix, u: float) -> tuple[float, float]:
+    """(K, exponent): the least K with |l_{k,j}| <= K (1+|k-j|)^(-u), and the
+    shell-regression decay exponent, inf for a banded matrix."""
     profile = radial_profile(L.entries, [L.node_diffs(h) for h in range(1, L.window.d + 1)])
-    constant = fit_envelope(*profile, u).constant
-    reg = fit_envelope(*profile, u, method="loglog-regression", bin_width=1.0)
-    return EnvelopeFit(constant, reg.exponent, "max-envelope", flag=reg.flag)
+    return envelope_constant(*profile, u), decay_exponent(*profile, bin_width=1.0)

@@ -155,58 +155,41 @@ class Grid:
         return out
 
 
-@dataclass(frozen=True)
-class EnvelopeFit:
-    """Measured decay envelope of a sampled function or matrix row.
-
-    For fit_method="max-envelope", `constant` is the least c with
-    |f(x)| <= c (1+r)^(-exponent) over all samples (r = max-norm radius).
-    For fit_method="loglog-regression", `exponent` is the fitted decay
-    rate of binned radial maxima; a fitted constant past the float range
-    is inf, flagged "overflow".
-    """
-
-    constant: float
-    exponent: float
-    fit_method: str
-    flag: str = ""
-
-
-def fit_envelope(values: np.ndarray, radii: np.ndarray, u: float,
-                 method: str = "max-envelope", bin_width: float = 0.5) -> EnvelopeFit:
-    """Fit a polynomial decay envelope to |values| against radii."""
+def _flat_abs(values, radii) -> tuple[np.ndarray, np.ndarray]:
+    """(|values|, radii) as flat float arrays of one shape."""
     values = np.abs(np.asarray(values, dtype=float)).ravel()
     radii = np.asarray(radii, dtype=float).ravel()
     if values.shape != radii.shape:
         raise ValueError("values and radii must have matching shapes")
-    if method == "max-envelope":
-        if not np.any(values > 0):
-            return EnvelopeFit(0.0, u, method, flag="all-zero")
-        constant = float(np.max(values * np.power(1.0 + radii, u)))
-        return EnvelopeFit(constant, u, method)
-    if method == "loglog-regression":
-        # bin by radius (radii >= 0), regress log(shell max) on log(1+r) at the
-        # first point of each bin that attains the bin's maximum
-        nbins = int(math.floor(radii.max() / bin_width)) + 1
-        which = np.minimum((radii / bin_width).astype(int), nbins - 1)
-        shell_max = np.full(nbins, -np.inf)
-        np.maximum.at(shell_max, which, values)
-        hits = np.flatnonzero(values == shell_max[which])
-        first = np.full(nbins, values.size)
-        np.minimum.at(first, which[hits], hits)
-        heads = first[shell_max > 0.0]
-        xs = [math.log(1.0 + r) for r in radii[heads].tolist()]
-        ys = [math.log(v) for v in values[heads].tolist()]
-        if len(xs) < 3:
-            flag = "all-zero" if not np.any(values > 0) else "super-polynomial"
-            return EnvelopeFit(0.0, math.inf, method, flag=flag)
-        slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
-        try:
-            constant, flag = math.exp(intercept), ""
-        except OverflowError:   # a steep fit's intercept is past the float range
-            constant, flag = math.inf, "overflow"
-        return EnvelopeFit(constant, float(-slope), method, flag=flag)
-    raise ValueError(f"unknown fit method {method!r}")
+    return values, radii
+
+
+def envelope_constant(values: np.ndarray, radii: np.ndarray, u: float) -> float:
+    """The least c with |values| <= c (1+radii)^(-u) over all samples."""
+    values, radii = _flat_abs(values, radii)
+    return float(np.max(values * np.power(1.0 + radii, u)))
+
+
+def decay_exponent(values: np.ndarray, radii: np.ndarray, bin_width: float = 0.5) -> float:
+    """Decay rate of |values| against radii >= 0: minus the slope of
+    log(bin max) on log(1+r), taken at the first sample of each radius bin
+    that attains the bin's maximum; inf (super-polynomial) when fewer than
+    three bins have a positive maximum."""
+    values, radii = _flat_abs(values, radii)
+    nbins = int(math.floor(radii.max() / bin_width)) + 1
+    which = np.minimum((radii / bin_width).astype(int), nbins - 1)
+    shell_max = np.full(nbins, -np.inf)
+    np.maximum.at(shell_max, which, values)
+    hits = np.flatnonzero(values == shell_max[which])
+    first = np.full(nbins, values.size)
+    np.minimum.at(first, which[hits], hits)
+    heads = first[shell_max > 0.0]
+    xs = [math.log(1.0 + r) for r in radii[heads].tolist()]
+    ys = [math.log(v) for v in values[heads].tolist()]
+    if len(xs) < 3:
+        return math.inf
+    slope, _ = np.polyfit(np.array(xs), np.array(ys), 1)
+    return float(-slope)
 
 
 def radial_profile(values: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -215,12 +198,13 @@ def radial_profile(values: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
     arrays as axes_max_norm takes them.
 
     Shells are the exact distinct radii, and they come in the order of the
-    first sample that attains each shell's maximum. So fit_envelope of the
-    profile equals fit_envelope of all the samples against axes_max_norm(ys):
-    the max-envelope products are the same floats, and the regression keeps
-    the first sample at each bin's maximum. A radius is one of its sample's
-    axis distances, so its shell is the largest of their indices into the
-    sorted distinct distances; a grid is never searched point by point.
+    first sample that attains each shell's maximum. So envelope_constant and
+    decay_exponent of the profile equal those of all the samples against
+    axes_max_norm(ys): the envelope products are the same floats, and the
+    regression keeps the first sample at each bin's maximum. A radius is one
+    of its sample's axis distances, so its shell is the largest of their
+    indices into the sorted distinct distances; a grid is never searched
+    point by point.
     """
     values = np.abs(np.asarray(values, dtype=float)).ravel()
     dists = [np.abs(np.asarray(y, dtype=float)) for y in ys]
@@ -502,12 +486,12 @@ def make_basis(spec: GeneratorSpec, window: LatticeWindow) -> BasisSet:
 def measure_decay(values: np.ndarray, k, grid: Grid,
                   support: Grid | None = None) -> tuple[np.ndarray, np.ndarray]:
     """radial_profile of the samples `values` of a function against the
-    max-norm distance to node k; every envelope of the function is a
-    fit_envelope of this profile.
+    max-norm distance to node k; every envelope constant and decay exponent
+    of the function is taken from this profile.
 
     The samples are on `support` (default: `grid`), a centred sub-grid of
     `grid` outside which the function is 0.  The dropped samples are +0.0,
-    so they change no max-envelope product and no regression bin that has a
+    so they change no envelope product and no regression bin that has a
     positive maximum, and the kept ones stay in the grid's order: every fit
     equals that of the zero-padded samples.
     The grid must cover at least |x - k| <= 8 so that the envelope is
@@ -530,7 +514,7 @@ def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):
     measured = {}
     for node in dict.fromkeys(nodes):
         profile = measure_decay(basis.sample(node, grid), node, grid)
-        constant = fit_envelope(*profile, spec.claimed_s).constant
+        constant = envelope_constant(*profile, spec.claimed_s)
         measured[node] = constant, profile
         bound = abs(basis.amplitude) * spec.claimed_C
         if constant > bound * (1.0 + rtol):

@@ -75,6 +75,9 @@ class RunSettings:
             self.bounds_dims = (self.d,)
         if min(self.bounds_dims) < 1:
             raise ConfigError(f"bounds dims must be >= 1, got {self.bounds_dims}")
+        for d, start in self.convolution_windows.items():
+            if start < 1:
+                raise ConfigError(f"convolution_window_d{d} must be >= 1, got {start}")
         # starting radius, per dimension, of the exact axis scan that
         # brackets the convolution constants over all of Z^d
         self.convolution_windows = {d: self.convolution_windows.get(d, 128 if d == 1 else 16)
@@ -129,12 +132,13 @@ class FamilyResult:
     basis_k0: np.ndarray        # the member at the origin, sampled on the grid
     D_emp: float                # max dual envelope constant at exponent t
     envelope_rows: list         # (k, exponent, constant, regression_exponent)
-    inverse_decay: lat.EnvelopeFit
+    inverse_decay: float        # shell-regression decay exponent of |c_0j| over the core
     alpha_t: float              # coefficient envelope constant at exponent t
     schur_ratio: float          # max_u schur(D^u M) / (C^2 W)
     schur_M: float
     W_value: float
-    offdiag: lat.EnvelopeFit
+    offdiag_constant: float     # Gramian off-diagonal envelope constant at exponent s
+    offdiag_exponent: float     # its shell-regression decay exponent
     dual_system: du.DualSystem
     duals: dict                 # exported core node -> samples of its dual on the grid
     gramian: gr.DecayMatrix
@@ -184,9 +188,7 @@ def measure_basis(fam: FamilySettings, settings: RunSettings):
     basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
     measured = lat.validate_claimed_envelope(basis, grid,
                                              rtol=settings.tolerances["claimed_rtol"])
-    rows = [(node, C, lat.fit_envelope(*profile, fam.spec.claimed_s,
-                                       method="loglog-regression").exponent)
-            for node, (C, profile) in measured.items()]
+    rows = [(node, C, lat.decay_exponent(*profile)) for node, (C, profile) in measured.items()]
     return basis, rows, basis.sample(origin, grid)
 
 
@@ -219,7 +221,7 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         bare = replace(fam.spec, perturbations=())
         bare_basis = lat.make_basis(bare, lat.LatticeWindow(settings.d, 0))
         bare_profile = lat.measure_decay(bare_basis.sample(origin, grid), origin, grid)
-        C_base = lat.fit_envelope(*bare_profile, s).constant
+        C_base = lat.envelope_constant(*bare_profile, s)
     else:
         C_base = C_meas
 
@@ -241,13 +243,12 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         profile = lat.measure_decay(samples, node, grid, support)
         if limit is None or max(abs(c) for c in node) <= limit:
             duals[node] = grid.embed(samples, support)
-        # the log-log regression does not depend on the exponent u
-        reg = lat.fit_envelope(*profile, float(t), method="loglog-regression")
+        exponent = lat.decay_exponent(*profile)
         for u in dict.fromkeys((float(t), float(s))):
-            fit = lat.fit_envelope(*profile, u)
-            envelope_rows.append((node, u, fit.constant, reg.exponent))
+            constant = lat.envelope_constant(*profile, u)
+            envelope_rows.append((node, u, constant, exponent))
             if u == float(t):
-                D_emp = max(D_emp, fit.constant)
+                D_emp = max(D_emp, constant)
     inverse_decay = du.coefficient_decay_fit(ds)
 
     W_value = cst.compute_W(s - t, settings.d, tol["w_tol"])
@@ -257,10 +258,10 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     # the largest envelope constant of a core row: one profile of all core rows
     core, coeffs = ds.core_positions(), ds.coefficient_matrix()
     offsets = [coeffs.node_diffs(h)[core] for h in range(1, settings.d + 1)]
-    alpha_t = lat.fit_envelope(*lat.radial_profile(coeffs.entries[core], offsets),
-                               float(t)).constant
+    alpha_t = lat.envelope_constant(*lat.radial_profile(coeffs.entries[core], offsets),
+                                    float(t))
 
-    offdiag = gr.offdiag_fit(M, u=s)
+    offdiag_constant, offdiag_exponent = gr.offdiag_fit(M, u=s)
 
     return FamilyResult(
         name=fam.name, spec=fam.spec, riesz=riesz, C_meas=C_meas, C_base=C_base,
@@ -270,7 +271,8 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         basis_rows=basis_rows, basis_k0=basis_k0, D_emp=D_emp,
         envelope_rows=envelope_rows, inverse_decay=inverse_decay, alpha_t=alpha_t,
         schur_ratio=schur_ratio, schur_M=gr.schur_bound(M), W_value=W_value,
-        offdiag=offdiag, dual_system=ds, duals=duals, gramian=M,
+        offdiag_constant=offdiag_constant, offdiag_exponent=offdiag_exponent,
+        dual_system=ds, duals=duals, gramian=M,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -397,8 +399,8 @@ def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
                 "measured constant vs C (3/2)^s")
         if r.spec.family == "polynomial-bump" and \
                 r.spec.claimed_s > settings.d + settings.t:
-            add(pre + "inverse_decay_exponent", r.inverse_decay.exponent >= settings.t,
-                r.inverse_decay.exponent, settings.t,
+            add(pre + "inverse_decay_exponent", r.inverse_decay >= settings.t,
+                r.inverse_decay, settings.t,
                 f"shell regression over core radius {r.core_radius}")
         verdicts.append(gram_duals(r.name, r.gram_duals_residual, tol))
         measured, bound = recursion[r.name]

@@ -138,7 +138,7 @@ def test_c07_interlacing(d1_suite):
 
 def test_c08_inverse_decay_exponent(d1_suite):
     fam = next(f for f in d1_suite.families if f.name == "bump")
-    exponent = fam.inverse_decay.exponent
+    exponent = fam.inverse_decay
     report(8, "inverse off-diagonal decay", exponent >= 2.0,
            f"shell-regression exponent of |c_0j| = {exponent:.3f} over core radius "
            f"{fam.core_radius} (>= 2.0 required)")

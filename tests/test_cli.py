@@ -11,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ def test_missing_section(tmp_path):
 
 def test_boundary_hypothesis_rejected(tmp_path, mini_config):
     path, _ = mini_config
-    text = open(path).read().replace("claimed_s = 5", "claimed_s = 3")
+    text = Path(path).read_text().replace("claimed_s = 5", "claimed_s = 3")
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
     with pytest.raises(HypothesisViolation, match="s > d\\+t violated"):
@@ -114,7 +115,7 @@ def test_boundary_hypothesis_rejected(tmp_path, mini_config):
 
 def test_bad_perturbation_entry(tmp_path, mini_config):
     path, _ = mini_config
-    text = open(path).read() + "perturb = nonsense\n"
+    text = Path(path).read_text() + "perturb = nonsense\n"
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
     with pytest.raises(ConfigError, match="perturbation"):
@@ -124,7 +125,7 @@ def test_bad_perturbation_entry(tmp_path, mini_config):
 def test_cli_all_and_verify_roundtrip(mini_config, capsys):
     path, out = mini_config
     assert cli.main(["all", "--config", path]) == 0
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(Path(out, "report.json").read_text())
     assert set(report["families"]) == {"indicator", "bump", "hat"}
     assert all(v["passed"] for v in report["invariants"])
     names = {v["name"] for v in report["invariants"]}
@@ -148,11 +149,11 @@ def test_cli_verify_detects_corruption(mini_config, capsys):
     path, out = mini_config
     assert cli.main(["all", "--config", path]) == 0
     coeffs = os.path.join(out, "bump", "coeffs.csv")
-    lines = open(coeffs).read().splitlines()
+    lines = Path(coeffs).read_text().splitlines()
     parts = lines[3].split()
     parts[-1] = repr(float(parts[-1]) + 0.25)
     lines[3] = " ".join(parts)
-    open(coeffs, "w").write("\n".join(lines) + "\n")
+    Path(coeffs).write_text("\n".join(lines) + "\n")
     assert cli.main(["verify", "--config", path]) == cli.EXIT_INVARIANT
     out_text = capsys.readouterr().out
     assert "biorthogonality" in out_text and "FAIL" in out_text
@@ -168,10 +169,10 @@ def test_cli_exit_codes(tmp_path, mini_config, capsys):
     path, _ = mini_config
     assert cli.main(["all", "--config", "/nope.ini"]) == cli.EXIT_CONFIG
     bad = tmp_path / "bad.ini"
-    bad.write_text(open(path).read().replace("claimed_s = 5", "claimed_s = 3"))
+    bad.write_text(Path(path).read_text().replace("claimed_s = 5", "claimed_s = 3"))
     assert cli.main(["all", "--config", str(bad)]) == cli.EXIT_HYPOTHESIS
     capsys.readouterr()
-    bad.write_text(open(path).read().replace("claimed_C = 1\n", "claimed_C = 0.5\n"))
+    bad.write_text(Path(path).read_text().replace("claimed_C = 1\n", "claimed_C = 0.5\n"))
     assert cli.main(["all", "--config", str(bad)]) == cli.EXIT_HYPOTHESIS
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("hypothesis violation:") and "C >= 1" in line
@@ -240,8 +241,8 @@ def test_cli_stage_artifacts(mini_config, tmp_path, capsys):
             with open(os.path.join(part, rel), "rb") as a, \
                     open(os.path.join(full, rel), "rb") as b:
                 assert a.read() == b.read(), (stage, rel)
-    bounds = open(os.path.join(out, "constants.csv")).read().splitlines()
-    rows = open(os.path.join(full, "constants.csv")).read().splitlines()
+    bounds = Path(out, "constants.csv").read_text().splitlines()
+    rows = Path(full, "constants.csv").read_text().splitlines()
     assert bounds[0] == rows[0]
     assert bounds[1:] == [r for r in rows
                           if r.startswith(("lattice_sum_bound,", "convolution_discrete,"))]
@@ -282,7 +283,7 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     assert support_points["bump"] == n_points
     assert support_points["indicator"] < support_points["hat"] < n_points
     # the number of samples each shell-maximum or envelope pass reads
-    passes = {"radial_profile": [], "fit_envelope": []}
+    passes = {"radial_profile": [], "envelope_constant": [], "decay_exponent": []}
 
     def sizing(real, sizes):
         def call(values, *args, **kwargs):
@@ -292,7 +293,8 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
 
     for module in (lat, du, gr):
         for name, sizes in passes.items():
-            monkeypatch.setattr(module, name, sizing(getattr(module, name), sizes))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, sizing(getattr(module, name), sizes))
     assert cli.main(["all", "--config", path]) == 0
     assert len(validations) == 3
     with open(os.path.join(out, "report.json")) as fh:
@@ -304,16 +306,16 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
                                         for _ in range(2 * c + 1)]
     for n in set(sizes):
         assert passes["radial_profile"].count(n) == sizes.count(n), n
-    assert max(passes["fit_envelope"]) < n_points
+    assert max(passes["envelope_constant"] + passes["decay_exponent"]) < n_points
     capsys.readouterr()
 
 
 def test_cli_family_stages_accept_two_families(mini_config, tmp_path, capsys):
     path, out = mini_config
     two = tmp_path / "two.ini"
-    two.write_text(open(path).read().replace("[family:hat]", "[unused]"))
+    two.write_text(Path(path).read_text().replace("[family:hat]", "[unused]"))
     assert cli.main(["basis", "--config", str(two)]) == 0
-    assert open(os.path.join(out, "basis_envelopes.csv")).read().count("\n") == 3
+    assert Path(out, "basis_envelopes.csv").read_text().count("\n") == 3
     capsys.readouterr()
 
 
@@ -446,7 +448,7 @@ def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fr
 
 def test_cli_run_verify_and_duals_stage_agree_on_residuals(mini_run, tmp_path, capsys):
     out = re.search(r"(?m)^out = (.*)$", mini_run)[1]
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(Path(out, "report.json").read_text())
     in_run = {v["name"]: v["value"] for v in report["invariants"]}
     config = tmp_path / "mini.ini"
     config.write_text(mini_run)
@@ -471,7 +473,7 @@ def test_cli_family_count_checked_before_any_family(mini_config, tmp_path, monke
                                                     stage, capsys):
     path, _ = mini_config
     two = tmp_path / "two.ini"
-    two.write_text(open(path).read().replace("[family:hat]", "[unused]"))
+    two.write_text(Path(path).read_text().replace("[family:hat]", "[unused]"))
     computed = _recorder(monkeypatch, pl, "run_family")
     assert cli.main([stage, "--config", str(two)]) == cli.EXIT_CONFIG
     assert computed == []
@@ -490,7 +492,7 @@ def test_cli_runs_are_bit_identical(mini_config, tmp_path, capsys):
                 continue  # carries timings
             a = os.path.join(root, name)
             b = a.replace(out_a, out_b, 1)
-            assert open(a, "rb").read() == open(b, "rb").read(), name
+            assert Path(a).read_bytes() == Path(b).read_bytes(), name
 
 
 def test_shipped_suite_artifacts_hold_no_numpy_reprs(tmp_path, capsys):
@@ -502,7 +504,7 @@ def test_shipped_suite_artifacts_hold_no_numpy_reprs(tmp_path, capsys):
                for name in names]
     assert any(path.endswith("calibration.txt") for path in written)
     for path in written:
-        assert "np." not in open(path).read(), path
+        assert "np." not in Path(path).read_text(), path
 
 
 def test_shipped_config_parses(tmp_path):
@@ -521,7 +523,7 @@ def _one_line(err: str) -> str:
 
 def test_cli_claimed_envelope_exceeded_exits_invariant(tmp_path, capsys):
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "d1_suite.ini")
-    text = re.sub(r"(?m)^claimed_C = .*$", "claimed_C = 1.5", open(config).read())
+    text = re.sub(r"(?m)^claimed_C = .*$", "claimed_C = 1.5", Path(config).read_text())
     bad = tmp_path / "claimed.ini"
     bad.write_text(text)
     assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path / "out")]) \
@@ -652,14 +654,19 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
     ("dims = 1", "dims = 0", "all", "bounds dims must be >= 1"),
     ("[bounds]", "[tolerances]\ninversion = nan\n\n[bounds]", "all",
      "all tolerances must be positive and finite"),
+    ("convolution_window_d1 = 32", "convolution_window_d1 = -5", "bounds",
+     "convolution_window_d1 must be >= 1, got -5"),
+    ("convolution_window_d1 = 32", "convolution_window_d1 = 0", "bounds",
+     "convolution_window_d1 must be >= 1, got 0"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
         "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
-        "negative-radius", "infinite-extent", "zero-bounds-dim", "nan-tolerance"])
+        "negative-radius", "infinite-extent", "zero-bounds-dim", "nan-tolerance",
+        "negative-convolution-window", "zero-convolution-window"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config
-    text = open(path).read()
+    text = Path(path).read_text()
     assert old in text
     bad = tmp_path / "bad.ini"
     bad.write_text(text.replace(old, new, 1))

@@ -183,57 +183,53 @@ def test_two_dimensional_evaluation():
 # --- decay measurement -------------------------------------------------------
 
 
-def member_fit(basis, k, grid, u, method="max-envelope"):
-    """Envelope of |f_k| against the distance to node k, from its profile."""
-    return lat.fit_envelope(*lat.measure_decay(basis.sample(k, grid), k, grid), u,
-                            method=method)
+def origin_profile(spec, grid):
+    """Radial profile of the member of `spec` at the origin."""
+    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
+    return lat.measure_decay(basis.sample(0, grid), 0, grid)
 
 
 def test_bump_envelope_is_tight():
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
     grid = lat.Grid(h=0.01, R=8.0, d=1)
-    fit = member_fit(basis, 0, grid, 5.0)
-    assert fit.fit_method == "max-envelope"
-    assert fit.constant == pytest.approx(1.0, abs=1e-12)
+    constant = lat.envelope_constant(*origin_profile(spec, grid), 5.0)
+    assert constant == pytest.approx(1.0, abs=1e-12)
 
 
 def test_indicator_envelope_attained_inside_support():
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
     grid = lat.Grid(h=0.01, R=8.0, d=1)
-    fit = member_fit(basis, 0, grid, 3.0)
+    constant = lat.envelope_constant(*origin_profile(spec, grid), 3.0)
     # largest grid point inside [0,1) sits at 0.99
-    assert fit.constant == pytest.approx(1.99**3, rel=1e-9)
-    assert fit.constant <= 8.0
+    assert constant == pytest.approx(1.99**3, rel=1e-9)
+    assert constant <= 8.0
 
 
 def test_gaussian_envelope_and_regression():
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
     grid = lat.Grid(h=0.01, R=8.0, d=1)
-    fit = member_fit(basis, 0, grid, 5.0)
+    profile = origin_profile(spec, grid)
+    constant = lat.envelope_constant(*profile, 5.0)
     # analytic maximum of exp(-x^2/(2 sigma^2)) (1+x)^5 at the stationary point
     x_star = (-1 + math.sqrt(1 + 20 * 0.25)) / 2
     peak = math.exp(-x_star**2 / 0.5) * (1 + x_star) ** 5
-    assert fit.constant <= peak
-    assert fit.constant == pytest.approx(peak, rel=1e-3)
-    reg = member_fit(basis, 0, grid, 5.0, method="loglog-regression")
-    assert reg.exponent >= 5.0
+    assert constant <= peak
+    assert constant == pytest.approx(peak, rel=1e-3)
+    assert lat.decay_exponent(*profile) >= 5.0
 
 
 def test_envelope_consistency_in_exponent(d1_suite):
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
     grid = lat.Grid(h=0.05, R=8.0, d=1)
-    consts = [member_fit(basis, 0, grid, u).constant for u in (1.0, 2.0, 3.0, 5.0)]
+    profile = origin_profile(spec, grid)
+    consts = [lat.envelope_constant(*profile, u) for u in (1.0, 2.0, 3.0, 5.0)]
     assert all(a <= b + 1e-15 for a, b in zip(consts, consts[1:]))
     # the origin member of each run family, up to its claimed s
     grid = d1_suite.settings.grid()
     for fam in d1_suite.families:
         s = fam.spec.claimed_s
         profile = lat.measure_decay(fam.basis_k0, (0,), grid)
-        consts = [lat.fit_envelope(*profile, u).constant for u in (s / 2, 0.75 * s, s)]
+        consts = [lat.envelope_constant(*profile, u) for u in (s / 2, 0.75 * s, s)]
         assert consts[-1] == fam.basis_rows[0][1], fam.name
         assert all(a <= b * (1 + 1e-14) for a, b in zip(consts, consts[1:])), fam.name
 
@@ -248,13 +244,13 @@ def test_measure_decay_requires_coverage():
 
 
 def test_all_zero_samples_flagged():
-    fit = lat.fit_envelope(np.zeros(100), np.linspace(0, 9, 100), 3.0)
-    assert fit.constant == 0.0
-    assert fit.flag == "all-zero"
+    values, radii = np.zeros(100), np.linspace(0, 9, 100)
+    assert lat.envelope_constant(values, radii, 3.0) == 0.0
+    assert lat.decay_exponent(values, radii) == math.inf
 
 
-def loop_loglog_fit(values, radii, u, bin_width):
-    """The per-bin loop that fit_envelope's loglog-regression must match exactly."""
+def loop_loglog_fit(values, radii, bin_width):
+    """The per-bin loop that decay_exponent must match exactly."""
     values = np.abs(np.asarray(values, dtype=float)).ravel()
     radii = np.asarray(radii, dtype=float).ravel()
     nbins = int(math.floor(radii.max() / bin_width)) + 1
@@ -270,17 +266,10 @@ def loop_loglog_fit(values, radii, u, bin_width):
             continue
         xs.append(math.log(1.0 + radii[mask][imax]))
         ys.append(math.log(vals[imax]))
-    method = "loglog-regression"
     if len(xs) < 3:
-        flag = "all-zero" if not np.any(values > 0) else "super-polynomial"
-        return lat.EnvelopeFit(0.0, math.inf, method, flag=flag)
-    slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
-    try:
-        constant = math.exp(intercept)
-    except OverflowError as exc:
-        exc.exponent = float(-slope)
-        raise
-    return lat.EnvelopeFit(constant, float(-slope), method)
+        return math.inf
+    slope, _ = np.polyfit(np.array(xs), np.array(ys), 1)
+    return float(-slope)
 
 
 # few distinct values and radii on a coarse lattice, so bins hold ties and gaps
@@ -297,16 +286,8 @@ def test_loglog_fit_matches_per_bin_loop(pairs, bin_width, all_zero):
     values = np.array([0.0 if all_zero else v for v, _ in pairs])
     radii = np.array([r for _, r in pairs])
 
-    fit = lat.fit_envelope(values, radii, 5.0, method="loglog-regression",
-                           bin_width=bin_width)
-    try:
-        expected = loop_loglog_fit(values, radii, 5.0, bin_width)
-    except OverflowError as exc:
-        # where the loop's intercept overflows math.exp, the fit keeps its
-        # exponent and flags the infinite constant
-        expected = lat.EnvelopeFit(math.inf, exc.exponent, "loglog-regression",
-                                   flag="overflow")
-    assert repr(fit) == repr(expected)
+    exponent = lat.decay_exponent(values, radii, bin_width=bin_width)
+    assert repr(exponent) == repr(loop_loglog_fit(values, radii, bin_width))
 
 
 # d=2 grids stay small; h = 0.1 and 0.07 are not dyadic, so equal radii can
@@ -332,21 +313,18 @@ def test_profile_fit_matches_full_sample_fit(d, h, center, kind, seed, u, bin_wi
     assert np.array_equal(np.sort(profile[1]), np.unique(radii))
     # the radii as one array give the same profile as the offsets axis by axis
     assert all(np.array_equal(a, b) for a, b in zip(profile, lat.radial_profile(values, [radii])))
-    for method in ("max-envelope", "loglog-regression"):
-        fit = lat.fit_envelope(*profile, u, method=method, bin_width=bin_width)
-        expected = lat.fit_envelope(values, radii, u, method=method, bin_width=bin_width)
-        assert repr(fit) == repr(expected)
+    assert repr(lat.envelope_constant(*profile, u)) == \
+        repr(lat.envelope_constant(values, radii, u))
+    assert repr(lat.decay_exponent(*profile, bin_width=bin_width)) == \
+        repr(lat.decay_exponent(values, radii, bin_width=bin_width))
 
 
-def test_steep_loglog_fit_flags_overflow():
+def test_steep_loglog_fit_has_finite_exponent():
     # a drop by 600 decades between two adjacent bins: the intercept is near 1000
     values = np.array([1e300, 1e-300, 1e-301])
     radii = np.array([0.49, 0.5, 1.0])
-    with pytest.raises(OverflowError):
-        loop_loglog_fit(values, radii, 5.0, 0.5)
-    fit = lat.fit_envelope(values, radii, 5.0, method="loglog-regression")
-    assert fit.flag == "overflow" and fit.constant == math.inf
-    assert math.isfinite(fit.exponent) and fit.exponent > 0
+    exponent = lat.decay_exponent(values, radii)
+    assert math.isfinite(exponent) and exponent > 0
 
 
 def test_perturbation_penalty_bound():
@@ -355,8 +333,8 @@ def test_perturbation_penalty_bound():
     pert = lat.GeneratorSpec("gaussian", 1, 46.0, s, params={"sigma": sigma},
                              perturbations={(0,): (0.5,)})
     grid = lat.Grid(h=0.01, R=8.0, d=1)
-    c_base = member_fit(lat.make_basis(base, lat.LatticeWindow(1, 0)), 0, grid, s).constant
-    c_pert = member_fit(lat.make_basis(pert, lat.LatticeWindow(1, 0)), 0, grid, s).constant
+    c_base = lat.envelope_constant(*origin_profile(base, grid), s)
+    c_pert = lat.envelope_constant(*origin_profile(pert, grid), s)
     assert c_pert <= c_base * 1.5**s
 
 

@@ -150,20 +150,20 @@ def test_exported_duals_own_their_samples():
 
 
 def test_dual_regression_fitted_once_per_core_node(monkeypatch):
-    methods = []
-    real = du.fit_envelope
+    calls = []
+    real = lat.decay_exponent
 
-    def counting(values, radii, u, method="max-envelope", bin_width=0.5):
-        methods.append(method)
-        return real(values, radii, u, method=method, bin_width=bin_width)
+    def counting(values, radii, bin_width=0.5):
+        calls.append(bin_width)
+        return real(values, radii, bin_width=bin_width)
 
-    monkeypatch.setattr(du, "fit_envelope", counting)
-    monkeypatch.setattr(lat, "fit_envelope", counting)
+    monkeypatch.setattr(du, "decay_exponent", counting)
+    monkeypatch.setattr(lat, "decay_exponent", counting)
     settings = suite_settings(16, (4, 8, 12, 16))
     result = pl.run_family(settings.families[1], settings)
     nodes = result.dual_system.core_nodes()
     # one regression per core dual and per basis row, plus the coefficient decay fit
-    assert methods.count("loglog-regression") == len(nodes) + len(result.basis_rows) + 1
+    assert len(calls) == len(nodes) + len(result.basis_rows) + 1
     exponents = {}
     for node, _, _, exponent in result.envelope_rows:
         exponents.setdefault(node, []).append(exponent)
@@ -227,8 +227,8 @@ def test_support_grid_run_matches_full_grid_oracle(case):
 
     def fits(samples, node, us):
         radii = lat.axes_max_norm(grid.offsets(node))
-        reg = lat.fit_envelope(samples, radii, t, method="loglog-regression").exponent
-        return [(lat.fit_envelope(samples, radii, u).constant, reg) for u in us]
+        exponent = lat.decay_exponent(samples, radii)
+        return [(lat.envelope_constant(samples, radii, u), exponent) for u in us]
 
     dense = [fit for node, g in zip(nodes, G) for fit in fits(g, node, dict.fromkeys((t, s)))]
     assert [row[:2] for row in result.envelope_rows] == \
