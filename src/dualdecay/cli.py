@@ -36,7 +36,7 @@ from . import lattice as lat
 from . import pipeline as pl
 from .duals import biorthogonality_residual  # noqa: F401  kept in this namespace for tracing
 from .errors import (ConfigError, ConvergenceError, HypothesisViolation, InvariantFailure,
-                     NotRieszError)
+                     NotRieszError, family_errors)
 
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
@@ -162,23 +162,24 @@ def _stage_families(settings: pl.RunSettings, stage: str):
     then write what was computed, also when a dual residual failed."""
     computed, failure = [], None
     for fam in settings.families:
-        basis, rows, k0 = pl.measure_basis(fam, settings)
-        gramian = riesz = coeffs = None
-        if stage != "basis":
-            secs, riesz = pl.gramian_sections(basis, settings)
-            gramian = secs[-1]
-            print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
-        if stage == "duals":
-            ds, biorth, gram = pl.dual_system(secs, settings)
-            coeffs = ds.coefficient_matrix()
-            print(f"duals stage: {fam.name}: core={ds.core_radius} "
-                  f"biorthogonality={biorth!r} gram_duals={gram!r}")
-            failed = [v for v in (pl.biorthogonality(fam.name, biorth, settings.tolerances),
-                                  pl.gram_duals(fam.name, gram, settings.tolerances))
-                      if not v.passed]
-            if failed:
-                failure = InvariantFailure(f"{failed[0].name} residual "
-                                           f"{failed[0].value!r} over tolerance")
+        with family_errors(fam.name):
+            basis, rows, k0 = pl.measure_basis(fam, settings)
+            gramian = riesz = coeffs = None
+            if stage != "basis":
+                secs, riesz = pl.gramian_sections(basis, settings)
+                gramian = secs[-1]
+                print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
+            if stage == "duals":
+                ds, biorth, gram = pl.dual_system(secs, settings)
+                coeffs = ds.coefficient_matrix()
+                print(f"duals stage: {fam.name}: core={ds.core_radius} "
+                      f"biorthogonality={biorth!r} gram_duals={gram!r}")
+                failed = [v for v in (pl.biorthogonality(fam.name, biorth, settings.tolerances),
+                                      pl.gram_duals(fam.name, gram, settings.tolerances))
+                          if not v.passed]
+                if failed:
+                    failure = InvariantFailure(f"{failed[0].name} residual "
+                                               f"{failed[0].value!r} over tolerance")
         computed.append((fam.name, fam.spec, rows, k0, gramian, riesz, coeffs))
         if failure is not None:
             break

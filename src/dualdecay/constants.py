@@ -439,13 +439,10 @@ def calibrate_E(suite) -> ECalibration:
     check_E_family_count(len(cases))
     per_family = []
     for c in cases:
-        validate_hypotheses(c.C_meas, c.s, c.t, c.d)
+        base = TheoreticalBound(C=c.C_meas, A=c.A_est, s=c.s, t=c.t, d=c.d, E=1.0).D
         if not math.isfinite(c.D_emp):
             raise ValueError(f"family {c.family!r} has non-finite measured D")
-        t = int(c.t)
-        base = (c.C_meas ** (2 * t + 1) / c.A_est ** (t + 1)
-                * (1.0 + 1.0 / (c.s - t - c.d)) ** t)
-        per_family.append((c.family, (c.D_emp / base) ** (1.0 / (t * t))))
+        per_family.append((c.family, (c.D_emp / base) ** (1.0 / (c.t * c.t))))
     binding, e_emp = max(per_family, key=lambda item: item[1])
     return ECalibration(E_emp=e_emp, binding_family=binding, per_family=tuple(per_family))
 
@@ -459,10 +456,6 @@ class RecursionTrace:
     """
 
     values: tuple
-    A_est: float
-    C_meas: float
-    W: float
-    schur_constant: float
 
     @property
     def final(self) -> float:
@@ -479,5 +472,4 @@ def recursion_trace(A_est: float, C_meas: float, W: float, t: int,
     values = [1.0 / A_est]
     for u in range(1, int(t) + 1):
         values.append(factor * 2.0**u * values[-1])
-    return RecursionTrace(values=tuple(values), A_est=A_est, C_meas=C_meas,
-                          W=W, schur_constant=schur_constant)
+    return RecursionTrace(values=tuple(values))

@@ -74,7 +74,8 @@ def _invert_pd(entries: np.ndarray, radius: int) -> np.ndarray:
 
 
 def invert_section(sections_list, tol: float = 1e-8) -> DualSystem:
-    """Invert nested sections and find the stabilized central core.
+    """Invert the two largest nested sections and find the stabilized
+    central core.
 
     The core radius is the largest r such that every coefficient with both
     nodes in {|k| <= r} changes by less than tol (relative to the largest
@@ -85,10 +86,10 @@ def invert_section(sections_list, tol: float = 1e-8) -> DualSystem:
     radii = [sec.window.N for sec in sections_list]
     if sorted(radii) != radii or len(set(radii)) != len(radii):
         raise ValueError("sections must come at strictly increasing radii")
-    inverses = [_invert_pd(sec.entries, sec.window.N) for sec in sections_list]
-
-    big, big_win = inverses[-1], sections_list[-1].window
-    prev, prev_win = inverses[-2], sections_list[-2].window
+    # the smaller nested sections are principal blocks of the largest, so
+    # they are positive definite whenever it is
+    prev, big = (_invert_pd(sec.entries, sec.window.N) for sec in sections_list[-2:])
+    prev_win, big_win = sections_list[-2].window, sections_list[-1].window
     scale = float(np.max(np.abs(big)))
     threshold = tol * scale
 

@@ -1,5 +1,7 @@
 """Exception types mapped to distinct CLI exit codes."""
 
+from contextlib import contextmanager
+
 
 class ConfigError(ValueError):
     """Run configuration could not be parsed or validated.  Exit code 2."""
@@ -28,3 +30,14 @@ class InvariantFailure(RuntimeError):
 
 class EnvelopeClaimError(InvariantFailure, ValueError):
     """A measured envelope constant exceeds the claimed C.  Exit code 5."""
+
+
+@contextmanager
+def family_errors(name: str):
+    """Prefix `family '<name>': ` to the message of an envelope, Riesz or
+    convergence error raised inside, keeping its type and so its exit code."""
+    try:
+        yield
+    except (EnvelopeClaimError, NotRieszError, ConvergenceError) as exc:
+        exc.args = (f"family {name!r}: {exc}",)
+        raise

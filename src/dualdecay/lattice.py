@@ -265,7 +265,7 @@ class GeneratorSpec:
     """A family of localized generators around (perturbed) lattice nodes.
 
     claimed_C and claimed_s declare the envelope |f_k(x)| <= C (1+|x-k|)^(-s)
-    that every member is supposed to satisfy; a validation pass measures it.
+    that every translate is supposed to satisfy; a validation pass measures it.
     """
 
     family: str
@@ -299,13 +299,6 @@ class GeneratorSpec:
                 raise ValueError("bspline-order-m needs integer order >= 1")
             p["order"] = int(order)
         object.__setattr__(self, "params", p)
-
-    def perturbation_of(self, k) -> np.ndarray:
-        k = tuple(int(c) for c in np.atleast_1d(k))
-        for node, delta in self.perturbations:
-            if node == k:
-                return np.asarray(delta, dtype=float)
-        return np.zeros(self.d)
 
     @property
     def generator(self) -> Callable:
@@ -348,34 +341,10 @@ class GeneratorSpec:
         return None
 
 
-@dataclass(frozen=True)
-class Member:
-    """One evaluatable basis function f_k = amplitude * phi(. - k - delta_k)."""
-
-    node: tuple
-    center: np.ndarray
-    generator: Callable
-    amplitude: float
-    envelope_C: float
-    envelope_s: float
-    support_radius: float | None
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            x = x.reshape(1)
-        if x.shape[-1] != self.center.shape[0]:
-            raise ValueError(f"points must have last axis of size {self.center.shape[0]}")
-        return self.amplitude * self.generator(np.moveaxis(x - self.center, -1, 0))
-
-    def sample(self, grid: Grid) -> np.ndarray:
-        """f at every grid point, shape (n_points,), evaluated axis by axis on
-        grid.offsets; equal to self(grid.points)."""
-        return (self.amplitude * self.generator(grid.offsets(self.center))).reshape(-1)
-
-
 class BasisSet:
-    """Indexed family of localized functions over a lattice window."""
+    """The generator of `spec` at every node of a lattice window:
+    f_k = amplitude * phi(. - c_k), with c_k = k + delta_k the row of k in
+    the read-only (window.size, d) array `centers`."""
 
     def __init__(self, spec: GeneratorSpec, window: LatticeWindow, amplitude: float = 1.0):
         if spec.d != window.d:
@@ -383,60 +352,53 @@ class BasisSet:
         self.spec = spec
         self.window = window
         self.amplitude = float(amplitude)
-        gen = spec.generator
-        self._members = {}
-        for k in window.indices:
-            node = tuple(int(c) for c in k)
-            center = np.asarray(k, dtype=float) + spec.perturbation_of(k)
-            self._members[node] = Member(
-                node=node,
-                center=center,
-                generator=gen,
-                amplitude=self.amplitude,
-                envelope_C=abs(self.amplitude) * spec.claimed_C,
-                envelope_s=spec.claimed_s,
-                support_radius=spec.support_radius,
-            )
+        self.envelope_C = abs(self.amplitude) * spec.claimed_C
+        centers = window.indices.astype(float)
+        for node, delta in spec.perturbations:
+            if not window.contains(node):
+                raise ValueError(f"perturbed node {node} lies outside the window")
+            centers[window.index_of(node)] += delta
+        centers.setflags(write=False)
+        self.centers = centers
         self._sampled = None  # (grid, read-only samples), see sample_matrix
 
     def __len__(self) -> int:
         return self.window.size
 
-    def member(self, k) -> Member:
-        node = tuple(int(c) for c in np.atleast_1d(k))
-        try:
-            return self._members[node]
-        except KeyError:
-            raise IndexError(f"node {node} outside window N={self.window.N}") from None
-
-    def members(self) -> list:
-        return [self._members[tuple(int(c) for c in k)] for k in self.window.indices]
+    def center(self, k) -> np.ndarray:
+        """c_k = k + delta_k."""
+        return self.centers[self.window.index_of(k)]
 
     def evaluate(self, k, x):
-        """Value of f_k at point(s) x; scalar in, scalar out."""
+        """f_k at point(s) x, point by point on the dense coordinates; a
+        scalar or a single point gives a float."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0 or (x.ndim == 1 and self.window.d > 1)
         if x.ndim == 0:
             x = x.reshape(1, 1)
         elif x.ndim == 1 and self.window.d == 1:
             x = x.reshape(-1, 1)
-        out = self.member(k)(x)
+        if x.shape[-1] != self.window.d:
+            raise ValueError(f"points must have last axis of size {self.window.d}")
+        out = self.amplitude * self.spec.generator(np.moveaxis(x - self.center(k), -1, 0))
         return float(out.reshape(-1)[0]) if scalar else out
 
     def sample(self, k, grid: Grid) -> np.ndarray:
-        """f_k at every grid point, shape (n_points,)."""
-        return self.member(k).sample(grid)
+        """f_k at every grid point, shape (n_points,), evaluated axis by axis
+        on grid.offsets; equal to evaluate(k, grid.points)."""
+        return (self.amplitude * self.spec.generator(grid.offsets(self.center(k)))).reshape(-1)
 
     def sample_all(self, grid: Grid) -> np.ndarray:
-        """All members at all grid points, shape (window.size, n_points)."""
+        """Every f_k at all grid points, shape (window.size, n_points)."""
         check_sample_cap(self.window, grid)
+        generator = self.spec.generator
         out = np.empty((self.window.size, grid.n_points))
-        for row, k in enumerate(self.window.indices):
-            out[row] = self._members[tuple(int(c) for c in k)].sample(grid)
+        for row, center in enumerate(self.centers):
+            out[row] = (self.amplitude * generator(grid.offsets(center))).reshape(-1)
         return out
 
     def support_grid(self, grid: Grid) -> Grid:
-        """The centred sub-grid of `grid` outside which every member is
+        """The centred sub-grid of `grid` outside which every f_k is
         exactly 0: the points with |x|_inf <= N + support radius, or `grid`
         itself for a family without compact support or one whose supports
         reach the grid's edge.
@@ -455,7 +417,7 @@ class BasisSet:
 
         Assembly and dual synthesis both read this one matrix, so a family
         is sampled once however many duals it has, and none of them reads
-        the grid points where every member is 0.
+        the grid points where every f_k is 0.
         """
         if self._sampled is None or self._sampled[0] != grid:
             samples = self.sample_all(self.support_grid(grid))
@@ -476,10 +438,7 @@ def check_sample_cap(window: LatticeWindow, grid: Grid) -> None:
 
 
 def make_basis(spec: GeneratorSpec, window: LatticeWindow) -> BasisSet:
-    """Build one evaluatable function per window node, translated to k + delta_k."""
-    for node, _ in spec.perturbations:
-        if not window.contains(node):
-            raise ValueError(f"perturbed node {node} lies outside the window")
+    """The generator of `spec` translated to k + delta_k at every window node."""
     return BasisSet(spec, window)
 
 
@@ -507,7 +466,7 @@ def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):
     """Measured envelope constants at claimed_s, checked against claimed_C.
 
     Returns {node: (measured constant, measure_decay profile)} for the origin
-    and each perturbed node; raises if any member exceeds its claim.
+    and each perturbed node; raises if any of them exceeds the claim.
     """
     spec = basis.spec
     nodes = [(0,) * spec.d] + [node for node, _ in spec.perturbations]
@@ -516,9 +475,8 @@ def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):
         profile = measure_decay(basis.sample(node, grid), node, grid)
         constant = envelope_constant(*profile, spec.claimed_s)
         measured[node] = constant, profile
-        bound = abs(basis.amplitude) * spec.claimed_C
-        if constant > bound * (1.0 + rtol):
+        if constant > basis.envelope_C * (1.0 + rtol):
             raise EnvelopeClaimError(
                 f"measured envelope constant {constant:.6g} at node {node} "
-                f"exceeds claimed {bound:.6g}")
+                f"exceeds claimed {basis.envelope_C:.6g}")
     return measured

@@ -17,7 +17,7 @@ from . import constants as cst
 from . import duals as du
 from . import gramian as gr
 from . import lattice as lat
-from .errors import ConfigError
+from .errors import ConfigError, family_errors
 
 DEFAULT_TOLERANCES = {
     "inversion": 1e-8,
@@ -129,7 +129,7 @@ class FamilyResult:
     dual_norm_max: float        # max_k ||g_k||^2 over the core
     lam_max_core: float
     basis_rows: list            # (node, measured C at claimed s, regression exponent)
-    basis_k0: np.ndarray        # the member at the origin, sampled on the grid
+    basis_k0: np.ndarray        # the basis function at the origin, sampled on the grid
     D_emp: float                # max dual envelope constant at exponent t
     envelope_rows: list         # (k, exponent, constant, regression_exponent)
     inverse_decay: float        # shell-regression decay exponent of |c_0j| over the core
@@ -215,7 +215,11 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     tol = settings.tolerances
     origin = (0,) * settings.d
 
-    basis, basis_rows, basis_k0 = measure_basis(fam, settings)
+    with family_errors(fam.name):
+        basis, basis_rows, basis_k0 = measure_basis(fam, settings)
+        secs, riesz = gramian_sections(basis, settings)
+        ds, biorth, gram_res = dual_system(secs, settings)
+    M = secs[-1]
     C_meas = max(C for _, C, _ in basis_rows)
     if fam.spec.perturbations:
         bare = replace(fam.spec, perturbations=())
@@ -224,10 +228,6 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         C_base = lat.envelope_constant(*bare_profile, s)
     else:
         C_base = C_meas
-
-    secs, riesz = gramian_sections(basis, settings)
-    M = secs[-1]
-    ds, biorth, gram_res = dual_system(secs, settings)
     dual_norm, lam_core = core_norms(ds.core_block())
 
     # all core duals come from one product on the support grid and each is
@@ -252,7 +252,9 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     inverse_decay = du.coefficient_decay_fit(ds)
 
     W_value = cst.compute_W(s - t, settings.d, tol["w_tol"])
-    schur_worst = max(gr.schur_bound(gr.apply_derivation(M, 1, u)) for u in range(t + 1))
+    schur_M = gr.schur_bound(M)  # the u = 0 term
+    schur_worst = max([schur_M] + [gr.schur_bound(gr.apply_derivation(M, 1, u))
+                                    for u in range(1, t + 1)])
     schur_ratio = schur_worst / (C_meas**2 * W_value)
 
     # the largest envelope constant of a core row: one profile of all core rows
@@ -270,7 +272,7 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         dual_norm_max=dual_norm, lam_max_core=lam_core,
         basis_rows=basis_rows, basis_k0=basis_k0, D_emp=D_emp,
         envelope_rows=envelope_rows, inverse_decay=inverse_decay, alpha_t=alpha_t,
-        schur_ratio=schur_ratio, schur_M=gr.schur_bound(M), W_value=W_value,
+        schur_ratio=schur_ratio, schur_M=schur_M, W_value=W_value,
         offdiag_constant=offdiag_constant, offdiag_exponent=offdiag_exponent,
         dual_system=ds, duals=duals, gramian=M,
         elapsed=time.perf_counter() - t0,

@@ -526,10 +526,13 @@ def test_cli_claimed_envelope_exceeded_exits_invariant(tmp_path, capsys):
     text = re.sub(r"(?m)^claimed_C = .*$", "claimed_C = 1.5", Path(config).read_text())
     bad = tmp_path / "claimed.ini"
     bad.write_text(text)
-    assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path / "out")]) \
-        == cli.EXIT_INVARIANT
-    line = _one_line(capsys.readouterr().err)
-    assert line.startswith("invariant failure:") and "exceeds claimed" in line
+    # the suite run and a stage run both name the first family over its claim
+    for stage in ("all", "basis"):
+        assert cli.main([stage, "--config", str(bad), "--out", str(tmp_path / stage)]) \
+            == cli.EXIT_INVARIANT
+        line = _one_line(capsys.readouterr().err)
+        assert line.startswith("invariant failure: family 'indicator': measured envelope")
+        assert "exceeds claimed" in line
 
 
 NOT_RIESZ_CONFIG = """
@@ -574,7 +577,54 @@ def test_cli_not_riesz_exits_hypothesis(tmp_path, capsys):
     path.write_text(NOT_RIESZ_CONFIG.format(out=tmp_path / "out"))
     assert cli.main(["report", "--config", str(path)]) == cli.EXIT_HYPOTHESIS
     line = _one_line(capsys.readouterr().err)
-    assert line.startswith("hypothesis violation:") and "not a Riesz sequence" in line
+    assert line.startswith("hypothesis violation: family 'needle': lambda_min")
+    assert "not a Riesz sequence" in line
+
+
+NO_CONVERGENCE_CONFIG = """
+[run]
+name = no-convergence
+out = {out}
+
+[window]
+d = 1
+radii = 1 2
+
+[grid]
+h = 0.0625
+R = 10
+
+[targets]
+t = 2
+
+[family:indicator]
+family = bspline-indicator
+claimed_C = 32
+claimed_s = 5
+
+[family:wide]
+family = gaussian
+sigma = 0.5
+claimed_C = 6
+claimed_s = 5
+
+[family:bump]
+family = polynomial-bump
+s = 5
+claimed_C = 1
+claimed_s = 5
+"""
+
+
+def test_cli_no_convergence_exits_convergence_naming_family(tmp_path, capsys):
+    # radii 1 and 2 are too small for the gaussian's inverse to stabilize
+    path = tmp_path / "no_convergence.ini"
+    path.write_text(NO_CONVERGENCE_CONFIG.format(out=tmp_path / "out"))
+    for stage in ("all", "duals"):
+        assert cli.main([stage, "--config", str(path)]) == cli.EXIT_CONVERGENCE
+        line = _one_line(capsys.readouterr().err)
+        assert line.startswith("convergence failure: family 'wide': section inverse did "
+                               "not stabilize: core radius 0 < 1"), line
 
 
 SAMPLE_CAP_CONFIG = """

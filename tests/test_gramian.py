@@ -33,10 +33,10 @@ def gaussian_basis(N=4):
 
 def test_indicator_inner_products_exact():
     basis = indicator_basis()
-    v, tail = gr.inner_product(basis.member(0), basis.member(0), GRID)
+    v, tail = gr.inner_product(basis, 0, 0, GRID)
     assert v == pytest.approx(1.0, abs=1e-14)
     assert tail == 0.0
-    v01, tail01 = gr.inner_product(basis.member(0), basis.member(1), GRID)
+    v01, tail01 = gr.inner_product(basis, 0, 1, GRID)
     assert v01 == 0.0
     assert tail01 == 0.0
 
@@ -46,20 +46,18 @@ def test_bump_inner_product_against_adaptive_quadrature():
     oracle = sum(quad(f, a, b, epsabs=1e-14, limit=400)[0]
                  for a, b in [(-60, 0), (0, 1), (1, 60)])
     basis = bump_basis()
-    v, tail = gr.inner_product(basis.member(0), basis.member(1), GRID)
+    v, tail = gr.inner_product(basis, 0, 1, GRID)
     # default grid: midpoint error is dominated by the envelope kinks
     assert v == pytest.approx(oracle, abs=2e-5)
     assert tail > 0.0
-    fine, _ = gr.inner_product(basis.member(0), basis.member(1),
-                               lat.Grid(h=1e-4, R=50.0, d=1))
+    fine, _ = gr.inner_product(basis, 0, 1, lat.Grid(h=1e-4, R=50.0, d=1))
     assert fine == pytest.approx(oracle, abs=1e-8)
 
 
 def test_inner_product_tail_bound_honest():
     basis = bump_basis()
-    v24, tail24 = gr.inner_product(basis.member(0), basis.member(1), GRID)
-    v50, _ = gr.inner_product(basis.member(0), basis.member(1),
-                              lat.Grid(h=1 / 64, R=50.0, d=1))
+    v24, tail24 = gr.inner_product(basis, 0, 1, GRID)
+    v50, _ = gr.inner_product(basis, 0, 1, lat.Grid(h=1 / 64, R=50.0, d=1))
     # the grids are nested, so the difference is exactly the annulus mass
     assert abs(v50 - v24) <= tail24
 
@@ -69,11 +67,11 @@ def test_inner_product_precondition_checks():
     shallow = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 0.5, params={"s": 0.5})
     thin = lat.make_basis(shallow, lat.LatticeWindow(1, 0))
     with pytest.raises(ValueError, match="integrable"):
-        gr.inner_product(thin.member(0), thin.member(0), GRID)
+        gr.inner_product(thin, 0, 0, GRID)
     far_spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     far = lat.make_basis(far_spec, lat.LatticeWindow(1, 30))
     with pytest.raises(ValueError, match="one unit past"):
-        gr.inner_product(far.member(30), far.member(0), lat.Grid(h=1 / 64, R=30.0, d=1))
+        gr.inner_product(far, 30, 0, lat.Grid(h=1 / 64, R=30.0, d=1))
 
 
 # --- assembly ------------------------------------------------------------------
@@ -87,6 +85,19 @@ def test_indicator_gramian_is_identity():
 
 
 D2_GRID = lat.Grid(h=1 / 8, R=6.0, d=2)
+
+
+def test_noncompact_tail_is_the_largest_corner_pair_tail():
+    # a perturbed corner sets the reach of the window's first center
+    spec = lat.GeneratorSpec("gaussian", 2, 46.0, 6.0, params={"sigma": 0.5},
+                             perturbations={(-1, -1): (-0.25, 0.125), (0, 0): (0.3, -0.2)})
+    basis = lat.make_basis(spec, lat.LatticeWindow(2, 1))
+    M = gr.assemble(basis, None, D2_GRID)
+    first, last = (-1, -1), (1, 1)
+    tails = [gr.inner_product(basis, k, j, D2_GRID)[1]
+             for k, j in ((first, first), (first, last), (last, last))]
+    assert M.quadrature_tail > 0.0
+    assert M.quadrature_tail == max(tails)
 
 
 def perturbed_gaussian_basis(N=2):
@@ -429,6 +440,6 @@ def test_assemble_bitwise_equals_fresh_rows(d, N, sub_N):
     grid = lat.Grid(h=1 / 8, R=N + 8.0, d=d)
     for window in (None, lat.LatticeWindow(d, sub_N)):
         M = gr.assemble(basis, window, grid)
-        rows = np.stack([basis.member(k)(grid.points) for k in M.window.indices])
+        rows = np.stack([basis.evaluate(k, grid.points) for k in M.window.indices])
         raw = (rows @ rows.T) * grid.weight
         assert np.array_equal(M.entries, 0.5 * (raw + raw.T))

@@ -159,17 +159,39 @@ def test_translation_covariance_zero_perturbations():
         shifted = basis.evaluate(2, x)
         reference = basis.evaluate(0, x - 2.0)
         assert np.array_equal(shifted, reference)
-    # d=2: the axis-by-axis samples of a shifted member against the dense
-    # evaluation of the origin's member at shifted points
+    # d=2: the axis-by-axis samples of a shifted translate against the dense
+    # evaluation of the origin's translate at shifted points
     grid = lat.Grid(h=1 / 8, R=4.0, d=2)
     for family, params in [("polynomial-bump", {"s": 6.0}),
                            ("gaussian", {"sigma": 0.5}),
                            ("bspline-indicator", {})]:
         spec = lat.GeneratorSpec(family, 2, 64.0, 6.0, params=params)
         basis = lat.make_basis(spec, lat.LatticeWindow(2, 1))
-        shifted = basis.member((1, 0)).sample(grid)
-        reference = basis.member((0, 0))(grid.points - np.array([1.0, 0.0]))
+        shifted = basis.sample((1, 0), grid)
+        reference = basis.evaluate((0, 0), grid.points - np.array([1.0, 0.0]))
         assert np.array_equal(shifted, reference), family
+
+
+@pytest.mark.parametrize("d, perturbations", [
+    (1, {(0,): (0.3,), (-2,): (-0.5,)}),
+    (2, {(0, 0): (0.25, -0.25), (1, -1): (-0.125, 0.5), (-2, 2): (0.0, 0.375)}),
+])
+def test_centers_are_nodes_plus_their_perturbations(d, perturbations):
+    window = lat.LatticeWindow(d, 2)
+    spec = lat.GeneratorSpec("gaussian", d, 46.0, d + 4.0, params={"sigma": 0.5},
+                             perturbations=perturbations)
+    basis = lat.make_basis(spec, window)
+    assert basis.centers.shape == (window.size, d) and basis.centers.dtype == float
+    assert basis.centers.flags.writeable is False
+    with pytest.raises(ValueError):
+        basis.centers[0, 0] = 1.0
+    expected = window.indices.astype(float)
+    for node, delta in perturbations.items():
+        expected[window.index_of(node)] += delta
+    assert np.array_equal(basis.centers, expected)
+    for row, k in enumerate(window.indices):
+        assert np.array_equal(basis.center(k), expected[row])
+    assert np.array_equal(basis.center((0,) * d), np.asarray(perturbations[(0,) * d]))
 
 
 def test_two_dimensional_evaluation():
@@ -352,7 +374,7 @@ def test_scaled_basis_amplitude():
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
     basis = scaled_basis(lat.make_basis(spec, lat.LatticeWindow(1, 0)), 2.0)
     assert basis.evaluate(0, 1.0) == pytest.approx(2.0 * 2.0**-5)
-    assert basis.member(0).envelope_C == 2.0
+    assert basis.envelope_C == 2.0
 
 
 def _positions_by_loop(win, sub):
@@ -389,7 +411,8 @@ def test_sample_matrix_built_once_and_read_only():
         F[0, 0] = 1.0
     assert basis.sample_matrix(grid) is F
     assert basis.sample_matrix(lat.Grid(h=1 / 16, R=12.0, d=1)) is F
-    assert np.array_equal(F, np.stack([m(grid.points) for m in basis.members()]))
+    assert np.array_equal(F, np.stack([basis.evaluate(k, grid.points)
+                                       for k in basis.window.indices]))
     coarse = lat.Grid(h=1 / 8, R=12.0, d=1)
     assert basis.sample_matrix(coarse).shape == (7, coarse.n_points)
 
@@ -415,11 +438,11 @@ def test_support_grid_holds_every_nonzero_sample(data, d, h, order):
     assert support.R == window.N + spec.support_radius < grid.R
     lo = grid.steps - support.steps
     assert grid.axis[lo:lo + support.axis.size].tobytes() == support.axis.tobytes()
-    for m in basis.members():
+    for k in window.indices:
         # padded with +0.0, the support-grid samples are the grid samples bit for
         # bit: every sample off the support grid is exactly 0
-        padded = grid.embed(m.sample(support), support)
-        assert padded.tobytes() == m.sample(grid).tobytes(), m.node
+        padded = grid.embed(basis.sample(k, support), support)
+        assert padded.tobytes() == basis.sample(k, grid).tobytes(), k
 
 
 @pytest.mark.parametrize("family,params", [("polynomial-bump", {"s": 5.0}),
@@ -477,11 +500,11 @@ def test_axis_wise_sampling_matches_dense_points(family, params, d):
     basis = lat.make_basis(spec, lat.LatticeWindow(d, 1))
     grid = lat.Grid(h=0.25, R=3.0, d=d)
     F = basis.sample_all(grid)
-    for row, m in enumerate(basis.members()):
-        dense = m(grid.points)
-        assert np.array_equal(F[row], dense), m.node
-        assert np.array_equal(basis.sample(m.node, grid), dense), m.node
-        assert np.array_equal(dense, _dense_generator(spec, grid.points - m.center)), m.node
-        radii = lat.axes_max_norm(grid.offsets(m.center)).reshape(-1)
-        assert np.array_equal(radii, lat.max_norm(grid.points - m.center)), m.node
-        assert np.array_equal(radii, np.max(np.abs(grid.points - m.center), axis=-1)), m.node
+    for row, k in enumerate(basis.window.indices):
+        dense, center = basis.evaluate(k, grid.points), basis.center(k)
+        assert np.array_equal(F[row], dense), k
+        assert np.array_equal(basis.sample(k, grid), dense), k
+        assert np.array_equal(dense, _dense_generator(spec, grid.points - center)), k
+        radii = lat.axes_max_norm(grid.offsets(center)).reshape(-1)
+        assert np.array_equal(radii, lat.max_norm(grid.points - center)), k
+        assert np.array_equal(radii, np.max(np.abs(grid.points - center), axis=-1)), k
