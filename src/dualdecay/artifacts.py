@@ -19,13 +19,11 @@ import os
 
 import numpy as np
 
-from .duals import biorthogonality_residual, gram_duals_check
 from .errors import ConfigError
 from .gramian import DecayMatrix
 from .lattice import LatticeWindow
-from .pipeline import (DEFAULT_TOLERANCES, RunSettings, SuiteResult, Verdict, biorthogonality,
-                       core_norms, dual_decay_domination, dual_norm_bound, gram_duals,
-                       interlacing, inverse_norm_bound)
+from .pipeline import (DEFAULT_TOLERANCES, RunSettings, SuiteResult, Verdict,
+                       dual_decay_domination, matrix_checks)
 
 
 def _fmt(x) -> str:
@@ -338,6 +336,7 @@ def _settings_dict(s) -> dict:
 
 def report_dict(suite: SuiteResult) -> dict:
     s = suite.settings
+    value = {v.name: v.value for v in suite.verdicts}
     fams = {}
     for fam in suite.families:
         fams[fam.name] = {
@@ -356,10 +355,10 @@ def report_dict(suite: SuiteResult) -> dict:
             "core_radius": fam.core_radius,
             "convergence_estimate": fam.convergence.estimate,
             "convergence_max_change": fam.convergence.max_change,
-            "biorthogonality_residual": fam.biorth_residual,
-            "gram_duals_residual": fam.gram_duals_residual,
-            "dual_norm_max": fam.dual_norm_max,
-            "lambda_max_core_coeffs": fam.lam_max_core,
+            "biorthogonality_residual": value[f"{fam.name}.biorthogonality"],
+            "gram_duals_residual": value[f"{fam.name}.gram_duals"],
+            "dual_norm_max": value[f"{fam.name}.dual_norm_bound"],
+            "lambda_max_core_coeffs": value[f"{fam.name}.inverse_norm_bound"],
             "inverse_decay_exponent": _finite(fam.inverse_decay),
             "coefficient_envelope_alpha": fam.alpha_t,
             "schur_ratio_gramian": fam.schur_ratio,
@@ -427,11 +426,23 @@ def _read_rows(path: str, types: tuple) -> list:
     return rows
 
 
-def _read_matrix(path: str) -> DecayMatrix:
+def _read_matrix(path: str, window: LatticeWindow) -> DecayMatrix:
+    """The matrix stored at `path`, which must be on `window`."""
     try:
-        return DecayMatrix.from_text(_require(path))
+        matrix = DecayMatrix.from_text(_require(path))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if matrix.window != window:
+        raise ConfigError(f"{path} holds a matrix on the window d={matrix.window.d} "
+                          f"N={matrix.window.N}, the config's is d={window.d} N={window.N}")
+    return matrix
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError(f"lambda_min {text} is not positive")
+    return value
 
 
 def verify_artifacts(settings: RunSettings) -> list:
@@ -478,6 +489,7 @@ def verify_artifacts(settings: RunSettings) -> list:
     t, d = entry("settings", "t"), entry("settings", "d")
     E_emp = entry("calibration", "E_emp", kind=_NUMBER)
     invariants = entry("invariants", kind=list)
+    window = LatticeWindow(settings.d, settings.radii[-1])
     verdicts = []
 
     def add(name, passed, value, threshold, detail=""):
@@ -491,26 +503,15 @@ def verify_artifacts(settings: RunSettings) -> list:
             raise ConfigError(f"{path} entry 'families.{name}.core_radius' is not an integer "
                               f"in [0, {settings.radii[-1]}]: {core_radius!r}")
         fdir = family_dir(out_dir, name)
-        gram = _read_matrix(os.path.join(fdir, "gramian.csv"))
-        coeffs = _read_matrix(os.path.join(fdir, "coeffs.csv"))
-        if gram.window != coeffs.window:
-            raise ConfigError(f"window mismatch between stored matrices for {name!r}")
-        core = coeffs.window.positions_of(LatticeWindow(coeffs.window.d, core_radius))
-        verdicts.append(biorthogonality(
-            name, biorthogonality_residual(coeffs.entries, gram.entries), tol))
-        verdicts.append(gram_duals(
-            name, gram_duals_check(coeffs.entries, gram.entries, core), tol))
-
-        eigens = _read_rows(os.path.join(fdir, "eigens.csv"), (int, float, float))
+        gram, coeffs = (_read_matrix(os.path.join(fdir, f), window)
+                        for f in ("gramian.csv", "coeffs.csv"))
+        # a run never stores a non-positive lambda_min: NotRieszError comes first
+        eigens = _read_rows(os.path.join(fdir, "eigens.csv"), (int, _positive, float))
         radii, lo, hi = (list(column) for column in zip(*eigens))
+        verdicts += matrix_checks(name, gram, coeffs.entries, core_radius, radii, lo, hi, tol)
         a_est = lo[-1]
         add(f"{name}.eigens_consistent",
             math.isclose(a_est, A_stored, rel_tol=1e-12), a_est, A_stored)
-        verdicts.append(interlacing(name, radii, lo, hi, tol))
-
-        dual_norm, lam = core_norms(coeffs.entries[np.ix_(core, core)])
-        verdicts.append(inverse_norm_bound(name, lam, a_est, tol))
-        verdicts.append(dual_norm_bound(name, dual_norm, a_est, tol))
 
         envelopes = _read_rows(os.path.join(fdir, "envelopes.csv"), (str, float, float, float))
         d_emp = max([0.0] + [c for _, u, c, _ in envelopes if u == t])

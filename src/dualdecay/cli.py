@@ -7,7 +7,7 @@ writes its slice of the results:
 
     basis    envelope measurements and sampled-function exports
     gramian  sections and eigenvalue traces
-    duals    inversion, biorthogonality and dual-Gramian residuals
+    duals    inversion and the five matrix checks verify also runs
     bounds   lattice sums and calibrated constants
     report   full pipeline, all per-family artifacts, report.json
     all      basis exports plus the full report
@@ -32,6 +32,7 @@ import sys
 
 from . import artifacts
 from . import constants as cst
+from . import duals as du
 from . import lattice as lat
 from . import pipeline as pl
 from .duals import biorthogonality_residual  # noqa: F401  kept in this namespace for tracing
@@ -159,7 +160,7 @@ def load_config(path: str, out_override=None, seed_override=None,
 
 def _stage_families(settings: pl.RunSettings, stage: str):
     """basis, gramian and duals: run each family's pipeline through `stage`,
-    then write what was computed, also when a dual residual failed."""
+    then write what was computed, also when a matrix check failed."""
     computed, failure = [], None
     for fam in settings.families:
         with family_errors(fam.name):
@@ -170,23 +171,24 @@ def _stage_families(settings: pl.RunSettings, stage: str):
                 gramian = secs[-1]
                 print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
             if stage == "duals":
-                ds, biorth, gram = pl.dual_system(secs, settings)
+                ds = du.invert_section(secs, tol=settings.tolerances["inversion"])
                 coeffs = ds.coefficient_matrix()
+                checks = pl.matrix_checks(fam.name, gramian, ds.coeffs, ds.core_radius,
+                                          riesz.radii, riesz.lambda_min, riesz.lambda_max,
+                                          settings.tolerances)
+                biorth, gram = checks[:2]
                 print(f"duals stage: {fam.name}: core={ds.core_radius} "
-                      f"biorthogonality={biorth!r} gram_duals={gram!r}")
-                failed = [v for v in (pl.biorthogonality(fam.name, biorth, settings.tolerances),
-                                      pl.gram_duals(fam.name, gram, settings.tolerances))
-                          if not v.passed]
+                      f"biorthogonality={biorth.value!r} gram_duals={gram.value!r}")
+                failed = [v for v in checks if not v.passed]
                 if failed:
-                    failure = InvariantFailure(f"{failed[0].name} residual "
-                                               f"{failed[0].value!r} over tolerance")
+                    failure = InvariantFailure(str(failed[0]))
         computed.append((fam.name, fam.spec, rows, k0, gramian, riesz, coeffs))
         if failure is not None:
             break
     artifacts.write_stage(settings.out_dir, settings.grid(), computed)
     if failure is not None:
         raise failure
-    print(f"basis stage: wrote {settings.out_dir}/basis_envelopes.csv")
+    print(f"{stage} stage: wrote {settings.out_dir}")
     return 0
 
 

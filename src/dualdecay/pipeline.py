@@ -124,10 +124,6 @@ class FamilyResult:
     C_base: float               # unperturbed generator's measured constant
     core_radius: int
     convergence: du.SectionConvergence
-    biorth_residual: float
-    gram_duals_residual: float
-    dual_norm_max: float        # max_k ||g_k||^2 over the core
-    lam_max_core: float
     basis_rows: list            # (node, measured C at claimed s, regression exponent)
     basis_k0: np.ndarray        # the basis function at the origin, sampled on the grid
     D_emp: float                # max dual envelope constant at exponent t
@@ -198,15 +194,6 @@ def gramian_sections(basis: lat.BasisSet, settings: RunSettings):
     return secs, gr.riesz_bounds(secs, rtol=settings.tolerances["riesz_rtol"])
 
 
-def dual_system(secs: list, settings: RunSettings):
-    """Dual system of the nested sections `secs`, with its biorthogonality
-    and dual-Gramian residuals."""
-    ds = du.invert_section(secs, tol=settings.tolerances["inversion"])
-    M = secs[-1].entries
-    return (ds, du.biorthogonality_residual(ds.coeffs, M),
-            du.gram_duals_check(ds.coeffs, M, ds.core_positions()))
-
-
 def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     t0 = time.perf_counter()
     grid = settings.grid()
@@ -218,7 +205,7 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     with family_errors(fam.name):
         basis, basis_rows, basis_k0 = measure_basis(fam, settings)
         secs, riesz = gramian_sections(basis, settings)
-        ds, biorth, gram_res = dual_system(secs, settings)
+        ds = du.invert_section(secs, tol=tol["inversion"])
     M = secs[-1]
     C_meas = max(C for _, C, _ in basis_rows)
     if fam.spec.perturbations:
@@ -228,7 +215,6 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         C_base = lat.envelope_constant(*bare_profile, s)
     else:
         C_base = C_meas
-    dual_norm, lam_core = core_norms(ds.core_block())
 
     # all core duals come from one product on the support grid and each is
     # profiled there once; the exported ones are zero-padded to the grid into
@@ -268,8 +254,6 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     return FamilyResult(
         name=fam.name, spec=fam.spec, riesz=riesz, C_meas=C_meas, C_base=C_base,
         core_radius=ds.core_radius, convergence=ds.convergence,
-        biorth_residual=biorth, gram_duals_residual=gram_res,
-        dual_norm_max=dual_norm, lam_max_core=lam_core,
         basis_rows=basis_rows, basis_k0=basis_k0, D_emp=D_emp,
         envelope_rows=envelope_rows, inverse_decay=inverse_decay, alpha_t=alpha_t,
         schur_ratio=schur_ratio, schur_M=schur_M, W_value=W_value,
@@ -334,42 +318,38 @@ def run_suite(settings: RunSettings) -> SuiteResult:
 # artifacts.verify_artifacts, on the values read back from its artifacts.
 
 
-def interlacing(family: str, radii, lam_min, lam_max, tol: dict) -> Verdict:
-    """Cauchy interlacing of nested sections: lambda_min nonincreasing and
-    lambda_max nondecreasing in the radius."""
+def matrix_checks(family: str, M: gr.DecayMatrix, C: np.ndarray, core_radius: int,
+                  radii, lam_min, lam_max, tol: dict) -> list:
+    """The five verdicts on the largest section M, its inverse C, the core
+    radius and the eigenvalue trace, in report order:
+
+    - biorthogonality: max |C M - I|, i.e. |<g_k, f_j> - delta_kj|;
+    - gram_duals: max |(C M C - C)_core|, i.e. |<g_k, g_j> - c_kj|;
+    - dual_norm_bound and inverse_norm_bound: max ||g_k||^2 and lambda_max
+      of the core block of C, each at most 1/A with A = lam_min[-1];
+    - interlacing: lambda_min nonincreasing and lambda_max nondecreasing in
+      the radius (Cauchy interlacing of nested sections).
+    """
+    core = M.window.positions_of(lat.LatticeWindow(M.window.d, core_radius))
+    block = C[np.ix_(core, core)]
+    residual = tol["biorthogonality"]
+    bound = (1.0 + tol["bound_slack"]) / lam_min[-1]
     eps = tol["interlacing"]
-    ok = all(a >= b - eps for a, b in zip(lam_min, lam_min[1:])) \
+    biorth = du.biorthogonality_residual(C, M.entries)
+    gram = du.gram_duals_check(C, M.entries, core)
+    dual_norm = float(np.max(np.diag(block)))
+    lam_core = float(np.linalg.eigvalsh(block)[-1])
+    interlaced = all(a >= b - eps for a, b in zip(lam_min, lam_min[1:])) \
         and all(a <= b + eps for a, b in zip(lam_max, lam_max[1:]))
-    return Verdict(f"{family}.interlacing", ok, 0.0, eps, f"radii {tuple(radii)}")
-
-
-def biorthogonality(family: str, residual: float, tol: dict) -> Verdict:
-    """max |C M - I|, i.e. |<g_k, f_j> - delta_{k,j}|, under tolerance."""
-    return Verdict(f"{family}.biorthogonality", residual < tol["biorthogonality"],
-                   residual, tol["biorthogonality"])
-
-
-def gram_duals(family: str, residual: float, tol: dict) -> Verdict:
-    """max |(C M C - C)_core|, i.e. |<g_k, g_j> - c_{k,j}|, under tolerance."""
-    return Verdict(f"{family}.gram_duals", residual < tol["biorthogonality"],
-                   residual, tol["biorthogonality"])
-
-
-def core_norms(block: np.ndarray) -> tuple:
-    """(max_k ||g_k||^2, lambda_max) of a core block of dual coefficients."""
-    return float(np.max(np.diag(block))), float(np.linalg.eigvalsh(block)[-1])
-
-
-def dual_norm_bound(family: str, dual_norm_max: float, A: float, tol: dict) -> Verdict:
-    bound = (1.0 + tol["bound_slack"]) / A
-    return Verdict(f"{family}.dual_norm_bound", dual_norm_max <= bound, dual_norm_max,
-                   bound, "max ||g_k||^2 vs 1/A")
-
-
-def inverse_norm_bound(family: str, lam_max_core: float, A: float, tol: dict) -> Verdict:
-    bound = (1.0 + tol["bound_slack"]) / A
-    return Verdict(f"{family}.inverse_norm_bound", lam_max_core <= bound, lam_max_core,
-                   bound, "lambda_max of core coefficients vs 1/A")
+    return [
+        Verdict(f"{family}.biorthogonality", biorth < residual, biorth, residual),
+        Verdict(f"{family}.gram_duals", gram < residual, gram, residual),
+        Verdict(f"{family}.dual_norm_bound", dual_norm <= bound, dual_norm, bound,
+                "max ||g_k||^2 vs 1/A"),
+        Verdict(f"{family}.inverse_norm_bound", lam_core <= bound, lam_core, bound,
+                "lambda_max of core coefficients vs 1/A"),
+        Verdict(f"{family}.interlacing", interlaced, 0.0, eps, f"radii {tuple(radii)}"),
+    ]
 
 
 def dual_decay_domination(family: str, D_emp: float, C: float, A: float, s: float,
@@ -388,11 +368,8 @@ def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
 
     for r in results:
         pre = f"{r.name}."
-        verdicts.append(biorthogonality(r.name, r.biorth_residual, tol))
-        verdicts.append(dual_norm_bound(r.name, r.dual_norm_max, r.A_est, tol))
-        verdicts.append(inverse_norm_bound(r.name, r.lam_max_core, r.A_est, tol))
-        verdicts.append(interlacing(r.name, r.riesz.radii, r.riesz.lambda_min,
-                                    r.riesz.lambda_max, tol))
+        verdicts += matrix_checks(r.name, r.gramian, r.dual_system.coeffs, r.core_radius,
+                                  r.riesz.radii, r.riesz.lambda_min, r.riesz.lambda_max, tol)
         add(pre + "claimed_C", r.C_meas <= r.spec.claimed_C * (1 + tol["claimed_rtol"]),
             r.C_meas, r.spec.claimed_C)
         if r.spec.perturbations:
@@ -404,7 +381,6 @@ def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
             add(pre + "inverse_decay_exponent", r.inverse_decay >= settings.t,
                 r.inverse_decay, settings.t,
                 f"shell regression over core radius {r.core_radius}")
-        verdicts.append(gram_duals(r.name, r.gram_duals_residual, tol))
         measured, bound = recursion[r.name]
         add(pre + "recursion_bound", measured <= bound, measured, bound,
             "schur(D^t inverse core) vs iterated bound")

@@ -56,7 +56,8 @@ def test_c01_biorthogonality_runtime():
 
 
 def test_c02_dual_norm_bound(d1_suite):
-    rows = [(f.name, f.dual_norm_max, (1 + 1e-6) / f.A_est) for f in d1_suite.families]
+    rows = [(f.name, d1_suite.verdict(f"{f.name}.dual_norm_bound").value, (1 + 1e-6) / f.A_est)
+            for f in d1_suite.families]
     ok = all(v <= thr for _, v, thr in rows)
     worst = max(rows, key=lambda r: r[1] * r[2] and r[1] / r[2])
     report(2, "dual norm <= 1/A", ok,
@@ -64,7 +65,8 @@ def test_c02_dual_norm_bound(d1_suite):
 
 
 def test_c03_inverse_norm_bound(d1_suite):
-    rows = [(f.name, f.lam_max_core, (1 + 1e-6) / f.A_est) for f in d1_suite.families]
+    rows = [(f.name, d1_suite.verdict(f"{f.name}.inverse_norm_bound").value,
+             (1 + 1e-6) / f.A_est) for f in d1_suite.families]
     ok = all(v <= thr for _, v, thr in rows)
     worst = max(rows, key=lambda r: r[1] / r[2])
     report(3, "inverse norm <= 1/A", ok,

@@ -159,6 +159,44 @@ def test_cli_verify_detects_corruption(mini_config, capsys):
     assert "biorthogonality" in out_text and "FAIL" in out_text
 
 
+def _double_D_emp_at_t(text):
+    """envelopes.csv with D_emp doubled on every row at u = t = 2."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        k, u, const, exponent = line.split(",")
+        if float(u) == 2.0:
+            lines[i] = ",".join([k, u, repr(2 * float(const)), exponent])
+    return "\n".join(lines) + "\n"
+
+
+def _middle_lambda_min_below_last(text):
+    """eigens.csv of radii 4 8 12 with lambda_min at 8 set to half the last one."""
+    lines = text.splitlines()
+    N, _, hi = lines[2].split(",")
+    lines[2] = ",".join([N, repr(float(lines[3].split(",")[1]) / 2), hi])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("check", ["interlacing", "dual_decay_domination"])
+def test_cli_verify_rechecks_stored_eigens_and_envelopes(mini_run, tmp_path, check, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(re.search(r"(?m)^out = (.*)$", mini_run)[1], out)
+    report = json.loads((out / "report.json").read_text())
+    if check == "interlacing":
+        family, rel, edit = "bump", "eigens.csv", _middle_lambda_min_below_last
+    else:
+        family, rel, edit = report["calibration"]["E_binding"], "envelopes.csv", \
+            _double_D_emp_at_t
+    damaged = out / family / rel
+    damaged.write_text(edit(damaged.read_text()))
+    config = tmp_path / "mini.ini"
+    config.write_text(mini_run)
+    assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == \
+        cli.EXIT_INVARIANT
+    failed = re.findall(r"(?m)^\[FAIL\] ([^:]+):", capsys.readouterr().out)
+    assert failed == [f"{family}.{check}"]
+
+
 def test_cli_verify_missing_artifacts(mini_config, capsys):
     path, out = mini_config
     assert cli.main(["verify", "--config", path]) == cli.EXIT_CONFIG
@@ -233,9 +271,11 @@ def test_cli_stage_artifacts(mini_config, tmp_path, capsys):
     # every stage writes a slice of what `all` writes, byte for byte
     full = str(tmp_path / "all")
     assert cli.main(["all", "--config", path, "--out", full]) == 0
+    capsys.readouterr()
     for stage, count in (("basis", 4), ("gramian", 10), ("duals", 13)):
         part = str(tmp_path / stage)
         assert cli.main([stage, "--config", path, "--out", part]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"{stage} stage: wrote {part}"
         assert len(_files(part)) == count, stage
         for rel in _files(part):
             with open(os.path.join(part, rel), "rb") as a, \
@@ -426,17 +466,28 @@ def _text_passed(text):
      "no matrix row for k j = '-12 -9', more than one for '-12 -10'"),
 ] + [("report.json", _core_radius(value),
       f"entry 'families.bump.core_radius' is not an integer in [0, 12]: {value!r}")
-     for value in (-1, 99, 1e300, 2.5)],
+     for value in (-1, 99, 1e300, 2.5)] + [
+    (rel, lambda text: "1 0 1\n0 0 1.0\n",
+     "holds a matrix on the window d=1 N=0, the config's is d=1 N=12")
+    for rel in ("bump/gramian.csv", "bump/coeffs.csv",
+                ("bump/gramian.csv", "bump/coeffs.csv"))] + [
+    ("bump/eigens.csv", _replace_line(4, lambda lines, value=value: f"12,{value},2.0"),
+     f"line 4: lambda_min {value} is not positive") for value in ("0.0", "-0.5")],
     ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
          "eigens-short-row", "nested-report-key", "nested-report-null",
          "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
-         "core-radius-over-window", "core-radius-huge", "core-radius-fraction"])
+         "core-radius-over-window", "core-radius-huge", "core-radius-fraction",
+         "gramian-1x1", "coeffs-1x1", "both-matrices-1x1", "lambda-min-zero",
+         "lambda-min-negative"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
+    # `rel` is the damaged file, or several of them, the first named
     out = tmp_path / "out"
     shutil.copytree(re.search(r"(?m)^out = (.*)$", mini_run)[1], out)
-    damaged = out / rel
-    damaged.write_text(edit(damaged.read_text()))
+    rels = [rel] if isinstance(rel, str) else rel
+    for each in rels:
+        (out / each).write_text(edit((out / each).read_text()))
+    damaged = out / rels[0]
     config = tmp_path / "mini.ini"
     config.write_text(mini_run)
     assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == \
@@ -449,15 +500,18 @@ def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fr
 def test_cli_run_verify_and_duals_stage_agree_on_residuals(mini_run, tmp_path, capsys):
     out = re.search(r"(?m)^out = (.*)$", mini_run)[1]
     report = json.loads(Path(out, "report.json").read_text())
-    in_run = {v["name"]: v["value"] for v in report["invariants"]}
+    matrix = (".biorthogonality", ".gram_duals", ".dual_norm_bound", ".inverse_norm_bound",
+              ".interlacing")
+    in_run = [(v["name"], v["passed"], v["value"], v["threshold"], v["detail"])
+              for v in report["invariants"] if v["name"].endswith(matrix)]
     config = tmp_path / "mini.ini"
     config.write_text(mini_run)
     settings = cli.load_config(str(config))
-    checked = [v for v in artifacts.verify_artifacts(settings)
-               if v.name.endswith((".biorthogonality", ".gram_duals"))]
-    assert len(checked) == 2 * len(report["families"])
-    for v in checked:
-        assert v.value == in_run[v.name], v.name
+    checked = [(v.name, v.passed, v.value, v.threshold, v.detail)
+               for v in artifacts.verify_artifacts(settings) if v.name.endswith(matrix)]
+    assert len(checked) == 5 * len(report["families"])
+    # bit for bit, and in the same order per family
+    assert checked == sorted(in_run, key=lambda v: v[0].split(".")[0])
 
     capsys.readouterr()
     assert cli.main(["duals", "--config", str(config), "--out", str(tmp_path / "duals")]) == 0
