@@ -5,7 +5,7 @@ them to synthesize the dual system, and measures every explicit decay
 constant involved, including the headline dual-decay bound.
 """
 
-from .constants import (BoundCalibration, CalibrationCase, ECalibration, RecursionTrace,
+from .constants import (BoundCalibration, CalibrationCase, ECalibration,
                         TheoreticalBound, calibrate_lattice_sum_bound,
                         calibrate_E, compute_W, recursion_trace,
                         theoretical_D, verify_convolution_discrete, w_sum)

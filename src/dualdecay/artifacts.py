@@ -220,9 +220,9 @@ def _write_files(jobs: list):
 def write_stage(out_dir: str, grid, families):
     """The files of the basis, gramian and duals stages: basis_envelopes.csv
     and, per family, basis_k0.csv, gramian.csv and eigens.csv once the
-    sections are assembled, and coeffs.csv once they are inverted. One
-    (name, spec, basis rows, origin samples, last section, riesz bounds,
-    coefficient matrix) per family, with None for what was not computed."""
+    Gramian is assembled, and coeffs.csv once it is inverted. One (name,
+    spec, basis rows, origin samples, Gramian, riesz bounds, coefficient
+    matrix) per family, with None for what was not computed."""
     jobs = _basis_jobs(out_dir, grid.d, _row_prefixes(grid), families)
     for name, _, _, _, gramian, riesz, coeffs in families:
         jobs += _matrix_jobs(family_dir(out_dir, name), gramian, riesz, coeffs)
@@ -506,8 +506,12 @@ def verify_artifacts(settings: RunSettings) -> list:
         gram, coeffs = (_read_matrix(os.path.join(fdir, f), window)
                         for f in ("gramian.csv", "coeffs.csv"))
         # a run never stores a non-positive lambda_min: NotRieszError comes first
-        eigens = _read_rows(os.path.join(fdir, "eigens.csv"), (int, _positive, float))
-        radii, lo, hi = (list(column) for column in zip(*eigens))
+        eigens_path = os.path.join(fdir, "eigens.csv")
+        radii, lo, hi = (list(column) for column in
+                         zip(*_read_rows(eigens_path, (int, _positive, float))))
+        if tuple(radii) != settings.radii:
+            raise ConfigError(f"{eigens_path} holds sections at radii {tuple(radii)}, "
+                              f"the config's are {settings.radii}")
         verdicts += matrix_checks(name, gram, coeffs.entries, core_radius, radii, lo, hi, tol)
         a_est = lo[-1]
         add(f"{name}.eigens_consistent",

@@ -33,6 +33,7 @@ import sys
 from . import artifacts
 from . import constants as cst
 from . import duals as du
+from . import gramian as gr
 from . import lattice as lat
 from . import pipeline as pl
 from .duals import biorthogonality_residual  # noqa: F401  kept in this namespace for tracing
@@ -167,11 +168,12 @@ def _stage_families(settings: pl.RunSettings, stage: str):
             basis, rows, k0 = pl.measure_basis(fam, settings)
             gramian = riesz = coeffs = None
             if stage != "basis":
-                secs, riesz = pl.gramian_sections(basis, settings)
-                gramian = secs[-1]
+                gramian, riesz = gr.sections(basis, settings.radii, settings.grid(),
+                                             settings.tolerances["riesz_rtol"])
                 print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
             if stage == "duals":
-                ds = du.invert_section(secs, tol=settings.tolerances["inversion"])
+                ds = du.invert_section(gramian, settings.radii[-2],
+                                       settings.tolerances["inversion"])
                 coeffs = ds.coefficient_matrix()
                 checks = pl.matrix_checks(fam.name, gramian, ds.coeffs, ds.core_radius,
                                           riesz.radii, riesz.lambda_min, riesz.lambda_max,

@@ -447,23 +447,11 @@ def calibrate_E(suite) -> ECalibration:
     return ECalibration(E_emp=e_emp, binding_family=binding, per_family=tuple(per_family))
 
 
-@dataclass(frozen=True)
-class RecursionTrace:
-    """Iterated bound v_u on the derivation powers of the inverse Gramian.
-
-    v_0 = 1/A and v_u = c (C^2 W / A) 2^u v_{u-1}, where c is the calibrated
-    Schur constant of the Gramian side.
-    """
-
-    values: tuple
-
-    @property
-    def final(self) -> float:
-        return self.values[-1]
-
-
 def recursion_trace(A_est: float, C_meas: float, W: float, t: int,
-                    schur_constant: float = 1.0) -> RecursionTrace:
+                    schur_constant: float = 1.0) -> tuple:
+    """Iterated bound (v_0, ..., v_t) on the derivation powers of the inverse
+    Gramian: v_0 = 1/A and v_u = c (C^2 W / A) 2^u v_{u-1}, where c is the
+    calibrated Schur constant of the Gramian side."""
     if min(A_est, C_meas, W, schur_constant) <= 0:
         raise ValueError("recursion inputs must be positive")
     if t < 0 or int(t) != t:
@@ -472,4 +460,4 @@ def recursion_trace(A_est: float, C_meas: float, W: float, t: int,
     values = [1.0 / A_est]
     for u in range(1, int(t) + 1):
         values.append(factor * 2.0**u * values[-1])
-    return RecursionTrace(values=tuple(values))
+    return tuple(values)

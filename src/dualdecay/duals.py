@@ -73,29 +73,28 @@ def _invert_pd(entries: np.ndarray, radius: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def invert_section(sections_list, tol: float = 1e-8) -> DualSystem:
-    """Invert the two largest nested sections and find the stabilized
-    central core.
+def invert_section(M: DecayMatrix, inner: int, tol: float = 1e-8) -> DualSystem:
+    """Invert M and its central block at radius `inner` < M.window.N, and
+    find the stabilized central core.
 
-    The core radius is the largest r such that every coefficient with both
-    nodes in {|k| <= r} changes by less than tol (relative to the largest
-    coefficient magnitude) between the two largest section radii.
+    The core radius is the largest r <= inner such that every coefficient
+    with both nodes in {|k| <= r} changes by less than tol (relative to the
+    largest coefficient magnitude) between the two inverses.
     """
-    if len(sections_list) < 2:
-        raise ValueError("need at least two section radii to assess convergence")
-    radii = [sec.window.N for sec in sections_list]
-    if sorted(radii) != radii or len(set(radii)) != len(radii):
-        raise ValueError("sections must come at strictly increasing radii")
-    # the smaller nested sections are principal blocks of the largest, so
-    # they are positive definite whenever it is
-    prev, big = (_invert_pd(sec.entries, sec.window.N) for sec in sections_list[-2:])
-    prev_win, big_win = sections_list[-2].window, sections_list[-1].window
+    big_win = M.window
+    if not 0 <= inner < big_win.N:
+        raise ValueError(f"inner section radius must be in [0, {big_win.N}), got {inner}")
+    prev_win = LatticeWindow(big_win.d, inner)
+    pos = big_win.positions_of(prev_win)
+    # the inner block is principal in M, so it is positive definite whenever M is
+    prev = _invert_pd(M.entries[np.ix_(pos, pos)], inner)
+    big = _invert_pd(M.entries, big_win.N)
     scale = float(np.max(np.abs(big)))
     threshold = tol * scale
 
     core = -1
     max_change_core = 0.0
-    for r in range(prev_win.N, -1, -1):
+    for r in range(inner, -1, -1):
         sub = LatticeWindow(big_win.d, r)
         pos_big = big_win.positions_of(sub)
         pos_prev = prev_win.positions_of(sub)
@@ -108,7 +107,7 @@ def invert_section(sections_list, tol: float = 1e-8) -> DualSystem:
     if core < MIN_CORE_RADIUS:
         raise ConvergenceError(
             f"section inverse did not stabilize: core radius {max(core, 0)} "
-            f"< {MIN_CORE_RADIUS} at largest radius {radii[-1]} (tol={tol:g})")
+            f"< {MIN_CORE_RADIUS} at largest radius {big_win.N} (tol={tol:g})")
 
     estimate = max(max_change_core, ROUNDOFF_FLOOR * scale)
     conv = SectionConvergence(estimate=estimate, max_change=max_change_core)

@@ -93,14 +93,6 @@ class DecayMatrix:
         coords = self.window.indices[:, axis - 1].astype(float)
         return coords[:, None] - coords[None, :]
 
-    def central_block(self, radius: int) -> "DecayMatrix":
-        """Principal submatrix on the centered sub-window of given radius."""
-        sub = LatticeWindow(self.window.d, radius)
-        pos = self.window.positions_of(sub)
-        return DecayMatrix(sub, self.entries[np.ix_(pos, pos)],
-                           symmetric=self.symmetric,
-                           quadrature_tail=self.quadrature_tail)
-
     # -- simple text format: header "d N symmetric", rows "k_1..k_d j_1..j_d value"
 
     def to_text(self, path):
@@ -209,19 +201,15 @@ def assemble(basis: BasisSet, window: LatticeWindow | None, grid: Grid) -> Decay
     return DecayMatrix(window, sym, symmetric=True, quadrature_tail=tail)
 
 
-def sections(basis: BasisSet, radii, grid: Grid) -> list[DecayMatrix]:
-    """Nested Gramian sections at increasing radii, consistent entrywise.
+def sections(basis: BasisSet, radii, grid: Grid,
+             rtol: float = 1e-6) -> tuple[DecayMatrix, RieszBounds]:
+    """(M, bounds): the Gramian M on the window of the largest radius, and
+    the Riesz bounds of its nested sections {|k| <= N}, N in radii.
 
-    The full matrix is assembled once at the largest radius and the smaller
-    sections are its central blocks, so Cauchy interlacing holds exactly.
+    Every section is a central block of M, so Cauchy interlacing holds exactly.
     """
-    radii = sorted(int(r) for r in radii)
-    if len(radii) != len(set(radii)):
-        raise ValueError("section radii must be strictly increasing")
-    full = assemble(basis, LatticeWindow(basis.window.d, radii[-1]), grid)
-    out = [full.central_block(r) for r in radii[:-1]]
-    out.append(full)
-    return out
+    M = assemble(basis, LatticeWindow(basis.window.d, radii[-1]), grid)
+    return M, riesz_bounds(M, radii, rtol)
 
 
 def apply_derivation(L: DecayMatrix, h: int, u: int) -> DecayMatrix:
@@ -262,30 +250,31 @@ class RieszBounds:
     converged: bool
 
 
-def riesz_bounds(sections_list, rtol: float = 1e-6) -> RieszBounds:
-    """Eigenvalue extremes per section; estimates taken at the largest radius."""
-    if not sections_list:
-        raise ValueError("need at least one section")
-    radii, lo, hi = [], [], []
-    for sec in sections_list:
-        if not sec.symmetric:
-            raise ValueError("sections must be Hermitian")
-        eig = np.linalg.eigvalsh(sec.entries)
+def riesz_bounds(M: DecayMatrix, radii, rtol: float = 1e-6) -> RieszBounds:
+    """Eigenvalue extremes of the central blocks of M at strictly increasing
+    radii, the last M's own; estimates taken at the largest radius."""
+    radii = tuple(radii)
+    if not radii or list(radii) != sorted(set(radii)) or radii[-1] != M.window.N:
+        raise ValueError(f"section radii must increase strictly up to the window radius "
+                         f"{M.window.N}, got {radii}")
+    if not M.symmetric:
+        raise ValueError("the Gramian must be Hermitian")
+    lo, hi = [], []
+    for N in radii:
+        pos = M.window.positions_of(LatticeWindow(M.window.d, N))
+        eig = np.linalg.eigvalsh(M.entries[np.ix_(pos, pos)])
         lam_min, lam_max = float(eig[0]), float(eig[-1])
         if lam_min <= 0.0:
             raise NotRieszError(
-                f"lambda_min = {lam_min:.3g} at radius {sec.window.N}: "
+                f"lambda_min = {lam_min:.3g} at radius {N}: "
                 "not a Riesz sequence at this resolution")
-        radii.append(sec.window.N)
         lo.append(lam_min)
         hi.append(lam_max)
-    if sorted(radii) != radii or len(set(radii)) != len(radii):
-        raise ValueError("sections must come at strictly increasing radii")
     converged = False
     if len(radii) >= 2:
         converged = (abs(lo[-1] - lo[-2]) <= rtol * abs(lo[-1])
                      and abs(hi[-1] - hi[-2]) <= rtol * abs(hi[-1]))
-    return RieszBounds(A_est=lo[-1], B_est=hi[-1], radii=tuple(radii),
+    return RieszBounds(A_est=lo[-1], B_est=hi[-1], radii=radii,
                        lambda_min=tuple(lo), lambda_max=tuple(hi), converged=converged)
 
 

@@ -170,6 +170,18 @@ def envelope_constant(values: np.ndarray, radii: np.ndarray, u: float) -> float:
     return float(np.max(values * np.power(1.0 + radii, u)))
 
 
+def _bin_heads(values: np.ndarray, which: np.ndarray, nbins: int):
+    """(maxima, first): the largest of `values` in each of nbins bins, the
+    bin of values[i] being which[i], and the index of the first value that
+    attains it; values.size for an empty bin."""
+    maxima = np.full(nbins, -np.inf)
+    np.maximum.at(maxima, which, values)
+    hits = np.flatnonzero(values == maxima[which])
+    first = np.full(nbins, values.size)
+    np.minimum.at(first, which[hits], hits)
+    return maxima, first
+
+
 def decay_exponent(values: np.ndarray, radii: np.ndarray, bin_width: float = 0.5) -> float:
     """Decay rate of |values| against radii >= 0: minus the slope of
     log(bin max) on log(1+r), taken at the first sample of each radius bin
@@ -178,11 +190,7 @@ def decay_exponent(values: np.ndarray, radii: np.ndarray, bin_width: float = 0.5
     values, radii = _flat_abs(values, radii)
     nbins = int(math.floor(radii.max() / bin_width)) + 1
     which = np.minimum((radii / bin_width).astype(int), nbins - 1)
-    shell_max = np.full(nbins, -np.inf)
-    np.maximum.at(shell_max, which, values)
-    hits = np.flatnonzero(values == shell_max[which])
-    first = np.full(nbins, values.size)
-    np.minimum.at(first, which[hits], hits)
+    shell_max, first = _bin_heads(values, which, nbins)
     heads = first[shell_max > 0.0]
     xs = [math.log(1.0 + r) for r in radii[heads].tolist()]
     ys = [math.log(v) for v in values[heads].tolist()]
@@ -214,11 +222,7 @@ def radial_profile(values: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
     which = reduce(np.maximum, [np.searchsorted(shells, x) for x in dists]).ravel()
     if values.shape != which.shape:
         raise ValueError("values and offsets must have matching shapes")
-    maxima = np.full(shells.size, -np.inf)
-    np.maximum.at(maxima, which, values)
-    hits = np.flatnonzero(values == maxima[which])
-    first = np.full(shells.size, values.size)
-    np.minimum.at(first, which[hits], hits)
+    _, first = _bin_heads(values, which, shells.size)
     heads = np.sort(first[first < values.size])  # distances that are no radius drop out
     return values[heads], shells[which[heads]]
 

@@ -66,11 +66,12 @@ class RunSettings:
         if not all(0 < v < math.inf for v in tol.values()):
             raise ConfigError("all tolerances must be positive and finite")
         self.radii = tuple(int(r) for r in self.radii)
-        if len(self.radii) < 2 or sorted(self.radii) != list(self.radii) or \
-                len(set(self.radii)) != len(self.radii):
+        if len(self.radii) < 2 or list(self.radii) != sorted(set(self.radii)):
             raise ConfigError(f"radii must be strictly increasing, got {self.radii}")
         if self.radii[0] < 0:
             raise ConfigError(f"radii must be >= 0, got {self.radii}")
+        if self.dual_export_radius is not None and self.dual_export_radius < 0:
+            raise ConfigError(f"dual_export_radius must be >= 0, got {self.dual_export_radius}")
         if not self.bounds_dims:
             self.bounds_dims = (self.d,)
         if min(self.bounds_dims) < 1:
@@ -188,12 +189,6 @@ def measure_basis(fam: FamilySettings, settings: RunSettings):
     return basis, rows, basis.sample(origin, grid)
 
 
-def gramian_sections(basis: lat.BasisSet, settings: RunSettings):
-    """Nested Gramian sections of `basis` and their Riesz bounds."""
-    secs = gr.sections(basis, settings.radii, settings.grid())
-    return secs, gr.riesz_bounds(secs, rtol=settings.tolerances["riesz_rtol"])
-
-
 def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     t0 = time.perf_counter()
     grid = settings.grid()
@@ -204,9 +199,8 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
 
     with family_errors(fam.name):
         basis, basis_rows, basis_k0 = measure_basis(fam, settings)
-        secs, riesz = gramian_sections(basis, settings)
-        ds = du.invert_section(secs, tol=tol["inversion"])
-    M = secs[-1]
+        M, riesz = gr.sections(basis, settings.radii, grid, tol["riesz_rtol"])
+        ds = du.invert_section(M, settings.radii[-2], tol["inversion"])
     C_meas = max(C for _, C, _ in basis_rows)
     if fam.spec.perturbations:
         bare = replace(fam.spec, perturbations=())
@@ -299,7 +293,7 @@ def run_suite(settings: RunSettings) -> SuiteResult:
                                 r.dual_system.core_block(), symmetric=True)
         measured = gr.schur_bound(gr.apply_derivation(core_m, 1, settings.t))
         bound = cst.recursion_trace(r.A_est, r.C_meas, r.W_value, settings.t,
-                                    schur_constant=schur_constant).final
+                                    schur_constant=schur_constant)[-1]
         recursion[r.name] = (measured, bound)
 
     lattice_sum_cal, convolution = calibrate_bounds(settings)

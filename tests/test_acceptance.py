@@ -38,8 +38,8 @@ def test_c01_biorthogonality_runtime():
     for spec in (lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5}),
                  lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})):
         basis = lat.make_basis(spec, lat.LatticeWindow(1, 16))
-        secs = gr.sections(basis, (4, 8, 12, 16), grid)
-        ds = du.invert_section(secs, tol=1e-8)
+        M, _ = gr.sections(basis, (4, 8, 12, 16), grid)
+        ds = du.invert_section(M, 12, tol=1e-8)
         # <g_k, f_j> by quadrature over core k and window j
         nodes = ds.core_nodes()
         G = du.synthesize_duals(ds, basis, nodes, grid)
@@ -47,8 +47,7 @@ def test_c01_biorthogonality_runtime():
         inner[np.arange(len(nodes)), [ds.window.index_of(node) for node in nodes]] -= 1.0
         residual = float(np.max(np.abs(inner)))
         worst = max(worst, residual)
-        gap = max(gap, abs(residual - du.biorthogonality_residual(ds.coeffs,
-                                                                  secs[-1].entries)))
+        gap = max(gap, abs(residual - du.biorthogonality_residual(ds.coeffs, M.entries)))
     elapsed = time.perf_counter() - t0
     report(1, "biorthogonality", worst < 1e-6 and gap < 1e-13 and elapsed < 60.0,
            f"max residual {worst:.3e} (< 1e-6), {gap:.1e} from max |CM - I| (< 1e-13), "
@@ -81,8 +80,8 @@ def test_c04_scaling_homogeneity(d1_suite):
     for f in d1_suite.families:
         basis = lat.make_basis(f.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
         scaled = scaled_basis(basis, alpha)
-        ds = du.invert_section(gr.sections(scaled, settings.radii, grid),
-                               tol=settings.tolerances["inversion"])
+        ds = du.invert_section(gr.sections(scaled, settings.radii, grid)[0],
+                               settings.radii[-2], tol=settings.tolerances["inversion"])
         g0_scaled = grid.embed(du.synthesize_dual(ds, scaled, origin, grid),
                                scaled.support_grid(grid))
         g0 = f.duals[origin]

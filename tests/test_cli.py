@@ -472,13 +472,17 @@ def _text_passed(text):
     for rel in ("bump/gramian.csv", "bump/coeffs.csv",
                 ("bump/gramian.csv", "bump/coeffs.csv"))] + [
     ("bump/eigens.csv", _replace_line(4, lambda lines, value=value: f"12,{value},2.0"),
-     f"line 4: lambda_min {value} is not positive") for value in ("0.0", "-0.5")],
+     f"line 4: lambda_min {value} is not positive") for value in ("0.0", "-0.5")] + [
+    ("bump/eigens.csv", _replace_line(3, None),
+     "holds sections at radii (4, 12), the config's are (4, 8, 12)"),
+    ("bump/eigens.csv", _replace_line(3, lambda lines: "6," + lines[2].split(",", 1)[1]),
+     "holds sections at radii (4, 6, 12), the config's are (4, 8, 12)")],
     ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
          "eigens-short-row", "nested-report-key", "nested-report-null",
          "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
          "core-radius-over-window", "core-radius-huge", "core-radius-fraction",
          "gramian-1x1", "coeffs-1x1", "both-matrices-1x1", "lambda-min-zero",
-         "lambda-min-negative"])
+         "lambda-min-negative", "eigens-radius-dropped", "eigens-radius-changed"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
     # `rel` is the damaged file, or several of them, the first named
@@ -762,11 +766,14 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
      "convolution_window_d1 must be >= 1, got -5"),
     ("convolution_window_d1 = 32", "convolution_window_d1 = 0", "bounds",
      "convolution_window_d1 must be >= 1, got 0"),
+    ("seed = 77", "seed = 77\ndual_export_radius = -1", "all",
+     "dual_export_radius must be >= 0, got -1"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
         "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
         "negative-radius", "infinite-extent", "zero-bounds-dim", "nan-tolerance",
-        "negative-convolution-window", "zero-convolution-window"])
+        "negative-convolution-window", "zero-convolution-window",
+        "negative-dual-export-radius"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config

@@ -393,14 +393,14 @@ def test_binomial_identity_residual_shrinks_with_window():
     for N in (8, 16, 32):
         grid = lat.Grid(h=1 / 64, R=2 * N + 8, d=1)
         basis = lat.make_basis(spec, lat.LatticeWindow(1, 2 * N))
-        secs = gr.sections(basis, (N, 2 * N), grid)
-        ds = du.invert_section(secs, tol=1e-6)
+        M, _ = gr.sections(basis, (N, 2 * N), grid)
+        ds = du.invert_section(M, N, tol=1e-6)
         wN = lat.LatticeWindow(1, N)
         pos = ds.window.positions_of(wN)
         block = ds.coeffs[np.ix_(pos, pos)]
         C = gr.DecayMatrix(wN, 0.5 * (block + block.T))
-        residuals.append(binomial_identity_residual(C, secs[0], 1, 2,
-                                                    eval_radius=N // 4))
+        section = gr.DecayMatrix(wN, M.entries[np.ix_(pos, pos)])
+        residuals.append(binomial_identity_residual(C, section, 1, 2, eval_radius=N // 4))
     assert residuals[2] < residuals[1] < residuals[0]
 
 
@@ -422,8 +422,8 @@ def test_binomial_identity_exact_for_window_inverse():
 
 def test_recursion_trace_unit_example():
     tr = cst.recursion_trace(1.0, 1.0, 1.0, 2, schur_constant=1.0)
-    assert tr.values == (1.0, 2.0, 8.0)
-    assert tr.final == 8.0
+    assert tr == (1.0, 2.0, 8.0)
+    assert tr[-1] == 8.0
 
 
 def test_recursion_trace_validation():

@@ -16,33 +16,31 @@ GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 def indicator_system(N=16, radii=(4, 8, 16)):
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     basis = lat.make_basis(spec, lat.LatticeWindow(1, N))
-    secs = gr.sections(basis, radii, GRID)
-    return basis, secs, du.invert_section(secs, tol=1e-8)
+    M, _ = gr.sections(basis, radii, GRID)
+    return basis, M, du.invert_section(M, radii[-2], tol=1e-8)
 
 
 def gaussian_system(N=16, radii=(4, 8, 12, 16)):
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     basis = lat.make_basis(spec, lat.LatticeWindow(1, N))
-    secs = gr.sections(basis, radii, GRID)
-    return basis, secs, du.invert_section(secs, tol=1e-8)
+    M, _ = gr.sections(basis, radii, GRID)
+    return basis, M, du.invert_section(M, radii[-2], tol=1e-8)
 
 
 def bump_system(N=16, radii=(4, 8, 12, 16)):
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
     basis = lat.make_basis(spec, lat.LatticeWindow(1, N))
-    secs = gr.sections(basis, radii, GRID)
-    return basis, secs, du.invert_section(secs, tol=1e-8)
+    M, _ = gr.sections(basis, radii, GRID)
+    return basis, M, du.invert_section(M, radii[-2], tol=1e-8)
 
 
-def toeplitz_sections(rho, radii):
-    out = []
-    for N in radii:
-        win = lat.LatticeWindow(1, N)
-        idx = win.indices[:, 0]
-        sep = np.abs(idx[:, None] - idx[None, :])
-        entries = np.where(sep == 0, 1.0, 0.0) + np.where(sep == 1, rho, 0.0)
-        out.append(gr.DecayMatrix(win, entries))
-    return out
+def toeplitz_section(rho, N):
+    """The tridiagonal Toeplitz matrix with diagonal 1 and off-diagonal rho
+    on the window of radius N; its central blocks are the smaller sections."""
+    win = lat.LatticeWindow(1, N)
+    idx = win.indices[:, 0]
+    sep = np.abs(idx[:, None] - idx[None, :])
+    return gr.DecayMatrix(win, np.where(sep == 0, 1.0, 0.0) + np.where(sep == 1, rho, 0.0))
 
 
 # --- inversion ---------------------------------------------------------------
@@ -57,16 +55,15 @@ def test_identity_inverts_to_identity():
 
 
 def test_scaled_identity_inverts_to_half():
-    secs = toeplitz_sections(0.0, (4, 8))
-    for s in secs:
-        s.entries *= 2.0
-    ds = du.invert_section(secs, tol=1e-8)
+    M = toeplitz_section(0.0, 8)
+    M.entries *= 2.0
+    ds = du.invert_section(M, 4, tol=1e-8)
     assert np.allclose(ds.coeffs, 0.5 * np.eye(17), atol=1e-15)
 
 
 def test_tridiagonal_toeplitz_matches_symbol_oracle():
     rho = 0.25
-    ds = du.invert_section(toeplitz_sections(rho, (16, 32)), tol=1e-8)
+    ds = du.invert_section(toeplitz_section(rho, 32), 16, tol=1e-8)
     assert ds.core_radius >= 8
     # reciprocal-symbol Fourier coefficients, computed spectrally
     n_fft = 4096
@@ -80,23 +77,27 @@ def test_tridiagonal_toeplitz_matches_symbol_oracle():
 
 
 def test_singular_section_raises():
-    secs = toeplitz_sections(0.6, (4, 8))  # symbol 1 + 1.2 cos has a sign change
-    with pytest.raises(SingularSectionError, match="not positive definite"):
-        du.invert_section(secs, tol=1e-8)
+    M = toeplitz_section(0.6, 8)  # symbol 1 + 1.2 cos has a sign change
+    # the inner block is inverted first, and it is already indefinite
+    with pytest.raises(SingularSectionError, match="radius 4 is not positive definite"):
+        du.invert_section(M, 4, tol=1e-8)
 
 
 def test_nonconvergence_raises():
     # the (8,16) pair is too coarse for the gaussian at this tolerance
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     basis = lat.make_basis(spec, lat.LatticeWindow(1, 16))
-    secs = gr.sections(basis, (8, 16), GRID)
+    M, _ = gr.sections(basis, (8, 16), GRID)
     with pytest.raises(ConvergenceError, match="did not stabilize"):
-        du.invert_section(secs, tol=1e-8)
+        du.invert_section(M, 8, tol=1e-8)
 
 
 def test_invert_needs_two_sections():
-    with pytest.raises(ValueError, match="two section"):
-        du.invert_section(toeplitz_sections(0.25, (8,)), tol=1e-8)
+    # the inner section must be a proper central block of the matrix
+    for inner in (-1, 8, 9):
+        with pytest.raises(ValueError, match=r"inner section radius must be in \[0, 8\), "
+                                             f"got {inner}"):
+            du.invert_section(toeplitz_section(0.25, 8), inner, tol=1e-8)
 
 
 def test_coeffs_hermitian_and_core_block():
@@ -143,8 +144,8 @@ def test_scaling_halves_the_duals():
     basis, _, ds = gaussian_system()
     g0 = du.synthesize_dual(ds, basis, 0, GRID)
     scaled = scaled_basis(basis, 2.0)
-    secs = gr.sections(scaled, (4, 8, 12, 16), GRID)
-    ds2 = du.invert_section(secs, tol=1e-8)
+    M, _ = gr.sections(scaled, (4, 8, 12, 16), GRID)
+    ds2 = du.invert_section(M, 12, tol=1e-8)
     g0_scaled = du.synthesize_dual(ds2, scaled, 0, GRID)
     rel = np.max(np.abs(g0_scaled - 0.5 * g0)) / np.max(np.abs(g0))
     assert rel < 1e-10
@@ -169,13 +170,13 @@ def test_gaussian_dual_matches_normal_equations_oracle():
 
 
 def test_indicator_biorthogonality_exact():
-    _, secs, ds = indicator_system()
-    assert du.biorthogonality_residual(ds.coeffs, secs[-1].entries) < 1e-12
+    _, M, ds = indicator_system()
+    assert du.biorthogonality_residual(ds.coeffs, M.entries) < 1e-12
 
 
 def test_gaussian_biorthogonality():
-    _, secs, ds = gaussian_system()
-    assert du.biorthogonality_residual(ds.coeffs, secs[-1].entries) < 1e-6
+    _, M, ds = gaussian_system()
+    assert du.biorthogonality_residual(ds.coeffs, M.entries) < 1e-6
 
 
 def test_truncated_coefficients_break_biorthogonality():
@@ -211,7 +212,7 @@ def test_dual_envelope_scales_inversely():
     basis, _, ds = gaussian_system()
     base = dual_envelope(du.synthesize_dual(ds, basis, 0, GRID), 0, 2.0)
     scaled = scaled_basis(basis, 2.0)
-    ds2 = du.invert_section(gr.sections(scaled, (4, 8, 12, 16), GRID), tol=1e-8)
+    ds2 = du.invert_section(gr.sections(scaled, (4, 8, 12, 16), GRID)[0], 12, tol=1e-8)
     g0_scaled = du.synthesize_dual(ds2, scaled, 0, GRID)
     assert dual_envelope(g0_scaled, 0, 2.0) == 0.5 * base
 
@@ -219,14 +220,14 @@ def test_dual_envelope_scales_inversely():
 # --- dual Gramian consistency -------------------------------------------------------
 
 
-def gram_duals_both_ways(basis, secs, ds) -> tuple:
+def gram_duals_both_ways(basis, M, ds) -> tuple:
     """(quadrature, algebraic) max over core pairs of |<g_k, g_j> - c_{k,j}|:
     the inner products of the synthesized duals taken by quadrature, and
-    gram_duals_check from the coefficients and the largest section."""
+    gram_duals_check from the coefficients and the Gramian M."""
     G = du.synthesize_duals(ds, basis, ds.core_nodes(), GRID)
     pos = ds.core_positions()
     quadrature = float(np.max(np.abs((G @ G.T) * GRID.weight - ds.coeffs[np.ix_(pos, pos)])))
-    return quadrature, du.gram_duals_check(ds.coeffs, secs[-1].entries, pos)
+    return quadrature, du.gram_duals_check(ds.coeffs, M.entries, pos)
 
 
 def test_indicator_gram_duals_exact():
@@ -242,10 +243,9 @@ def test_gaussian_gram_duals():
 
 
 def test_doubled_gramian_gives_half_norms():
-    secs = toeplitz_sections(0.0, (4, 8))
-    for s in secs:
-        s.entries *= 2.0
-    ds = du.invert_section(secs, tol=1e-8)
+    M = toeplitz_section(0.0, 8)
+    M.entries *= 2.0
+    ds = du.invert_section(M, 4, tol=1e-8)
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     # indicator scaled by sqrt(2) has Gramian 2I; duals have squared norm 1/2
     basis = scaled_basis(lat.make_basis(spec, lat.LatticeWindow(1, 8)), math.sqrt(2.0))

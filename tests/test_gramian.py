@@ -146,17 +146,30 @@ def test_subwindow_assembly_matches_central_block():
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
     full = gr.assemble(basis, None, grid)
     small = gr.assemble(basis, lat.LatticeWindow(1, 3), grid)
-    assert np.array_equal(small.entries, full.central_block(3).entries)
+    pos = full.window.positions_of(small.window)
+    assert np.array_equal(small.entries, full.entries[np.ix_(pos, pos)])
 
 
 def test_sections_are_nested_blocks():
     basis = gaussian_basis(N=8)
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
-    secs = gr.sections(basis, (2, 4, 8), grid)
-    assert [s.window.N for s in secs] == [2, 4, 8]
-    assert np.array_equal(secs[0].entries, secs[-1].central_block(2).entries)
+    M, rb = gr.sections(basis, (2, 4, 8), grid)
+    assert M.window.N == 8 and rb.radii == (2, 4, 8)
+    assert np.array_equal(M.entries, gr.assemble(basis, None, grid).entries)
+    # the section at radius 2 is the central block of M, which is the
+    # sub-window's own Gramian bit for bit
+    eig = np.linalg.eigvalsh(gr.assemble(basis, lat.LatticeWindow(1, 2), grid).entries)
+    assert (rb.lambda_min[0], rb.lambda_max[0]) == (eig[0], eig[-1])
     with pytest.raises(ValueError):
         gr.sections(basis, (4, 4, 8), grid)
+
+
+@pytest.mark.parametrize("radii", [(), (2, 4), (2, 8, 4), (4, 4, 8), (2, 4, 8, 8)])
+def test_riesz_bounds_need_strictly_increasing_radii_to_the_window(radii):
+    M = gr.assemble(gaussian_basis(N=8), None, lat.Grid(h=1 / 64, R=16.0, d=1))
+    with pytest.raises(ValueError, match="section radii must increase strictly up to "
+                                         "the window radius 8"):
+        gr.riesz_bounds(M, radii)
 
 
 def test_symmetric_flag_requires_hermitian_entries():
@@ -260,8 +273,7 @@ def test_schur_dominates_spectral_norm(d1_suite):
 
 def test_indicator_riesz_bounds_are_one():
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
-    secs = gr.sections(indicator_basis(N=8), (2, 4, 8), grid)
-    rb = gr.riesz_bounds(secs)
+    _, rb = gr.sections(indicator_basis(N=8), (2, 4, 8), grid)
     assert rb.A_est == pytest.approx(1.0, abs=1e-12)
     assert rb.B_est == pytest.approx(1.0, abs=1e-12)
     assert rb.converged
@@ -270,25 +282,21 @@ def test_indicator_riesz_bounds_are_one():
 def test_riesz_bounds_scale_quadratically():
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
     basis = gaussian_basis(N=4)
-    rb = gr.riesz_bounds(gr.sections(basis, (2, 4), grid))
-    rb_scaled = gr.riesz_bounds(gr.sections(scaled_basis(basis, 2.0), (2, 4), grid))
+    _, rb = gr.sections(basis, (2, 4), grid)
+    _, rb_scaled = gr.sections(scaled_basis(basis, 2.0), (2, 4), grid)
     assert rb_scaled.A_est == pytest.approx(4.0 * rb.A_est, rel=1e-13)
     assert rb_scaled.B_est == pytest.approx(4.0 * rb.B_est, rel=1e-13)
 
 
 def test_gaussian_riesz_bounds_match_symbol_oracle():
-    # closed-form Toeplitz sections stand in for the quadrature path, which
+    # a closed-form Toeplitz matrix stands in for the quadrature path, which
     # is itself pinned to the closed form elsewhere at 1e-8
     sigma = 0.5
-
-    def section(N):
-        win = lat.LatticeWindow(1, N)
-        idx = win.indices[:, 0]
-        ent = sigma * math.sqrt(math.pi) * np.exp(-(idx[:, None] - idx[None, :]) ** 2
-                                                  / (4 * sigma**2))
-        return gr.DecayMatrix(win, ent)
-
-    rb = gr.riesz_bounds([section(64), section(128), section(256)])
+    win = lat.LatticeWindow(1, 256)
+    idx = win.indices[:, 0]
+    ent = sigma * math.sqrt(math.pi) * np.exp(-(idx[:, None] - idx[None, :]) ** 2
+                                              / (4 * sigma**2))
+    rb = gr.riesz_bounds(gr.DecayMatrix(win, ent), (64, 128, 256))
     n = np.arange(-40, 41)
 
     def symbol(xi):
@@ -303,8 +311,7 @@ def test_gaussian_riesz_bounds_match_symbol_oracle():
 
 def test_interlacing_of_section_extremes():
     grid = lat.Grid(h=1 / 64, R=24.0, d=1)
-    secs = gr.sections(bump_basis(N=16), (4, 8, 16), grid)
-    rb = gr.riesz_bounds(secs)
+    _, rb = gr.sections(bump_basis(N=16), (4, 8, 16), grid)
     assert rb.lambda_min[0] >= rb.lambda_min[1] >= rb.lambda_min[2] - 1e-14
     assert rb.lambda_max[0] <= rb.lambda_max[1] <= rb.lambda_max[2] + 1e-14
 
@@ -313,7 +320,7 @@ def test_not_riesz_error():
     win = lat.LatticeWindow(1, 1)
     entries = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(NotRieszError, match="not a Riesz sequence"):
-        gr.riesz_bounds([gr.DecayMatrix(win, entries)])
+        gr.riesz_bounds(gr.DecayMatrix(win, entries), (1,))
 
 
 # --- off-diagonal fits ------------------------------------------------------------
