@@ -9,9 +9,8 @@ from .constants import (BoundCalibration, CalibrationCase, ECalibration,
                         TheoreticalBound, calibrate_lattice_sum_bound,
                         calibrate_E, compute_W, recursion_trace,
                         theoretical_D, verify_convolution_discrete, w_sum)
-from .duals import (DualSystem, biorthogonality_residual, coefficient_decay_fit,
-                    gram_duals_check, invert_section, synthesize_dual,
-                    synthesize_duals)
+from .duals import (biorthogonality_residual, coefficient_decay_fit, gram_duals_check,
+                    invert_section, synthesize_dual, synthesize_duals)
 from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, HypothesisViolation,
                      InvariantFailure, NotRieszError, SingularSectionError)
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, inner_product,

@@ -247,8 +247,7 @@ def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
             (fam.name, fam.spec, fam.basis_rows, fam.basis_k0) for fam in suite.families])
     for fam in suite.families:
         fdir = family_dir(out_dir, fam.name)
-        jobs += _matrix_jobs(fdir, fam.gramian, fam.riesz,
-                             fam.dual_system.coefficient_matrix())
+        jobs += _matrix_jobs(fdir, fam.gramian, fam.riesz, fam.coeffs)
         jobs.append(_lines_job(os.path.join(fdir, "envelopes.csv"),
                                _envelope_lines(fam.envelope_rows)))
         jobs += [_samples_job(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"),
@@ -355,6 +354,7 @@ def report_dict(suite: SuiteResult) -> dict:
             "core_radius": fam.core_radius,
             "convergence_estimate": fam.convergence.estimate,
             "convergence_max_change": fam.convergence.max_change,
+            "gramian_tail_bound": fam.gramian.quadrature_tail,
             "biorthogonality_residual": value[f"{fam.name}.biorthogonality"],
             "gram_duals_residual": value[f"{fam.name}.gram_duals"],
             "dual_norm_max": value[f"{fam.name}.dual_norm_bound"],
@@ -512,7 +512,7 @@ def verify_artifacts(settings: RunSettings) -> list:
         if tuple(radii) != settings.radii:
             raise ConfigError(f"{eigens_path} holds sections at radii {tuple(radii)}, "
                               f"the config's are {settings.radii}")
-        verdicts += matrix_checks(name, gram, coeffs.entries, core_radius, radii, lo, hi, tol)
+        verdicts += matrix_checks(name, gram, coeffs, core_radius, radii, lo, hi, tol)
         a_est = lo[-1]
         add(f"{name}.eigens_consistent",
             math.isclose(a_est, A_stored, rel_tol=1e-12), a_est, A_stored)

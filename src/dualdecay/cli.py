@@ -172,14 +172,13 @@ def _stage_families(settings: pl.RunSettings, stage: str):
                                              settings.tolerances["riesz_rtol"])
                 print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
             if stage == "duals":
-                ds = du.invert_section(gramian, settings.radii[-2],
-                                       settings.tolerances["inversion"])
-                coeffs = ds.coefficient_matrix()
-                checks = pl.matrix_checks(fam.name, gramian, ds.coeffs, ds.core_radius,
+                coeffs, core_radius, _ = du.invert_section(gramian, settings.radii[-2],
+                                                           settings.tolerances["inversion"])
+                checks = pl.matrix_checks(fam.name, gramian, coeffs, core_radius,
                                           riesz.radii, riesz.lambda_min, riesz.lambda_max,
                                           settings.tolerances)
                 biorth, gram = checks[:2]
-                print(f"duals stage: {fam.name}: core={ds.core_radius} "
+                print(f"duals stage: {fam.name}: core={core_radius} "
                       f"biorthogonality={biorth.value!r} gram_duals={gram.value!r}")
                 failed = [v for v in checks if not v.passed]
                 if failed:

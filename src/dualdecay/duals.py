@@ -1,10 +1,11 @@
 """Finite-section Gramian inversion and dual-function synthesis.
 
-The inverse Gramian entries c_{k,j} are the pairwise inner products of the
-dual functions, and g_k = sum_j c_{k,j} f_j.  Finite sections only converge
-in a central core, so coefficients are trusted (and duals synthesized) only
-for nodes inside the stabilized core radius.  With M the largest section
-and C its inverse, <g_k, f_j> = (C M)_{k,j} and <g_k, g_j> = (C M C)_{k,j},
+The inverse Gramian C = M^-1 is a symmetric DecayMatrix on the window of
+the largest section M: its entries c_{k,j} are the pairwise inner products
+of the dual functions, and g_k = sum_j c_{k,j} f_j.  Finite sections only
+converge in a central core, so coefficients are trusted (and duals
+synthesized) only for nodes inside the stabilized core radius, which
+travels next to C.  <g_k, f_j> = (C M)_{k,j} and <g_k, g_j> = (C M C)_{k,j},
 so the biorthogonality and dual-Gramian checks need the two matrices only.
 """
 
@@ -30,37 +31,6 @@ class SectionConvergence:
     max_change: float     # raw max |Delta c| over the core, two largest radii
 
 
-@dataclass
-class DualSystem:
-    """Inverse-Gramian coefficients of the largest section.
-
-    `coeffs` is the full inverse of the largest section; only entries with
-    both nodes inside the stabilized core are section-converged.
-    """
-
-    window: LatticeWindow
-    coeffs: np.ndarray
-    core_radius: int
-    convergence: SectionConvergence
-
-    def coefficient(self, k, j) -> float:
-        return self.coeffs[self.window.index_of(k), self.window.index_of(j)]
-
-    def core_positions(self) -> np.ndarray:
-        return self.window.positions_of(LatticeWindow(self.window.d, self.core_radius))
-
-    def core_block(self) -> np.ndarray:
-        pos = self.core_positions()
-        return self.coeffs[np.ix_(pos, pos)]
-
-    def core_nodes(self) -> list:
-        sub = LatticeWindow(self.window.d, self.core_radius)
-        return [tuple(int(c) for c in k) for k in sub.indices]
-
-    def coefficient_matrix(self) -> DecayMatrix:
-        return DecayMatrix(self.window, self.coeffs, symmetric=True)
-
-
 def _invert_pd(entries: np.ndarray, radius: int) -> np.ndarray:
     """Dense inverse via Cholesky; failure means the section is not PD."""
     try:
@@ -73,9 +43,10 @@ def _invert_pd(entries: np.ndarray, radius: int) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def invert_section(M: DecayMatrix, inner: int, tol: float = 1e-8) -> DualSystem:
-    """Invert M and its central block at radius `inner` < M.window.N, and
-    find the stabilized central core.
+def invert_section(M: DecayMatrix, inner: int,
+                   tol: float = 1e-8) -> tuple[DecayMatrix, int, SectionConvergence]:
+    """(C, core radius, convergence): C = M^-1 on M.window, from inverting M
+    and its central block at radius `inner` < M.window.N.
 
     The core radius is the largest r <= inner such that every coefficient
     with both nodes in {|k| <= r} changes by less than tol (relative to the
@@ -111,10 +82,11 @@ def invert_section(M: DecayMatrix, inner: int, tol: float = 1e-8) -> DualSystem:
 
     estimate = max(max_change_core, ROUNDOFF_FLOOR * scale)
     conv = SectionConvergence(estimate=estimate, max_change=max_change_core)
-    return DualSystem(window=big_win, coeffs=big, core_radius=core, convergence=conv)
+    return DecayMatrix(big_win, big, symmetric=True), core, conv
 
 
-def synthesize_duals(ds: DualSystem, basis: BasisSet, nodes, grid: Grid) -> np.ndarray:
+def synthesize_duals(C: DecayMatrix, core_radius: int, basis: BasisSet, nodes,
+                     grid: Grid) -> np.ndarray:
     """Samples of g_k = sum_j c_{k,j} f_j on basis.support_grid(grid), one
     row per node k of `nodes`, from one matrix product that reads the sample
     matrix once.  Every dual is 0 off that sub-grid; grid.embed pads a row
@@ -124,21 +96,22 @@ def synthesize_duals(ds: DualSystem, basis: BasisSet, nodes, grid: Grid) -> np.n
     an error.  Over the core the result is never larger than the window x
     grid sample matrix, whose size `check_sample_cap` bounds.
     """
-    ks = np.asarray(nodes, dtype=int).reshape(len(nodes), ds.window.d)
-    outside = np.flatnonzero(np.max(np.abs(ks), axis=1) > ds.core_radius)
+    ks = np.asarray(nodes, dtype=int).reshape(len(nodes), C.window.d)
+    outside = np.flatnonzero(np.max(np.abs(ks), axis=1) > core_radius)
     if outside.size:
         raise ValueError(
             f"node {tuple(ks[outside[0]].tolist())} outside stabilized core "
-            f"radius {ds.core_radius}; coefficients there are not trusted")
-    if basis.window.N != ds.window.N or basis.window.d != ds.window.d:
+            f"radius {core_radius}; coefficients there are not trusted")
+    if basis.window != C.window:
         raise ValueError("basis window must match the coefficient window")
-    return ds.coeffs[ds.window.positions(ks)] @ basis.sample_matrix(grid)
+    return C.entries[C.window.positions(ks)] @ basis.sample_matrix(grid)
 
 
-def synthesize_dual(ds: DualSystem, basis: BasisSet, k, grid: Grid) -> np.ndarray:
+def synthesize_dual(C: DecayMatrix, core_radius: int, basis: BasisSet, k,
+                    grid: Grid) -> np.ndarray:
     """Samples of the single dual g_k on basis.support_grid(grid) (see
     synthesize_duals)."""
-    return synthesize_duals(ds, basis, [k], grid)[0]
+    return synthesize_duals(C, core_radius, basis, [k], grid)[0]
 
 
 def biorthogonality_residual(coeffs: np.ndarray, gramian: np.ndarray) -> float:
@@ -153,13 +126,13 @@ def gram_duals_check(coeffs: np.ndarray, gramian: np.ndarray, core_pos) -> float
     return float(np.max(np.abs(inner - coeffs[np.ix_(core_pos, core_pos)])))
 
 
-def coefficient_decay_fit(ds: DualSystem) -> float:
+def coefficient_decay_fit(C: DecayMatrix, core_radius: int) -> float:
     """Shell-regression decay exponent of |c_{0,j}| over |j| <= core radius.
 
     Quantifies how much off-diagonal decay the inverse inherited; the fit is
     restricted to the stabilized core so section artifacts stay out of it.
     """
-    origin = (0,) * ds.window.d
-    maxima, shells = radial_profile(ds.coeffs[ds.window.index_of(origin)], ds.window.indices.T)
-    core = shells <= ds.core_radius
+    origin = (0,) * C.window.d
+    maxima, shells = radial_profile(C.entries[C.window.index_of(origin)], C.window.indices.T)
+    core = shells <= core_radius
     return decay_exponent(maxima[core], shells[core], bin_width=1.0)

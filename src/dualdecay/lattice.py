@@ -165,9 +165,13 @@ def _flat_abs(values, radii) -> tuple[np.ndarray, np.ndarray]:
 
 
 def envelope_constant(values: np.ndarray, radii: np.ndarray, u: float) -> float:
-    """The least c with |values| <= c (1+radii)^(-u) over all samples."""
+    """The least c with |values| <= c (1+radii)^(-u) over all samples: 0 for
+    none, and inf where a nonzero sample's weight (1+r)^u overflows."""
     values, radii = _flat_abs(values, radii)
-    return float(np.max(values * np.power(1.0 + radii, u)))
+    nonzero = values != 0  # an exact zero needs no c, whatever its weight
+    with np.errstate(over="ignore"):
+        weights = np.power(1.0 + radii[nonzero], u)
+    return float(np.max(values[nonzero] * weights, initial=0.0))
 
 
 def _bin_heads(values: np.ndarray, which: np.ndarray, nbins: int):

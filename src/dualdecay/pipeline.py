@@ -96,6 +96,10 @@ class RunSettings:
                 raise ConfigError(f"family {fam.name!r} has dimension {fam.spec.d} != {self.d}")
             # reject bad parameter sets before any heavy computation
             cst.validate_hypotheses(fam.spec.claimed_C, fam.spec.claimed_s, self.t, self.d)
+            try:
+                cst.w_sum(fam.spec.claimed_s - self.t, self.d, tol["w_tol"])
+            except ValueError as exc:
+                raise ConfigError(f"family {fam.name!r}: W_(s-t) misses w_tol: {exc}") from exc
             lat.make_basis(fam.spec, window)  # rejects perturbed nodes outside the window
         lat.check_sample_cap(window, grid)  # before any family is sampled
 
@@ -136,7 +140,7 @@ class FamilyResult:
     W_value: float
     offdiag_constant: float     # Gramian off-diagonal envelope constant at exponent s
     offdiag_exponent: float     # its shell-regression decay exponent
-    dual_system: du.DualSystem
+    coeffs: gr.DecayMatrix      # C = M^-1; trusted between core nodes only
     duals: dict                 # exported core node -> samples of its dual on the grid
     gramian: gr.DecayMatrix
     elapsed: float
@@ -200,8 +204,9 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     with family_errors(fam.name):
         basis, basis_rows, basis_k0 = measure_basis(fam, settings)
         M, riesz = gr.sections(basis, settings.radii, grid, tol["riesz_rtol"])
-        ds = du.invert_section(M, settings.radii[-2], tol["inversion"])
-    C_meas = max(C for _, C, _ in basis_rows)
+        C, core_radius, convergence = du.invert_section(M, settings.radii[-2],
+                                                        tol["inversion"])
+    C_meas = max(c for _, c, _ in basis_rows)
     if fam.spec.perturbations:
         bare = replace(fam.spec, perturbations=())
         bare_basis = lat.make_basis(bare, lat.LatticeWindow(settings.d, 0))
@@ -214,9 +219,10 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     # profiled there once; the exported ones are zero-padded to the grid into
     # arrays of their own, so the block dies with the family
     limit = settings.dual_export_radius
-    nodes = ds.core_nodes()
+    core = lat.LatticeWindow(settings.d, core_radius)
+    nodes = [tuple(k) for k in core.indices.tolist()]
     support = basis.support_grid(grid)
-    block = du.synthesize_duals(ds, basis, nodes, grid)
+    block = du.synthesize_duals(C, core_radius, basis, nodes, grid)
     del basis  # synthesis reads the sample matrix last: free it before the profiles
     duals, envelope_rows, D_emp = {}, [], 0.0
     for node, samples in zip(nodes, block):
@@ -229,7 +235,7 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
             envelope_rows.append((node, u, constant, exponent))
             if u == float(t):
                 D_emp = max(D_emp, constant)
-    inverse_decay = du.coefficient_decay_fit(ds)
+    inverse_decay = du.coefficient_decay_fit(C, core_radius)
 
     W_value = cst.compute_W(s - t, settings.d, tol["w_tol"])
     schur_M = gr.schur_bound(M)  # the u = 0 term
@@ -238,21 +244,20 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     schur_ratio = schur_worst / (C_meas**2 * W_value)
 
     # the largest envelope constant of a core row: one profile of all core rows
-    core, coeffs = ds.core_positions(), ds.coefficient_matrix()
-    offsets = [coeffs.node_diffs(h)[core] for h in range(1, settings.d + 1)]
-    alpha_t = lat.envelope_constant(*lat.radial_profile(coeffs.entries[core], offsets),
-                                    float(t))
+    rows = C.window.positions_of(core)
+    offsets = [C.node_diffs(h)[rows] for h in range(1, settings.d + 1)]
+    alpha_t = lat.envelope_constant(*lat.radial_profile(C.entries[rows], offsets), float(t))
 
     offdiag_constant, offdiag_exponent = gr.offdiag_fit(M, u=s)
 
     return FamilyResult(
         name=fam.name, spec=fam.spec, riesz=riesz, C_meas=C_meas, C_base=C_base,
-        core_radius=ds.core_radius, convergence=ds.convergence,
+        core_radius=core_radius, convergence=convergence,
         basis_rows=basis_rows, basis_k0=basis_k0, D_emp=D_emp,
         envelope_rows=envelope_rows, inverse_decay=inverse_decay, alpha_t=alpha_t,
         schur_ratio=schur_ratio, schur_M=schur_M, W_value=W_value,
         offdiag_constant=offdiag_constant, offdiag_exponent=offdiag_exponent,
-        dual_system=ds, duals=duals, gramian=M,
+        coeffs=C, duals=duals, gramian=M,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -289,8 +294,9 @@ def run_suite(settings: RunSettings) -> SuiteResult:
 
     recursion = {}
     for r in results:
-        core_m = gr.DecayMatrix(lat.LatticeWindow(settings.d, r.core_radius),
-                                r.dual_system.core_block(), symmetric=True)
+        core = lat.LatticeWindow(settings.d, r.core_radius)
+        pos = r.coeffs.window.positions_of(core)
+        core_m = gr.DecayMatrix(core, r.coeffs.entries[np.ix_(pos, pos)])
         measured = gr.schur_bound(gr.apply_derivation(core_m, 1, settings.t))
         bound = cst.recursion_trace(r.A_est, r.C_meas, r.W_value, settings.t,
                                     schur_constant=schur_constant)[-1]
@@ -312,7 +318,7 @@ def run_suite(settings: RunSettings) -> SuiteResult:
 # artifacts.verify_artifacts, on the values read back from its artifacts.
 
 
-def matrix_checks(family: str, M: gr.DecayMatrix, C: np.ndarray, core_radius: int,
+def matrix_checks(family: str, M: gr.DecayMatrix, C: gr.DecayMatrix, core_radius: int,
                   radii, lam_min, lam_max, tol: dict) -> list:
     """The five verdicts on the largest section M, its inverse C, the core
     radius and the eigenvalue trace, in report order:
@@ -325,12 +331,12 @@ def matrix_checks(family: str, M: gr.DecayMatrix, C: np.ndarray, core_radius: in
       the radius (Cauchy interlacing of nested sections).
     """
     core = M.window.positions_of(lat.LatticeWindow(M.window.d, core_radius))
-    block = C[np.ix_(core, core)]
+    block = C.entries[np.ix_(core, core)]
     residual = tol["biorthogonality"]
     bound = (1.0 + tol["bound_slack"]) / lam_min[-1]
     eps = tol["interlacing"]
-    biorth = du.biorthogonality_residual(C, M.entries)
-    gram = du.gram_duals_check(C, M.entries, core)
+    biorth = du.biorthogonality_residual(C.entries, M.entries)
+    gram = du.gram_duals_check(C.entries, M.entries, core)
     dual_norm = float(np.max(np.diag(block)))
     lam_core = float(np.linalg.eigvalsh(block)[-1])
     interlaced = all(a >= b - eps for a, b in zip(lam_min, lam_min[1:])) \
@@ -362,7 +368,7 @@ def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
 
     for r in results:
         pre = f"{r.name}."
-        verdicts += matrix_checks(r.name, r.gramian, r.dual_system.coeffs, r.core_radius,
+        verdicts += matrix_checks(r.name, r.gramian, r.coeffs, r.core_radius,
                                   r.riesz.radii, r.riesz.lambda_min, r.riesz.lambda_max, tol)
         add(pre + "claimed_C", r.C_meas <= r.spec.claimed_C * (1 + tol["claimed_rtol"]),
             r.C_meas, r.spec.claimed_C)

@@ -10,6 +10,17 @@ def scaled_basis(basis: lat.BasisSet, alpha: float) -> lat.BasisSet:
     return lat.BasisSet(basis.spec, basis.window, amplitude=basis.amplitude * alpha)
 
 
+def core_nodes(d: int, core_radius: int) -> list:
+    """The nodes of the stabilized core {|k| <= core_radius}, as int tuples
+    in window order."""
+    return [tuple(k) for k in lat.LatticeWindow(d, core_radius).indices.tolist()]
+
+
+def core_positions(C, core_radius: int) -> np.ndarray:
+    """Positions in C.window of the core nodes."""
+    return C.window.positions_of(lat.LatticeWindow(C.window.d, core_radius))
+
+
 def leibniz_check(P, Q, h: int) -> float:
     """max |D_h(PQ) - D_h(P)Q - P D_h(Q)| of two window matrices; exact
     algebra, so machine-zero."""

@@ -23,7 +23,7 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 
-from conftest import leibniz_check, scaled_basis
+from conftest import core_nodes, leibniz_check, scaled_basis
 
 
 def report(num, label, ok, detail):
@@ -39,15 +39,15 @@ def test_c01_biorthogonality_runtime():
                  lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})):
         basis = lat.make_basis(spec, lat.LatticeWindow(1, 16))
         M, _ = gr.sections(basis, (4, 8, 12, 16), grid)
-        ds = du.invert_section(M, 12, tol=1e-8)
+        C, core, _ = du.invert_section(M, 12, tol=1e-8)
         # <g_k, f_j> by quadrature over core k and window j
-        nodes = ds.core_nodes()
-        G = du.synthesize_duals(ds, basis, nodes, grid)
+        nodes = core_nodes(1, core)
+        G = du.synthesize_duals(C, core, basis, nodes, grid)
         inner = (G @ basis.sample_all(grid).T) * grid.weight
-        inner[np.arange(len(nodes)), [ds.window.index_of(node) for node in nodes]] -= 1.0
+        inner[np.arange(len(nodes)), [C.window.index_of(node) for node in nodes]] -= 1.0
         residual = float(np.max(np.abs(inner)))
         worst = max(worst, residual)
-        gap = max(gap, abs(residual - du.biorthogonality_residual(ds.coeffs, M.entries)))
+        gap = max(gap, abs(residual - du.biorthogonality_residual(C.entries, M.entries)))
     elapsed = time.perf_counter() - t0
     report(1, "biorthogonality", worst < 1e-6 and gap < 1e-13 and elapsed < 60.0,
            f"max residual {worst:.3e} (< 1e-6), {gap:.1e} from max |CM - I| (< 1e-13), "
@@ -80,9 +80,9 @@ def test_c04_scaling_homogeneity(d1_suite):
     for f in d1_suite.families:
         basis = lat.make_basis(f.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
         scaled = scaled_basis(basis, alpha)
-        ds = du.invert_section(gr.sections(scaled, settings.radii, grid)[0],
-                               settings.radii[-2], tol=settings.tolerances["inversion"])
-        g0_scaled = grid.embed(du.synthesize_dual(ds, scaled, origin, grid),
+        C, core, _ = du.invert_section(gr.sections(scaled, settings.radii, grid)[0],
+                                       settings.radii[-2], tol=settings.tolerances["inversion"])
+        g0_scaled = grid.embed(du.synthesize_dual(C, core, scaled, origin, grid),
                                scaled.support_grid(grid))
         g0 = f.duals[origin]
         rows.append((f.name, float(np.max(np.abs(g0_scaled - g0 / alpha))
@@ -239,8 +239,8 @@ def test_c12_section_convergence_honesty(d1_suite, d1_suite_large):
     large = {f.name: f for f in d1_suite_large.families}
     origin = (0,)
     for name, f16 in small.items():
-        c16 = f16.dual_system.coefficient(origin, origin)
-        c32 = large[name].dual_system.coefficient(origin, origin)
+        c16 = f16.coeffs.entry(origin, origin)
+        c32 = large[name].coeffs.entry(origin, origin)
         drift = abs(c16 - c32)
         good = drift < f16.convergence.estimate
         ok = ok and good

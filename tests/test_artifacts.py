@@ -10,7 +10,7 @@ from dualdecay import artifacts
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 
-from conftest import d2_indicator_settings
+from conftest import core_nodes, d2_indicator_settings
 
 
 def loop_write_samples(path, grid, values):
@@ -86,7 +86,7 @@ def test_only_exported_duals_keep_their_samples(d2_suite_export_0, tmp_path):
         assert list(fam.duals) == [(0, 0)]
         with open(tmp_path / fam.name / "envelopes.csv") as fh:
             labels = {line.split(",")[0] for line in fh.read().splitlines()[1:]}
-        core = fam.dual_system.core_nodes()
+        core = core_nodes(fam.spec.d, fam.core_radius)
         assert len(core) == 9 and labels == {artifacts._node_label(k) for k in core}
 
 

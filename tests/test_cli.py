@@ -581,16 +581,26 @@ def _one_line(err: str) -> str:
 
 def test_cli_claimed_envelope_exceeded_exits_invariant(tmp_path, capsys):
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "d1_suite.ini")
-    text = re.sub(r"(?m)^claimed_C = .*$", "claimed_C = 1.5", Path(config).read_text())
-    bad = tmp_path / "claimed.ini"
-    bad.write_text(text)
-    # the suite run and a stage run both name the first family over its claim
-    for stage in ("all", "basis"):
-        assert cli.main([stage, "--config", str(bad), "--out", str(tmp_path / stage)]) \
-            == cli.EXIT_INVARIANT
-        line = _one_line(capsys.readouterr().err)
-        assert line.startswith("invariant failure: family 'indicator': measured envelope")
-        assert "exceeds claimed" in line
+    text = Path(config).read_text()
+    # claims too small for every family; and indicators claimed at exponents
+    # where (1+r)^s overflows on the grid, so the measured constant is huge
+    # or inf and the zeros outside their support must not make it nan
+    indicators = text[:text.index("[family:")] + "".join(
+        f"[family:{name}]\nfamily = bspline-indicator\nclaimed_C = 32\nclaimed_s = {s}\n\n"
+        for name, s in (("indicator", 400), ("ind300", 300), ("ind250", 250)))
+    cases = {"claimed": re.sub(r"(?m)^claimed_C = .*$", "claimed_C = 1.5", text),
+             "overflow": indicators}
+    for case, case_text in cases.items():
+        bad = tmp_path / f"{case}.ini"
+        bad.write_text(case_text)
+        # the suite run and a stage run both name the first family over its claim
+        for stage in ("all", "basis"):
+            out = str(tmp_path / case / stage)
+            assert cli.main([stage, "--config", str(bad), "--out", out]) \
+                == cli.EXIT_INVARIANT, case
+            line = _one_line(capsys.readouterr().err)
+            assert line.startswith("invariant failure: family 'indicator': measured envelope")
+            assert "exceeds claimed" in line and "nan" not in line, line
 
 
 NOT_RIESZ_CONFIG = """
@@ -768,12 +778,16 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
      "convolution_window_d1 must be >= 1, got 0"),
     ("seed = 77", "seed = 77\ndual_export_radius = -1", "all",
      "dual_export_radius must be >= 0, got -1"),
+    ("claimed_C = 32\nclaimed_s = 5", "claimed_C = 32\nclaimed_s = 3.0000001", "all",
+     "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-10 unattainable"),
+    ("[bounds]", "[tolerances]\nw_tol = 1e-20\n\n[bounds]", "all",
+     "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-20 unattainable"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
         "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
         "negative-radius", "infinite-extent", "zero-bounds-dim", "nan-tolerance",
         "negative-convolution-window", "zero-convolution-window",
-        "negative-dual-export-radius"])
+        "negative-dual-export-radius", "w-sum-near-divergence", "w-tol-unattainable"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config
@@ -797,7 +811,8 @@ FUZZ_BASE.read_string(MINI_CONFIG.replace("h = 0.015625", "h = 0.125")
 # values that keep the grid and the window small: the sample cap bounds the
 # memory of a valid config, not its run time
 _NON_NUMERIC = st.text(alphabet="abxyz.,:-+ e", max_size=4)
-_FLOATS = st.sampled_from(["0", "-1", "0.5", "1e-3", "nan", "inf", "-inf", "1e300"])
+_FLOATS = st.sampled_from(["0", "-1", "0.5", "1e-3", "nan", "inf", "-inf", "1e300",
+                           "3.00001", "400"])
 _RADII = st.one_of(
     st.sampled_from(["4 8 12", "2 4 6", "0 1", "-1 2", "8 4", "12"]),
     st.lists(st.integers(-2, 14), max_size=4).map(lambda r: " ".join(map(str, r))))
@@ -822,7 +837,8 @@ _EDITS = st.one_of(
               st.sampled_from(["-1", "0", "1", "3"])),
     st.tuples(st.sampled_from(["family:indicator", "family:bump", "family:hat",
                                "tolerances"]),
-              st.sampled_from(["claimed_C", "claimed_s", "s", "inversion"]), _FLOATS),
+              st.sampled_from(["claimed_C", "claimed_s", "s", "inversion", "w_tol"]),
+              _FLOATS),
     st.tuples(st.sampled_from(["window", "family:hat"]), st.sampled_from(["d", "order"]),
               st.sampled_from(["0", "-1", "2.5"])),
     st.sampled_from(_NUMERIC_KEYS).flatmap(lambda key: st.tuples(*map(st.just, key),
@@ -867,5 +883,7 @@ def test_cli_fuzzed_config_keeps_exit_code_contract(cfg):
     assert not any("Traceback" in line for line in lines), lines
     if code in (cli.EXIT_CONFIG, cli.EXIT_HYPOTHESIS, cli.EXIT_CONVERGENCE):
         assert len(lines) == 1, lines
+    if code == cli.EXIT_INVARIANT:  # one line for a failure, none for failed verdicts
+        assert len(lines) <= 1, lines
     if code == 0:
         assert lines == [], lines

@@ -394,10 +394,10 @@ def test_binomial_identity_residual_shrinks_with_window():
         grid = lat.Grid(h=1 / 64, R=2 * N + 8, d=1)
         basis = lat.make_basis(spec, lat.LatticeWindow(1, 2 * N))
         M, _ = gr.sections(basis, (N, 2 * N), grid)
-        ds = du.invert_section(M, N, tol=1e-6)
+        inverse, _, _ = du.invert_section(M, N, tol=1e-6)
         wN = lat.LatticeWindow(1, N)
-        pos = ds.window.positions_of(wN)
-        block = ds.coeffs[np.ix_(pos, pos)]
+        pos = inverse.window.positions_of(wN)
+        block = inverse.entries[np.ix_(pos, pos)]
         C = gr.DecayMatrix(wN, 0.5 * (block + block.T))
         section = gr.DecayMatrix(wN, M.entries[np.ix_(pos, pos)])
         residuals.append(binomial_identity_residual(C, section, 1, 2, eval_radius=N // 4))

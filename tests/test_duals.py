@@ -8,30 +8,33 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay.errors import ConvergenceError, SingularSectionError
 
-from conftest import scaled_basis
+from conftest import core_nodes, core_positions, scaled_basis
 
 GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
+
+
+# each system is (basis, M, C, core radius, convergence)
 
 
 def indicator_system(N=16, radii=(4, 8, 16)):
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     basis = lat.make_basis(spec, lat.LatticeWindow(1, N))
     M, _ = gr.sections(basis, radii, GRID)
-    return basis, M, du.invert_section(M, radii[-2], tol=1e-8)
+    return (basis, M) + du.invert_section(M, radii[-2], tol=1e-8)
 
 
 def gaussian_system(N=16, radii=(4, 8, 12, 16)):
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     basis = lat.make_basis(spec, lat.LatticeWindow(1, N))
     M, _ = gr.sections(basis, radii, GRID)
-    return basis, M, du.invert_section(M, radii[-2], tol=1e-8)
+    return (basis, M) + du.invert_section(M, radii[-2], tol=1e-8)
 
 
 def bump_system(N=16, radii=(4, 8, 12, 16)):
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
     basis = lat.make_basis(spec, lat.LatticeWindow(1, N))
     M, _ = gr.sections(basis, radii, GRID)
-    return basis, M, du.invert_section(M, radii[-2], tol=1e-8)
+    return (basis, M) + du.invert_section(M, radii[-2], tol=1e-8)
 
 
 def toeplitz_section(rho, N):
@@ -47,33 +50,34 @@ def toeplitz_section(rho, N):
 
 
 def test_identity_inverts_to_identity():
-    _, _, ds = indicator_system()
-    assert np.array_equal(ds.coeffs, np.eye(33))
-    assert ds.core_radius == 8  # the comparison radius
-    assert ds.convergence.max_change == 0.0
-    assert ds.convergence.estimate == pytest.approx(1e-13)
+    _, M, C, core, convergence = indicator_system()
+    assert C.window == M.window and C.symmetric
+    assert np.array_equal(C.entries, np.eye(33))
+    assert core == 8  # the comparison radius
+    assert convergence.max_change == 0.0
+    assert convergence.estimate == pytest.approx(1e-13)
 
 
 def test_scaled_identity_inverts_to_half():
     M = toeplitz_section(0.0, 8)
     M.entries *= 2.0
-    ds = du.invert_section(M, 4, tol=1e-8)
-    assert np.allclose(ds.coeffs, 0.5 * np.eye(17), atol=1e-15)
+    C, _, _ = du.invert_section(M, 4, tol=1e-8)
+    assert np.allclose(C.entries, 0.5 * np.eye(17), atol=1e-15)
 
 
 def test_tridiagonal_toeplitz_matches_symbol_oracle():
     rho = 0.25
-    ds = du.invert_section(toeplitz_section(rho, 32), 16, tol=1e-8)
-    assert ds.core_radius >= 8
+    C, core, _ = du.invert_section(toeplitz_section(rho, 32), 16, tol=1e-8)
+    assert core >= 8
     # reciprocal-symbol Fourier coefficients, computed spectrally
     n_fft = 4096
     xi = np.arange(n_fft) / n_fft
     coeff = np.fft.ifft(1.0 / (1.0 + 2 * rho * np.cos(2 * math.pi * xi))).real
     r = (1 - math.sqrt(1 - 4 * rho**2)) / (2 * rho)
-    for j in range(ds.core_radius + 1):
+    for j in range(core + 1):
         closed = (-1) ** j * r**j / math.sqrt(1 - 4 * rho**2)
         assert coeff[j] == pytest.approx(closed, abs=1e-12)
-        assert ds.coefficient(0, j) == pytest.approx(coeff[j], abs=1e-8)
+        assert C.entry(0, j) == pytest.approx(coeff[j], abs=1e-8)
 
 
 def test_singular_section_raises():
@@ -101,10 +105,11 @@ def test_invert_needs_two_sections():
 
 
 def test_coeffs_hermitian_and_core_block():
-    _, _, ds = gaussian_system()
-    assert np.array_equal(ds.coeffs, ds.coeffs.T)
-    block = ds.core_block()
-    n = 2 * ds.core_radius + 1
+    _, _, C, core, _ = gaussian_system()
+    assert np.array_equal(C.entries, C.entries.T)
+    pos = core_positions(C, core)
+    block = C.entries[np.ix_(pos, pos)]
+    n = 2 * core + 1
     assert block.shape == (n, n)
 
 
@@ -112,48 +117,48 @@ def test_coeffs_hermitian_and_core_block():
 
 
 def test_indicator_duals_are_the_basis():
-    basis, _, ds = indicator_system()
-    nodes = ds.core_nodes()
+    basis, _, C, core, _ = indicator_system()
+    nodes = core_nodes(1, core)
     support = basis.support_grid(GRID)
-    G = du.synthesize_duals(ds, basis, nodes, GRID)
+    G = du.synthesize_duals(C, core, basis, nodes, GRID)
     assert G.shape == (len(nodes), support.n_points) and support.n_points < GRID.n_points
     padded = np.stack([GRID.embed(row, support) for row in G])
     assert padded.tobytes() == np.stack([basis.sample(k, GRID) for k in nodes]).tobytes()
 
 
 def test_synthesis_outside_core_rejected():
-    basis, _, ds = gaussian_system()
-    outside = ds.core_radius + 1
-    message = rf"node \({outside},\) outside stabilized core radius {ds.core_radius}"
+    basis, _, C, core, _ = gaussian_system()
+    outside = core + 1
+    message = rf"node \({outside},\) outside stabilized core radius {core}"
     with pytest.raises(ValueError, match=message):
-        du.synthesize_dual(ds, basis, outside, GRID)
+        du.synthesize_dual(C, core, basis, outside, GRID)
     with pytest.raises(ValueError, match=message):
-        du.synthesize_duals(ds, basis, [(0,), (outside,), (-outside,)], GRID)
+        du.synthesize_duals(C, core, basis, [(0,), (outside,), (-outside,)], GRID)
 
 
 @pytest.mark.parametrize("system", [gaussian_system, bump_system])
 def test_block_rows_match_single_duals(system):
-    basis, _, ds = system()
-    nodes = ds.core_nodes()
-    for node, row in zip(nodes, du.synthesize_duals(ds, basis, nodes, GRID)):
-        g = du.synthesize_dual(ds, basis, node, GRID)
+    basis, _, C, core, _ = system()
+    nodes = core_nodes(1, core)
+    for node, row in zip(nodes, du.synthesize_duals(C, core, basis, nodes, GRID)):
+        g = du.synthesize_dual(C, core, basis, node, GRID)
         assert np.max(np.abs(row - g)) <= 1e-14 * np.max(np.abs(g)), node
 
 
 def test_scaling_halves_the_duals():
-    basis, _, ds = gaussian_system()
-    g0 = du.synthesize_dual(ds, basis, 0, GRID)
+    basis, _, C, core, _ = gaussian_system()
+    g0 = du.synthesize_dual(C, core, basis, 0, GRID)
     scaled = scaled_basis(basis, 2.0)
     M, _ = gr.sections(scaled, (4, 8, 12, 16), GRID)
-    ds2 = du.invert_section(M, 12, tol=1e-8)
-    g0_scaled = du.synthesize_dual(ds2, scaled, 0, GRID)
+    C2, core2, _ = du.invert_section(M, 12, tol=1e-8)
+    g0_scaled = du.synthesize_dual(C2, core2, scaled, 0, GRID)
     rel = np.max(np.abs(g0_scaled - 0.5 * g0)) / np.max(np.abs(g0))
     assert rel < 1e-10
 
 
 def test_gaussian_dual_matches_normal_equations_oracle():
-    basis, _, ds = gaussian_system()
-    g0 = du.synthesize_dual(ds, basis, 0, GRID)
+    basis, _, C, core, _ = gaussian_system()
+    g0 = du.synthesize_dual(C, core, basis, 0, GRID)
     # least-squares route over a much larger section
     big = lat.make_basis(basis.spec, lat.LatticeWindow(1, 64))
     grid_big = lat.Grid(h=1 / 64, R=72.0, d=1)
@@ -170,25 +175,25 @@ def test_gaussian_dual_matches_normal_equations_oracle():
 
 
 def test_indicator_biorthogonality_exact():
-    _, M, ds = indicator_system()
-    assert du.biorthogonality_residual(ds.coeffs, M.entries) < 1e-12
+    _, M, C, _, _ = indicator_system()
+    assert du.biorthogonality_residual(C.entries, M.entries) < 1e-12
 
 
 def test_gaussian_biorthogonality():
-    _, M, ds = gaussian_system()
-    assert du.biorthogonality_residual(ds.coeffs, M.entries) < 1e-6
+    _, M, C, _, _ = gaussian_system()
+    assert du.biorthogonality_residual(C.entries, M.entries) < 1e-6
 
 
 def test_truncated_coefficients_break_biorthogonality():
-    basis, _, ds = bump_system()
-    row = ds.coeffs[ds.window.index_of(0)].copy()
-    sep = np.abs(ds.window.indices[:, 0])
+    basis, _, C, _, _ = bump_system()
+    row = C.entries[C.window.index_of(0)].copy()
+    sep = np.abs(C.window.indices[:, 0])
     truncated = np.where(sep <= 1, row, 0.0)
     F = basis.sample_all(GRID)
     g = truncated @ F
     inner = (F @ g) * GRID.weight
     delta = np.zeros(len(inner))
-    delta[ds.window.index_of(0)] = 1.0
+    delta[C.window.index_of(0)] = 1.0
     assert np.max(np.abs(inner - delta)) > 1e-3
 
 
@@ -201,33 +206,34 @@ def dual_envelope(samples, k, u) -> float:
 
 
 def test_indicator_dual_envelope_bounded_by_four():
-    basis, _, ds = indicator_system()
-    g0 = GRID.embed(du.synthesize_dual(ds, basis, 0, GRID), basis.support_grid(GRID))
+    basis, _, C, core, _ = indicator_system()
+    g0 = GRID.embed(du.synthesize_dual(C, core, basis, 0, GRID), basis.support_grid(GRID))
     constant = dual_envelope(g0, 0, 2.0)
     assert constant <= 4.0
     assert constant == pytest.approx((1 + 63 / 64) ** 2, rel=1e-12)
 
 
 def test_dual_envelope_scales_inversely():
-    basis, _, ds = gaussian_system()
-    base = dual_envelope(du.synthesize_dual(ds, basis, 0, GRID), 0, 2.0)
+    basis, _, C, core, _ = gaussian_system()
+    base = dual_envelope(du.synthesize_dual(C, core, basis, 0, GRID), 0, 2.0)
     scaled = scaled_basis(basis, 2.0)
-    ds2 = du.invert_section(gr.sections(scaled, (4, 8, 12, 16), GRID)[0], 12, tol=1e-8)
-    g0_scaled = du.synthesize_dual(ds2, scaled, 0, GRID)
+    C2, core2, _ = du.invert_section(gr.sections(scaled, (4, 8, 12, 16), GRID)[0], 12,
+                                     tol=1e-8)
+    g0_scaled = du.synthesize_dual(C2, core2, scaled, 0, GRID)
     assert dual_envelope(g0_scaled, 0, 2.0) == 0.5 * base
 
 
 # --- dual Gramian consistency -------------------------------------------------------
 
 
-def gram_duals_both_ways(basis, M, ds) -> tuple:
+def gram_duals_both_ways(basis, M, C, core, _) -> tuple:
     """(quadrature, algebraic) max over core pairs of |<g_k, g_j> - c_{k,j}|:
     the inner products of the synthesized duals taken by quadrature, and
     gram_duals_check from the coefficients and the Gramian M."""
-    G = du.synthesize_duals(ds, basis, ds.core_nodes(), GRID)
-    pos = ds.core_positions()
-    quadrature = float(np.max(np.abs((G @ G.T) * GRID.weight - ds.coeffs[np.ix_(pos, pos)])))
-    return quadrature, du.gram_duals_check(ds.coeffs, M.entries, pos)
+    G = du.synthesize_duals(C, core, basis, core_nodes(1, core), GRID)
+    pos = core_positions(C, core)
+    quadrature = float(np.max(np.abs((G @ G.T) * GRID.weight - C.entries[np.ix_(pos, pos)])))
+    return quadrature, du.gram_duals_check(C.entries, M.entries, pos)
 
 
 def test_indicator_gram_duals_exact():
@@ -245,28 +251,28 @@ def test_gaussian_gram_duals():
 def test_doubled_gramian_gives_half_norms():
     M = toeplitz_section(0.0, 8)
     M.entries *= 2.0
-    ds = du.invert_section(M, 4, tol=1e-8)
+    C, core, _ = du.invert_section(M, 4, tol=1e-8)
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     # indicator scaled by sqrt(2) has Gramian 2I; duals have squared norm 1/2
     basis = scaled_basis(lat.make_basis(spec, lat.LatticeWindow(1, 8)), math.sqrt(2.0))
-    g0 = du.synthesize_dual(ds, basis, 0, GRID)
+    g0 = du.synthesize_dual(C, core, basis, 0, GRID)
     norm_sq = float(np.dot(g0, g0) * GRID.weight)
     assert norm_sq == pytest.approx(0.5, abs=1e-12)
-    assert norm_sq == pytest.approx(ds.coefficient(0, 0), abs=1e-12)
+    assert norm_sq == pytest.approx(C.entry(0, 0), abs=1e-12)
 
 
 # --- coefficient decay -----------------------------------------------------------
 
 
 def test_bump_coefficient_decay_exponent():
-    _, _, ds = bump_system()
-    assert ds.core_radius >= 4
-    assert du.coefficient_decay_fit(ds) >= 2.0
+    _, _, C, core, _ = bump_system()
+    assert core >= 4
+    assert du.coefficient_decay_fit(C, core) >= 2.0
 
 
 def test_synthesized_duals_bitwise_equal_fresh_rows():
     # the whole core against the same block product: a GEMM's bits depend on its shape
-    basis, _, ds = gaussian_system()
+    basis, _, C, core, _ = gaussian_system()
     rows = np.stack([basis.evaluate(k, GRID.points) for k in basis.window.indices])
-    G = du.synthesize_duals(ds, basis, ds.core_nodes(), GRID)
-    assert np.array_equal(G, ds.coeffs[ds.core_positions()] @ rows)
+    G = du.synthesize_duals(C, core, basis, core_nodes(1, core), GRID)
+    assert np.array_equal(G, C.entries[core_positions(C, core)] @ rows)

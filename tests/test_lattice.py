@@ -269,6 +269,10 @@ def test_all_zero_samples_flagged():
     values, radii = np.zeros(100), np.linspace(0, 9, 100)
     assert lat.envelope_constant(values, radii, 3.0) == 0.0
     assert lat.decay_exponent(values, radii) == math.inf
+    # (1 + 1e3)^400 overflows: a zero sample there needs no constant and a
+    # nonzero one an infinite one, with no RuntimeWarning (an error here)
+    assert lat.envelope_constant([0.0, 1.0], [1e3, 0.0], 400.0) == 1.0
+    assert lat.envelope_constant([1e-300, 1.0], [1e3, 0.0], 400.0) == math.inf
 
 
 def loop_loglog_fit(values, radii, bin_width):

@@ -13,7 +13,8 @@ from dualdecay import pipeline as pl
 from dualdecay.errors import ConfigError, HypothesisViolation
 from dualdecay.lattice import GeneratorSpec
 
-from conftest import d2_indicator_settings, standard_families, suite_settings
+from conftest import (core_nodes, core_positions, d2_indicator_settings, standard_families,
+                      suite_settings)
 
 
 def test_suite_all_verdicts_pass(d1_suite):
@@ -55,8 +56,11 @@ def test_report_dict_numbers_trace_to_results(d1_suite):
         assert entry["A_est"] == fam.A_est
         assert entry["D_emp"] == fam.D_emp
         assert entry["core_radius"] == fam.core_radius
+        assert entry["gramian_tail_bound"] == fam.gramian.quadrature_tail
+        # the grid box holds every compact member, and no other
+        assert (entry["gramian_tail_bound"] == 0.0) == (fam.spec.support_radius is not None)
         assert entry["biorthogonality_residual"] == \
-            du.biorthogonality_residual(fam.dual_system.coeffs, fam.gramian.entries)
+            du.biorthogonality_residual(fam.coeffs.entries, fam.gramian.entries)
         for key, check in (("biorthogonality_residual", "biorthogonality"),
                            ("gram_duals_residual", "gram_duals"),
                            ("dual_norm_max", "dual_norm_bound"),
@@ -72,7 +76,7 @@ def test_family_results_sane(d1_suite):
         assert 0 < fam.A_est <= fam.B_est
         assert fam.core_radius >= 1
         assert fam.C_meas <= fam.spec.claimed_C * (1 + 1e-12)
-        assert du.biorthogonality_residual(fam.dual_system.coeffs, fam.gramian.entries) < 1e-12
+        assert du.biorthogonality_residual(fam.coeffs.entries, fam.gramian.entries) < 1e-12
         assert np.isfinite(fam.D_emp) and fam.D_emp > 0
         # the transfer constant is the suite maximum of (D_emp / (alpha_t C))^(1/t)
         bound = d1_suite.c_transfer ** d1_suite.settings.t * fam.alpha_t * fam.C_meas
@@ -149,8 +153,8 @@ def test_run_family_samples_each_basis_once(sample_builds):
         assert [amplitude for amplitude, _ in sample_builds] == [1.0], fam.name
         assert all(ref() is None for _, ref in sample_builds), "matrix outlived the family"
         assert _big_arrays(result, window_by_grid) == []
-        assert _big_arrays(result.dual_system, window_by_grid) == []
-        assert du.biorthogonality_residual(result.dual_system.coeffs,
+        assert _big_arrays(result.coeffs, window_by_grid) == []
+        assert du.biorthogonality_residual(result.coeffs.entries,
                                            result.gramian.entries) < 1e-12
 
 
@@ -174,7 +178,7 @@ def test_dual_regression_fitted_once_per_core_node(monkeypatch):
     monkeypatch.setattr(lat, "decay_exponent", counting)
     settings = suite_settings(16, (4, 8, 12, 16))
     result = pl.run_family(settings.families[1], settings)
-    nodes = result.dual_system.core_nodes()
+    nodes = core_nodes(settings.d, result.core_radius)
     # one regression per core dual and per basis row, plus the coefficient decay fit
     assert len(calls) == len(nodes) + len(result.basis_rows) + 1
     exponents = {}
@@ -233,9 +237,9 @@ def test_support_grid_run_matches_full_grid_oracle(case):
     F = basis.sample_all(grid)
     raw = (F @ F.T) * grid.weight
     same(result.gramian.entries, 0.5 * (raw + raw.T))
-    ds = result.dual_system
-    nodes = ds.core_nodes()
-    G = ds.coeffs[ds.core_positions()] @ F
+    C = result.coeffs
+    nodes = core_nodes(settings.d, result.core_radius)
+    G = C.entries[core_positions(C, result.core_radius)] @ F
     same(np.stack([result.duals[node] for node in nodes]), G)
 
     def fits(samples, node, us):
