@@ -66,21 +66,45 @@ _CHUNK_ROWS = 4096  # rows formatted per write of a sample file
 _NUMBER = (int, float)  # what verify accepts where report.json holds a number
 
 
-def _row_prefixes(grid) -> list:
-    """The `x_1,..,x_d,` text of every grid point, in grid.points order."""
+def _row_text(grid) -> tuple:
+    """The row text of the grid, built once per grid: the `x_1,..,x_d,`
+    prefix of every point in grid.points order, `zeros`, the text of every
+    row with value +0.0, and the int64 `starts`, where row i of `zeros`
+    begins (with the text's length last)."""
     axis = [_fmt(c) + "," for c in grid.axis.tolist()]
-    return ["".join(p) for p in itertools.product(axis, repeat=grid.d)]
+    prefixes = ["".join(p) for p in itertools.product(axis, repeat=grid.d)]
+    zeros = "0.0\n".join(prefixes) + "0.0\n"
+    widths = lengths = np.array([len(a) for a in axis], dtype=np.int64)
+    for _ in range(grid.d - 1):
+        lengths = np.add.outer(lengths, widths).ravel()
+    starts = np.zeros(len(prefixes) + 1, dtype=np.int64)
+    np.cumsum(lengths + len("0.0\n"), out=starts[1:])
+    return prefixes, zeros, starts
 
 
-def _write_samples(path: str, d: int, prefixes: list, values):
-    """One `x_1..x_d,value` row per grid point, from the grid's row prefixes."""
+def _write_samples(path: str, d: int, text: tuple, values):
+    """One `x_1..x_d,value` row per grid point, from the grid's row text.
+
+    Each run of +0.0 samples is one slice of the zero text; every other run
+    (-0.0, NaN and inf included) is formatted chunk by chunk, so the bytes
+    are those of `repr` row by row."""
+    prefixes, zeros, starts = text
     values = np.asarray(values, dtype=float)
+    if len(values) != len(prefixes):
+        raise ValueError(f"{len(values)} samples for a grid of {len(prefixes)} points")
+    formatted = (values != 0) | np.signbit(values)
+    edges = [0, *(np.flatnonzero(formatted[1:] != formatted[:-1]) + 1).tolist(), len(values)]
     with open(path, "w") as fh:
         fh.write(",".join(f"x_{i + 1}" for i in range(d)) + ",value\n")
-        for start in range(0, len(prefixes), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            fh.write("".join(p + v + "\n" for p, v in zip(
-                prefixes[start:stop], map(repr, values[start:stop].tolist()))))
+        for a, b in zip(edges, edges[1:]):
+            if not formatted[a]:
+                fh.write(zeros[starts[a]:starts[b]])
+                continue
+            for start in range(a, b, _CHUNK_ROWS):
+                stop = min(start + _CHUNK_ROWS, b)
+                fh.write("\n".join(map(str.__add__, prefixes[start:stop],
+                                        map(float.__repr__, values[start:stop].tolist()))))
+                fh.write("\n")
 
 
 def _write_matrix(path: str, matrix: DecayMatrix):
@@ -95,8 +119,8 @@ def _lines_job(path: str, lines: list) -> tuple:
     return len(lines), path, _write_lines, lines
 
 
-def _samples_job(path: str, d: int, prefixes: list, values) -> tuple:
-    return len(prefixes), path, _write_samples, d, prefixes, values
+def _samples_job(path: str, d: int, text: tuple, values) -> tuple:
+    return len(text[0]), path, _write_samples, d, text, values
 
 
 def _matrix_jobs(fdir: str, gramian, riesz, coeffs) -> list:
@@ -111,7 +135,7 @@ def _matrix_jobs(fdir: str, gramian, riesz, coeffs) -> list:
     return jobs
 
 
-def _basis_jobs(out_dir: str, d: int, prefixes: list, families) -> list:
+def _basis_jobs(out_dir: str, d: int, text: tuple, families) -> list:
     """basis_envelopes.csv, and basis_k0.csv per family, from one (name,
     spec, basis rows, origin samples, ...) per family."""
     lines = ["family,node,claimed_C,measured_C,regression_exponent"]
@@ -120,7 +144,7 @@ def _basis_jobs(out_dir: str, d: int, prefixes: list, families) -> list:
         lines += [f"{name},{_node_label(node)},{_fmt(spec.claimed_C)},{_fmt(C)},"
                   f"{_fmt(exponent)}" for node, C, exponent in rows]
         jobs.append(_samples_job(os.path.join(family_dir(out_dir, name), "basis_k0.csv"),
-                                 d, prefixes, k0))
+                                 d, text, k0))
     return jobs + [_lines_job(os.path.join(out_dir, "basis_envelopes.csv"), lines)]
 
 
@@ -223,7 +247,7 @@ def write_stage(out_dir: str, grid, families):
     Gramian is assembled, and coeffs.csv once it is inverted. One (name,
     spec, basis rows, origin samples, Gramian, riesz bounds, coefficient
     matrix) per family, with None for what was not computed."""
-    jobs = _basis_jobs(out_dir, grid.d, _row_prefixes(grid), families)
+    jobs = _basis_jobs(out_dir, grid.d, _row_text(grid), families)
     for name, _, _, _, gramian, riesz, coeffs in families:
         jobs += _matrix_jobs(family_dir(out_dir, name), gramian, riesz, coeffs)
     _write_files(jobs)
@@ -240,10 +264,10 @@ def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
     """Every file of the `report` stage and, with `basis`, the basis exports
     of `all`, all in one pass of the writers."""
     grid = suite.settings.grid()
-    prefixes = _row_prefixes(grid)
+    text = _row_text(grid)
     jobs = []
     if basis:
-        jobs = _basis_jobs(out_dir, grid.d, prefixes, [
+        jobs = _basis_jobs(out_dir, grid.d, text, [
             (fam.name, fam.spec, fam.basis_rows, fam.basis_k0) for fam in suite.families])
     for fam in suite.families:
         fdir = family_dir(out_dir, fam.name)
@@ -251,7 +275,7 @@ def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
         jobs.append(_lines_job(os.path.join(fdir, "envelopes.csv"),
                                _envelope_lines(fam.envelope_rows)))
         jobs += [_samples_job(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"),
-                              grid.d, prefixes, samples)
+                              grid.d, text, samples)
                  for node, samples in sorted(fam.duals.items())]
     report = json.dumps(report_dict(suite), indent=2, sort_keys=True)
     _write_files(jobs + [_lines_job(os.path.join(out_dir, "constants.csv"),

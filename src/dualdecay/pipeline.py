@@ -54,6 +54,8 @@ class RunSettings:
     bounds_dims: tuple = ()          # dimensions for the constants stage
     convolution_windows: dict = field(default_factory=dict)
     dual_export_radius: int | None = None
+    # W_(s-t) by exponent s - t, summed once here to check w_tol; not an input
+    w_values: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
@@ -77,6 +79,9 @@ class RunSettings:
         if min(self.bounds_dims) < 1:
             raise ConfigError(f"bounds dims must be >= 1, got {self.bounds_dims}")
         for d, start in self.convolution_windows.items():
+            if d not in self.bounds_dims:
+                raise ConfigError(f"convolution_window_d{d} is set, but bounds dims "
+                                  f"{self.bounds_dims} do not include {d}")
             if start < 1:
                 raise ConfigError(f"convolution_window_d{d} must be >= 1, got {start}")
         # starting radius, per dimension, of the exact axis scan that
@@ -91,13 +96,15 @@ class RunSettings:
                 f"radius {self.radii[-1]}")
         grid = self.grid()  # the grid rejects its own bad spacing or extent
         window = lat.LatticeWindow(self.d, self.radii[-1])
+        self.w_values = {}
         for fam in self.families:
             if fam.spec.d != self.d:
                 raise ConfigError(f"family {fam.name!r} has dimension {fam.spec.d} != {self.d}")
             # reject bad parameter sets before any heavy computation
             cst.validate_hypotheses(fam.spec.claimed_C, fam.spec.claimed_s, self.t, self.d)
+            u = fam.spec.claimed_s - self.t
             try:
-                cst.w_sum(fam.spec.claimed_s - self.t, self.d, tol["w_tol"])
+                self.w_values[u] = cst.w_sum(u, self.d, tol["w_tol"]).value
             except ValueError as exc:
                 raise ConfigError(f"family {fam.name!r}: W_(s-t) misses w_tol: {exc}") from exc
             lat.make_basis(fam.spec, window)  # rejects perturbed nodes outside the window
@@ -237,7 +244,7 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
                 D_emp = max(D_emp, constant)
     inverse_decay = du.coefficient_decay_fit(C, core_radius)
 
-    W_value = cst.compute_W(s - t, settings.d, tol["w_tol"])
+    W_value = settings.w_values[s - t]
     schur_M = gr.schur_bound(M)  # the u = 0 term
     schur_worst = max([schur_M] + [gr.schur_bound(gr.apply_derivation(M, 1, u))
                                     for u in range(1, t + 1)])

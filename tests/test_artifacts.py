@@ -1,10 +1,13 @@
 import dataclasses
 import errno
+import math
 import os
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualdecay import artifacts
 from dualdecay import lattice as lat
@@ -31,9 +34,90 @@ def test_sample_rows_match_loop_writer(tmp_path, d, h, R):
     values = rng.standard_normal(grid.n_points) * 10.0 ** rng.integers(-300, 300, grid.n_points)
     values[:4] = 0.0, -0.0, 5e-324, -1.0
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    artifacts._write_samples(fast, d, artifacts._row_prefixes(grid), values)
+    artifacts._write_samples(fast, d, artifacts._row_text(grid), values)
     loop_write_samples(slow, grid, values)
     assert fast.read_bytes() == slow.read_bytes()
+
+
+# one grid per dimension, each with more points than one chunk of rows
+WRITER_GRIDS = {d: lat.Grid(h=h, R=R, d=d) for d, h, R in
+                [(1, 1 / 64, 40.0), (2, 1 / 8, 4.0), (3, 0.25, 2.0)]}
+WRITER_TEXT = {d: artifacts._row_text(grid) for d, grid in WRITER_GRIDS.items()}
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+                            1.0, -2.5e300])
+
+
+@st.composite
+def grid_samples(draw):
+    """(d, values): dense or all-zero samples of d's grid, overwritten by spans
+    of +0.0, dense values or one special value (up to two chunks long) and by
+    single special values."""
+    d = draw(st.sampled_from(sorted(WRITER_GRIDS)))
+    n = WRITER_GRIDS[d].n_points
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dense = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values = dense.copy() if draw(st.booleans()) else np.zeros(n)
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, n - 1))
+        stop = draw(st.integers(start + 1, min(n, start + 2 * artifacts._CHUNK_ROWS)))
+        fill = draw(st.sampled_from(["zero", "dense", "special"]))
+        values[start:stop] = (0.0 if fill == "zero" else dense[start:stop] if fill == "dense"
+                              else draw(_SPECIAL))
+    for _ in range(draw(st.integers(0, 4))):
+        values[draw(st.integers(0, n - 1))] = draw(_SPECIAL)
+    return d, values
+
+
+def _zeros_but(d: int, **rows) -> tuple:
+    """All +0.0 samples of d's grid except at the given rows (first, mid, last)."""
+    values = np.zeros(WRITER_GRIDS[d].n_points)
+    at = {"first": 0, "mid": artifacts._CHUNK_ROWS + 7, "last": -1}
+    for row, value in rows.items():
+        values[at[row]] = value
+    return d, values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=grid_samples())
+@example(case=_zeros_but(2))
+@example(case=_zeros_but(1, first=1.5))
+@example(case=_zeros_but(3, last=-2.0))
+@example(case=_zeros_but(2, first=5e-324, mid=-0.0, last=math.nan))
+@example(case=_zeros_but(1, mid=math.inf))
+@example(case=(2, np.arange(1.0, WRITER_GRIDS[2].n_points + 1)))
+def test_zero_runs_match_loop_writer(tmp_path_factory, case):
+    d, values = case
+    out = tmp_path_factory.mktemp("zero-runs")
+    fast, slow = out / "fast.csv", out / "slow.csv"
+    artifacts._write_samples(fast, d, WRITER_TEXT[d], values)
+    loop_write_samples(slow, WRITER_GRIDS[d], values)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_samples_of_another_length_are_rejected(tmp_path, extra):
+    grid = WRITER_GRIDS[1]
+    with pytest.raises(ValueError, match=f"{grid.n_points + extra} samples for a grid of "
+                                         f"{grid.n_points} points"):
+        artifacts._write_samples(tmp_path / "short.csv", 1, WRITER_TEXT[1],
+                                 np.zeros(grid.n_points + extra))
+    assert not (tmp_path / "short.csv").exists()
+
+
+def test_d2_indicator_sample_files_match_loop_writer(tmp_path):
+    suite = pl.run_suite(d2_indicator_settings())
+    artifacts.write_suite(str(tmp_path / "out"), suite, basis=True)
+    grid = suite.settings.grid()
+    written = 0
+    for fam in suite.families:
+        files = {"basis_k0.csv": fam.basis_k0}
+        files.update({f"dual_k{artifacts._node_label(k)}.csv": v for k, v in fam.duals.items()})
+        for name, values in files.items():
+            loop_write_samples(tmp_path / "oracle.csv", grid, values)
+            assert ((tmp_path / "out" / fam.name / name).read_bytes()
+                    == (tmp_path / "oracle.csv").read_bytes()), (fam.name, name)
+            written += 1
+    assert written == sum(1 + len(fam.duals) for fam in suite.families) > 6
 
 
 def _tree(root) -> dict:

@@ -782,12 +782,15 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
      "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-10 unattainable"),
     ("[bounds]", "[tolerances]\nw_tol = 1e-20\n\n[bounds]", "all",
      "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-20 unattainable"),
+    ("convolution_window_d1 = 32", "convolution_window_d1 = 32\nconvolution_window_d2 = 4",
+     "all", "convolution_window_d2 is set, but bounds dims (1,) do not include 2"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
         "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
         "negative-radius", "infinite-extent", "zero-bounds-dim", "nan-tolerance",
         "negative-convolution-window", "zero-convolution-window",
-        "negative-dual-export-radius", "w-sum-near-divergence", "w-tol-unattainable"])
+        "negative-dual-export-radius", "w-sum-near-divergence", "w-tol-unattainable",
+        "convolution-window-outside-dims"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config

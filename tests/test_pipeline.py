@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dualdecay import artifacts
+from dualdecay import constants as cst
 from dualdecay import duals as du
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
@@ -164,6 +165,16 @@ def test_exported_duals_own_their_samples():
     result = pl.run_family(settings.families[0], settings)
     assert list(result.duals) == [(0, 0)]
     assert result.duals[(0, 0)].base is None
+
+
+def test_run_family_reuses_the_checked_W(monkeypatch):
+    # RunSettings sums each family's W_(s-t) to check w_tol; the run keeps that sum
+    settings = dataclasses.replace(d2_indicator_settings(), dual_export_radius=0)
+    fam, real = settings.families[0], cst.w_sum
+    monkeypatch.setattr(cst, "w_sum", lambda *args: pytest.fail("W_(s-t) summed again"))
+    result = pl.run_family(fam, settings)
+    u = fam.spec.claimed_s - settings.t
+    assert result.W_value == real(u, settings.d, settings.tolerances["w_tol"]).value
 
 
 def test_dual_regression_fitted_once_per_core_node(monkeypatch):
