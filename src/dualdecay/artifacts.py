@@ -72,7 +72,7 @@ def _row_text(grid) -> tuple:
     row with value +0.0, and the int64 `starts`, where row i of `zeros`
     begins (with the text's length last)."""
     axis = [_fmt(c) + "," for c in grid.axis.tolist()]
-    prefixes = ["".join(p) for p in itertools.product(axis, repeat=grid.d)]
+    prefixes = list(map("".join, itertools.product(axis, repeat=grid.d)))
     zeros = "0.0\n".join(prefixes) + "0.0\n"
     widths = lengths = np.array([len(a) for a in axis], dtype=np.int64)
     for _ in range(grid.d - 1):
@@ -431,11 +431,20 @@ def _require(path: str) -> str:
     return path
 
 
+def _read_text(path: str) -> str:
+    """The text of a stored artifact; a missing file or one that is not
+    UTF-8 is a ConfigError naming it."""
+    with open(_require(path)) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _read_rows(path: str, types: tuple) -> list:
     """The data rows of a stored CSV, each field converted by its entry of
     `types`; a malformed row is a ConfigError naming the file and the line."""
-    with open(_require(path)) as fh:
-        lines = fh.read().splitlines()[1:]
+    lines = _read_text(path).splitlines()[1:]
     rows = []
     for number, line in enumerate(lines, start=2):
         fields = line.strip().split(",")
@@ -475,12 +484,11 @@ def verify_artifacts(settings: RunSettings) -> list:
     Missing or malformed artifacts are a ConfigError naming the file and the
     key or line."""
     out_dir = settings.out_dir
-    path = _require(os.path.join(out_dir, "report.json"))
-    with open(path) as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    path = os.path.join(out_dir, "report.json")
+    try:
+        report = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
     def entry(*keys, kind=None):
         """report[keys[0]][keys[1]]...; a missing one, or one that is not of

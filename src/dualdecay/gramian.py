@@ -10,6 +10,7 @@ absolute sums) dominates the l2 operator norm.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,38 +106,34 @@ class DecayMatrix:
 
     @classmethod
     def from_text(cls, path) -> "DecayMatrix":
-        """The matrix stored by `to_text`; a ValueError names the file and the
-        row or the (k, j) entry that is malformed, outside the window, missing
-        or repeated."""
-        with open(path) as fh:
-            header, _, body = fh.read().partition("\n")
+        """The matrix stored by `to_text`, its rows in any order, one per line;
+        a ValueError names the file and the row or the (k, j) entry that is
+        malformed, outside the window, missing or repeated."""
         try:
-            d, N, sym = (int(c) for c in header.split())
-            window = LatticeWindow(d, N)
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad header {header!r}: {exc}") from exc
-        n, width = window.size, 2 * d + 1
-        fields = body.split()
-        rows, extra = divmod(len(fields), width)
-        if extra or rows != n * n:
-            found = f"{rows}" if not extra else f"{len(fields)} fields, not rows of {width}"
-            raise ValueError(f"{path}: expected {n * n} matrix rows, found {found}")
-
-        def bad_row(r, why):
-            text = " ".join(fields[r * width:(r + 1) * width])
-            return ValueError(f"{path}: matrix row {r + 1} {why}: {text!r}")
-
-        try:
-            nodes = np.stack([np.array(fields[c::width], dtype=np.int64)
-                              for c in range(2 * d)], axis=1)
-            values = np.array(fields[2 * d::width], dtype=float)
-        except (ValueError, OverflowError):
-            raise bad_row(next(r for r in range(rows)
-                               if not _is_row(fields[r * width:(r + 1) * width], d)),
-                          "is not `k j value`") from None
-        outside = np.flatnonzero(np.abs(nodes).max(axis=1) > N)
-        if outside.size:
-            raise bad_row(outside[0], f"has a node outside the window N={N}")
+            with open(path) as fh:
+                header = fh.readline().removesuffix("\n")
+                try:
+                    d, N, sym = (int(c) for c in header.split())
+                    window = LatticeWindow(d, N)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: bad header {header!r}: {exc}") from exc
+                n = window.size
+                try:
+                    with warnings.catch_warnings():
+                        # an empty body is reported below as a row count
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        rows = _load_rows(fh, d)
+                except ValueError:
+                    rows = None
+                if rows is None or len(rows) != n * n:
+                    raise _rejected(path, _row_fields(fh), d, n)
+                nodes = rows["nodes"]
+                outside = np.flatnonzero(np.abs(nodes).max(axis=1) > N)
+                if outside.size:
+                    raise _row_error(path, _row_fields(fh), outside[0],
+                                     f"has a node outside the window N={N}")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
         flat = window.positions(nodes[:, :d]) * n + window.positions(nodes[:, d:])
         counts = np.bincount(flat, minlength=n * n)
         if np.any(counts != 1):
@@ -147,7 +144,7 @@ class DecayMatrix:
                              f"{' '.join(labels[i] for i in missing)!r}, more than one "
                              f"for {' '.join(labels[i] for i in repeated)!r}")
         entries = np.empty((n, n))
-        entries.flat[flat] = values
+        entries.flat[flat] = rows["value"]
         if sym:
             entries = 0.5 * (entries + entries.T)
         return cls(window, entries, symmetric=bool(sym))
@@ -158,11 +155,45 @@ def _node_labels(window: LatticeWindow) -> list:
     return [" ".join(map(str, k)) for k in window.indices.tolist()]
 
 
-def _is_row(fields, d) -> bool:
-    """Whether `fields` parse as 2d integer coordinates and a float."""
+def _load_rows(lines, d: int) -> np.ndarray:
+    """The `k j value` rows of `lines` (an open file or a list of lines) by
+    numpy's C text reader: one record of int64 `nodes` (k, then j) and a
+    float `value` per line that is not blank."""
+    dtype = [("nodes", np.int64, (2 * d,)), ("value", float)]
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+
+
+def _row_fields(fh) -> list:
+    """The fields of every line below the header of the open matrix file
+    `fh` that is not blank, read again from the start of the file."""
+    fh.seek(0)
+    fh.readline()
+    return [fields for fields in map(str.split, fh.read().split("\n")) if fields]
+
+
+def _row_error(path, lines: list, r: int, why: str) -> ValueError:
+    return ValueError(f"{path}: matrix row {r + 1} {why}: {' '.join(lines[r])!r}")
+
+
+def _rejected(path, lines: list, d: int, n: int) -> ValueError:
+    """The error for matrix rows `lines` (fields per line) that are not n*n
+    rows `k j value`: their field count when that is not n*n rows of 2d+1
+    fields, else their first line that the reader does not take as a row."""
+    width = 2 * d + 1
+    count = sum(map(len, lines))
+    rows, extra = divmod(count, width)
+    if extra or rows != n * n:
+        found = f"{rows}" if not extra else f"{count} fields, not rows of {width}"
+        return ValueError(f"{path}: expected {n * n} matrix rows, found {found}")
+    r = next(r for r, fields in enumerate(lines) if not _is_row(fields, d))
+    return _row_error(path, lines, r, "is not `k j value`")
+
+
+def _is_row(fields, d: int) -> bool:
+    """Whether the reader takes `fields` as one row `k j value`."""
     try:
-        np.array(fields[:2 * d], dtype=np.int64), np.array(fields[2 * d], dtype=float)
-    except (ValueError, OverflowError):
+        _load_rows([" ".join(fields)], d)
+    except ValueError:
         return False
     return True
 

@@ -501,6 +501,22 @@ def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fr
     assert fragment in line, line
 
 
+@pytest.mark.parametrize("rel", ["bump/gramian.csv", "bump/coeffs.csv", "bump/eigens.csv",
+                                 "bump/envelopes.csv", "report.json"])
+def test_cli_verify_rejects_non_utf8_artifact(mini_run, tmp_path, rel, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(re.search(r"(?m)^out = (.*)$", mini_run)[1], out)
+    with open(out / rel, "ab") as fh:
+        fh.write(b"\xff")
+    config = tmp_path / "mini.ini"
+    config.write_text(mini_run)
+    assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == \
+        cli.EXIT_CONFIG
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("config error:") and str(out / rel) in line, line
+    assert "not UTF-8 text" in line, line
+
+
 def test_cli_run_verify_and_duals_stage_agree_on_residuals(mini_run, tmp_path, capsys):
     out = re.search(r"(?m)^out = (.*)$", mini_run)[1]
     report = json.loads(Path(out, "report.json").read_text())

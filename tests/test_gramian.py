@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -429,7 +430,19 @@ def test_matrix_text_matches_loop_oracles(tmp_path, d, N, symmetric):
     (lambda rows: rows[:3] + ["2 0 0.5"] + rows[4:], "matrix row 4 has a node outside"),
     (lambda rows: rows[:3] + [rows[2]] + rows[4:],
      "no matrix row for k j = '0 -1', more than one for '-1 1'"),
-], ids=["truncated", "short-row", "non-numeric", "overflow", "outside", "repeated"])
+    (lambda rows: rows[:3] + ["1.0 0 0.5"] + rows[4:],
+     "matrix row 4 is not `k j value`: '1.0 0 0.5'"),
+    (lambda rows: rows[:3] + ["0 1e0 0.5"] + rows[4:],
+     "matrix row 4 is not `k j value`: '0 1e0 0.5'"),
+    (lambda rows: rows[:3] + ["0 -1 0.5#"] + rows[4:],
+     "matrix row 4 is not `k j value`: '0 -1 0.5#'"),
+    (lambda rows: rows[:3] + ["0 -1", "0.0"] + rows[4:],
+     "matrix row 4 is not `k j value`: '0 -1'"),
+    (lambda rows: rows[:3] + [rows[3] + " " + rows[4]] + rows[5:],
+     "matrix row 4 is not `k j value`: '0 -1 0.0 0 0 1.0'"),
+], ids=["truncated", "short-row", "non-numeric", "overflow", "outside", "repeated",
+        "float-label", "exponent-label", "hash-in-value", "row-over-two-lines",
+        "two-rows-on-a-line"])
 def test_matrix_text_rejects_malformed_rows(tmp_path, edit, fragment):
     path = tmp_path / "m.csv"
     gr.DecayMatrix(lat.LatticeWindow(1, 1), np.eye(3)).to_text(path)
@@ -438,6 +451,30 @@ def test_matrix_text_rejects_malformed_rows(tmp_path, edit, fragment):
     with pytest.raises(ValueError) as err:
         gr.DecayMatrix.from_text(path)
     assert str(path) in str(err.value) and fragment in str(err.value), str(err.value)
+
+
+def test_matrix_text_header_without_rows_is_a_row_count(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1 1 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expected 9 matrix rows, found 0"):
+            gr.DecayMatrix.from_text(path)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+def test_matrix_text_reads_rows_in_any_order(tmp_path, symmetric):
+    window = lat.LatticeWindow(2, 1)
+    a = np.random.default_rng(5).standard_normal((window.size,) * 2)
+    M = gr.DecayMatrix(window, 0.5 * (a + a.T) if symmetric else a, symmetric=symmetric)
+    path = tmp_path / "m.csv"
+    M.to_text(path)
+    header, *rows = path.read_text().splitlines()
+    order = np.random.default_rng(6).permutation(len(rows))
+    path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+    back = gr.DecayMatrix.from_text(path)
+    assert back.window == window and back.symmetric == symmetric
+    assert np.array_equal(bits(back.entries), bits(M.entries))
 
 
 @pytest.mark.parametrize("d, N, sub_N", [(1, 6, 2), (2, 2, 1)])
