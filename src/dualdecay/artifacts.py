@@ -1,13 +1,11 @@
 """Artifact writers and the recomputation-free verification pass.
 
 Every run writes a report.json plus per-family CSVs (Gramian and coefficient
-matrices in the window text format, eigenvalue traces, dual samples, and
-envelope summaries) and a top-level constants table.  The writers make one
-job per file and share the jobs out over up to one process per usable CPU
-(`_write_files`); every file is formatted by the same code in whichever
-process writes it, so its bytes do not depend on how many processes wrote.
-`verify_artifacts` re-checks the invariants from those files alone, with no
-quadrature.
+matrices in the window text format, eigenvalue traces, the samples of the
+duals within `dual_export_radius`, and envelope summaries) and a top-level
+constants table.  The writers make one job per file and write the jobs one
+after another in the calling process (`_write_files`).  `verify_artifacts`
+re-checks the invariants from those files alone, with no quadrature.
 """
 
 from __future__ import annotations
@@ -111,16 +109,15 @@ def _write_matrix(path: str, matrix: DecayMatrix):
     matrix.to_text(path)
 
 
-# A job is (rows, path, write, *args): write(path, *args) writes one file of
-# `rows` lines, the cost by which the jobs are shared out.
+# A job is (path, write, *args): write(path, *args) writes one file.
 
 
 def _lines_job(path: str, lines: list) -> tuple:
-    return len(lines), path, _write_lines, lines
+    return path, _write_lines, lines
 
 
 def _samples_job(path: str, d: int, text: tuple, values) -> tuple:
-    return len(text[0]), path, _write_samples, d, text, values
+    return path, _write_samples, d, text, values
 
 
 def _matrix_jobs(fdir: str, gramian, riesz, coeffs) -> list:
@@ -128,10 +125,10 @@ def _matrix_jobs(fdir: str, gramian, riesz, coeffs) -> list:
     an inverted one; None stands for what was not computed."""
     jobs = []
     if gramian is not None:
-        jobs += [(gramian.size ** 2, os.path.join(fdir, "gramian.csv"), _write_matrix, gramian),
+        jobs += [(os.path.join(fdir, "gramian.csv"), _write_matrix, gramian),
                  _lines_job(os.path.join(fdir, "eigens.csv"), _eigens_lines(riesz))]
     if coeffs is not None:
-        jobs.append((coeffs.size ** 2, os.path.join(fdir, "coeffs.csv"), _write_matrix, coeffs))
+        jobs.append((os.path.join(fdir, "coeffs.csv"), _write_matrix, coeffs))
     return jobs
 
 
@@ -148,16 +145,9 @@ def _basis_jobs(out_dir: str, d: int, text: tuple, families) -> list:
     return jobs + [_lines_job(os.path.join(out_dir, "basis_envelopes.csv"), lines)]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _write(job):
     """Write one job's file; an OSError that names no file gets its path."""
-    _, path, write, *args = job
+    path, write, *args = job
     try:
         write(path, *args)
     except OSError as exc:
@@ -166,79 +156,13 @@ def _write(job):
         raise
 
 
-def _writer(jobs: list, pipe: int):
-    """The body of a forked writer. It writes `jobs`, reports a failure on
-    `pipe` as `errno NUL text NUL path` (errno empty unless it is an
-    OSError), and leaves through os._exit, so nothing the parent set up
-    (buffered output, atexit handlers, the caller's `finally`) runs twice."""
-    code, path = 1, ""
-    try:
-        for job in jobs:
-            path = job[1]
-            _write(job)
-        code = 0
-    except BaseException as exc:  # reported to the parent, which raises it
-        errno = exc.errno if isinstance(exc, OSError) and exc.errno else ""
-        text = exc.strerror if errno else f"{type(exc).__name__}: {exc}"
-        os.write(pipe, f"{errno}\0{text}\0{path}".encode(errors="replace"))
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, pipe: int, jobs: list):
-    """Wait for the writer `pid` of `jobs`; the error it reported, or None."""
-    with os.fdopen(pipe, "rb") as fh:
-        report = fh.read().decode(errors="replace")
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status == 0:
-        return None
-    if not report:
-        return ChildProcessError(f"artifact writer ended with status {status} while writing "
-                                 f"{jobs[0][1]} and {len(jobs) - 1} more files")
-    errno, _, rest = report.partition("\0")
-    text, _, path = rest.rpartition("\0")
-    if errno:
-        return OSError(int(errno), text, path)
-    return ChildProcessError(f"artifact writer failed on {path}: {text}")
-
-
 def _write_files(jobs: list):
-    """Write every job, largest first, on up to one process per usable CPU,
-    into folders made here.
-
-    With n = min(usable CPUs, jobs) > 1, n - 1 writers forked here take
-    every n-th job and this process the rest; the files are the same bytes
-    either way. The writers only format text and write files (no BLAS, no
-    output), so forking a process with BLAS threads is safe. A failed job is
-    an OSError naming its file (a ChildProcessError naming it when a writer
-    failed otherwise); every writer is reaped, also when this process's own
-    share raises."""
-    for folder in sorted({os.path.dirname(job[1]) for job in jobs}):
+    """Write every job in order, into folders made here; a failed job is an
+    OSError naming its file."""
+    for folder in sorted({os.path.dirname(job[0]) for job in jobs}):
         os.makedirs(folder, exist_ok=True)
-    jobs = sorted(jobs, key=lambda job: -job[0])
-    n = min(_usable_cpus(), len(jobs)) if hasattr(os, "fork") else 1
-    writers = []  # (pid, read end of its report pipe, its jobs)
-    try:
-        for i in range(1, n):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                os.close(read)
-                _writer(jobs[i::n], write)
-            os.close(write)
-            writers.append((pid, read, jobs[i::n]))
-        for job in jobs[::n]:
-            _write(job)
-    finally:
-        failures = [_reap(*writer) for writer in writers]
-    for failure in failures:
-        if failure is not None:
-            raise failure
+    for job in jobs:
+        _write(job)
 
 
 def write_stage(out_dir: str, grid, families):

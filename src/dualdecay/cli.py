@@ -143,8 +143,7 @@ def load_config(path: str, out_override=None, seed_override=None,
             tolerances=tolerances,
             bounds_dims=bounds_dims,
             convolution_windows=conv_windows,
-            dual_export_radius=(_value(run, "dual_export_radius", int)
-                                if "dual_export_radius" in run else None),
+            dual_export_radius=_value(run, "dual_export_radius", int, "0"),
         )
         if stage in ("report", "all"):
             cst.check_E_family_count(len(settings.families))

@@ -114,6 +114,8 @@ class DecayMatrix:
                 header = fh.readline().removesuffix("\n")
                 try:
                     d, N, sym = (int(c) for c in header.split())
+                    if sym not in (0, 1):
+                        raise ValueError(f"symmetric flag {sym} is not 0 or 1")
                     window = LatticeWindow(d, N)
                 except ValueError as exc:
                     raise ValueError(f"{path}: bad header {header!r}: {exc}") from exc

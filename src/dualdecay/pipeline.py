@@ -53,7 +53,7 @@ class RunSettings:
     tolerances: dict = field(default_factory=dict)
     bounds_dims: tuple = ()          # dimensions for the constants stage
     convolution_windows: dict = field(default_factory=dict)
-    dual_export_radius: int | None = None
+    dual_export_radius: int = 0     # dual_k*.csv for core nodes within this radius
     # W_(s-t) by exponent s - t, summed once here to check w_tol; not an input
     w_values: dict = field(init=False, repr=False)
 
@@ -72,7 +72,7 @@ class RunSettings:
             raise ConfigError(f"radii must be strictly increasing, got {self.radii}")
         if self.radii[0] < 0:
             raise ConfigError(f"radii must be >= 0, got {self.radii}")
-        if self.dual_export_radius is not None and self.dual_export_radius < 0:
+        if self.dual_export_radius < 0:
             raise ConfigError(f"dual_export_radius must be >= 0, got {self.dual_export_radius}")
         if not self.bounds_dims:
             self.bounds_dims = (self.d,)
@@ -234,7 +234,7 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     duals, envelope_rows, D_emp = {}, [], 0.0
     for node, samples in zip(nodes, block):
         profile = lat.measure_decay(samples, node, grid, support)
-        if limit is None or max(abs(c) for c in node) <= limit:
+        if max(abs(c) for c in node) <= limit:
             duals[node] = grid.embed(samples, support)
         exponent = lat.decay_exponent(*profile)
         for u in dict.fromkeys((float(t), float(s))):

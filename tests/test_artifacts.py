@@ -2,7 +2,6 @@ import dataclasses
 import errno
 import math
 import os
-import time
 
 import numpy as np
 import pytest
@@ -104,8 +103,8 @@ def test_samples_of_another_length_are_rejected(tmp_path, extra):
     assert not (tmp_path / "short.csv").exists()
 
 
-def test_d2_indicator_sample_files_match_loop_writer(tmp_path):
-    suite = pl.run_suite(d2_indicator_settings())
+def test_d2_indicator_sample_files_match_loop_writer(d2_suite_export_all, tmp_path):
+    suite = d2_suite_export_all
     artifacts.write_suite(str(tmp_path / "out"), suite, basis=True)
     grid = suite.settings.grid()
     written = 0
@@ -130,38 +129,30 @@ def _tree(root) -> dict:
     return tree
 
 
-def _cpus(monkeypatch, count: int) -> list:
-    """Let the writers see `count` usable CPUs; the pids that call os.fork."""
-    forks, real = [], os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real()
-
-    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: count)
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
+@pytest.fixture(scope="module")
+def d2_suite_export_0() -> pl.SuiteResult:
+    return pl.run_suite(d2_indicator_settings())
 
 
 @pytest.fixture(scope="module")
-def d2_suite_export_0() -> pl.SuiteResult:
-    return pl.run_suite(dataclasses.replace(d2_indicator_settings(), dual_export_radius=0))
+def d2_suite_export_all() -> pl.SuiteResult:
+    settings = d2_indicator_settings()
+    return pl.run_suite(dataclasses.replace(settings, dual_export_radius=settings.radii[-1]))
 
 
-@pytest.mark.parametrize("suite", ["d1_suite", "d2_suite_export_0"])
-def test_parallel_and_in_process_writers_write_identical_trees(request, tmp_path,
-                                                               monkeypatch, suite):
+@pytest.mark.parametrize("suite, exported", [("d1_suite", "origin"),
+                                             ("d2_suite_export_all", "core")])
+def test_write_suite_writes_each_artifact_once(request, tmp_path, suite, exported):
     suite = request.getfixturevalue(suite)
-    trees = {}
-    for cpus in (1, 3):
-        forks = _cpus(monkeypatch, cpus)
-        artifacts.write_suite(str(tmp_path / str(cpus)), suite, basis=True)
-        assert len(forks) == cpus - 1  # one process writes, in-process, with one CPU
-        trees[cpus] = _tree(tmp_path / str(cpus))
-    assert trees[1] == trees[3]
-    duals = sum(len(fam.duals) for fam in suite.families)
-    per_family = ("basis_k0.csv", "gramian.csv", "coeffs.csv", "eigens.csv", "envelopes.csv")
-    assert len(trees[1]) == 4 + duals + len(per_family) * len(suite.families)
+    artifacts.write_suite(str(tmp_path), suite, basis=True)
+    expected = {"basis_envelopes.csv", "constants.csv", "calibration.txt", "report.json"}
+    for fam in suite.families:
+        nodes = core_nodes(fam.spec.d, fam.core_radius if exported == "core" else 0)
+        expected |= {os.path.join(fam.name, name) for name in
+                     ("basis_k0.csv", "gramian.csv", "coeffs.csv", "eigens.csv",
+                      "envelopes.csv", *(f"dual_k{artifacts._node_label(k)}.csv"
+                                         for k in nodes))}
+    assert set(_tree(tmp_path)) == expected
 
 
 def test_only_exported_duals_keep_their_samples(d2_suite_export_0, tmp_path):
@@ -174,50 +165,14 @@ def test_only_exported_duals_keep_their_samples(d2_suite_export_0, tmp_path):
         assert len(core) == 9 and labels == {artifacts._node_label(k) for k in core}
 
 
-def _job(path, rows: int, write=artifacts._write_lines):
-    return rows, str(path), write, [str(rows)]
+def test_failed_write_raises_naming_the_file(tmp_path):
+    def full(path, lines):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
-
-def _fail_with(exc):
-    def write(path, lines):
-        if exc is None:
-            os._exit(3)  # a writer that ends without a report
-        raise exc
-    return write
-
-
-@pytest.mark.parametrize("exc, kind", [
-    (OSError(errno.ENOSPC, "No space left on device"), OSError),
-    (ValueError("not a number"), ChildProcessError),
-    (None, ChildProcessError),
-], ids=["os-error", "other-error", "no-report"])
-def test_failed_writer_raises_in_parent_naming_the_file(tmp_path, monkeypatch, exc, kind):
-    _cpus(monkeypatch, 2)
-    # largest first: the parent takes the first job, the one writer the second
-    jobs = [_job(tmp_path / "parent.csv", 2), _job(tmp_path / "child.csv", 1, _fail_with(exc))]
-    with pytest.raises(kind) as info:
+    jobs = [(str(tmp_path / "a.csv"), artifacts._write_lines, ["1"]),
+            (str(tmp_path / "full.csv"), full, ["2"])]
+    with pytest.raises(OSError) as info:
         artifacts._write_files(jobs)
-    assert str(tmp_path / "child.csv") in str(info.value)
-    if kind is OSError:
-        assert (info.value.errno, info.value.filename) == (errno.ENOSPC,
-                                                           str(tmp_path / "child.csv"))
-    assert (tmp_path / "parent.csv").read_text() == "2\n"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)  # no writer is left behind
-
-
-def test_writers_are_reaped_when_the_parents_share_raises(tmp_path, monkeypatch):
-    forks = _cpus(monkeypatch, 3)
-
-    def slow(path, lines):
-        time.sleep(0.2)
-        artifacts._write_lines(path, lines)
-
-    jobs = [_job(tmp_path / "parent.csv", 3, _fail_with(PermissionError(errno.EACCES, "no"))),
-            _job(tmp_path / "a.csv", 2, slow), _job(tmp_path / "b.csv", 1, slow)]
-    with pytest.raises(PermissionError, match="parent.csv"):
-        artifacts._write_files(jobs)
-    assert len(forks) == 2
-    assert (tmp_path / "a.csv").read_text() == "2\n" and (tmp_path / "b.csv").read_text() == "1\n"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(tmp_path / "full.csv"))
+    assert str(tmp_path / "full.csv") in str(info.value)
+    assert (tmp_path / "a.csv").read_text() == "1\n"

@@ -239,10 +239,7 @@ def test_cli_unwritable_out_exits_config(mini_config, tmp_path, stage, capsys):
     assert line.startswith("artifact error:") and out in line
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_cli_file_in_the_way_exits_config(mini_config, tmp_path, monkeypatch, cpus, capsys):
-    # with two writers, bump/basis_k0.csv is the forked writer's job
-    monkeypatch.setattr(artifacts, "_usable_cpus", lambda: cpus)
+def test_cli_file_in_the_way_exits_config(mini_config, tmp_path, capsys):
     path, _ = mini_config
     out = tmp_path / "out"
     (out / "bump" / "basis_k0.csv").mkdir(parents=True)
@@ -254,6 +251,31 @@ def test_cli_file_in_the_way_exits_config(mini_config, tmp_path, monkeypatch, cp
 def _files(root: str) -> list:
     return sorted(os.path.relpath(os.path.join(d, f), root)
                   for d, _, names in os.walk(root) for f in names)
+
+
+def test_cli_dual_export_radius_adds_the_core_duals_alone(mini_config, tmp_path, capsys):
+    # at the window radius every core dual is exported; no other file changes
+    path, _ = mini_config
+    wide = tmp_path / "wide.ini"
+    wide.write_text(Path(path).read_text().replace(
+        "seed = 77", "seed = 77\ndual_export_radius = 12", 1))
+    files = {}
+    for name, config in (("default", path), ("wide", str(wide))):
+        out = tmp_path / name
+        assert cli.main(["all", "--config", config, "--out", str(out)]) == 0
+        files[name] = {rel: (out / rel).read_bytes() for rel in _files(str(out))}
+    capsys.readouterr()
+    report = json.loads(files["wide"]["report.json"])
+    duals = set()
+    for fam, record in report["families"].items():
+        r = record["core_radius"]
+        assert r > 0, fam
+        duals |= {os.path.join(fam, f"dual_k{k}.csv") for k in range(-r, r + 1)}
+    assert {rel for rel in files["wide"] if "dual_k" in rel} == duals
+    assert set(files["wide"]) == set(files["default"]) | duals
+    for rel, data in files["default"].items():
+        if rel != "report.json":  # its timings differ
+            assert files["wide"][rel] == data, rel
 
 
 def test_cli_stage_artifacts(mini_config, tmp_path, capsys):
@@ -272,6 +294,9 @@ def test_cli_stage_artifacts(mini_config, tmp_path, capsys):
     full = str(tmp_path / "all")
     assert cli.main(["all", "--config", path, "--out", full]) == 0
     capsys.readouterr()
+    # by default only the origin dual of each family is exported
+    assert [f for f in _files(full) if "dual_k" in f] == \
+        sorted(os.path.join(fam, "dual_k0.csv") for fam in ("indicator", "bump", "hat"))
     for stage, count in (("basis", 4), ("gramian", 10), ("duals", 13)):
         part = str(tmp_path / stage)
         assert cli.main([stage, "--config", path, "--out", part]) == 0

@@ -421,33 +421,40 @@ def test_matrix_text_matches_loop_oracles(tmp_path, d, N, symmetric):
     assert np.array_equal(bits(back.entries), bits(loop_from_text(fast).entries))
 
 
+def _rows(edit):
+    """An edit of the lines of a matrix file that applies `edit` to the rows
+    below the header."""
+    return lambda lines: lines[:1] + edit(lines[1:])
+
+
 @pytest.mark.parametrize("edit, fragment", [
-    (lambda rows: rows[:3] + rows[4:], "expected 9 matrix rows, found 8"),
-    (lambda rows: rows[:3] + ["0 1"] + rows[4:], "found 26 fields, not rows of 3"),
-    (lambda rows: rows[:3] + ["0 x 0.5"] + rows[4:], "matrix row 4 is not `k j value`: '0 x 0.5'"),
-    (lambda rows: rows[:3] + ["0 99999999999999999999 0.5"] + rows[4:],
+    (_rows(lambda rows: rows[:3] + rows[4:]), "expected 9 matrix rows, found 8"),
+    (_rows(lambda rows: rows[:3] + ["0 1"] + rows[4:]), "found 26 fields, not rows of 3"),
+    (_rows(lambda rows: rows[:3] + ["0 x 0.5"] + rows[4:]),
+     "matrix row 4 is not `k j value`: '0 x 0.5'"),
+    (_rows(lambda rows: rows[:3] + ["0 99999999999999999999 0.5"] + rows[4:]),
      "matrix row 4 is not `k j value`"),
-    (lambda rows: rows[:3] + ["2 0 0.5"] + rows[4:], "matrix row 4 has a node outside"),
-    (lambda rows: rows[:3] + [rows[2]] + rows[4:],
+    (_rows(lambda rows: rows[:3] + ["2 0 0.5"] + rows[4:]), "matrix row 4 has a node outside"),
+    (_rows(lambda rows: rows[:3] + [rows[2]] + rows[4:]),
      "no matrix row for k j = '0 -1', more than one for '-1 1'"),
-    (lambda rows: rows[:3] + ["1.0 0 0.5"] + rows[4:],
+    (_rows(lambda rows: rows[:3] + ["1.0 0 0.5"] + rows[4:]),
      "matrix row 4 is not `k j value`: '1.0 0 0.5'"),
-    (lambda rows: rows[:3] + ["0 1e0 0.5"] + rows[4:],
+    (_rows(lambda rows: rows[:3] + ["0 1e0 0.5"] + rows[4:]),
      "matrix row 4 is not `k j value`: '0 1e0 0.5'"),
-    (lambda rows: rows[:3] + ["0 -1 0.5#"] + rows[4:],
+    (_rows(lambda rows: rows[:3] + ["0 -1 0.5#"] + rows[4:]),
      "matrix row 4 is not `k j value`: '0 -1 0.5#'"),
-    (lambda rows: rows[:3] + ["0 -1", "0.0"] + rows[4:],
+    (_rows(lambda rows: rows[:3] + ["0 -1", "0.0"] + rows[4:]),
      "matrix row 4 is not `k j value`: '0 -1'"),
-    (lambda rows: rows[:3] + [rows[3] + " " + rows[4]] + rows[5:],
+    (_rows(lambda rows: rows[:3] + [rows[3] + " " + rows[4]] + rows[5:]),
      "matrix row 4 is not `k j value`: '0 -1 0.0 0 0 1.0'"),
+    (lambda lines: ["1 1 7"] + lines[1:], "bad header '1 1 7': symmetric flag 7 is not 0 or 1"),
 ], ids=["truncated", "short-row", "non-numeric", "overflow", "outside", "repeated",
         "float-label", "exponent-label", "hash-in-value", "row-over-two-lines",
-        "two-rows-on-a-line"])
+        "two-rows-on-a-line", "symmetric-flag"])
 def test_matrix_text_rejects_malformed_rows(tmp_path, edit, fragment):
     path = tmp_path / "m.csv"
     gr.DecayMatrix(lat.LatticeWindow(1, 1), np.eye(3)).to_text(path)
-    header, *rows = path.read_text().splitlines()
-    path.write_text("\n".join([header] + edit(rows)) + "\n")
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError) as err:
         gr.DecayMatrix.from_text(path)
     assert str(path) in str(err.value) and fragment in str(err.value), str(err.value)

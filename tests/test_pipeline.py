@@ -161,7 +161,7 @@ def test_run_family_samples_each_basis_once(sample_builds):
 
 def test_exported_duals_own_their_samples():
     # a view would pin the whole core block of the family
-    settings = dataclasses.replace(d2_indicator_settings(), dual_export_radius=0)
+    settings = d2_indicator_settings()
     result = pl.run_family(settings.families[0], settings)
     assert list(result.duals) == [(0, 0)]
     assert result.duals[(0, 0)].base is None
@@ -169,7 +169,7 @@ def test_exported_duals_own_their_samples():
 
 def test_run_family_reuses_the_checked_W(monkeypatch):
     # RunSettings sums each family's W_(s-t) to check w_tol; the run keeps that sum
-    settings = dataclasses.replace(d2_indicator_settings(), dual_export_radius=0)
+    settings = d2_indicator_settings()
     fam, real = settings.families[0], cst.w_sum
     monkeypatch.setattr(cst, "w_sum", lambda *args: pytest.fail("W_(s-t) summed again"))
     result = pl.run_family(fam, settings)
@@ -200,9 +200,10 @@ def test_dual_regression_fitted_once_per_core_node(monkeypatch):
 
 
 def _oracle_settings(spec: GeneratorSpec, h: float, t: int, **extra) -> pl.RunSettings:
+    # every core dual is exported: the export radius is the window's
     return pl.RunSettings(name="oracle", d=spec.d, radii=(2, 4), grid_h=h, grid_R=12.0, t=t,
                           families=[pl.FamilySettings("oracle", spec)],
-                          dual_export_radius=None, **extra)
+                          dual_export_radius=4, **extra)
 
 
 def _hat(perturbations=()) -> GeneratorSpec:
