@@ -16,7 +16,7 @@ from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, Hypothes
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, inner_product,
                       offdiag_fit, riesz_bounds, schur_bound, sections)
 from .lattice import (BasisSet, GeneratorSpec, Grid, LatticeWindow, decay_exponent,
-                      envelope_constant, make_basis, measure_decay, radial_profile,
+                      envelope_constant, make_basis, measure_decay,
                       validate_claimed_envelope)
 
 __version__ = "0.1.0"

@@ -197,7 +197,7 @@ class ConvolutionCalibration:
 
 
 _CONV_WIDTH = 0.005          # target relative width upper/lower - 1 of the bracket
-_CONV_SCAN_CAP = 4096        # largest exact-scan radius tried
+CONV_SCAN_CAP = 4096         # largest exact-scan radius tried
 _CONV_ROUNDING = 1e-12       # relative allowance for rounding in the float sums
 _CONV_CHUNK = 1 << 17        # entries per temporary in the axis scan
 _FAR_STEP = 2.0 ** 0.25      # ratio of consecutive far-field block edges
@@ -322,7 +322,7 @@ def verify_convolution_discrete(u: float, d: int, window: int,
     (2 + J - m)^(-u) `lattice_tail_upper`(u, d, J).  `_far_field_bound`
     bounds every m > M.  `window` is the starting radius M; it doubles
     until the bracket is at most _CONV_WIDTH wide (or M reaches
-    _CONV_SCAN_CAP, leaving a wider but still certified bracket).  Both
+    CONV_SCAN_CAP, leaving a wider but still certified bracket).  Both
     ends carry a relative allowance of _CONV_ROUNDING for rounding in the
     float sums, which stay far below it (a few ulps times log2 of the
     number of terms).
@@ -342,7 +342,7 @@ def verify_convolution_discrete(u: float, d: int, window: int,
         lower = float(lows.max()) * (1.0 - _CONV_ROUNDING)
         upper = float(max(np.max((lhs + pad) * weight),
                           _far_field_bound(u, d, M))) * (1.0 + _CONV_ROUNDING)
-        if upper <= (1.0 + _CONV_WIDTH) * lower or M >= _CONV_SCAN_CAP:
+        if upper <= (1.0 + _CONV_WIDTH) * lower or M >= CONV_SCAN_CAP:
             break
         M *= 2
     best = int(np.argmax(lows))

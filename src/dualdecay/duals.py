@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularSectionError
 from .gramian import DecayMatrix
-from .lattice import BasisSet, Grid, LatticeWindow, decay_exponent, radial_profile
+from .lattice import BasisSet, Grid, LatticeWindow, decay_exponent, max_norm
 
 ROUNDOFF_FLOOR = 1e-13  # convergence estimates cannot resolve below this, relatively
 MIN_CORE_RADIUS = 1     # a core of the origin alone leaves no off-diagonal coefficient
@@ -133,6 +133,6 @@ def coefficient_decay_fit(C: DecayMatrix, core_radius: int) -> float:
     restricted to the stabilized core so section artifacts stay out of it.
     """
     origin = (0,) * C.window.d
-    maxima, shells = radial_profile(C.entries[C.window.index_of(origin)], C.window.indices.T)
-    core = shells <= core_radius
-    return decay_exponent(maxima[core], shells[core], bin_width=1.0)
+    radii = max_norm(C.window.indices)
+    core = radii <= core_radius
+    return decay_exponent(C.entries[C.window.index_of(origin)][core], radii[core], 1.0)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRieszError
-from .lattice import (BasisSet, Grid, LatticeWindow, decay_exponent, envelope_constant,
-                      radial_profile)
+from .lattice import (BasisSet, Grid, LatticeWindow, axes_max_norm, decay_exponent,
+                      envelope_constant)
 
 
 def decay_integral(u: float, d: int) -> float:
@@ -97,12 +97,19 @@ class DecayMatrix:
     # -- simple text format: header "d N symmetric", rows "k_1..k_d j_1..j_d value"
 
     def to_text(self, path):
+        """The header, then one row `k j repr(value)` per entry, row-major;
+        each distinct entry is formatted once."""
         labels = _node_labels(self.window)
-        values = np.asarray(self.entries, dtype=float).tolist()
+        entries = np.ascontiguousarray(self.entries, dtype=float).ravel()
+        # keyed by bit pattern, so -0.0 and +0.0 keep texts of their own
+        keys, inverse = np.unique(entries.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(float.__repr__, keys.view(float).tolist())), dtype=object)
+        # one `k j %s` line per entry, joined row by row from the labels
+        cells = [j + " %s" for j in labels]
+        rows = "".join([f"{k} " + f"\n{k} ".join(cells) + "\n" for k in labels])
         with open(path, "w") as fh:
             fh.write(f"{self.window.d} {self.window.N} {int(self.symmetric)}\n")
-            for k, row in zip(labels, values):
-                fh.write("".join(f"{k} {j} {v!r}\n" for j, v in zip(labels, row)))
+            fh.write(rows % tuple(texts[inverse].tolist()))
 
     @classmethod
     def from_text(cls, path) -> "DecayMatrix":
@@ -314,5 +321,5 @@ def riesz_bounds(M: DecayMatrix, radii, rtol: float = 1e-6) -> RieszBounds:
 def offdiag_fit(L: DecayMatrix, u: float) -> tuple[float, float]:
     """(K, exponent): the least K with |l_{k,j}| <= K (1+|k-j|)^(-u), and the
     shell-regression decay exponent, inf for a banded matrix."""
-    profile = radial_profile(L.entries, [L.node_diffs(h) for h in range(1, L.window.d + 1)])
-    return envelope_constant(*profile, u), decay_exponent(*profile, bin_width=1.0)
+    radii = axes_max_norm([L.node_diffs(h) for h in range(1, L.window.d + 1)])
+    return envelope_constant(L.entries, radii, u), decay_exponent(L.entries, radii, 1.0)

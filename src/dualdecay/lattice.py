@@ -18,6 +18,9 @@ import numpy as np
 from .errors import EnvelopeClaimError
 
 MAX_PERTURBATION = 0.5  # keeps every node inside its own unit cell
+# _bspline_1d's alternating sum loses accuracy with the order: its partition
+# of unity is off by 2.5e-12 at order 10 and by 5.7e-7 at order 20 (1/64 grid)
+MAX_BSPLINE_ORDER = 10
 SAMPLE_CAP = 8e7        # entries of one family's window x grid sample matrix
 
 
@@ -59,7 +62,10 @@ class LatticeWindow:
         return out
 
     def contains(self, k) -> bool:
-        k = np.atleast_1d(np.asarray(k, dtype=int))
+        try:
+            k = np.atleast_1d(np.asarray(k, dtype=int))
+        except OverflowError:  # a coordinate past int64 lies outside every window
+            return False
         return k.shape == (self.d,) and bool(np.abs(k).max() <= self.N)
 
     def index_of(self, k) -> int:
@@ -174,61 +180,33 @@ def envelope_constant(values: np.ndarray, radii: np.ndarray, u: float) -> float:
     return float(np.max(values[nonzero] * weights, initial=0.0))
 
 
-def _bin_heads(values: np.ndarray, which: np.ndarray, nbins: int):
-    """(maxima, first): the largest of `values` in each of nbins bins, the
-    bin of values[i] being which[i], and the index of the first value that
-    attains it; values.size for an empty bin."""
-    maxima = np.full(nbins, -np.inf)
-    np.maximum.at(maxima, which, values)
-    hits = np.flatnonzero(values == maxima[which])
-    first = np.full(nbins, values.size)
-    np.minimum.at(first, which[hits], hits)
-    return maxima, first
-
-
 def decay_exponent(values: np.ndarray, radii: np.ndarray, bin_width: float = 0.5) -> float:
     """Decay rate of |values| against radii >= 0: minus the slope of
     log(bin max) on log(1+r), taken at the first sample of each radius bin
     that attains the bin's maximum; inf (super-polynomial) when fewer than
     three bins have a positive maximum."""
     values, radii = _flat_abs(values, radii)
+    # a zero sample heads no bin with a positive maximum: drop the zeros,
+    # keeping the order of the others
+    nonzero = values != 0
+    values, radii = values[nonzero], radii[nonzero]
+    if not values.size:
+        return math.inf
     nbins = int(math.floor(radii.max() / bin_width)) + 1
     which = np.minimum((radii / bin_width).astype(int), nbins - 1)
-    shell_max, first = _bin_heads(values, which, nbins)
-    heads = first[shell_max > 0.0]
+    bin_max = np.full(nbins, -np.inf)
+    np.maximum.at(bin_max, which, values)
+    # the first sample at its bin's maximum; values.size for an empty bin
+    hits = np.flatnonzero(values == bin_max[which])
+    first = np.full(nbins, values.size)
+    np.minimum.at(first, which[hits], hits)
+    heads = first[bin_max > 0.0]
     xs = [math.log(1.0 + r) for r in radii[heads].tolist()]
     ys = [math.log(v) for v in values[heads].tolist()]
     if len(xs) < 3:
         return math.inf
     slope, _ = np.polyfit(np.array(xs), np.array(ys), 1)
     return float(-slope)
-
-
-def radial_profile(values: np.ndarray, ys) -> tuple[np.ndarray, np.ndarray]:
-    """(maxima, radii): the largest |value| on each distinct max-norm radius,
-    for samples at the per-axis offsets `ys`, a sequence of broadcastable
-    arrays as axes_max_norm takes them.
-
-    Shells are the exact distinct radii, and they come in the order of the
-    first sample that attains each shell's maximum. So envelope_constant and
-    decay_exponent of the profile equal those of all the samples against
-    axes_max_norm(ys): the envelope products are the same floats, and the
-    regression keeps the first sample at each bin's maximum. A radius is one
-    of its sample's axis distances, so its shell is the largest of their
-    indices into the sorted distinct distances; a grid is never searched
-    point by point.
-    """
-    values = np.abs(np.asarray(values, dtype=float)).ravel()
-    dists = [np.abs(np.asarray(y, dtype=float)) for y in ys]
-    # sorted, not np.unique, which hashes: slower and more memory on a 1-D grid
-    ranked = np.sort(np.concatenate([x.ravel() for x in dists]))
-    shells = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
-    which = reduce(np.maximum, [np.searchsorted(shells, x) for x in dists]).ravel()
-    if values.shape != which.shape:
-        raise ValueError("values and offsets must have matching shapes")
-    _, first = _bin_heads(values, which, shells.size)
-    heads = np.sort(first[first < values.size])  # distances that are no radius drop out
-    return values[heads], shells[which[heads]]
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +281,9 @@ class GeneratorSpec:
                 raise ValueError("gaussian needs a finite width parameter sigma > 0")
         elif self.family == "bspline-order-m":
             order = p.get("order")
-            if order is None or int(order) < 1 or int(order) != order:
-                raise ValueError("bspline-order-m needs integer order >= 1")
+            if order is None or not 1 <= order <= MAX_BSPLINE_ORDER or int(order) != order:
+                raise ValueError(f"bspline-order-m needs an integer order in "
+                                 f"[1, {MAX_BSPLINE_ORDER}], got {order}")
             p["order"] = int(order)
         object.__setattr__(self, "params", p)
 
@@ -452,9 +431,9 @@ def make_basis(spec: GeneratorSpec, window: LatticeWindow) -> BasisSet:
 
 def measure_decay(values: np.ndarray, k, grid: Grid,
                   support: Grid | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """radial_profile of the samples `values` of a function against the
-    max-norm distance to node k; every envelope constant and decay exponent
-    of the function is taken from this profile.
+    """(|values|, radii): the samples `values` of a function and their
+    max-norm distances to node k, as flat arrays of one shape; every
+    envelope constant and decay exponent of the function is fitted to them.
 
     The samples are on `support` (default: `grid`), a centred sub-grid of
     `grid` outside which the function is 0.  The dropped samples are +0.0,
@@ -467,22 +446,22 @@ def measure_decay(values: np.ndarray, k, grid: Grid,
     node = np.asarray(np.atleast_1d(k), dtype=float)
     if grid.R - np.max(np.abs(node)) < 8.0 - 1e-9:
         raise ValueError("grid must cover |x - k| <= 8 around the node")
-    return radial_profile(values, (support or grid).offsets(node))
+    return _flat_abs(values, axes_max_norm((support or grid).offsets(node)))
 
 
 def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):
     """Measured envelope constants at claimed_s, checked against claimed_C.
 
-    Returns {node: (measured constant, measure_decay profile)} for the origin
+    Returns {node: (measured constant, measure_decay samples)} for the origin
     and each perturbed node; raises if any of them exceeds the claim.
     """
     spec = basis.spec
     nodes = [(0,) * spec.d] + [node for node, _ in spec.perturbations]
     measured = {}
     for node in dict.fromkeys(nodes):
-        profile = measure_decay(basis.sample(node, grid), node, grid)
-        constant = envelope_constant(*profile, spec.claimed_s)
-        measured[node] = constant, profile
+        samples = measure_decay(basis.sample(node, grid), node, grid)
+        constant = envelope_constant(*samples, spec.claimed_s)
+        measured[node] = constant, samples
         if constant > basis.envelope_C * (1.0 + rtol):
             raise EnvelopeClaimError(
                 f"measured envelope constant {constant:.6g} at node {node} "

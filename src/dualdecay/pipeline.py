@@ -84,6 +84,9 @@ class RunSettings:
                                   f"{self.bounds_dims} do not include {d}")
             if start < 1:
                 raise ConfigError(f"convolution_window_d{d} must be >= 1, got {start}")
+            if start > cst.CONV_SCAN_CAP:
+                raise ConfigError(f"convolution_window_d{d} must be at most the scan cap "
+                                  f"{cst.CONV_SCAN_CAP}, got {start}")
         # starting radius, per dimension, of the exact axis scan that
         # brackets the convolution constants over all of Z^d
         self.convolution_windows = {d: self.convolution_windows.get(d, 128 if d == 1 else 16)
@@ -196,7 +199,7 @@ def measure_basis(fam: FamilySettings, settings: RunSettings):
     basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
     measured = lat.validate_claimed_envelope(basis, grid,
                                              rtol=settings.tolerances["claimed_rtol"])
-    rows = [(node, C, lat.decay_exponent(*profile)) for node, (C, profile) in measured.items()]
+    rows = [(node, C, lat.decay_exponent(*samples)) for node, (C, samples) in measured.items()]
     return basis, rows, basis.sample(origin, grid)
 
 
@@ -217,28 +220,29 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     if fam.spec.perturbations:
         bare = replace(fam.spec, perturbations=())
         bare_basis = lat.make_basis(bare, lat.LatticeWindow(settings.d, 0))
-        bare_profile = lat.measure_decay(bare_basis.sample(origin, grid), origin, grid)
-        C_base = lat.envelope_constant(*bare_profile, s)
+        bare_samples = lat.measure_decay(bare_basis.sample(origin, grid), origin, grid)
+        C_base = lat.envelope_constant(*bare_samples, s)
     else:
         C_base = C_meas
 
-    # all core duals come from one product on the support grid and each is
-    # profiled there once; the exported ones are zero-padded to the grid into
-    # arrays of their own, so the block dies with the family
+    # all core duals come from one product on the support grid, and each is
+    # fitted there against its distances to its node; the exported ones are
+    # zero-padded to the grid into arrays of their own, so the block dies
+    # with the family
     limit = settings.dual_export_radius
     core = lat.LatticeWindow(settings.d, core_radius)
     nodes = [tuple(k) for k in core.indices.tolist()]
     support = basis.support_grid(grid)
     block = du.synthesize_duals(C, core_radius, basis, nodes, grid)
-    del basis  # synthesis reads the sample matrix last: free it before the profiles
+    del basis  # synthesis reads the sample matrix last: free it before the fits
     duals, envelope_rows, D_emp = {}, [], 0.0
     for node, samples in zip(nodes, block):
-        profile = lat.measure_decay(samples, node, grid, support)
+        fitted = lat.measure_decay(samples, node, grid, support)
         if max(abs(c) for c in node) <= limit:
             duals[node] = grid.embed(samples, support)
-        exponent = lat.decay_exponent(*profile)
+        exponent = lat.decay_exponent(*fitted)
         for u in dict.fromkeys((float(t), float(s))):
-            constant = lat.envelope_constant(*profile, u)
+            constant = lat.envelope_constant(*fitted, u)
             envelope_rows.append((node, u, constant, exponent))
             if u == float(t):
                 D_emp = max(D_emp, constant)
@@ -250,10 +254,11 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
                                     for u in range(1, t + 1)])
     schur_ratio = schur_worst / (C_meas**2 * W_value)
 
-    # the largest envelope constant of a core row: one profile of all core rows
+    # the largest envelope constant of a core row: one fit of all core rows
+    # against the max-norm distances |k - j| of their entries
     rows = C.window.positions_of(core)
-    offsets = [C.node_diffs(h)[rows] for h in range(1, settings.d + 1)]
-    alpha_t = lat.envelope_constant(*lat.radial_profile(C.entries[rows], offsets), float(t))
+    radii = lat.axes_max_norm([C.node_diffs(h)[rows] for h in range(1, settings.d + 1)])
+    alpha_t = lat.envelope_constant(C.entries[rows], radii, float(t))
 
     offdiag_constant, offdiag_exponent = gr.offdiag_fit(M, u=s)
 

@@ -338,17 +338,17 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     assert len(sections) == 3  # one assembly per family
 
     validations = _recorder(monkeypatch, lat, "validate_claimed_envelope")
-    profiles = _recorder(monkeypatch, lat, "measure_decay")
+    fits = _recorder(monkeypatch, lat, "measure_decay")
     settings = cli.load_config(path)
     grid, window = settings.grid(), lat.LatticeWindow(settings.d, settings.radii[-1])
     n_points = grid.n_points
-    # indicator's and hat's duals are profiled on their support grids, bump's on the grid
+    # indicator's and hat's duals are fitted on their support grids, bump's on the grid
     support_points = {fam.name: lat.make_basis(fam.spec, window).support_grid(grid).n_points
                       for fam in settings.families}
     assert support_points["bump"] == n_points
     assert support_points["indicator"] < support_points["hat"] < n_points
-    # the number of samples each shell-maximum or envelope pass reads
-    passes = {"radial_profile": [], "envelope_constant": [], "decay_exponent": []}
+    # the number of samples each envelope fit reads
+    passes = {"envelope_constant": [], "decay_exponent": []}
 
     def sizing(real, sizes):
         def call(values, *args, **kwargs):
@@ -364,14 +364,13 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     assert len(validations) == 3
     with open(os.path.join(out, "report.json")) as fh:
         cores = {name: fam["core_radius"] for name, fam in json.load(fh)["families"].items()}
-    # per family: one profile of the validated origin over the grid, and one
-    # per core dual over the family's support grid
-    assert len(profiles) == sum(1 + (2 * c + 1) for c in cores.values())
+    # per family: one measure_decay of the validated origin over the grid, and
+    # one per core dual over the family's support grid
     sizes = [n_points] * len(cores) + [support_points[name] for name, c in cores.items()
                                         for _ in range(2 * c + 1)]
-    for n in set(sizes):
-        assert passes["radial_profile"].count(n) == sizes.count(n), n
-    assert max(passes["envelope_constant"] + passes["decay_exponent"]) < n_points
+    assert sorted(len(values) for values, *_ in fits) == sorted(sizes)
+    # no fit reads more than the samples of one function on the grid
+    assert max(passes["envelope_constant"] + passes["decay_exponent"]) == n_points
     capsys.readouterr()
 
 
@@ -825,13 +824,25 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
      "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-20 unattainable"),
     ("convolution_window_d1 = 32", "convolution_window_d1 = 32\nconvolution_window_d2 = 4",
      "all", "convolution_window_d2 is set, but bounds dims (1,) do not include 2"),
+    ("claimed_C = 32\n", "claimed_C = 32\nperturb = 99999999999999999999:0.3\n", "verify",
+     "perturbed node (99999999999999999999,) lies outside the window"),
+    ("convolution_window_d1 = 32", "convolution_window_d1 = 99999999999999999999", "bounds",
+     "convolution_window_d1 must be at most the scan cap 4096, got 99999999999999999999"),
+    ("convolution_window_d1 = 32", "convolution_window_d1 = 4097", "bounds",
+     "convolution_window_d1 must be at most the scan cap 4096, got 4097"),
+    ("order = 2", "order = 11", "basis",
+     "family 'hat': bspline-order-m needs an integer order in [1, 10], got 11"),
+    ("order = 2", "order = 99999999999999999999", "basis",
+     "bspline-order-m needs an integer order in [1, 10], got 99999999999999999999"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
         "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
         "negative-radius", "infinite-extent", "zero-bounds-dim", "nan-tolerance",
         "negative-convolution-window", "zero-convolution-window",
         "negative-dual-export-radius", "w-sum-near-divergence", "w-tol-unattainable",
-        "convolution-window-outside-dims"])
+        "convolution-window-outside-dims", "perturbed-node-past-int64",
+        "convolution-window-past-int64", "convolution-window-over-scan-cap",
+        "order-over-maximum", "order-past-int64"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config
@@ -843,6 +854,17 @@ def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stag
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("config error:") and fragment in line, line
     assert not os.path.exists(out)
+
+
+def test_load_config_accepts_the_largest_order_and_scan_window(mini_config, tmp_path):
+    """The bounds just inside the two limits load; no scan runs at load."""
+    path, _ = mini_config
+    edge = tmp_path / "edge.ini"
+    edge.write_text(Path(path).read_text().replace("order = 2", "order = 10")
+                    .replace("convolution_window_d1 = 32", "convolution_window_d1 = 4096"))
+    settings = cli.load_config(str(edge))
+    assert settings.convolution_windows == {1: 4096}
+    assert [f.spec.params["order"] for f in settings.families if f.name == "hat"] == [10]
 
 
 # --- fuzzed configs -----------------------------------------------------------

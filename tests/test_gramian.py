@@ -402,14 +402,26 @@ def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
+# a few values over a whole matrix, each signed zero among them many times:
+# the writer formats each distinct entry once, so it must key them by bits
+_REPEATED = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.1, -2.5e-8, 5e-324, -5e-324, 1e308, math.inf]
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "general", "repeated"])
 @pytest.mark.parametrize("d, N", [(1, 7), (2, 2), (3, 1)])
-def test_matrix_text_matches_loop_oracles(tmp_path, d, N, symmetric):
+def test_matrix_text_matches_loop_oracles(tmp_path, d, N, kind):
     window = lat.LatticeWindow(d, N)
     rng = np.random.default_rng(17 * d + N)
-    a = rng.standard_normal((window.size,) * 2) * 10.0 ** rng.integers(
-        -300, 300, (window.size,) * 2)
-    a[0, 1], a[1, 2], a[2, 0] = 0.0, -0.0, 5e-324
+    shape = (window.size,) * 2
+    if kind == "repeated":
+        a = rng.choice(_REPEATED, shape)
+        a.flat[:4] = [0.0, -0.0, -0.0, 0.0]
+        zero, signed = a == 0, np.signbit(a)
+        assert min(np.sum(zero & signed), np.sum(zero & ~signed)) >= 2
+    else:
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        a[0, 1], a[1, 2], a[2, 0] = 0.0, -0.0, 5e-324
+    symmetric = kind == "symmetric"
     M = gr.DecayMatrix(window, 0.5 * (a + a.T) if symmetric else a, symmetric=symmetric)
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
     M.to_text(fast)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ def test_window_index_roundtrip():
     for pos, k in enumerate(win.indices):
         assert win.index_of(k) == pos
     assert not win.contains((4, 0))
+    assert not win.contains((99999999999999999999, 0))  # past int64
     with pytest.raises(IndexError):
         win.index_of((4, 0))
 
@@ -123,10 +125,25 @@ def test_claimed_C_must_be_at_least_one():
     ("gaussian", {"sigma": 0.0}),
     ("bspline-order-m", {"order": 0}),
     ("bspline-order-m", {}),
+    ("bspline-order-m", {"order": lat.MAX_BSPLINE_ORDER + 1}),
+    ("bspline-order-m", {"order": 99999999999999999999}),
+    ("bspline-order-m", {"order": math.inf}),
+    ("bspline-order-m", {"order": math.nan}),
 ])
 def test_bad_family_parameters_rejected(family, params):
     with pytest.raises(ValueError):
         lat.GeneratorSpec(family, 1, 2.0, 5.0, params=params)
+
+
+def test_bspline_orders_up_to_the_maximum_sum_to_one():
+    # the integer translates of a cardinal B-spline are a partition of unity;
+    # the truncated-power sum keeps that to 1e-11 up to MAX_BSPLINE_ORDER
+    x = np.arange(64) / 64
+    for order in range(1, lat.MAX_BSPLINE_ORDER + 1):
+        spec = lat.GeneratorSpec("bspline-order-m", 1, 2.0, 5.0, params={"order": order})
+        assert spec.params["order"] == order
+        total = sum(lat._bspline_1d(x + i, order) for i in range(order))
+        assert np.max(np.abs(total - 1.0)) < 1e-11, order
 
 
 def test_evaluate_outside_window_rejected():
@@ -205,8 +222,8 @@ def test_two_dimensional_evaluation():
 # --- decay measurement -------------------------------------------------------
 
 
-def origin_profile(spec, grid):
-    """Radial profile of the member of `spec` at the origin."""
+def origin_samples(spec, grid):
+    """measure_decay of the member of `spec` at the origin."""
     basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
     return lat.measure_decay(basis.sample(0, grid), 0, grid)
 
@@ -214,14 +231,14 @@ def origin_profile(spec, grid):
 def test_bump_envelope_is_tight():
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
     grid = lat.Grid(h=0.01, R=8.0, d=1)
-    constant = lat.envelope_constant(*origin_profile(spec, grid), 5.0)
+    constant = lat.envelope_constant(*origin_samples(spec, grid), 5.0)
     assert constant == pytest.approx(1.0, abs=1e-12)
 
 
 def test_indicator_envelope_attained_inside_support():
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     grid = lat.Grid(h=0.01, R=8.0, d=1)
-    constant = lat.envelope_constant(*origin_profile(spec, grid), 3.0)
+    constant = lat.envelope_constant(*origin_samples(spec, grid), 3.0)
     # largest grid point inside [0,1) sits at 0.99
     assert constant == pytest.approx(1.99**3, rel=1e-9)
     assert constant <= 8.0
@@ -230,28 +247,28 @@ def test_indicator_envelope_attained_inside_support():
 def test_gaussian_envelope_and_regression():
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     grid = lat.Grid(h=0.01, R=8.0, d=1)
-    profile = origin_profile(spec, grid)
-    constant = lat.envelope_constant(*profile, 5.0)
+    samples = origin_samples(spec, grid)
+    constant = lat.envelope_constant(*samples, 5.0)
     # analytic maximum of exp(-x^2/(2 sigma^2)) (1+x)^5 at the stationary point
     x_star = (-1 + math.sqrt(1 + 20 * 0.25)) / 2
     peak = math.exp(-x_star**2 / 0.5) * (1 + x_star) ** 5
     assert constant <= peak
     assert constant == pytest.approx(peak, rel=1e-3)
-    assert lat.decay_exponent(*profile) >= 5.0
+    assert lat.decay_exponent(*samples) >= 5.0
 
 
 def test_envelope_consistency_in_exponent(d1_suite):
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     grid = lat.Grid(h=0.05, R=8.0, d=1)
-    profile = origin_profile(spec, grid)
-    consts = [lat.envelope_constant(*profile, u) for u in (1.0, 2.0, 3.0, 5.0)]
+    samples = origin_samples(spec, grid)
+    consts = [lat.envelope_constant(*samples, u) for u in (1.0, 2.0, 3.0, 5.0)]
     assert all(a <= b + 1e-15 for a, b in zip(consts, consts[1:]))
     # the origin member of each run family, up to its claimed s
     grid = d1_suite.settings.grid()
     for fam in d1_suite.families:
         s = fam.spec.claimed_s
-        profile = lat.measure_decay(fam.basis_k0, (0,), grid)
-        consts = [lat.envelope_constant(*profile, u) for u in (s / 2, 0.75 * s, s)]
+        samples = lat.measure_decay(fam.basis_k0, (0,), grid)
+        consts = [lat.envelope_constant(*samples, u) for u in (s / 2, 0.75 * s, s)]
         assert consts[-1] == fam.basis_rows[0][1], fam.name
         assert all(a <= b * (1 + 1e-14) for a, b in zip(consts, consts[1:])), fam.name
 
@@ -263,6 +280,18 @@ def test_measure_decay_requires_coverage():
     samples = basis.sample(2, grid)
     with pytest.raises(ValueError, match="cover"):
         lat.measure_decay(samples, 2, grid)
+
+
+def test_measure_decay_gives_the_samples_and_their_radii():
+    # d = 2, a node off the origin, and samples on a centred sub-grid
+    grid, support = lat.Grid(h=0.125, R=10.0, d=2), lat.Grid(h=0.125, R=3.0, d=2)
+    values = np.random.default_rng(5).standard_normal(support.n_points)
+    values[::7] = -0.0
+    magnitudes, radii = lat.measure_decay(values, (1, -2), grid, support)
+    assert magnitudes.shape == radii.shape == (support.n_points,)
+    assert np.array_equal(magnitudes, np.abs(values))
+    assert not np.signbit(magnitudes).any()
+    assert np.array_equal(radii, lat.max_norm(support.points - np.array([1.0, -2.0])))
 
 
 def test_all_zero_samples_flagged():
@@ -316,6 +345,31 @@ def test_loglog_fit_matches_per_bin_loop(pairs, bin_width, all_zero):
     assert repr(exponent) == repr(loop_loglog_fit(values, radii, bin_width))
 
 
+def shell_profile(values, ys):
+    """(maxima, radii): the largest |value| on each distinct max-norm radius
+    of the samples at the per-axis offsets `ys`, the shells in the order of
+    the first sample that attains each shell's maximum.
+
+    The envelope constant and decay exponent of this profile are those of
+    all the samples: each envelope product is the same float, and each
+    regression bin keeps the first sample at its maximum. A radius is one of
+    its sample's axis distances, so its shell is the largest of their
+    indices into the sorted distinct distances.
+    """
+    values = np.abs(np.asarray(values, dtype=float)).ravel()
+    dists = [np.abs(np.asarray(y, dtype=float)) for y in ys]
+    ranked = np.sort(np.concatenate([x.ravel() for x in dists]))
+    shells = ranked[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+    which = functools.reduce(np.maximum, [np.searchsorted(shells, x) for x in dists]).ravel()
+    maxima = np.full(shells.size, -np.inf)
+    np.maximum.at(maxima, which, values)
+    hits = np.flatnonzero(values == maxima[which])
+    first = np.full(shells.size, values.size)
+    np.minimum.at(first, which[hits], hits)
+    heads = np.sort(first[first < values.size])  # distances that are no radius drop out
+    return values[heads], shells[which[heads]]
+
+
 # d=2 grids stay small; h = 0.1 and 0.07 are not dyadic, so equal radii can
 # round to different floats and the shells must not be merged by r / h
 @settings(max_examples=120, deadline=None)
@@ -324,6 +378,7 @@ def test_loglog_fit_matches_per_bin_loop(pairs, bin_width, all_zero):
        kind=st.sampled_from(["ties", "decaying", "all-zero"]), seed=st.integers(0, 2**16),
        u=st.sampled_from([0.0, 2.0, 5.0, 7.5]), bin_width=st.sampled_from([0.3, 0.5, 1.0]))
 def test_profile_fit_matches_full_sample_fit(d, h, center, kind, seed, u, bin_width):
+    """The fits of all the samples equal those of their shell profile."""
     grid = lat.Grid(h=h, R=6.0 if d == 1 else 2.0, d=d)
     offsets = grid.offsets(center[:d])
     radii = lat.axes_max_norm(offsets)
@@ -335,14 +390,14 @@ def test_profile_fit_matches_full_sample_fit(d, h, center, kind, seed, u, bin_wi
     else:
         values = np.zeros(radii.shape)
 
-    profile = lat.radial_profile(values, offsets)
+    profile = shell_profile(values, offsets)
     assert np.array_equal(np.sort(profile[1]), np.unique(radii))
     # the radii as one array give the same profile as the offsets axis by axis
-    assert all(np.array_equal(a, b) for a, b in zip(profile, lat.radial_profile(values, [radii])))
-    assert repr(lat.envelope_constant(*profile, u)) == \
-        repr(lat.envelope_constant(values, radii, u))
-    assert repr(lat.decay_exponent(*profile, bin_width=bin_width)) == \
-        repr(lat.decay_exponent(values, radii, bin_width=bin_width))
+    assert all(np.array_equal(a, b) for a, b in zip(profile, shell_profile(values, [radii])))
+    assert repr(lat.envelope_constant(values, radii, u)) == \
+        repr(lat.envelope_constant(*profile, u))
+    assert repr(lat.decay_exponent(values, radii, bin_width=bin_width)) == \
+        repr(lat.decay_exponent(*profile, bin_width=bin_width))
 
 
 def test_steep_loglog_fit_has_finite_exponent():
@@ -359,8 +414,8 @@ def test_perturbation_penalty_bound():
     pert = lat.GeneratorSpec("gaussian", 1, 46.0, s, params={"sigma": sigma},
                              perturbations={(0,): (0.5,)})
     grid = lat.Grid(h=0.01, R=8.0, d=1)
-    c_base = lat.envelope_constant(*origin_profile(base, grid), s)
-    c_pert = lat.envelope_constant(*origin_profile(pert, grid), s)
+    c_base = lat.envelope_constant(*origin_samples(base, grid), s)
+    c_pert = lat.envelope_constant(*origin_samples(pert, grid), s)
     assert c_pert <= c_base * 1.5**s
 
 
