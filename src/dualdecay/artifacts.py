@@ -3,8 +3,9 @@
 Every run writes a report.json plus per-family CSVs (Gramian and coefficient
 matrices in the window text format, eigenvalue traces, the samples of the
 duals within `dual_export_radius`, and envelope summaries) and a top-level
-constants table.  The writers make one job per file and write the jobs one
-after another in the calling process (`_write_files`).  `verify_artifacts`
+constants table.  Each file is written where it is produced, through
+`_write`, which makes its folder and names the file on a failed write; the
+stages and `all` share the basis and matrix writers.  `verify_artifacts`
 re-checks the invariants from those files alone, with no quadrature.
 """
 
@@ -51,10 +52,6 @@ def _bounds_rows(lattice_sum_cal: dict, convolution: dict) -> list:
 _CONSTANTS_HEADER = "scope,dimension,name,value,binding,detail"
 
 
-def family_dir(out_dir: str, name: str) -> str:
-    return os.path.join(out_dir, name)
-
-
 def _write_lines(path: str, lines):
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -65,10 +62,11 @@ _NUMBER = (int, float)  # what verify accepts where report.json holds a number
 
 
 def _row_text(grid) -> tuple:
-    """The row text of the grid, built once per grid: the `x_1,..,x_d,`
-    prefix of every point in grid.points order, `zeros`, the text of every
-    row with value +0.0, and the int64 `starts`, where row i of `zeros`
-    begins (with the text's length last)."""
+    """The text of a sample file on the grid, built once per grid: the
+    `x_1,..,x_d,value` header, the `x_1,..,x_d,` prefix of every point in
+    grid.points order, `zeros`, the text of every row with value +0.0, and
+    the int64 `starts`, where row i of `zeros` begins (with the text's
+    length last)."""
     axis = [_fmt(c) + "," for c in grid.axis.tolist()]
     prefixes = list(map("".join, itertools.product(axis, repeat=grid.d)))
     zeros = "0.0\n".join(prefixes) + "0.0\n"
@@ -77,23 +75,24 @@ def _row_text(grid) -> tuple:
         lengths = np.add.outer(lengths, widths).ravel()
     starts = np.zeros(len(prefixes) + 1, dtype=np.int64)
     np.cumsum(lengths + len("0.0\n"), out=starts[1:])
-    return prefixes, zeros, starts
+    header = ",".join(f"x_{i + 1}" for i in range(grid.d)) + ",value\n"
+    return header, prefixes, zeros, starts
 
 
-def _write_samples(path: str, d: int, text: tuple, values):
+def _write_samples(path: str, text: tuple, values):
     """One `x_1..x_d,value` row per grid point, from the grid's row text.
 
     Each run of +0.0 samples is one slice of the zero text; every other run
     (-0.0, NaN and inf included) is formatted chunk by chunk, so the bytes
     are those of `repr` row by row."""
-    prefixes, zeros, starts = text
+    header, prefixes, zeros, starts = text
     values = np.asarray(values, dtype=float)
     if len(values) != len(prefixes):
         raise ValueError(f"{len(values)} samples for a grid of {len(prefixes)} points")
     formatted = (values != 0) | np.signbit(values)
     edges = [0, *(np.flatnonzero(formatted[1:] != formatted[:-1]) + 1).tolist(), len(values)]
     with open(path, "w") as fh:
-        fh.write(",".join(f"x_{i + 1}" for i in range(d)) + ",value\n")
+        fh.write(header)
         for a, b in zip(edges, edges[1:]):
             if not formatted[a]:
                 fh.write(zeros[starts[a]:starts[b]])
@@ -105,50 +104,11 @@ def _write_samples(path: str, d: int, text: tuple, values):
                 fh.write("\n")
 
 
-def _write_matrix(path: str, matrix: DecayMatrix):
-    matrix.to_text(path)
-
-
-# A job is (path, write, *args): write(path, *args) writes one file.
-
-
-def _lines_job(path: str, lines: list) -> tuple:
-    return path, _write_lines, lines
-
-
-def _samples_job(path: str, d: int, text: tuple, values) -> tuple:
-    return path, _write_samples, d, text, values
-
-
-def _matrix_jobs(fdir: str, gramian, riesz, coeffs) -> list:
-    """gramian.csv and eigens.csv of an assembled family, and coeffs.csv of
-    an inverted one; None stands for what was not computed."""
-    jobs = []
-    if gramian is not None:
-        jobs += [(os.path.join(fdir, "gramian.csv"), _write_matrix, gramian),
-                 _lines_job(os.path.join(fdir, "eigens.csv"), _eigens_lines(riesz))]
-    if coeffs is not None:
-        jobs.append((os.path.join(fdir, "coeffs.csv"), _write_matrix, coeffs))
-    return jobs
-
-
-def _basis_jobs(out_dir: str, d: int, text: tuple, families) -> list:
-    """basis_envelopes.csv, and basis_k0.csv per family, from one (name,
-    spec, basis rows, origin samples, ...) per family."""
-    lines = ["family,node,claimed_C,measured_C,regression_exponent"]
-    jobs = []
-    for name, spec, rows, k0, *_ in families:
-        lines += [f"{name},{_node_label(node)},{_fmt(spec.claimed_C)},{_fmt(C)},"
-                  f"{_fmt(exponent)}" for node, C, exponent in rows]
-        jobs.append(_samples_job(os.path.join(family_dir(out_dir, name), "basis_k0.csv"),
-                                 d, text, k0))
-    return jobs + [_lines_job(os.path.join(out_dir, "basis_envelopes.csv"), lines)]
-
-
-def _write(job):
-    """Write one job's file; an OSError that names no file gets its path."""
-    path, write, *args = job
+def _write(path: str, write, *args):
+    """write(path, *args), into a folder made here; an OSError that names no
+    file gets the path."""
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         write(path, *args)
     except OSError as exc:
         if exc.filename is None and exc.errno is not None:
@@ -156,87 +116,82 @@ def _write(job):
         raise
 
 
-def _write_files(jobs: list):
-    """Write every job in order, into folders made here; a failed job is an
-    OSError naming its file."""
-    for folder in sorted({os.path.dirname(job[0]) for job in jobs}):
-        os.makedirs(folder, exist_ok=True)
-    for job in jobs:
-        _write(job)
+def _write_basis(out_dir: str, text: tuple, families):
+    """basis_k0.csv per family, then basis_envelopes.csv, from one (name,
+    spec, basis rows, origin samples) per family."""
+    lines = ["family,node,claimed_C,measured_C,regression_exponent"]
+    for name, spec, rows, k0 in families:
+        lines += [f"{name},{_node_label(node)},{_fmt(spec.claimed_C)},{_fmt(C)},"
+                  f"{_fmt(exponent)}" for node, C, exponent in rows]
+        _write(os.path.join(out_dir, name, "basis_k0.csv"), _write_samples, text, k0)
+    _write(os.path.join(out_dir, "basis_envelopes.csv"), _write_lines, lines)
 
 
-def write_stage(out_dir: str, grid, families):
+def _write_matrices(out_dir: str, name: str, gramian, riesz, coeffs):
+    """gramian.csv and eigens.csv of an assembled family, and coeffs.csv
+    unless `coeffs` is None (not inverted)."""
+    fdir = os.path.join(out_dir, name)
+    _write(os.path.join(fdir, "gramian.csv"), gramian.to_text)
+    _write(os.path.join(fdir, "eigens.csv"), _write_lines, ["N,lambda_min,lambda_max"] + [
+        f"{N},{_fmt(lo)},{_fmt(hi)}"
+        for N, lo, hi in zip(riesz.radii, riesz.lambda_min, riesz.lambda_max)])
+    if coeffs is not None:
+        _write(os.path.join(fdir, "coeffs.csv"), coeffs.to_text)
+
+
+def write_stage(out_dir: str, grid, basis: list, matrices: list):
     """The files of the basis, gramian and duals stages: basis_envelopes.csv
-    and, per family, basis_k0.csv, gramian.csv and eigens.csv once the
-    Gramian is assembled, and coeffs.csv once it is inverted. One (name,
-    spec, basis rows, origin samples, Gramian, riesz bounds, coefficient
-    matrix) per family, with None for what was not computed."""
-    jobs = _basis_jobs(out_dir, grid.d, _row_text(grid), families)
-    for name, _, _, _, gramian, riesz, coeffs in families:
-        jobs += _matrix_jobs(family_dir(out_dir, name), gramian, riesz, coeffs)
-    _write_files(jobs)
+    and each basis_k0.csv from one (name, spec, basis rows, origin samples)
+    per family in `basis`, and gramian.csv, eigens.csv and coeffs.csv from
+    one (name, Gramian, riesz bounds, coefficient matrix or None) per
+    assembled family in `matrices`."""
+    _write_basis(out_dir, _row_text(grid), basis)
+    for name, gramian, riesz, coeffs in matrices:
+        _write_matrices(out_dir, name, gramian, riesz, coeffs)
 
 
 def write_bounds(out_dir: str, lattice_sum_cal: dict, convolution: dict):
     """constants.csv holding the bounds rows alone."""
-    os.makedirs(out_dir, exist_ok=True)
-    _write_lines(os.path.join(out_dir, "constants.csv"),
-                 [_CONSTANTS_HEADER] + _bounds_rows(lattice_sum_cal, convolution))
+    _write(os.path.join(out_dir, "constants.csv"), _write_lines,
+           [_CONSTANTS_HEADER] + _bounds_rows(lattice_sum_cal, convolution))
 
 
 def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
     """Every file of the `report` stage and, with `basis`, the basis exports
-    of `all`, all in one pass of the writers."""
-    grid = suite.settings.grid()
-    text = _row_text(grid)
-    jobs = []
-    if basis:
-        jobs = _basis_jobs(out_dir, grid.d, text, [
-            (fam.name, fam.spec, fam.basis_rows, fam.basis_k0) for fam in suite.families])
-    for fam in suite.families:
-        fdir = family_dir(out_dir, fam.name)
-        jobs += _matrix_jobs(fdir, fam.gramian, fam.riesz, fam.coeffs)
-        jobs.append(_lines_job(os.path.join(fdir, "envelopes.csv"),
-                               _envelope_lines(fam.envelope_rows)))
-        jobs += [_samples_job(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"),
-                              grid.d, text, samples)
-                 for node, samples in sorted(fam.duals.items())]
+    of `all`."""
+    # the top-level texts before the row text: of the orders measured, this
+    # one gave the lowest peak RSS on the d=2 benchmark workload
     report = json.dumps(report_dict(suite), indent=2, sort_keys=True)
-    _write_files(jobs + [_lines_job(os.path.join(out_dir, "constants.csv"),
-                                    _constants_lines(suite)),
-                         _lines_job(os.path.join(out_dir, "calibration.txt"),
-                                    _calibration_lines(suite)),
-                         _lines_job(os.path.join(out_dir, "report.json"), [report])])
-
-
-def _eigens_lines(riesz) -> list:
-    return ["N,lambda_min,lambda_max"] + [
-        f"{N},{_fmt(lo)},{_fmt(hi)}"
-        for N, lo, hi in zip(riesz.radii, riesz.lambda_min, riesz.lambda_max)]
-
-
-def _envelope_lines(rows) -> list:
-    return ["k,t,D_emp,exponent_fit"] + [
-        f"{_node_label(node)},{_fmt(u)},{_fmt(const)},{_fmt(exponent)}"
-        for node, u, const, exponent in rows]
+    constants, calibration = _constants_lines(suite), _calibration_lines(suite)
+    text = _row_text(suite.settings.grid())
+    if basis:
+        _write_basis(out_dir, text, [(fam.name, fam.spec, fam.basis_rows, fam.basis_k0)
+                                     for fam in suite.families])
+    for fam in suite.families:
+        _write_matrices(out_dir, fam.name, fam.gramian, fam.riesz, fam.coeffs)
+        fdir = os.path.join(out_dir, fam.name)
+        _write(os.path.join(fdir, "envelopes.csv"), _write_lines, ["k,t,D_emp,exponent_fit"] + [
+            f"{_node_label(node)},{_fmt(u)},{_fmt(const)},{_fmt(exponent)}"
+            for node, u, const, exponent in fam.envelope_rows])
+        for node, samples in sorted(fam.duals.items()):
+            _write(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"), _write_samples,
+                   text, samples)
+    _write(os.path.join(out_dir, "constants.csv"), _write_lines, constants)
+    _write(os.path.join(out_dir, "calibration.txt"), _write_lines, calibration)
+    _write(os.path.join(out_dir, "report.json"), _write_lines, [report])
 
 
 def _constants_lines(suite: SuiteResult) -> list:
-    lines = [_CONSTANTS_HEADER]
-
-    def add(scope, d, name, value, binding="", detail=""):
-        lines.append(f"{scope},{d},{name},{_fmt(value)},{binding},{detail}")
-
-    add("suite", suite.settings.d, "E_emp", suite.E_cal.E_emp, suite.E_cal.binding_family)
-    add("suite", suite.settings.d, "schur_constant", suite.schur_constant,
-        suite.schur_binding)
-    add("suite", suite.settings.d, "transfer_constant", suite.c_transfer,
-        suite.binding_transfer)
-    lines += _bounds_rows(suite.lattice_sum_cal, suite.convolution)
-    for fam in suite.families:
-        for key in ("A_est", "B_est", "C_meas", "D_emp", "core_radius"):
-            add("family", suite.settings.d, f"{fam.name}.{key}", getattr(fam, key))
-    return lines
+    d = suite.settings.d
+    suite_rows = [("E_emp", suite.E_cal.E_emp, suite.E_cal.binding_family),
+                  ("schur_constant", suite.schur_constant, suite.schur_binding),
+                  ("transfer_constant", suite.c_transfer, suite.binding_transfer)]
+    return ([_CONSTANTS_HEADER]
+            + [f"suite,{d},{name},{_fmt(value)},{binding}," for name, value, binding in suite_rows]
+            + _bounds_rows(suite.lattice_sum_cal, suite.convolution)
+            + [f"family,{d},{fam.name}.{key},{_fmt(getattr(fam, key))},,"
+               for fam in suite.families
+               for key in ("A_est", "B_est", "C_meas", "D_emp", "core_radius")])
 
 
 def _calibration_lines(suite: SuiteResult) -> list:
@@ -447,10 +402,6 @@ def verify_artifacts(settings: RunSettings) -> list:
     invariants = entry("invariants", kind=list)
     window = LatticeWindow(settings.d, settings.radii[-1])
     verdicts = []
-
-    def add(name, passed, value, threshold, detail=""):
-        verdicts.append(Verdict(name, bool(passed), float(value), float(threshold), detail))
-
     for name in sorted(entry("families", kind=dict)):
         A_stored, C_meas, claimed_s = (entry("families", name, key, kind=_NUMBER)
                                        for key in ("A_est", "C_meas", "claimed_s"))
@@ -458,7 +409,7 @@ def verify_artifacts(settings: RunSettings) -> list:
         if type(core_radius) is not int or not 0 <= core_radius <= settings.radii[-1]:
             raise ConfigError(f"{path} entry 'families.{name}.core_radius' is not an integer "
                               f"in [0, {settings.radii[-1]}]: {core_radius!r}")
-        fdir = family_dir(out_dir, name)
+        fdir = os.path.join(out_dir, name)
         gram, coeffs = (_read_matrix(os.path.join(fdir, f), window)
                         for f in ("gramian.csv", "coeffs.csv"))
         # a run never stores a non-positive lambda_min: NotRieszError comes first
@@ -470,8 +421,8 @@ def verify_artifacts(settings: RunSettings) -> list:
                               f"the config's are {settings.radii}")
         verdicts += matrix_checks(name, gram, coeffs, core_radius, radii, lo, hi, tol)
         a_est = lo[-1]
-        add(f"{name}.eigens_consistent",
-            math.isclose(a_est, A_stored, rel_tol=1e-12), a_est, A_stored)
+        verdicts.append(Verdict(f"{name}.eigens_consistent",
+                                math.isclose(a_est, A_stored, rel_tol=1e-12), a_est, A_stored))
 
         envelopes = _read_rows(os.path.join(fdir, "envelopes.csv"), (str, float, float, float))
         d_emp = max([0.0] + [c for _, u, c, _ in envelopes if u == t])
@@ -480,6 +431,6 @@ def verify_artifacts(settings: RunSettings) -> list:
 
     stored_fail = [entry("invariants", i, "name", kind=str) for i in range(len(invariants))
                    if not entry("invariants", i, "passed", kind=bool)]
-    add("stored_verdicts_pass", not stored_fail, float(len(stored_fail)), 0.0,
-        "failed: " + ", ".join(stored_fail) if stored_fail else "")
+    verdicts.append(Verdict("stored_verdicts_pass", not stored_fail, len(stored_fail), 0.0,
+                            "failed: " + ", ".join(stored_fail) if stored_fail else ""))
     return verdicts

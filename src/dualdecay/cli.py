@@ -14,12 +14,13 @@ writes its slice of the results:
     verify   re-check invariants from a previous run's artifacts
 
 Exit codes: 0 success, 2 config/artifact error (including a malformed or
-non-finite config value, fewer than three families for report/all, a missing
-or malformed artifact, artifacts written for another config, a sample matrix
-over the sample_all entry cap and an artifact that cannot be written), 3
-hypothesis violation (including claimed C < 1 and a section that is not a
-Riesz sequence at this resolution), 4 convergence failure, 5 invariant
-failure (including a measured envelope over its claimed C).
+non-finite config value, a bounds dimension over 15, a gaussian sigma under
+1e-100, fewer than three families for report/all, a missing or malformed
+artifact, artifacts written for another config, a sample matrix over the
+sample_all entry cap and an artifact that cannot be written), 3 hypothesis
+violation (including claimed C < 1 and a section that is not a Riesz
+sequence at this resolution), 4 convergence failure, 5 invariant failure
+(including a measured envelope over its claimed C, or NaN).
 Every error exit prints one line to stderr.
 """
 
@@ -161,15 +162,17 @@ def load_config(path: str, out_override=None, seed_override=None,
 def _stage_families(settings: pl.RunSettings, stage: str):
     """basis, gramian and duals: run each family's pipeline through `stage`,
     then write what was computed, also when a matrix check failed."""
-    computed, failure = [], None
+    basis_rows, matrices, failure = [], [], None
     for fam in settings.families:
         with family_errors(fam.name):
             basis, rows, k0 = pl.measure_basis(fam, settings)
-            gramian = riesz = coeffs = None
-            if stage != "basis":
-                gramian, riesz = gr.sections(basis, settings.radii, settings.grid(),
-                                             settings.tolerances["riesz_rtol"])
-                print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
+            basis_rows.append((fam.name, fam.spec, rows, k0))
+            if stage == "basis":
+                continue
+            gramian, riesz = gr.sections(basis, settings.radii, settings.grid(),
+                                         settings.tolerances["riesz_rtol"])
+            print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
+            coeffs = None
             if stage == "duals":
                 coeffs, core_radius, _ = du.invert_section(gramian, settings.radii[-2],
                                                            settings.tolerances["inversion"])
@@ -182,10 +185,10 @@ def _stage_families(settings: pl.RunSettings, stage: str):
                 failed = [v for v in checks if not v.passed]
                 if failed:
                     failure = InvariantFailure(str(failed[0]))
-        computed.append((fam.name, fam.spec, rows, k0, gramian, riesz, coeffs))
+            matrices.append((fam.name, gramian, riesz, coeffs))
         if failure is not None:
             break
-    artifacts.write_stage(settings.out_dir, settings.grid(), computed)
+    artifacts.write_stage(settings.out_dir, settings.grid(), basis_rows, matrices)
     if failure is not None:
         raise failure
     print(f"{stage} stage: wrote {settings.out_dir}")

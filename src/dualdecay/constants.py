@@ -20,6 +20,9 @@ from .errors import ConfigError, HypothesisViolation
 
 _W_CUTOFF = 32                # shells summed directly before the zeta tails
 _W_ROUNDING = 8 * 2.0**-52    # relative allowance on sum |terms| for float rounding
+# largest d of calibrate_lattice_sum_bound: the rounding allowance of W_u at
+# u = d + 1/64 is 5.4e-8 at d = 15 and 1.1e-7 at d = 16, over its tol 1e-7
+MAX_BOUNDS_DIM = 15
 # B_2j / (2j)! for j = 1..9, the Euler-Maclaurin weights; the last one only
 # bounds the remainder
 _EM_WEIGHTS = tuple(b / math.factorial(2 * j) for j, b in enumerate(

@@ -22,6 +22,9 @@ MAX_PERTURBATION = 0.5  # keeps every node inside its own unit cell
 # of unity is off by 2.5e-12 at order 10 and by 5.7e-7 at order 20 (1/64 grid)
 MAX_BSPLINE_ORDER = 10
 SAMPLE_CAP = 8e7        # entries of one family's window x grid sample matrix
+# a grid within the cap has |x - c|^2 < 1e16, so squares / (2 sigma^2) stays
+# finite down to this width and the gaussian's samples are never NaN
+MIN_GAUSSIAN_SIGMA = 1e-100
 
 
 def max_norm(x: np.ndarray) -> np.ndarray:
@@ -277,8 +280,9 @@ class GeneratorSpec:
             if not 0.0 < p.get("s", 0.0) < math.inf:
                 raise ValueError("polynomial-bump needs a finite exponent parameter s > 0")
         elif self.family == "gaussian":
-            if not 0.0 < p.get("sigma", 0.0) < math.inf:
-                raise ValueError("gaussian needs a finite width parameter sigma > 0")
+            if not MIN_GAUSSIAN_SIGMA <= p.get("sigma", 0.0) < math.inf:
+                raise ValueError(f"gaussian needs a finite width parameter sigma >= "
+                                 f"{MIN_GAUSSIAN_SIGMA:g}, got {p.get('sigma')}")
         elif self.family == "bspline-order-m":
             order = p.get("order")
             if order is None or not 1 <= order <= MAX_BSPLINE_ORDER or int(order) != order:
@@ -462,7 +466,7 @@ def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):
         samples = measure_decay(basis.sample(node, grid), node, grid)
         constant = envelope_constant(*samples, spec.claimed_s)
         measured[node] = constant, samples
-        if constant > basis.envelope_C * (1.0 + rtol):
+        if not constant <= basis.envelope_C * (1.0 + rtol):  # NaN fails too
             raise EnvelopeClaimError(
                 f"measured envelope constant {constant:.6g} at node {node} "
                 f"exceeds claimed {basis.envelope_C:.6g}")

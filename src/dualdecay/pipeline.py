@@ -78,6 +78,9 @@ class RunSettings:
             self.bounds_dims = (self.d,)
         if min(self.bounds_dims) < 1:
             raise ConfigError(f"bounds dims must be >= 1, got {self.bounds_dims}")
+        if max(self.bounds_dims) > cst.MAX_BOUNDS_DIM:
+            raise ConfigError(f"bounds dimension {max(self.bounds_dims)} is over the maximum "
+                              f"{cst.MAX_BOUNDS_DIM} of the lattice-sum bound")
         for d, start in self.convolution_windows.items():
             if d not in self.bounds_dims:
                 raise ConfigError(f"convolution_window_d{d} is set, but bounds dims "
@@ -124,6 +127,10 @@ class Verdict:
     value: float
     threshold: float
     detail: str = ""
+
+    def __post_init__(self):
+        self.passed = bool(self.passed)
+        self.value, self.threshold = float(self.value), float(self.threshold)
 
     def __str__(self) -> str:
         return (f"[{'pass' if self.passed else 'FAIL'}] {self.name}: "
@@ -349,8 +356,8 @@ def matrix_checks(family: str, M: gr.DecayMatrix, C: gr.DecayMatrix, core_radius
     eps = tol["interlacing"]
     biorth = du.biorthogonality_residual(C.entries, M.entries)
     gram = du.gram_duals_check(C.entries, M.entries, core)
-    dual_norm = float(np.max(np.diag(block)))
-    lam_core = float(np.linalg.eigvalsh(block)[-1])
+    dual_norm = np.max(np.diag(block))
+    lam_core = np.linalg.eigvalsh(block)[-1]
     interlaced = all(a >= b - eps for a, b in zip(lam_min, lam_min[1:])) \
         and all(a <= b + eps for a, b in zip(lam_max, lam_max[1:]))
     return [
@@ -374,28 +381,24 @@ def dual_decay_domination(family: str, D_emp: float, C: float, A: float, s: floa
 def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
     tol = settings.tolerances
     verdicts = []
-
-    def add(name, passed, value, threshold, detail=""):
-        verdicts.append(Verdict(name, bool(passed), float(value), float(threshold), detail))
-
     for r in results:
         pre = f"{r.name}."
         verdicts += matrix_checks(r.name, r.gramian, r.coeffs, r.core_radius,
                                   r.riesz.radii, r.riesz.lambda_min, r.riesz.lambda_max, tol)
-        add(pre + "claimed_C", r.C_meas <= r.spec.claimed_C * (1 + tol["claimed_rtol"]),
-            r.C_meas, r.spec.claimed_C)
+        passed = r.C_meas <= r.spec.claimed_C * (1 + tol["claimed_rtol"])
+        verdicts.append(Verdict(pre + "claimed_C", passed, r.C_meas, r.spec.claimed_C))
         if r.spec.perturbations:
             bound = r.C_base * 1.5**r.spec.claimed_s
-            add(pre + "perturbation_penalty", r.C_meas <= bound, r.C_meas, bound,
-                "measured constant vs C (3/2)^s")
+            verdicts.append(Verdict(pre + "perturbation_penalty", r.C_meas <= bound, r.C_meas,
+                                    bound, "measured constant vs C (3/2)^s"))
         if r.spec.family == "polynomial-bump" and \
                 r.spec.claimed_s > settings.d + settings.t:
-            add(pre + "inverse_decay_exponent", r.inverse_decay >= settings.t,
-                r.inverse_decay, settings.t,
-                f"shell regression over core radius {r.core_radius}")
+            verdicts.append(Verdict(pre + "inverse_decay_exponent",
+                                    r.inverse_decay >= settings.t, r.inverse_decay, settings.t,
+                                    f"shell regression over core radius {r.core_radius}"))
         measured, bound = recursion[r.name]
-        add(pre + "recursion_bound", measured <= bound, measured, bound,
-            "schur(D^t inverse core) vs iterated bound")
+        verdicts.append(Verdict(pre + "recursion_bound", measured <= bound, measured, bound,
+                                "schur(D^t inverse core) vs iterated bound"))
         verdicts.append(dual_decay_domination(r.name, r.D_emp, r.C_meas, r.A_est,
                                               r.spec.claimed_s, settings.t, settings.d,
                                               E_cal.E_emp))
@@ -404,8 +407,9 @@ def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
         norms = [c.normalized for c in cals]
         mean = sum(norms) / len(norms)
         dev = max(abs(x - mean) / mean for x in norms)
-        add(f"convolution_u_stability.d{d}", dev <= tol["convolution_band"],
-            dev, tol["convolution_band"],
-            f"normalized constants {[round(x, 4) for x in norms]}, certified "
-            f"brackets {[(round(c.lower / c.scale, 4), round(x, 4)) for c, x in zip(cals, norms)]}")
+        brackets = [(round(c.lower / c.scale, 4), round(x, 4)) for c, x in zip(cals, norms)]
+        verdicts.append(Verdict(f"convolution_u_stability.d{d}", dev <= tol["convolution_band"],
+                                dev, tol["convolution_band"],
+                                f"normalized constants {[round(x, 4) for x in norms]}, "
+                                f"certified brackets {brackets}"))
     return verdicts

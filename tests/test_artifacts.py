@@ -33,7 +33,7 @@ def test_sample_rows_match_loop_writer(tmp_path, d, h, R):
     values = rng.standard_normal(grid.n_points) * 10.0 ** rng.integers(-300, 300, grid.n_points)
     values[:4] = 0.0, -0.0, 5e-324, -1.0
     fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    artifacts._write_samples(fast, d, artifacts._row_text(grid), values)
+    artifacts._write_samples(fast, artifacts._row_text(grid), values)
     loop_write_samples(slow, grid, values)
     assert fast.read_bytes() == slow.read_bytes()
 
@@ -88,7 +88,7 @@ def test_zero_runs_match_loop_writer(tmp_path_factory, case):
     d, values = case
     out = tmp_path_factory.mktemp("zero-runs")
     fast, slow = out / "fast.csv", out / "slow.csv"
-    artifacts._write_samples(fast, d, WRITER_TEXT[d], values)
+    artifacts._write_samples(fast, WRITER_TEXT[d], values)
     loop_write_samples(slow, WRITER_GRIDS[d], values)
     assert fast.read_bytes() == slow.read_bytes()
 
@@ -98,7 +98,7 @@ def test_samples_of_another_length_are_rejected(tmp_path, extra):
     grid = WRITER_GRIDS[1]
     with pytest.raises(ValueError, match=f"{grid.n_points + extra} samples for a grid of "
                                          f"{grid.n_points} points"):
-        artifacts._write_samples(tmp_path / "short.csv", 1, WRITER_TEXT[1],
+        artifacts._write_samples(tmp_path / "short.csv", WRITER_TEXT[1],
                                  np.zeros(grid.n_points + extra))
     assert not (tmp_path / "short.csv").exists()
 
@@ -169,10 +169,9 @@ def test_failed_write_raises_naming_the_file(tmp_path):
     def full(path, lines):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    jobs = [(str(tmp_path / "a.csv"), artifacts._write_lines, ["1"]),
-            (str(tmp_path / "full.csv"), full, ["2"])]
+    artifacts._write(str(tmp_path / "a.csv"), artifacts._write_lines, ["1"])
     with pytest.raises(OSError) as info:
-        artifacts._write_files(jobs)
+        artifacts._write(str(tmp_path / "full.csv"), full, ["2"])
     assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(tmp_path / "full.csv"))
     assert str(tmp_path / "full.csv") in str(info.value)
     assert (tmp_path / "a.csv").read_text() == "1\n"

@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import errno
 import inspect
 import io
 import json
@@ -246,6 +247,17 @@ def test_cli_file_in_the_way_exits_config(mini_config, tmp_path, capsys):
     assert cli.main(["all", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("artifact error:") and str(out / "bump" / "basis_k0.csv") in line
+
+
+def test_cli_full_disk_names_the_bounds_file(mini_config, monkeypatch, capsys):
+    def full(path, lines):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    path, out = mini_config
+    monkeypatch.setattr(artifacts, "_write_lines", full)
+    assert cli.main(["bounds", "--config", path]) == cli.EXIT_CONFIG
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("artifact error:") and os.path.join(out, "constants.csv") in line
 
 
 def _files(root: str) -> list:
@@ -643,6 +655,16 @@ def test_cli_claimed_envelope_exceeded_exits_invariant(tmp_path, capsys):
             assert "exceeds claimed" in line and "nan" not in line, line
 
 
+def test_cli_nan_envelope_exits_invariant(mini_config, monkeypatch, capsys):
+    sample = lat.BasisSet.sample
+    monkeypatch.setattr(lat.BasisSet, "sample", lambda self, k, grid: np.where(
+        grid.points[:, 0] == 1.0, np.nan, sample(self, k, grid)))
+    assert cli.main(["basis", "--config", mini_config[0]]) == cli.EXIT_INVARIANT
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith("invariant failure: family 'indicator': measured envelope "
+                           "constant nan"), line
+
+
 NOT_RIESZ_CONFIG = """
 [run]
 name = not-riesz
@@ -834,6 +856,12 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
      "family 'hat': bspline-order-m needs an integer order in [1, 10], got 11"),
     ("order = 2", "order = 99999999999999999999", "basis",
      "bspline-order-m needs an integer order in [1, 10], got 99999999999999999999"),
+    ("dims = 1", "dims = 1 16", "bounds", "bounds dimension 16 is over the maximum 15"),
+    ("dims = 1", "dims = 1 2000", "all", "bounds dimension 2000 is over the maximum 15"),
+    ("family = bspline-order-m\norder = 2", "family = gaussian\nsigma = 1e-300", "basis",
+     "family 'hat': gaussian needs a finite width parameter sigma >= 1e-100, got 1e-300"),
+    ("family = bspline-order-m\norder = 2", "family = gaussian\nsigma = 1e-153", "all",
+     "family 'hat': gaussian needs a finite width parameter sigma >= 1e-100, got 1e-153"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
         "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
@@ -842,7 +870,8 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
         "negative-dual-export-radius", "w-sum-near-divergence", "w-tol-unattainable",
         "convolution-window-outside-dims", "perturbed-node-past-int64",
         "convolution-window-past-int64", "convolution-window-over-scan-cap",
-        "order-over-maximum", "order-past-int64"])
+        "order-over-maximum", "order-past-int64", "bounds-dim-over-maximum",
+        "bounds-dim-past-shell-poly", "sigma-squared-underflows", "sigma-quotient-overflows"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config

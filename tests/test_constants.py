@@ -85,6 +85,12 @@ def test_w_sum_unattainable_tolerance():
         cst.w_sum(1.0078125, 1, tol=1e-13)
 
 
+def test_lattice_sum_bound_serves_dimensions_up_to_the_maximum():
+    assert cst.calibrate_lattice_sum_bound(cst.MAX_BOUNDS_DIM).constant > 0
+    with pytest.raises(ValueError, match="unattainable"):
+        cst.calibrate_lattice_sum_bound(cst.MAX_BOUNDS_DIM + 1)
+
+
 def test_w_tail_honesty_under_radius_doubling():
     # the radius is the direct-sum cutoff: doubling it moves shells from the
     # zeta tails into the direct sum, and the value by less than the bound

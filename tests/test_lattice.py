@@ -429,6 +429,21 @@ def test_validate_claimed_envelope():
         lat.validate_claimed_envelope(lat.make_basis(bad, lat.LatticeWindow(1, 0)), grid)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.99e-100])
+def test_gaussian_width_under_the_floor_is_rejected(sigma):
+    with pytest.raises(ValueError, match=f"sigma >= 1e-100, got {sigma}"):
+        lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": sigma})
+
+
+def test_gaussian_at_the_width_floor_samples_finitely():
+    # the farthest offsets a grid within the sample cap has: d=1 with
+    # 8e7 points at h = 1/4 reaches R = 1e7, and a node lies inside the grid
+    spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0,
+                             params={"sigma": lat.MIN_GAUSSIAN_SIGMA})
+    values = spec.generator([np.array([0.0, 1e-100, 2e7, -2e7])])
+    assert values.tolist() == [1.0, math.exp(-0.5), 0.0, 0.0]
+
+
 def test_scaled_basis_amplitude():
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
     basis = scaled_basis(lat.make_basis(spec, lat.LatticeWindow(1, 0)), 2.0)
