@@ -8,7 +8,7 @@ constant involved, including the headline dual-decay bound.
 from .constants import (BoundCalibration, CalibrationCase, ECalibration,
                         TheoreticalBound, calibrate_lattice_sum_bound,
                         calibrate_E, compute_W, recursion_trace,
-                        theoretical_D, verify_convolution_discrete, w_sum)
+                        verify_convolution_discrete, w_sum)
 from .duals import (biorthogonality_residual, coefficient_decay_fit, gram_duals_check,
                     invert_section, synthesize_dual, synthesize_duals)
 from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, HypothesisViolation,
@@ -16,7 +16,6 @@ from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, Hypothes
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, inner_product,
                       offdiag_fit, riesz_bounds, schur_bound, sections)
 from .lattice import (BasisSet, GeneratorSpec, Grid, LatticeWindow, decay_exponent,
-                      envelope_constant, make_basis, measure_decay,
-                      validate_claimed_envelope)
+                      envelope_constant, make_basis, measure_decay)
 
 __version__ = "0.1.0"

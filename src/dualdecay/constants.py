@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, HypothesisViolation
+from .errors import ConfigError, HypothesisViolation, family_errors
 
 _W_CUTOFF = 32                # shells summed directly before the zeta tails
 _W_ROUNDING = 8 * 2.0**-52    # relative allowance on sum |terms| for float rounding
@@ -380,7 +380,17 @@ class TheoreticalBound:
 
     @property
     def D(self) -> float:
-        return theoretical_D(self)
+        """D = E^(t^2) C^(2t+1) A^-(t+1) (1 + 1/(s-t-d))^t; a ConfigError when
+        that is not a finite positive float."""
+        t = int(self.t)
+        try:
+            D = (self.E ** (t * t) * self.C ** (2 * t + 1) / self.A ** (t + 1)
+                 * (1.0 + 1.0 / (self.s - t - self.d)) ** t)
+        except (OverflowError, ZeroDivisionError):
+            D = math.inf
+        if not 0.0 < D < math.inf:
+            raise ConfigError(f"theoretical D at t={t} is not a finite positive float")
+        return D
 
 
 def validate_hypotheses(C: float, s: float, t, d: int):
@@ -393,13 +403,6 @@ def validate_hypotheses(C: float, s: float, t, d: int):
         raise HypothesisViolation(f"hypothesis t > d violated (t={t}, d={d})")
     if not s > d + t:
         raise HypothesisViolation(f"hypothesis s > d+t violated (s={s}, d={d}, t={t})")
-
-
-def theoretical_D(tb: TheoreticalBound) -> float:
-    """D = E^(t^2) C^(2t+1) A^-(t+1) (1 + 1/(s-t-d))^t."""
-    t = int(tb.t)
-    return (tb.E ** (t * t) * tb.C ** (2 * t + 1) / tb.A ** (t + 1)
-            * (1.0 + 1.0 / (tb.s - t - tb.d)) ** t)
 
 
 @dataclass(frozen=True)
@@ -442,7 +445,8 @@ def calibrate_E(suite) -> ECalibration:
     check_E_family_count(len(cases))
     per_family = []
     for c in cases:
-        base = TheoreticalBound(C=c.C_meas, A=c.A_est, s=c.s, t=c.t, d=c.d, E=1.0).D
+        with family_errors(c.family):
+            base = TheoreticalBound(C=c.C_meas, A=c.A_est, s=c.s, t=c.t, d=c.d, E=1.0).D
         if not math.isfinite(c.D_emp):
             raise ValueError(f"family {c.family!r} has non-finite measured D")
         per_family.append((c.family, (c.D_emp / base) ** (1.0 / (c.t * c.t))))

@@ -34,10 +34,10 @@ class EnvelopeClaimError(InvariantFailure, ValueError):
 
 @contextmanager
 def family_errors(name: str):
-    """Prefix `family '<name>': ` to the message of an envelope, Riesz or
-    convergence error raised inside, keeping its type and so its exit code."""
+    """Prefix `family '<name>': ` to the message of a config, envelope, Riesz
+    or convergence error raised inside, keeping its type and so its exit code."""
     try:
         yield
-    except (EnvelopeClaimError, NotRieszError, ConvergenceError) as exc:
+    except (ConfigError, EnvelopeClaimError, NotRieszError, ConvergenceError) as exc:
         exc.args = (f"family {name!r}: {exc}",)
         raise

@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EnvelopeClaimError
-
 MAX_PERTURBATION = 0.5  # keeps every node inside its own unit cell
 # _bspline_1d's alternating sum loses accuracy with the order: its partition
 # of unity is off by 2.5e-12 at order 10 and by 5.7e-7 at order 20 (1/64 grid)
@@ -451,23 +449,3 @@ def measure_decay(values: np.ndarray, k, grid: Grid,
     if grid.R - np.max(np.abs(node)) < 8.0 - 1e-9:
         raise ValueError("grid must cover |x - k| <= 8 around the node")
     return _flat_abs(values, axes_max_norm((support or grid).offsets(node)))
-
-
-def validate_claimed_envelope(basis: BasisSet, grid: Grid, rtol: float = 1e-12):
-    """Measured envelope constants at claimed_s, checked against claimed_C.
-
-    Returns {node: (measured constant, measure_decay samples)} for the origin
-    and each perturbed node; raises if any of them exceeds the claim.
-    """
-    spec = basis.spec
-    nodes = [(0,) * spec.d] + [node for node, _ in spec.perturbations]
-    measured = {}
-    for node in dict.fromkeys(nodes):
-        samples = measure_decay(basis.sample(node, grid), node, grid)
-        constant = envelope_constant(*samples, spec.claimed_s)
-        measured[node] = constant, samples
-        if not constant <= basis.envelope_C * (1.0 + rtol):  # NaN fails too
-            raise EnvelopeClaimError(
-                f"measured envelope constant {constant:.6g} at node {node} "
-                f"exceeds claimed {basis.envelope_C:.6g}")
-    return measured

@@ -8,8 +8,9 @@ constants and evaluates every invariant with a pass/fail verdict.
 from __future__ import annotations
 
 import math
+import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import constants as cst
 from . import duals as du
 from . import gramian as gr
 from . import lattice as lat
-from .errors import ConfigError, family_errors
+from .errors import ConfigError, EnvelopeClaimError, family_errors
 
 DEFAULT_TOLERANCES = {
     "inversion": 1e-8,
@@ -104,6 +105,10 @@ class RunSettings:
         window = lat.LatticeWindow(self.d, self.radii[-1])
         self.w_values = {}
         for fam in self.families:
+            # each family's artifacts go to out_dir/<name>, and the name is a CSV field
+            if fam.name in ("", ".", "..") or any(c in fam.name for c in ",/" + os.sep):
+                raise ConfigError(f"family name {fam.name!r} must not be empty, '.' or '..', "
+                                  "nor hold a path separator or ','")
             if fam.spec.d != self.d:
                 raise ConfigError(f"family {fam.name!r} has dimension {fam.spec.d} != {self.d}")
             # reject bad parameter sets before any heavy computation
@@ -198,16 +203,26 @@ class SuiteResult:
 
 
 def measure_basis(fam: FamilySettings, settings: RunSettings):
-    """(basis, rows, origin samples) of `fam` on the largest window,
-    validated against its claimed envelope; one row (node, measured C at the
-    claimed s, regression exponent) for the origin and each perturbed node."""
+    """(basis, rows, origin samples) of `fam` on the largest window.  The origin
+    and each perturbed node are sampled once, checked against the claimed
+    envelope (EnvelopeClaimError over it, or NaN) and fitted: one row (node,
+    measured C at the claimed s, regression exponent) each."""
     grid = settings.grid()
     origin = (0,) * settings.d
     basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
-    measured = lat.validate_claimed_envelope(basis, grid,
-                                             rtol=settings.tolerances["claimed_rtol"])
-    rows = [(node, C, lat.decay_exponent(*samples)) for node, (C, samples) in measured.items()]
-    return basis, rows, basis.sample(origin, grid)
+    bound = basis.envelope_C * (1.0 + settings.tolerances["claimed_rtol"])
+    rows = []
+    for node in dict.fromkeys([origin] + [node for node, _ in fam.spec.perturbations]):
+        values = basis.sample(node, grid)
+        if node == origin:
+            basis_k0 = values
+        samples = lat.measure_decay(values, node, grid)
+        constant = lat.envelope_constant(*samples, fam.spec.claimed_s)
+        if not constant <= bound:  # NaN fails too
+            raise EnvelopeClaimError(f"measured envelope constant {constant:.6g} at node "
+                                     f"{node} exceeds claimed {basis.envelope_C:.6g}")
+        rows.append((node, constant, lat.decay_exponent(*samples)))
+    return basis, rows, basis_k0
 
 
 def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
@@ -225,10 +240,9 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
                                                         tol["inversion"])
     C_meas = max(c for _, c, _ in basis_rows)
     if fam.spec.perturbations:
-        bare = replace(fam.spec, perturbations=())
-        bare_basis = lat.make_basis(bare, lat.LatticeWindow(settings.d, 0))
-        bare_samples = lat.measure_decay(bare_basis.sample(origin, grid), origin, grid)
-        C_base = lat.envelope_constant(*bare_samples, s)
+        # the unperturbed generator at the origin
+        bare = fam.spec.generator(grid.offsets(origin)).reshape(-1)
+        C_base = lat.envelope_constant(*lat.measure_decay(bare, origin, grid), s)
     else:
         C_base = C_meas
 
@@ -373,7 +387,8 @@ def matrix_checks(family: str, M: gr.DecayMatrix, C: gr.DecayMatrix, core_radius
 
 def dual_decay_domination(family: str, D_emp: float, C: float, A: float, s: float,
                           t: int, d: int, E: float) -> Verdict:
-    D = cst.TheoreticalBound(C=C, A=A, s=s, t=t, d=d, E=E).D
+    with family_errors(family):
+        D = cst.TheoreticalBound(C=C, A=A, s=s, t=t, d=d, E=E).D
     return Verdict(f"{family}.dual_decay_domination", D_emp <= D * (1 + 1e-9), D_emp, D,
                    "measured dual envelope vs theoretical D at E_emp")
 

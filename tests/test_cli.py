@@ -349,7 +349,7 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     assert cli.main(["duals", "--config", path]) == 0
     assert len(sections) == 3  # one assembly per family
 
-    validations = _recorder(monkeypatch, lat, "validate_claimed_envelope")
+    measured = _recorder(monkeypatch, pl, "measure_basis")
     fits = _recorder(monkeypatch, lat, "measure_decay")
     settings = cli.load_config(path)
     grid, window = settings.grid(), lat.LatticeWindow(settings.d, settings.radii[-1])
@@ -373,7 +373,7 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, sizing(getattr(module, name), sizes))
     assert cli.main(["all", "--config", path]) == 0
-    assert len(validations) == 3
+    assert len(measured) == 3
     with open(os.path.join(out, "report.json")) as fh:
         cores = {name: fam["core_radius"] for name, fam in json.load(fh)["families"].items()}
     # per family: one measure_decay of the validated origin over the grid, and
@@ -383,6 +383,30 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     assert sorted(len(values) for values, *_ in fits) == sorted(sizes)
     # no fit reads more than the samples of one function on the grid
     assert max(passes["envelope_constant"] + passes["decay_exponent"]) == n_points
+    capsys.readouterr()
+
+
+def test_cli_all_samples_each_checked_node_once(mini_config, monkeypatch, capsys):
+    # the indicator is perturbed at its origin and at node 3, its two checked
+    # nodes; the other families have one, the origin
+    path, out = mini_config
+    text = Path(path).read_text().replace(
+        "claimed_C = 32\n", "claimed_C = 64\nperturb = 0:0.25; 3:-0.25\n", 1)
+    Path(path).write_text(text)
+    calls = []
+    real = lat.BasisSet.sample
+
+    def recording(self, k, grid):
+        calls.append((self.spec, tuple(np.atleast_1d(k).tolist())))
+        return real(self, k, grid)
+
+    monkeypatch.setattr(lat.BasisSet, "sample", recording)
+    assert cli.main(["all", "--config", path]) == 0
+    settings = cli.load_config(path)
+    checked = {"indicator": [(0,), (3,)], "bump": [(0,)], "hat": [(0,)]}
+    for fam in settings.families:
+        assert sorted(k for spec, k in calls if spec == fam.spec) == checked[fam.name], fam.name
+    assert len(calls) == 4
     capsys.readouterr()
 
 
@@ -862,6 +886,14 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
      "family 'hat': gaussian needs a finite width parameter sigma >= 1e-100, got 1e-300"),
     ("family = bspline-order-m\norder = 2", "family = gaussian\nsigma = 1e-153", "all",
      "family 'hat': gaussian needs a finite width parameter sigma >= 1e-100, got 1e-153"),
+    ("[family:hat]", "[family:../escaped]", "all", "family name '../escaped' must not"),
+    ("[family:hat]", "[family:/tmp/x]", "all", "family name '/tmp/x' must not"),
+    ("[family:hat]", "[family:a,b]", "basis", "family name 'a,b' must not"),
+    ("[family:hat]", "[family:]", "all", "family name '' must not"),
+    ("[family:hat]", "[family:.]", "verify", "family name '.' must not"),
+    ("[family:hat]", "[family:..]", "all", "family name '..' must not"),
+    ("claimed_C = 32\n", "claimed_C = 32\nperturb = 0,1:0.3,0.1\n", "all",
+     "family 'indicator': perturbation (0, 1):(0.3, 0.1) has wrong dimension (d=1)"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
         "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
@@ -871,7 +903,10 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
         "convolution-window-outside-dims", "perturbed-node-past-int64",
         "convolution-window-past-int64", "convolution-window-over-scan-cap",
         "order-over-maximum", "order-past-int64", "bounds-dim-over-maximum",
-        "bounds-dim-past-shell-poly", "sigma-squared-underflows", "sigma-quotient-overflows"])
+        "bounds-dim-past-shell-poly", "sigma-squared-underflows", "sigma-quotient-overflows",
+        "family-name-climbs-out", "family-name-absolute", "family-name-comma",
+        "family-name-empty", "family-name-dot", "family-name-dotdot",
+        "perturbation-dimension"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config
@@ -882,6 +917,19 @@ def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stag
     assert cli.main([stage, "--config", str(bad)]) == cli.EXIT_CONFIG
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("config error:") and fragment in line, line
+    assert not os.path.exists(out)
+
+
+def test_cli_theoretical_D_past_the_float_range_exits_config(mini_config, capsys):
+    # C^(2t+1) overflows at t = 100 once the indicator is measured at s = 105
+    path, out = mini_config
+    text = Path(path).read_text().replace("\nt = 2\n", "\nt = 100\n")
+    text = re.sub(r"(?m)^(claimed_)?s = 5$", r"\1s = 105", text)
+    Path(path).write_text(re.sub(r"(?m)^claimed_C = .*$", "claimed_C = 1e300", text))
+    assert cli.main(["all", "--config", path]) == cli.EXIT_CONFIG
+    assert _one_line(capsys.readouterr().err) == (
+        "config error: family 'indicator': theoretical D at t=100 is not a finite positive "
+        "float")
     assert not os.path.exists(out)
 
 

@@ -9,7 +9,7 @@ from dualdecay import constants as cst
 from dualdecay import duals as du
 from dualdecay import gramian as gr
 from dualdecay import lattice as lat
-from dualdecay.errors import HypothesisViolation
+from dualdecay.errors import ConfigError, HypothesisViolation
 
 from conftest import leibniz_check
 
@@ -302,6 +302,19 @@ def test_theorem_hypothesis_guards(kwargs, fragment):
         cst.TheoreticalBound(**kwargs)
 
 
+# C^(2t+1) raising OverflowError, A^(t+1) underflowing to 0, a product of
+# finite powers overflowing to inf, and E^(t^2) underflowing to 0
+@pytest.mark.parametrize("kwargs", [
+    dict(C=1e300, A=1.0, s=105.0, t=100, d=1, E=1.0),
+    dict(C=1.0, A=1e-300, s=5.0, t=3, d=1, E=1.0),
+    dict(C=1e10, A=1.0, s=5.0, t=3, d=1, E=1e30),
+    dict(C=1.0, A=1.0, s=5.0, t=3, d=1, E=1e-40),
+], ids=["C-power-raises", "A-power-underflows", "product-overflows", "E-power-underflows"])
+def test_theoretical_D_outside_the_float_range_is_a_config_error(kwargs):
+    with pytest.raises(ConfigError, match=rf"D at t={kwargs['t']} is not a finite positive"):
+        cst.TheoreticalBound(**kwargs).D
+
+
 def test_hypothesis_requires_integer_t():
     with pytest.raises(HypothesisViolation, match="integer"):
         cst.validate_hypotheses(1.0, 5.0, 2.5, 1)
@@ -342,6 +355,9 @@ def test_calibrate_E_validation():
     with pytest.raises(ValueError, match="non-finite"):
         cst.calibrate_E([make_case("a", 1.0), make_case("b", 1.0),
                          make_case("c", math.inf)])
+    with pytest.raises(ConfigError, match="family 'b': theoretical D at t=2 is not"):
+        cst.calibrate_E([make_case("a", 1.0), make_case("b", 1.0, C=1e200),
+                         make_case("c", 1.0)])
 
 
 # --- derivation algebra ----------------------------------------------------------------

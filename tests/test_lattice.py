@@ -419,16 +419,6 @@ def test_perturbation_penalty_bound():
     assert c_pert <= c_base * 1.5**s
 
 
-def test_validate_claimed_envelope():
-    good = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
-    grid = lat.Grid(h=1 / 64, R=8.0, d=1)
-    measured = lat.validate_claimed_envelope(lat.make_basis(good, lat.LatticeWindow(1, 0)), grid)
-    assert measured[(0,)][0] <= 6.0
-    bad = lat.GeneratorSpec("gaussian", 1, 1.0, 5.0, params={"sigma": 0.5})
-    with pytest.raises(ValueError, match="exceeds claimed"):
-        lat.validate_claimed_envelope(lat.make_basis(bad, lat.LatticeWindow(1, 0)), grid)
-
-
 @pytest.mark.parametrize("sigma", [0.0, 0.99e-100])
 def test_gaussian_width_under_the_floor_is_rejected(sigma):
     with pytest.raises(ValueError, match=f"sigma >= 1e-100, got {sigma}"):

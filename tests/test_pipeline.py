@@ -11,7 +11,7 @@ from dualdecay import constants as cst
 from dualdecay import duals as du
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
-from dualdecay.errors import ConfigError, HypothesisViolation
+from dualdecay.errors import ConfigError, EnvelopeClaimError, HypothesisViolation
 from dualdecay.lattice import GeneratorSpec
 
 from conftest import (core_nodes, core_positions, d2_indicator_settings, standard_families,
@@ -142,6 +142,48 @@ def _big_arrays(obj, entries: int) -> list:
             value if isinstance(value, (list, tuple)) else (value,)
         found += [f.name for x in items if isinstance(x, np.ndarray) and x.size >= entries]
     return found
+
+
+def _claim_settings(claimed_C: float, perturbations=()) -> pl.RunSettings:
+    spec = GeneratorSpec("gaussian", 1, claimed_C, 5.0, params={"sigma": 0.5},
+                         perturbations=perturbations)
+    return pl.RunSettings(name="claim", d=1, radii=(1, 2), grid_h=1 / 64, grid_R=10.0, t=2,
+                          families=[pl.FamilySettings("gauss", spec)])
+
+
+def test_measure_basis_checks_the_claimed_envelope():
+    good = _claim_settings(6.0)
+    _, rows, k0 = pl.measure_basis(good.families[0], good)
+    assert [node for node, _, _ in rows] == [(0,)] and rows[0][1] <= 6.0
+    assert k0.shape == (good.grid().n_points,)
+    bad = _claim_settings(1.0)
+    with pytest.raises(ValueError, match="exceeds claimed"):
+        pl.measure_basis(bad.families[0], bad)
+    # each perturbed node is checked too: the member shifted at node 2 is
+    # over a claim that the origin meets
+    shifted = _claim_settings(6.0, {(2,): (0.5,)})
+    with pytest.raises(EnvelopeClaimError, match=r"at node \(2,\) exceeds claimed 6$"):
+        pl.measure_basis(shifted.families[0], shifted)
+    loose = _claim_settings(46.0, {(2,): (0.5,), (-1,): (0.25,)})
+    _, rows, _ = pl.measure_basis(loose.families[0], loose)
+    assert [node for node, _, _ in rows] == [(0,), (-1,), (2,)]
+
+
+def test_perturbation_penalty_base_matches_the_bare_basis(d1_suite):
+    """C_base of a family perturbed at its origin is the measurement of the
+    unperturbed member on a window of radius 0, as computed before."""
+    settings = d2_indicator_settings()
+    cases = [(d1_suite.settings, d1_suite.families[-1]),
+             (settings, pl.run_family(settings.families[1], settings))]
+    for settings, result in cases:
+        assert dict(result.spec.perturbations).get((0,) * settings.d), result.name
+        grid, origin = settings.grid(), (0,) * settings.d
+        bare = lat.make_basis(dataclasses.replace(result.spec, perturbations=()),
+                              lat.LatticeWindow(settings.d, 0))
+        oracle = lat.envelope_constant(
+            *lat.measure_decay(bare.sample(origin, grid), origin, grid), result.spec.claimed_s)
+        assert result.C_base == oracle, result.name
+        assert result.C_base != result.C_meas, result.name
 
 
 def test_run_family_samples_each_basis_once(sample_builds):
