@@ -63,9 +63,9 @@ _NUMBER = (int, float)  # what verify accepts where report.json holds a number
 
 def _row_text(grid) -> tuple:
     """The text of a sample file on the grid, built once per grid: the
-    `x_1,..,x_d,value` header, the `x_1,..,x_d,` prefix of every point in
-    grid.points order, `zeros`, the text of every row with value +0.0, and
-    the int64 `starts`, where row i of `zeros` begins (with the text's
+    `x_1,..,x_d,value` header, the `x_1,..,x_d,` prefix of every grid point
+    in lexicographic order, `zeros`, the text of every row with value +0.0,
+    and the int64 `starts`, where row i of `zeros` begins (with the text's
     length last)."""
     axis = [_fmt(c) + "," for c in grid.axis.tolist()]
     prefixes = list(map("".join, itertools.product(axis, repeat=grid.d)))
@@ -424,8 +424,22 @@ def verify_artifacts(settings: RunSettings) -> list:
         verdicts.append(Verdict(f"{name}.eigens_consistent",
                                 math.isclose(a_est, A_stored, rel_tol=1e-12), a_est, A_stored))
 
-        envelopes = _read_rows(os.path.join(fdir, "envelopes.csv"), (str, float, float, float))
-        d_emp = max([0.0] + [c for _, u, c, _ in envelopes if u == t])
+        # D_emp is the largest constant at t over the core duals, one row each
+        envelopes_path = os.path.join(fdir, "envelopes.csv")
+        at_t = []
+        for number, (_, u, c, _) in enumerate(
+                _read_rows(envelopes_path, (str, float, float, float)), start=2):
+            if u != t:
+                continue
+            if not 0 <= c < math.inf:
+                raise ConfigError(f"{envelopes_path} line {number}: D_emp {c!r} at t={t} is "
+                                  "not a finite number >= 0")
+            at_t.append(c)
+        core = (2 * core_radius + 1) ** d
+        if len(at_t) != core:
+            raise ConfigError(f"{envelopes_path} holds {len(at_t)} rows at t={t}, the core of "
+                              f"radius {core_radius} has {core} nodes")
+        d_emp = max([0.0] + at_t)
         verdicts.append(dual_decay_domination(name, d_emp, C_meas, a_est, claimed_s, t, d,
                                               E_emp))
 

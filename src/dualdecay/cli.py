@@ -14,15 +14,18 @@ writes its slice of the results:
     verify   re-check invariants from a previous run's artifacts
 
 Exit codes: 0 success, 2 config/artifact error (including a malformed or
-non-finite config value, a bounds dimension over 15, a gaussian sigma under
-1e-100, fewer than three families for report/all, a missing or malformed
-artifact, artifacts written for another config, a sample matrix over the
-sample_all entry cap, a family name that is empty, '.' or '..' or holds
-'/' or ',', an artifact that cannot be written and a theoretical D past the
-float range), 3 hypothesis violation (including claimed C < 1 and a section that
-is not a Riesz sequence at this resolution), 4 convergence failure, 5
-invariant failure (including a measured envelope over its claimed C, or NaN).
-Every error exit prints one line to stderr.
+non-finite config value, a key its section does not read, a perturbed node
+given twice, a bounds dimension over 15, a gaussian sigma under 1e-100,
+fewer than three families for report/all, a missing or malformed artifact,
+an envelopes.csv whose D_emp at t is not a finite number >= 0 or that lacks
+one row at t per core node, artifacts written for another config, a sample
+matrix over the sample_all entry cap, a family name that is empty, '.' or
+'..' or holds '/' or ',', an artifact that cannot be written and a
+theoretical D past the float range), 3 hypothesis violation (including
+claimed C < 1 and a section that is not a Riesz sequence at this
+resolution), 4 convergence failure, 5 invariant failure (including a
+measured envelope over its claimed C, or NaN). Every error exit prints one
+line to stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import argparse
 import configparser
 import os
 import sys
+from fnmatch import fnmatchcase
 
 from . import artifacts
 from . import constants as cst
@@ -63,8 +67,30 @@ def _parse_perturbations(text: str):
             delta = tuple(float(c) for c in delta_s.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad perturbation entry {chunk!r}") from exc
+        if node in out:
+            raise ConfigError(f"perturbed node {node} is given more than once")
         out[node] = delta
     return out
+
+
+# the keys each section reads, as glob patterns; [tolerances] reads the
+# names of DEFAULT_TOLERANCES
+_KEYS = {"run": ("name", "out", "seed", "dual_export_radius"),
+         "window": ("d", "radii"),
+         "grid": ("h", "R"),
+         "targets": ("t",),
+         "bounds": ("dims", "convolution_window_d*"),
+         "family": ("family", "claimed_C", "claimed_s", "s", "sigma", "order", "perturb")}
+
+
+def _check_keys(section, kind: str):
+    """A ConfigError naming the first key of `section` that a section of
+    `kind` does not read (configparser gives the keys in lower case)."""
+    patterns = _KEYS[kind]
+    for key in section:
+        if not any(fnmatchcase(key, pattern.lower()) for pattern in patterns):
+            raise ConfigError(f"[{section.name}] unknown key {key!r}; the keys are "
+                              + ", ".join(patterns))
 
 
 def _value(section, key: str, convert, default=None):
@@ -82,6 +108,7 @@ def _ints(text: str) -> tuple:
 
 
 def _family_from_section(name: str, section, d: int) -> pl.FamilySettings:
+    _check_keys(section, "family")
     try:
         family = section["family"]
         claimed_C = _value(section, "claimed_C", float)
@@ -111,6 +138,8 @@ def load_config(path: str, out_override=None, seed_override=None,
     try:
         parser.read(path)
         run, window, grid, targets = (parser[k] for k in ("run", "window", "grid", "targets"))
+        for section in (run, window, grid, targets):
+            _check_keys(section, section.name)
         d = _value(window, "d", int, "1")
         families = [_family_from_section(sec.split(":", 1)[1], parser[sec], d)
                     for sec in parser.sections() if sec.startswith("family:")]
@@ -122,6 +151,7 @@ def load_config(path: str, out_override=None, seed_override=None,
         conv_windows = {}
         if parser.has_section("bounds"):
             sec = parser["bounds"]
+            _check_keys(sec, "bounds")
             if "dims" in sec:
                 bounds_dims = _value(sec, "dims", _ints)
             for key in sec:

@@ -30,15 +30,8 @@ _EM_WEIGHTS = tuple(b / math.factorial(2 * j) for j, b in enumerate(
      43867 / 798), start=1))
 
 
-def shell_count(d: int, n: int) -> int:
-    """Number of lattice points with |k|_inf == n."""
-    if n == 0:
-        return 1
-    return (2 * n + 1) ** d - (2 * n - 1) ** d
-
-
 def shell_poly(d: int) -> np.ndarray:
-    """Polynomial s_d with s_d(n) = shell_count(d, n) for n >= 1.
+    """Polynomial s_d with s_d(n) = #{k in Z^d : |k|_inf = n} for n >= 1.
 
     Expanding (2x+1)^d - (2x-1)^d avoids the catastrophic cancellation of
     subtracting the two d-th powers at large x.  Highest degree first.
@@ -79,7 +72,9 @@ def lattice_tail_upper(u: float, d: int, radius: int) -> float:
 
 
 def _shifted_shell_poly(d: int) -> list:
-    """a_p with shell_count(d, m - 1) = sum_p a_p m^p for m >= 2, lowest degree first.
+    """a_p with s_d(m - 1) = sum_p a_p m^p for the shell polynomial s_d of
+    `shell_poly`, lowest degree first; at m >= 2 that is the size of the
+    shell |k|_inf = m - 1.
 
     (2m-1)^d - (2m-3)^d expanded in powers of 2m; the integers are exact.
     """
@@ -143,10 +138,6 @@ def w_sum(u: float, d: int, tol: float = 1e-10, radius: int | None = None) -> WS
     return WSum(value=math.fsum(terms), error_bound=error, radius=n0)
 
 
-def compute_W(u: float, d: int, tol: float = 1e-10) -> float:
-    return w_sum(u, d, tol).value
-
-
 @dataclass(frozen=True)
 class BoundCalibration:
     """Least constant making a one-sided comparison hold over a scan grid."""
@@ -170,7 +161,7 @@ def calibrate_lattice_sum_bound(d: int, u_grid=None, tol: float = 1e-7) -> Bound
         raise ValueError("exponent grid must lie in (d, d+10]")
     best_c, best_u = -math.inf, None
     for u in u_grid:
-        ratio = compute_W(u, d, tol) / (1.0 + 1.0 / (u - d))
+        ratio = w_sum(u, d, tol).value / (1.0 + 1.0 / (u - d))
         if ratio > best_c:
             best_c, best_u = ratio, u
     return BoundCalibration(constant=best_c, binding=(best_u,), grid=tuple(u_grid))
@@ -349,7 +340,7 @@ def verify_convolution_discrete(u: float, d: int, window: int,
             break
         M *= 2
     best = int(np.argmax(lows))
-    scale = compute_W(u, d, tol=1e-10)
+    scale = w_sum(u, d, tol=1e-10).value
     return ConvolutionCalibration(constant=upper, normalized=upper / scale, scale=scale,
                                   binding=None if best == M else (best,) + (0,) * (d - 1),
                                   u=u, lower=lower, scan_radius=M)

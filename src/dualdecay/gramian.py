@@ -41,22 +41,6 @@ def _tail_bound(basis: BasisSet, a: np.ndarray, b: np.ndarray, grid: Grid) -> fl
                for r in reach)
 
 
-def inner_product(basis: BasisSet, k, j, grid: Grid) -> tuple[float, float]:
-    """<f_k, f_j> by midpoint quadrature, with an analytic truncated-mass bound.
-
-    The envelope must be integrable (s > d), and the grid has to reach at
-    least one unit past both centers.
-    """
-    if basis.spec.claimed_s <= grid.d:
-        raise ValueError(f"envelope exponent {basis.spec.claimed_s} not integrable "
-                         f"in d={grid.d}")
-    a, b = basis.center(k), basis.center(j)
-    if grid.R < max(np.max(np.abs(a)), np.max(np.abs(b))) + 1.0:
-        raise ValueError("grid extent must reach one unit past both centers")
-    value = float(np.dot(basis.sample(k, grid), basis.sample(j, grid)) * grid.weight)
-    return value, _tail_bound(basis, a, b, grid)
-
-
 @dataclass
 class DecayMatrix:
     """Dense window matrix with off-diagonal decay metadata.
@@ -79,13 +63,6 @@ class DecayMatrix:
             herm = np.conj(self.entries.T)
             if not np.array_equal(self.entries, herm):
                 raise ValueError("symmetric flag set but entries are not exactly Hermitian")
-
-    @property
-    def size(self) -> int:
-        return self.window.size
-
-    def entry(self, k, j) -> float:
-        return self.entries[self.window.index_of(k), self.window.index_of(j)]
 
     def node_diffs(self, axis: int) -> np.ndarray:
         """Matrix of k_h - j_h over the window (axis is 1-based)."""

@@ -126,21 +126,14 @@ class Grid:
         out.setflags(write=False)
         return out
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """(n_points, d) array of grid points, lexicographic in m."""
-        mesh = np.meshgrid(*[self.axis] * self.d, indexing="ij")
-        out = np.stack(mesh, axis=-1).reshape(-1, self.d)
-        out.setflags(write=False)
-        return out
-
     def offsets(self, center) -> list:
         """The d per-axis offsets axis - c_i from `center`, axis i shaped along
         dimension i, so that they broadcast as an open mesh over the grid.
 
         An elementwise function of all d of them has the shape (len(axis),)*d
-        and, raveled, follows grid.points: it sees the values of
-        grid.points - center without that array being built.
+        and, raveled, runs over the grid points h*m lexicographically in m:
+        it sees each point minus `center` without the (n_points, d) array of
+        points being built.
         """
         c = np.asarray(center, dtype=float).reshape(self.d)
         return [(self.axis - c[i]).reshape((-1,) + (1,) * (self.d - 1 - i))
@@ -351,31 +344,11 @@ class BasisSet:
         self.centers = centers
         self._sampled = None  # (grid, read-only samples), see sample_matrix
 
-    def __len__(self) -> int:
-        return self.window.size
-
-    def center(self, k) -> np.ndarray:
-        """c_k = k + delta_k."""
-        return self.centers[self.window.index_of(k)]
-
-    def evaluate(self, k, x):
-        """f_k at point(s) x, point by point on the dense coordinates; a
-        scalar or a single point gives a float."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0 or (x.ndim == 1 and self.window.d > 1)
-        if x.ndim == 0:
-            x = x.reshape(1, 1)
-        elif x.ndim == 1 and self.window.d == 1:
-            x = x.reshape(-1, 1)
-        if x.shape[-1] != self.window.d:
-            raise ValueError(f"points must have last axis of size {self.window.d}")
-        out = self.amplitude * self.spec.generator(np.moveaxis(x - self.center(k), -1, 0))
-        return float(out.reshape(-1)[0]) if scalar else out
-
     def sample(self, k, grid: Grid) -> np.ndarray:
         """f_k at every grid point, shape (n_points,), evaluated axis by axis
-        on grid.offsets; equal to evaluate(k, grid.points)."""
-        return (self.amplitude * self.spec.generator(grid.offsets(self.center(k)))).reshape(-1)
+        on grid.offsets around c_k = k + delta_k."""
+        center = self.centers[self.window.index_of(k)]
+        return (self.amplitude * self.spec.generator(grid.offsets(center))).reshape(-1)
 
     def sample_all(self, grid: Grid) -> np.ndarray:
         """Every f_k at all grid points, shape (window.size, n_points)."""
@@ -424,11 +397,6 @@ def check_sample_cap(window: LatticeWindow, grid: Grid) -> None:
         from decimal import Decimal
         raise MemoryError(f"sample matrix would hold {Decimal(total):.2g} entries, over "
                           "the 8e7 cap; shrink the window or coarsen the grid")
-
-
-def make_basis(spec: GeneratorSpec, window: LatticeWindow) -> BasisSet:
-    """The generator of `spec` translated to k + delta_k at every window node."""
-    return BasisSet(spec, window)
 
 
 def measure_decay(values: np.ndarray, k, grid: Grid,

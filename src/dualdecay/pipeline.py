@@ -118,7 +118,7 @@ class RunSettings:
                 self.w_values[u] = cst.w_sum(u, self.d, tol["w_tol"]).value
             except ValueError as exc:
                 raise ConfigError(f"family {fam.name!r}: W_(s-t) misses w_tol: {exc}") from exc
-            lat.make_basis(fam.spec, window)  # rejects perturbed nodes outside the window
+            lat.BasisSet(fam.spec, window)  # rejects perturbed nodes outside the window
         lat.check_sample_cap(window, grid)  # before any family is sampled
 
     def grid(self) -> lat.Grid:
@@ -191,16 +191,6 @@ class SuiteResult:
     verdicts: list
     timings: dict
 
-    def verdict(self, name: str) -> Verdict:
-        for v in self.verdicts:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
 
 def measure_basis(fam: FamilySettings, settings: RunSettings):
     """(basis, rows, origin samples) of `fam` on the largest window.  The origin
@@ -209,7 +199,7 @@ def measure_basis(fam: FamilySettings, settings: RunSettings):
     measured C at the claimed s, regression exponent) each."""
     grid = settings.grid()
     origin = (0,) * settings.d
-    basis = lat.make_basis(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
+    basis = lat.BasisSet(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
     bound = basis.envelope_C * (1.0 + settings.tolerances["claimed_rtol"])
     rows = []
     for node in dict.fromkeys([origin] + [node for node, _ in fam.spec.perturbations]):

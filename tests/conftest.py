@@ -1,8 +1,54 @@
 import numpy as np
 import pytest
 
+from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
+
+
+def grid_points(grid: lat.Grid) -> np.ndarray:
+    """(n_points, d) array of the grid's points, lexicographic in m."""
+    mesh = np.meshgrid(*[grid.axis] * grid.d, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, grid.d)
+
+
+def center(basis: lat.BasisSet, k) -> np.ndarray:
+    """c_k = k + delta_k."""
+    return basis.centers[basis.window.index_of(k)]
+
+
+def evaluate(basis: lat.BasisSet, k, x):
+    """f_k at point(s) x, point by point on the dense coordinates: the
+    oracle of BasisSet.sample and sample_all. A scalar or a single point
+    gives a float."""
+    d = basis.window.d
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0 or (x.ndim == 1 and d > 1)
+    if x.ndim == 0:
+        x = x.reshape(1, 1)
+    elif x.ndim == 1 and d == 1:
+        x = x.reshape(-1, 1)
+    if x.shape[-1] != d:
+        raise ValueError(f"points must have last axis of size {d}")
+    out = basis.amplitude * basis.spec.generator(np.moveaxis(x - center(basis, k), -1, 0))
+    return float(out.reshape(-1)[0]) if scalar else out
+
+
+def inner_product(basis: lat.BasisSet, k, j, grid: lat.Grid) -> tuple[float, float]:
+    """(<f_k, f_j> by midpoint quadrature, the analytic bound on its mass
+    outside the grid): one entry of gramian.assemble, pair by pair."""
+    value = float(np.dot(basis.sample(k, grid), basis.sample(j, grid)) * grid.weight)
+    return value, gr._tail_bound(basis, center(basis, k), center(basis, j), grid)
+
+
+def entry(matrix: gr.DecayMatrix, k, j) -> float:
+    """The entry of a window matrix at nodes (k, j)."""
+    return matrix.entries[matrix.window.index_of(k), matrix.window.index_of(j)]
+
+
+def verdict(suite: pl.SuiteResult, name: str) -> pl.Verdict:
+    """The suite's verdict called `name`."""
+    return next(v for v in suite.verdicts if v.name == name)
 
 
 def scaled_basis(basis: lat.BasisSet, alpha: float) -> lat.BasisSet:

@@ -23,7 +23,7 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 
-from conftest import core_nodes, leibniz_check, scaled_basis
+from conftest import core_nodes, entry, leibniz_check, scaled_basis, verdict
 
 
 def report(num, label, ok, detail):
@@ -37,7 +37,7 @@ def test_c01_biorthogonality_runtime():
     worst = gap = 0.0
     for spec in (lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5}),
                  lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})):
-        basis = lat.make_basis(spec, lat.LatticeWindow(1, 16))
+        basis = lat.BasisSet(spec, lat.LatticeWindow(1, 16))
         M, _ = gr.sections(basis, (4, 8, 12, 16), grid)
         C, core, _ = du.invert_section(M, 12, tol=1e-8)
         # <g_k, f_j> by quadrature over core k and window j
@@ -55,7 +55,7 @@ def test_c01_biorthogonality_runtime():
 
 
 def test_c02_dual_norm_bound(d1_suite):
-    rows = [(f.name, d1_suite.verdict(f"{f.name}.dual_norm_bound").value, (1 + 1e-6) / f.A_est)
+    rows = [(f.name, verdict(d1_suite, f"{f.name}.dual_norm_bound").value, (1 + 1e-6) / f.A_est)
             for f in d1_suite.families]
     ok = all(v <= thr for _, v, thr in rows)
     worst = max(rows, key=lambda r: r[1] * r[2] and r[1] / r[2])
@@ -64,7 +64,7 @@ def test_c02_dual_norm_bound(d1_suite):
 
 
 def test_c03_inverse_norm_bound(d1_suite):
-    rows = [(f.name, d1_suite.verdict(f"{f.name}.inverse_norm_bound").value,
+    rows = [(f.name, verdict(d1_suite, f"{f.name}.inverse_norm_bound").value,
              (1 + 1e-6) / f.A_est) for f in d1_suite.families]
     ok = all(v <= thr for _, v, thr in rows)
     worst = max(rows, key=lambda r: r[1] / r[2])
@@ -78,7 +78,7 @@ def test_c04_scaling_homogeneity(d1_suite):
     grid, origin = settings.grid(), (0,) * settings.d
     rows = []
     for f in d1_suite.families:
-        basis = lat.make_basis(f.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
+        basis = lat.BasisSet(f.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
         scaled = scaled_basis(basis, alpha)
         C, core, _ = du.invert_section(gr.sections(scaled, settings.radii, grid)[0],
                                        settings.radii[-2], tol=settings.tolerances["inversion"])
@@ -114,10 +114,10 @@ def test_c05_leibniz_exactness():
 
 
 def test_c06_lattice_sum_closed_form():
-    value = cst.compute_W(2.0, 1, tol=1e-12)
+    value = cst.w_sum(2.0, 1, tol=1e-12).value
     truth = math.pi**2 / 3 - 1
     err = abs(value - truth)
-    vals = [cst.compute_W(u, 1, tol=1e-9) for u in (1.5, 2.0, 3.0, 5.0, 10.0)]
+    vals = [cst.w_sum(u, 1, tol=1e-9).value for u in (1.5, 2.0, 3.0, 5.0, 10.0)]
     monotone = all(a > b for a, b in zip(vals, vals[1:]))
     report(6, "W_2 closed form + monotone", err < 1e-10 and monotone,
            f"|W_2 - (pi^2/3 - 1)| = {err:.2e} (< 1e-10), monotone over u grid: {monotone}")
@@ -239,8 +239,8 @@ def test_c12_section_convergence_honesty(d1_suite, d1_suite_large):
     large = {f.name: f for f in d1_suite_large.families}
     origin = (0,)
     for name, f16 in small.items():
-        c16 = f16.coeffs.entry(origin, origin)
-        c32 = large[name].coeffs.entry(origin, origin)
+        c16 = entry(f16.coeffs, origin, origin)
+        c32 = entry(large[name].coeffs, origin, origin)
         drift = abs(c16 - c32)
         good = drift < f16.convergence.estimate
         ok = ok and good

@@ -12,14 +12,14 @@ from dualdecay import artifacts
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 
-from conftest import core_nodes, d2_indicator_settings
+from conftest import core_nodes, d2_indicator_settings, grid_points
 
 
 def loop_write_samples(path, grid, values):
     """The point-by-point writer that artifacts._write_samples must match."""
     lines = [",".join(f"x_{i + 1}" for i in range(grid.d)) + ",value"]
     lines += [",".join(repr(float(c)) for c in pt) + f",{float(v)!r}"
-              for pt, v in zip(grid.points, values)]
+              for pt, v in zip(grid_points(grid), values)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

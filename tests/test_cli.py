@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import errno
+import importlib
 import inspect
 import io
 import json
@@ -20,11 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualdecay import artifacts, cli
+from dualdecay import constants as cst
 from dualdecay import duals as du
 from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 from dualdecay.errors import ConfigError, HypothesisViolation
+
+from conftest import grid_points
 
 MINI_CONFIG = """
 [run]
@@ -355,7 +359,7 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     grid, window = settings.grid(), lat.LatticeWindow(settings.d, settings.radii[-1])
     n_points = grid.n_points
     # indicator's and hat's duals are fitted on their support grids, bump's on the grid
-    support_points = {fam.name: lat.make_basis(fam.spec, window).support_grid(grid).n_points
+    support_points = {fam.name: lat.BasisSet(fam.spec, window).support_grid(grid).n_points
                       for fam in settings.families}
     assert support_points["bump"] == n_points
     assert support_points["indicator"] < support_points["hat"] < n_points
@@ -511,6 +515,23 @@ def _text_passed(text):
     return json.dumps(data)
 
 
+def _envelopes_at_t(value):
+    """An edit of envelopes.csv (t = 2) that sets D_emp to `value` on every
+    row at t, or drops those rows when `value` is None."""
+    def edit(text):
+        header, *rows = text.splitlines()
+        out = [header]
+        for row in rows:
+            k, u, c, fit = row.split(",")
+            if float(u) == 2.0:
+                if value is None:
+                    continue
+                c = value
+            out.append(",".join((k, u, c, fit)))
+        return "\n".join(out) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize("rel,edit,fragment", [
     ("bump/gramian.csv", _replace_line(626, None), "expected 625 matrix rows, found 624"),
     ("bump/coeffs.csv", _replace_line(4, lambda lines: "-12 -10 abc"),
@@ -536,13 +557,19 @@ def _text_passed(text):
     ("bump/eigens.csv", _replace_line(3, None),
      "holds sections at radii (4, 12), the config's are (4, 8, 12)"),
     ("bump/eigens.csv", _replace_line(3, lambda lines: "6," + lines[2].split(",", 1)[1]),
-     "holds sections at radii (4, 6, 12), the config's are (4, 8, 12)")],
+     "holds sections at radii (4, 6, 12), the config's are (4, 8, 12)"),
+    ("bump/envelopes.csv", _envelopes_at_t("nan"),
+     "line 2: D_emp nan at t=2 is not a finite number >= 0"),
+    ("bump/envelopes.csv", _envelopes_at_t("-0.5"),
+     "line 2: D_emp -0.5 at t=2 is not a finite number >= 0"),
+    ("bump/envelopes.csv", _envelopes_at_t(None), "holds 0 rows at t=2, the core of radius")],
     ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
          "eigens-short-row", "nested-report-key", "nested-report-null",
          "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
          "core-radius-over-window", "core-radius-huge", "core-radius-fraction",
          "gramian-1x1", "coeffs-1x1", "both-matrices-1x1", "lambda-min-zero",
-         "lambda-min-negative", "eigens-radius-dropped", "eigens-radius-changed"])
+         "lambda-min-negative", "eigens-radius-dropped", "eigens-radius-changed",
+         "D-emp-nan", "D-emp-negative", "D-emp-rows-at-t-dropped"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
     # `rel` is the damaged file, or several of them, the first named
@@ -614,6 +641,42 @@ def test_cli_family_count_checked_before_any_family(mini_config, tmp_path, monke
     assert ">= 3 families" in _one_line(capsys.readouterr().err)
 
 
+def test_cli_all_runs_alike_under_the_benchmark_tracer(mini_config, tmp_path, monkeypatch,
+                                                      capsys):
+    """The benchmark's tracer (dualbench/spans.py) wraps the layer functions
+    by name and reads their parameters by name: `all` under it exits as
+    without it, records the work counts the benchmark reports, and
+    uninstall() puts every original back."""
+    path, _ = mini_config
+    plain = cli.main(["all", "--config", path])
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "dualbench"))
+    spans = importlib.import_module("spans")
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "dualdecay"]
+    before = [dict(vars(m)) for m in modules]
+    methods = [(lat.BasisSet, "sample_all"), (gr.DecayMatrix, "to_text"),
+               (gr.DecayMatrix, "from_text")]
+    raw = [cls.__dict__[attr] for cls, attr in methods]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cst.w_sum is not before[modules.index(cst)]["w_sum"]
+        traced = cli.main(["all", "--config", path, "--out", str(tmp_path / "traced")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert traced == plain == 0
+    summary = spans.summarize(tracer.records())
+    for name, count in (("gramian.assemble", "assembled_products"),
+                        ("constants.verify_convolution_discrete", "pairs"),
+                        ("constants.w_sum", "shells"),
+                        ("lattice.sample_all", "sampled_entries")):
+        assert summary[name]["calls"] > 0 and summary[name]["counts"][count] > 0, name
+    for module, was in zip(modules, before):
+        now = vars(module)
+        assert now.keys() == was.keys() and all(now[k] is v for k, v in was.items()), module
+    assert [cls.__dict__[attr] for cls, attr in methods] == raw
+
+
 def test_cli_runs_are_bit_identical(mini_config, tmp_path, capsys):
     path, _ = mini_config
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -682,7 +745,7 @@ def test_cli_claimed_envelope_exceeded_exits_invariant(tmp_path, capsys):
 def test_cli_nan_envelope_exits_invariant(mini_config, monkeypatch, capsys):
     sample = lat.BasisSet.sample
     monkeypatch.setattr(lat.BasisSet, "sample", lambda self, k, grid: np.where(
-        grid.points[:, 0] == 1.0, np.nan, sample(self, k, grid)))
+        grid_points(grid)[:, 0] == 1.0, np.nan, sample(self, k, grid)))
     assert cli.main(["basis", "--config", mini_config[0]]) == cli.EXIT_INVARIANT
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("invariant failure: family 'indicator': measured envelope "
@@ -894,6 +957,18 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
     ("[family:hat]", "[family:..]", "all", "family name '..' must not"),
     ("claimed_C = 32\n", "claimed_C = 32\nperturb = 0,1:0.3,0.1\n", "all",
      "family 'indicator': perturbation (0, 1):(0.3, 0.1) has wrong dimension (d=1)"),
+    ("claimed_C = 32\n", "claimed_C = 32\nperturb = 0:0.3; 0:-0.2\n", "basis",
+     "perturbed node (0,) is given more than once"),
+    ("claimed_C = 32\n", "claimed_C = 32\nperturbation = 0:0.3\n", "all",
+     "[family:indicator] unknown key 'perturbation'; the keys are family, claimed_C,"),
+    ("seed = 77", "seed = 77\ndual_export_radious = 4", "all",
+     "[run] unknown key 'dual_export_radious'; the keys are name, out, seed, "
+     "dual_export_radius"),
+    ("dims = 1", "dim = 1", "bounds",
+     "[bounds] unknown key 'dim'; the keys are dims, convolution_window_d*"),
+    ("d = 1", "d = 1\nN = 12", "verify", "[window] unknown key 'n'; the keys are d, radii"),
+    ("R = 20", "R = 20\nspacing = 0.5", "basis", "[grid] unknown key 'spacing'"),
+    ("t = 2", "t = 2\ns = 5", "all", "[targets] unknown key 's'; the keys are t"),
 ], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
         "order", "grid-h", "perturbed-outside", "two-families-report",
         "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
@@ -906,7 +981,9 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
         "bounds-dim-past-shell-poly", "sigma-squared-underflows", "sigma-quotient-overflows",
         "family-name-climbs-out", "family-name-absolute", "family-name-comma",
         "family-name-empty", "family-name-dot", "family-name-dotdot",
-        "perturbation-dimension"])
+        "perturbation-dimension", "perturbed-node-repeated", "family-key-misspelled",
+        "run-key-misspelled", "bounds-key-misspelled", "window-key-unknown",
+        "grid-key-unknown", "targets-key-unknown"])
 def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stage,
                                            fragment, capsys):
     path, out = mini_config

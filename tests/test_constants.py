@@ -25,15 +25,17 @@ def brute_shell_count(d, n):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_shell_count_matches_enumeration(d):
-    for n in range(0, 6):
-        assert cst.shell_count(d, n) == brute_shell_count(d, n)
+    # the origin is its own shell; every shell n >= 1 has s_d(n) points
+    assert brute_shell_count(d, 0) == 1
+    for n in range(1, 6):
+        assert np.polyval(cst.shell_poly(d), float(n)) == brute_shell_count(d, n)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_shell_poly_matches_count(d):
     poly = cst.shell_poly(d)
     for n in range(1, 50):
-        assert np.polyval(poly, float(n)) == pytest.approx(cst.shell_count(d, n))
+        assert np.polyval(poly, float(n)) == pytest.approx(brute_shell_count(d, n))
 
 
 def test_poly_tail_integral_closed_form():
@@ -56,27 +58,27 @@ def test_w_sum_basel_closed_form():
 
 
 def test_w_sum_dominant_term_limit():
-    assert cst.compute_W(100.0, 1, tol=1e-12) == pytest.approx(1.0, abs=1e-12)
+    assert cst.w_sum(100.0, 1, tol=1e-12).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_w_sum_d2_against_zeta_oracle():
     # shells have 8n points, so W = 1 + 8 (zeta(2) - zeta(3))
     oracle = 1 + 8 * (zeta(2) - zeta(3))
-    assert cst.compute_W(3.0, 2, tol=1e-12) == pytest.approx(oracle, abs=1e-10)
+    assert cst.w_sum(3.0, 2, tol=1e-12).value == pytest.approx(oracle, abs=1e-10)
 
 
 def test_w_sum_monotone_decreasing_in_u():
     for d in (1, 2):
-        vals = [cst.compute_W(d + off, d, tol=1e-10) for off in (0.5, 1.0, 2.0, 4.0, 9.0)]
+        vals = [cst.w_sum(d + off, d, tol=1e-10).value for off in (0.5, 1.0, 2.0, 4.0, 9.0)]
         assert all(a > b for a, b in zip(vals, vals[1:])), (d, vals)
         assert vals[-1] == pytest.approx(1.0, abs=0.01), d
 
 
 def test_w_sum_divergence_guard():
     with pytest.raises(ValueError, match="diverges"):
-        cst.compute_W(1.0, 1)
+        cst.w_sum(1.0, 1)
     with pytest.raises(ValueError, match="diverges"):
-        cst.compute_W(2.0, 2)
+        cst.w_sum(2.0, 2)
 
 
 def test_w_sum_unattainable_tolerance():
@@ -234,7 +236,7 @@ def test_convolution_discrete_at_least_far_field_limit(window):
     # the ratio tends to 2 W_u as |k| -> inf, so no valid constant is smaller;
     # a scan cut at the window edge used to report 0.963-0.9987 of it
     cal = cst.verify_convolution_discrete(2.0, 1, window=window)
-    assert cal.constant >= 2.0 * cst.compute_W(2.0, 1, tol=1e-12)
+    assert cal.constant >= 2.0 * cst.w_sum(2.0, 1, tol=1e-12).value
     assert cal.binding is None            # the supremum is only a limit
     assert cal.constant <= 1.01 * cal.lower
 
@@ -414,7 +416,7 @@ def test_binomial_identity_residual_shrinks_with_window():
     residuals = []
     for N in (8, 16, 32):
         grid = lat.Grid(h=1 / 64, R=2 * N + 8, d=1)
-        basis = lat.make_basis(spec, lat.LatticeWindow(1, 2 * N))
+        basis = lat.BasisSet(spec, lat.LatticeWindow(1, 2 * N))
         M, _ = gr.sections(basis, (N, 2 * N), grid)
         inverse, _, _ = du.invert_section(M, N, tol=1e-6)
         wN = lat.LatticeWindow(1, N)

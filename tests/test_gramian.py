@@ -9,24 +9,24 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay.errors import NotRieszError
 
-from conftest import scaled_basis
+from conftest import entry, evaluate, grid_points, inner_product, scaled_basis
 
 GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 
 
 def indicator_basis(N=1):
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
-    return lat.make_basis(spec, lat.LatticeWindow(1, N))
+    return lat.BasisSet(spec, lat.LatticeWindow(1, N))
 
 
 def bump_basis(N=1):
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
-    return lat.make_basis(spec, lat.LatticeWindow(1, N))
+    return lat.BasisSet(spec, lat.LatticeWindow(1, N))
 
 
 def gaussian_basis(N=4):
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
-    return lat.make_basis(spec, lat.LatticeWindow(1, N))
+    return lat.BasisSet(spec, lat.LatticeWindow(1, N))
 
 
 # --- inner products -----------------------------------------------------------
@@ -34,10 +34,10 @@ def gaussian_basis(N=4):
 
 def test_indicator_inner_products_exact():
     basis = indicator_basis()
-    v, tail = gr.inner_product(basis, 0, 0, GRID)
+    v, tail = inner_product(basis, 0, 0, GRID)
     assert v == pytest.approx(1.0, abs=1e-14)
     assert tail == 0.0
-    v01, tail01 = gr.inner_product(basis, 0, 1, GRID)
+    v01, tail01 = inner_product(basis, 0, 1, GRID)
     assert v01 == 0.0
     assert tail01 == 0.0
 
@@ -47,32 +47,32 @@ def test_bump_inner_product_against_adaptive_quadrature():
     oracle = sum(quad(f, a, b, epsabs=1e-14, limit=400)[0]
                  for a, b in [(-60, 0), (0, 1), (1, 60)])
     basis = bump_basis()
-    v, tail = gr.inner_product(basis, 0, 1, GRID)
+    v, tail = inner_product(basis, 0, 1, GRID)
     # default grid: midpoint error is dominated by the envelope kinks
     assert v == pytest.approx(oracle, abs=2e-5)
     assert tail > 0.0
-    fine, _ = gr.inner_product(basis, 0, 1, lat.Grid(h=1e-4, R=50.0, d=1))
+    fine, _ = inner_product(basis, 0, 1, lat.Grid(h=1e-4, R=50.0, d=1))
     assert fine == pytest.approx(oracle, abs=1e-8)
 
 
 def test_inner_product_tail_bound_honest():
     basis = bump_basis()
-    v24, tail24 = gr.inner_product(basis, 0, 1, GRID)
-    v50, _ = gr.inner_product(basis, 0, 1, lat.Grid(h=1 / 64, R=50.0, d=1))
+    v24, tail24 = inner_product(basis, 0, 1, GRID)
+    v50, _ = inner_product(basis, 0, 1, lat.Grid(h=1 / 64, R=50.0, d=1))
     # the grids are nested, so the difference is exactly the annulus mass
     assert abs(v50 - v24) <= tail24
 
 
-def test_inner_product_precondition_checks():
-    basis = bump_basis()
+def test_assemble_precondition_checks():
+    # an envelope that is not integrable (s <= d) has no tail bound
     shallow = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 0.5, params={"s": 0.5})
-    thin = lat.make_basis(shallow, lat.LatticeWindow(1, 0))
-    with pytest.raises(ValueError, match="integrable"):
-        gr.inner_product(thin, 0, 0, GRID)
+    thin = lat.BasisSet(shallow, lat.LatticeWindow(1, 0))
+    with pytest.raises(ValueError, match="diverges"):
+        gr.assemble(thin, None, GRID)
     far_spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
-    far = lat.make_basis(far_spec, lat.LatticeWindow(1, 30))
-    with pytest.raises(ValueError, match="one unit past"):
-        gr.inner_product(far, 30, 0, lat.Grid(h=1 / 64, R=30.0, d=1))
+    far = lat.BasisSet(far_spec, lat.LatticeWindow(1, 30))
+    with pytest.raises(ValueError, match="one unit past every center"):
+        gr.assemble(far, None, lat.Grid(h=1 / 64, R=30.0, d=1))
 
 
 # --- assembly ------------------------------------------------------------------
@@ -92,10 +92,10 @@ def test_noncompact_tail_is_the_largest_corner_pair_tail():
     # a perturbed corner sets the reach of the window's first center
     spec = lat.GeneratorSpec("gaussian", 2, 46.0, 6.0, params={"sigma": 0.5},
                              perturbations={(-1, -1): (-0.25, 0.125), (0, 0): (0.3, -0.2)})
-    basis = lat.make_basis(spec, lat.LatticeWindow(2, 1))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(2, 1))
     M = gr.assemble(basis, None, D2_GRID)
     first, last = (-1, -1), (1, 1)
-    tails = [gr.inner_product(basis, k, j, D2_GRID)[1]
+    tails = [inner_product(basis, k, j, D2_GRID)[1]
              for k, j in ((first, first), (first, last), (last, last))]
     assert M.quadrature_tail > 0.0
     assert M.quadrature_tail == max(tails)
@@ -104,18 +104,18 @@ def test_noncompact_tail_is_the_largest_corner_pair_tail():
 def perturbed_gaussian_basis(N=2):
     spec = lat.GeneratorSpec("gaussian", 1, 46.0, 5.0, params={"sigma": 0.5},
                              perturbations={(0,): (0.3,)})
-    return lat.make_basis(spec, lat.LatticeWindow(1, N))
+    return lat.BasisSet(spec, lat.LatticeWindow(1, N))
 
 
 def hat_basis(N=2):
     spec = lat.GeneratorSpec("bspline-order-m", 1, 50.0, 5.0, params={"order": 2})
-    return lat.make_basis(spec, lat.LatticeWindow(1, N))
+    return lat.BasisSet(spec, lat.LatticeWindow(1, N))
 
 
 def d2_indicator_basis(N=1):
     spec = lat.GeneratorSpec("bspline-indicator", 2, 245.0, 6.0,
                              perturbations={(0, 0): (0.25, -0.25)})
-    return lat.make_basis(spec, lat.LatticeWindow(2, N))
+    return lat.BasisSet(spec, lat.LatticeWindow(2, N))
 
 
 def test_assembly_bilinearity_under_scaling():
@@ -201,7 +201,7 @@ def test_derivation_example_entry():
     entries = np.power(1.0 + np.abs(idx[:, None] - idx[None, :]), -5.0)
     L = gr.DecayMatrix(win, entries)
     D2 = gr.apply_derivation(L, 1, 2)
-    assert D2.entry(2, 0) == pytest.approx(4.0 * 3.0**-5, abs=1e-15)
+    assert entry(D2, 2, 0) == pytest.approx(4.0 * 3.0**-5, abs=1e-15)
 
 
 def test_derivation_multiplicative_in_power():
@@ -499,10 +499,10 @@ def test_matrix_text_reads_rows_in_any_order(tmp_path, symmetric):
 @pytest.mark.parametrize("d, N, sub_N", [(1, 6, 2), (2, 2, 1)])
 def test_assemble_bitwise_equals_fresh_rows(d, N, sub_N):
     spec = lat.GeneratorSpec("gaussian", d, 6.0, 5.0, params={"sigma": 0.5})
-    basis = lat.make_basis(spec, lat.LatticeWindow(d, N))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(d, N))
     grid = lat.Grid(h=1 / 8, R=N + 8.0, d=d)
     for window in (None, lat.LatticeWindow(d, sub_N)):
         M = gr.assemble(basis, window, grid)
-        rows = np.stack([basis.evaluate(k, grid.points) for k in M.window.indices])
+        rows = np.stack([evaluate(basis, k, grid_points(grid)) for k in M.window.indices])
         raw = (rows @ rows.T) * grid.weight
         assert np.array_equal(M.entries, 0.5 * (raw + raw.T))

@@ -10,7 +10,7 @@ from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 from dualdecay.errors import HypothesisViolation
 
-from conftest import scaled_basis
+from conftest import center, evaluate, grid_points, scaled_basis
 
 
 def test_window_cardinality():
@@ -49,7 +49,7 @@ def test_grid_points_and_weight():
     grid = lat.Grid(h=0.25, R=1.0, d=1)
     assert grid.n_points == 9
     assert grid.weight == 0.25
-    assert np.allclose(grid.points[:, 0], np.arange(-4, 5) * 0.25)
+    assert np.allclose(grid_points(grid)[:, 0], np.arange(-4, 5) * 0.25)
 
 
 def test_grid_spacing_guard():
@@ -64,31 +64,31 @@ def test_grid_spacing_guard():
 
 def test_indicator_basis_three_functions():
     spec = lat.GeneratorSpec("bspline-indicator", 1, claimed_C=32.0, claimed_s=5.0)
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 1))
-    assert len(basis) == 3
-    assert basis.evaluate(0, 0.5) == 1.0
-    assert basis.evaluate(0, 1.5) == 0.0
-    assert basis.evaluate(1, 1.5) == 1.0
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 1))
+    assert basis.window.size == 3
+    assert evaluate(basis, 0, 0.5) == 1.0
+    assert evaluate(basis, 0, 1.5) == 0.0
+    assert evaluate(basis, 1, 1.5) == 1.0
     # right-open support
-    assert basis.evaluate(0, 1.0) == 0.0
-    assert basis.evaluate(0, 0.0) == 1.0
+    assert evaluate(basis, 0, 1.0) == 0.0
+    assert evaluate(basis, 0, 0.0) == 1.0
 
 
 def test_bump_generator_at_origin():
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
-    assert len(basis) == 1
-    assert basis.evaluate(0, 1.0) == pytest.approx(2.0**-5, abs=1e-15)
-    assert basis.evaluate(0, 0.0) == 1.0
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 0))
+    assert basis.window.size == 1
+    assert evaluate(basis, 0, 1.0) == pytest.approx(2.0**-5, abs=1e-15)
+    assert evaluate(basis, 0, 0.0) == 1.0
 
 
 def test_gaussian_with_perturbed_center():
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5},
                              perturbations={(0,): (0.3,)})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 2))
-    assert len(basis) == 5
-    assert basis.evaluate(0, 0.3) == 1.0  # center moved to 0.3
-    assert basis.evaluate(1, 1.0) == 1.0  # others unperturbed
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 2))
+    assert basis.window.size == 5
+    assert evaluate(basis, 0, 0.3) == 1.0  # center moved to 0.3
+    assert evaluate(basis, 1, 1.0) == 1.0  # others unperturbed
 
 
 def test_unknown_family_rejected():
@@ -106,7 +106,7 @@ def test_perturbed_node_must_lie_in_window():
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5},
                              perturbations={(7,): (0.1,)})
     with pytest.raises(ValueError, match="outside the window"):
-        lat.make_basis(spec, lat.LatticeWindow(1, 2))
+        lat.BasisSet(spec, lat.LatticeWindow(1, 2))
 
 
 def test_claimed_C_must_be_at_least_one():
@@ -148,18 +148,18 @@ def test_bspline_orders_up_to_the_maximum_sum_to_one():
 
 def test_evaluate_outside_window_rejected():
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 1))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 1))
     with pytest.raises(IndexError):
-        basis.evaluate(2, 0.5)
+        evaluate(basis, 2, 0.5)
 
 
 def test_bspline_order_two_is_the_hat():
     spec = lat.GeneratorSpec("bspline-order-m", 1, 50.0, 5.0, params={"order": 2})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
-    assert basis.evaluate(0, 1.0) == 1.0
-    assert basis.evaluate(0, 0.5) == 0.5
-    assert basis.evaluate(0, 1.5) == 0.5
-    assert basis.evaluate(0, 2.5) == 0.0
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 0))
+    assert evaluate(basis, 0, 1.0) == 1.0
+    assert evaluate(basis, 0, 0.5) == 0.5
+    assert evaluate(basis, 0, 1.5) == 0.5
+    assert evaluate(basis, 0, 2.5) == 0.0
     # integrates to one
     grid = lat.Grid(h=1 / 64, R=4.0, d=1)
     assert basis.sample(0, grid).sum() * grid.weight == pytest.approx(1.0, abs=1e-12)
@@ -171,10 +171,10 @@ def test_translation_covariance_zero_perturbations():
                            ("gaussian", {"sigma": 0.5}),
                            ("bspline-order-m", {"order": 2})]:
         spec = lat.GeneratorSpec(family, 1, 50.0, 5.0, params=params)
-        basis = lat.make_basis(spec, lat.LatticeWindow(1, 2))
-        x = grid.points[:, 0]
-        shifted = basis.evaluate(2, x)
-        reference = basis.evaluate(0, x - 2.0)
+        basis = lat.BasisSet(spec, lat.LatticeWindow(1, 2))
+        x = grid_points(grid)[:, 0]
+        shifted = evaluate(basis, 2, x)
+        reference = evaluate(basis, 0, x - 2.0)
         assert np.array_equal(shifted, reference)
     # d=2: the axis-by-axis samples of a shifted translate against the dense
     # evaluation of the origin's translate at shifted points
@@ -183,9 +183,9 @@ def test_translation_covariance_zero_perturbations():
                            ("gaussian", {"sigma": 0.5}),
                            ("bspline-indicator", {})]:
         spec = lat.GeneratorSpec(family, 2, 64.0, 6.0, params=params)
-        basis = lat.make_basis(spec, lat.LatticeWindow(2, 1))
+        basis = lat.BasisSet(spec, lat.LatticeWindow(2, 1))
         shifted = basis.sample((1, 0), grid)
-        reference = basis.evaluate((0, 0), grid.points - np.array([1.0, 0.0]))
+        reference = evaluate(basis, (0, 0), grid_points(grid) - np.array([1.0, 0.0]))
         assert np.array_equal(shifted, reference), family
 
 
@@ -197,7 +197,7 @@ def test_centers_are_nodes_plus_their_perturbations(d, perturbations):
     window = lat.LatticeWindow(d, 2)
     spec = lat.GeneratorSpec("gaussian", d, 46.0, d + 4.0, params={"sigma": 0.5},
                              perturbations=perturbations)
-    basis = lat.make_basis(spec, window)
+    basis = lat.BasisSet(spec, window)
     assert basis.centers.shape == (window.size, d) and basis.centers.dtype == float
     assert basis.centers.flags.writeable is False
     with pytest.raises(ValueError):
@@ -207,16 +207,16 @@ def test_centers_are_nodes_plus_their_perturbations(d, perturbations):
         expected[window.index_of(node)] += delta
     assert np.array_equal(basis.centers, expected)
     for row, k in enumerate(window.indices):
-        assert np.array_equal(basis.center(k), expected[row])
-    assert np.array_equal(basis.center((0,) * d), np.asarray(perturbations[(0,) * d]))
+        assert np.array_equal(center(basis, k), expected[row])
+    assert np.array_equal(center(basis, (0,) * d), np.asarray(perturbations[(0,) * d]))
 
 
 def test_two_dimensional_evaluation():
     spec = lat.GeneratorSpec("gaussian", 2, 6.0, 5.0, params={"sigma": 0.5})
-    basis = lat.make_basis(spec, lat.LatticeWindow(2, 1))
-    val = basis.evaluate((1, -1), (1.0, -1.0))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(2, 1))
+    val = evaluate(basis, (1, -1), (1.0, -1.0))
     assert val == 1.0
-    assert basis.evaluate((0, 0), (0.5, 0.0)) == pytest.approx(math.exp(-0.5))
+    assert evaluate(basis, (0, 0), (0.5, 0.0)) == pytest.approx(math.exp(-0.5))
 
 
 # --- decay measurement -------------------------------------------------------
@@ -224,7 +224,7 @@ def test_two_dimensional_evaluation():
 
 def origin_samples(spec, grid):
     """measure_decay of the member of `spec` at the origin."""
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 0))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 0))
     return lat.measure_decay(basis.sample(0, grid), 0, grid)
 
 
@@ -275,7 +275,7 @@ def test_envelope_consistency_in_exponent(d1_suite):
 
 def test_measure_decay_requires_coverage():
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 2))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 2))
     grid = lat.Grid(h=0.05, R=8.0, d=1)
     samples = basis.sample(2, grid)
     with pytest.raises(ValueError, match="cover"):
@@ -291,7 +291,7 @@ def test_measure_decay_gives_the_samples_and_their_radii():
     assert magnitudes.shape == radii.shape == (support.n_points,)
     assert np.array_equal(magnitudes, np.abs(values))
     assert not np.signbit(magnitudes).any()
-    assert np.array_equal(radii, lat.max_norm(support.points - np.array([1.0, -2.0])))
+    assert np.array_equal(radii, lat.max_norm(grid_points(support) - np.array([1.0, -2.0])))
 
 
 def test_all_zero_samples_flagged():
@@ -436,8 +436,8 @@ def test_gaussian_at_the_width_floor_samples_finitely():
 
 def test_scaled_basis_amplitude():
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
-    basis = scaled_basis(lat.make_basis(spec, lat.LatticeWindow(1, 0)), 2.0)
-    assert basis.evaluate(0, 1.0) == pytest.approx(2.0 * 2.0**-5)
+    basis = scaled_basis(lat.BasisSet(spec, lat.LatticeWindow(1, 0)), 2.0)
+    assert evaluate(basis, 0, 1.0) == pytest.approx(2.0 * 2.0**-5)
     assert basis.envelope_C == 2.0
 
 
@@ -467,7 +467,7 @@ def test_positions_of_matches_loop(d):
 
 def test_sample_matrix_built_once_and_read_only():
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
-    basis = lat.make_basis(spec, lat.LatticeWindow(1, 3))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 3))
     grid = lat.Grid(h=1 / 16, R=12.0, d=1)
     F = basis.sample_matrix(grid)
     assert F.flags.writeable is False
@@ -475,7 +475,7 @@ def test_sample_matrix_built_once_and_read_only():
         F[0, 0] = 1.0
     assert basis.sample_matrix(grid) is F
     assert basis.sample_matrix(lat.Grid(h=1 / 16, R=12.0, d=1)) is F
-    assert np.array_equal(F, np.stack([basis.evaluate(k, grid.points)
+    assert np.array_equal(F, np.stack([evaluate(basis, k, grid_points(grid))
                                        for k in basis.window.indices]))
     coarse = lat.Grid(h=1 / 8, R=12.0, d=1)
     assert basis.sample_matrix(coarse).shape == (7, coarse.n_points)
@@ -495,7 +495,7 @@ def test_support_grid_holds_every_nonzero_sample(data, d, h, order):
         ("bspline-order-m", {"order": order})
     spec = lat.GeneratorSpec(family, d, 1e3, d + 4.0, params=params,
                              perturbations=perturbations)
-    basis = lat.make_basis(spec, window)
+    basis = lat.BasisSet(spec, window)
     grid = lat.Grid(h=h, R=window.N + 4.0, d=d)
     support = basis.support_grid(grid)
     assert (support.h, support.d) == (grid.h, grid.d)
@@ -515,11 +515,11 @@ def test_support_grid_holds_every_nonzero_sample(data, d, h, order):
 @pytest.mark.parametrize("d", [1, 2])
 def test_support_grid_is_the_grid_without_room_to_drop(family, params, d):
     spec = lat.GeneratorSpec(family, d, 1e3, d + 4.0, params=params)
-    basis = lat.make_basis(spec, lat.LatticeWindow(d, 1))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(d, 1))
     # no compact support, or supports that reach the grid's edge
     grid = lat.Grid(h=1 / 8, R=3.0 if spec.support_radius is not None else 9.0, d=d)
     assert basis.support_grid(grid) is grid
-    assert basis.sample_matrix(grid).shape == (len(basis), grid.n_points)
+    assert basis.sample_matrix(grid).shape == (basis.window.size, grid.n_points)
 
 
 def test_embed_pads_a_centred_sub_grid():
@@ -561,14 +561,15 @@ def test_axis_wise_sampling_matches_dense_points(family, params, d):
                      (1,) + (-1,) * (d - 1): tuple(rng.uniform(-0.5, 0.5, d))}
     spec = lat.GeneratorSpec(family, d, 1e3, d + 4.0, params=params,
                              perturbations=perturbations)
-    basis = lat.make_basis(spec, lat.LatticeWindow(d, 1))
+    basis = lat.BasisSet(spec, lat.LatticeWindow(d, 1))
     grid = lat.Grid(h=0.25, R=3.0, d=d)
     F = basis.sample_all(grid)
+    points = grid_points(grid)
     for row, k in enumerate(basis.window.indices):
-        dense, center = basis.evaluate(k, grid.points), basis.center(k)
+        dense, c = evaluate(basis, k, points), center(basis, k)
         assert np.array_equal(F[row], dense), k
         assert np.array_equal(basis.sample(k, grid), dense), k
-        assert np.array_equal(dense, _dense_generator(spec, grid.points - center)), k
-        radii = lat.axes_max_norm(grid.offsets(center)).reshape(-1)
-        assert np.array_equal(radii, lat.max_norm(grid.points - center)), k
-        assert np.array_equal(radii, np.max(np.abs(grid.points - center), axis=-1)), k
+        assert np.array_equal(dense, _dense_generator(spec, points - c)), k
+        radii = lat.axes_max_norm(grid.offsets(c)).reshape(-1)
+        assert np.array_equal(radii, lat.max_norm(points - c)), k
+        assert np.array_equal(radii, np.max(np.abs(points - c), axis=-1)), k
