@@ -64,12 +64,12 @@ _NUMBER = (int, float)  # what verify accepts where report.json holds a number
 def _row_text(grid) -> tuple:
     """The text of a sample file on the grid, built once per grid: the
     `x_1,..,x_d,value` header, the `x_1,..,x_d,` prefix of every grid point
-    in lexicographic order, `zeros`, the text of every row with value +0.0,
-    and the int64 `starts`, where row i of `zeros` begins (with the text's
+    in lexicographic order, `zeros`, the ASCII bytes of every row with value
+    +0.0, and the int64 `starts`, where row i of `zeros` begins (with its
     length last)."""
     axis = [_fmt(c) + "," for c in grid.axis.tolist()]
     prefixes = list(map("".join, itertools.product(axis, repeat=grid.d)))
-    zeros = "0.0\n".join(prefixes) + "0.0\n"
+    zeros = ("0.0\n".join(prefixes) + "0.0\n").encode("ascii")
     widths = lengths = np.array([len(a) for a in axis], dtype=np.int64)
     for _ in range(grid.d - 1):
         lengths = np.add.outer(lengths, widths).ravel()
@@ -82,26 +82,28 @@ def _row_text(grid) -> tuple:
 def _write_samples(path: str, text: tuple, values):
     """One `x_1..x_d,value` row per grid point, from the grid's row text.
 
-    Each run of +0.0 samples is one slice of the zero text; every other run
-    (-0.0, NaN and inf included) is formatted chunk by chunk, so the bytes
-    are those of `repr` row by row."""
+    The rows go out _CHUNK_ROWS at a time.  In a chunk, each run of +0.0
+    samples is written as a view of the zero bytes, with no copy; every
+    other run (-0.0, NaN and inf included) is formatted, so the bytes are
+    those of `repr` row by row."""
     header, prefixes, zeros, starts = text
     values = np.asarray(values, dtype=float)
     if len(values) != len(prefixes):
         raise ValueError(f"{len(values)} samples for a grid of {len(prefixes)} points")
-    formatted = (values != 0) | np.signbit(values)
-    edges = [0, *(np.flatnonzero(formatted[1:] != formatted[:-1]) + 1).tolist(), len(values)]
-    with open(path, "w") as fh:
-        fh.write(header)
-        for a, b in zip(edges, edges[1:]):
-            if not formatted[a]:
-                fh.write(zeros[starts[a]:starts[b]])
-                continue
-            for start in range(a, b, _CHUNK_ROWS):
-                stop = min(start + _CHUNK_ROWS, b)
-                fh.write("\n".join(map(str.__add__, prefixes[start:stop],
-                                        map(float.__repr__, values[start:stop].tolist()))))
-                fh.write("\n")
+    with open(path, "wb") as fh, memoryview(zeros) as view:
+        fh.write(header.encode("ascii"))
+        for first in range(0, len(values), _CHUNK_ROWS):
+            chunk = values[first:first + _CHUNK_ROWS]
+            formatted = chunk.view(np.int64) != 0  # +0.0 is the one float with no bit set
+            edges = [0, *(np.flatnonzero(formatted[1:] != formatted[:-1]) + 1).tolist(),
+                     len(chunk)]
+            for a, b in zip(edges, edges[1:]):
+                if not formatted[a]:
+                    fh.write(view[starts[first + a]:starts[first + b]])
+                    continue
+                rows = map(str.__add__, prefixes[first + a:first + b],
+                           map(float.__repr__, chunk[a:b].tolist()))
+                fh.write(("\n".join(rows) + "\n").encode("ascii"))
 
 
 def _write(path: str, write, *args):
@@ -426,20 +428,24 @@ def verify_artifacts(settings: RunSettings) -> list:
 
         # D_emp is the largest constant at t over the core duals, one row each
         envelopes_path = os.path.join(fdir, "envelopes.csv")
-        at_t = []
-        for number, (_, u, c, _) in enumerate(
+        core = {_node_label(k) for k in LatticeWindow(d, core_radius).indices.tolist()}
+        at_t = {}
+        for number, (label, u, c, _) in enumerate(
                 _read_rows(envelopes_path, (str, float, float, float)), start=2):
             if u != t:
                 continue
             if not 0 <= c < math.inf:
                 raise ConfigError(f"{envelopes_path} line {number}: D_emp {c!r} at t={t} is "
                                   "not a finite number >= 0")
-            at_t.append(c)
-        core = (2 * core_radius + 1) ** d
-        if len(at_t) != core:
+            if label in at_t or label not in core:
+                raise ConfigError(f"{envelopes_path} line {number}: node {label!r} at t={t} "
+                                  + ("has a second row" if label in at_t else
+                                     f"is not in the core of radius {core_radius}"))
+            at_t[label] = c
+        if len(at_t) != len(core):
             raise ConfigError(f"{envelopes_path} holds {len(at_t)} rows at t={t}, the core of "
-                              f"radius {core_radius} has {core} nodes")
-        d_emp = max([0.0] + at_t)
+                              f"radius {core_radius} has {len(core)} nodes")
+        d_emp = max([0.0, *at_t.values()])
         verdicts.append(dual_decay_domination(name, d_emp, C_meas, a_est, claimed_s, t, d,
                                               E_emp))
 

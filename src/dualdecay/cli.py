@@ -17,11 +17,11 @@ Exit codes: 0 success, 2 config/artifact error (including a malformed or
 non-finite config value, a key its section does not read, a perturbed node
 given twice, a bounds dimension over 15, a gaussian sigma under 1e-100,
 fewer than three families for report/all, a missing or malformed artifact,
-an envelopes.csv whose D_emp at t is not a finite number >= 0 or that lacks
-one row at t per core node, artifacts written for another config, a sample
-matrix over the sample_all entry cap, a family name that is empty, '.' or
-'..' or holds '/' or ',', an artifact that cannot be written and a
-theoretical D past the float range), 3 hypothesis violation (including
+an envelopes.csv whose D_emp at t is not a finite number >= 0 or whose rows
+at t are not the core nodes, one row each, artifacts written for another
+config, a sample matrix over the sample_all entry cap, a family name that is
+empty, '.' or '..' or holds '/' or ',', an artifact that cannot be written
+and a theoretical D past the float range), 3 hypothesis violation (including
 claimed C < 1 and a section that is not a Riesz sequence at this
 resolution), 4 convergence failure, 5 invariant failure (including a
 measured envelope over its claimed C, or NaN). Every error exit prints one

@@ -346,6 +346,33 @@ def verify_convolution_discrete(u: float, d: int, window: int,
                                   u=u, lower=lower, scan_radius=M)
 
 
+# verify_convolution_discrete(u, d, window) by (u, d, window), at the start
+# windows RunSettings fills in (128 for d=1, 16 for d=2) and u = d+1, d+2,
+# d+4.  The brackets do not depend on the run, so a run reads these instead
+# of scanning again; tests/test_constants.py recomputes every entry and
+# prints the fresh literal when one differs.
+DEFAULT_BRACKETS = {
+    (2.0, 1, 128): ConvolutionCalibration(
+        constant=4.593642713376921, normalized=2.0060730335425765, scale=2.289868133696453,
+        binding=None, u=2.0, lower=4.573829247064991, scan_radius=128),
+    (3.0, 1, 128): ConvolutionCalibration(
+        constant=2.912436766106351, normalized=2.074217027849867, scale=1.4041138063191885,
+        binding=(8,), u=3.0, lower=2.9124367660791446, scan_radius=128),
+    (5.0, 1, 128): ConvolutionCalibration(
+        constant=2.285083636490818, normalized=2.1279246738517528, scale=1.0738555102867398,
+        binding=(3,), u=5.0, lower=2.285083636486248, scan_radius=128),
+    (3.0, 2, 16): ConvolutionCalibration(
+        constant=9.243552793517672, normalized=2.03467258955185, scale=4.543017309509057,
+        binding=(47, 0), u=3.0, lower=9.243551874045503, scan_radius=256),
+    (4.0, 2, 16): ConvolutionCalibration(
+        constant=4.366008512708028, normalized=2.2299794928847962, scale=1.9578693555876487,
+        binding=(7, 0), u=4.0, lower=4.366008195955675, scan_radius=16),
+    (6.0, 2, 16): ConvolutionCalibration(
+        constant=2.655496935486414, normalized=2.29579708393441, scale=1.1566775452713662,
+        binding=(3, 0), u=6.0, lower=2.6554969354810956, scan_radius=16),
+}
+
+
 # ---------------------------------------------------------------------------
 # The dual-decay constant and its calibration
 # ---------------------------------------------------------------------------

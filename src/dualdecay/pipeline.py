@@ -194,19 +194,21 @@ class SuiteResult:
 
 def measure_basis(fam: FamilySettings, settings: RunSettings):
     """(basis, rows, origin samples) of `fam` on the largest window.  The origin
-    and each perturbed node are sampled once, checked against the claimed
-    envelope (EnvelopeClaimError over it, or NaN) and fitted: one row (node,
-    measured C at the claimed s, regression exponent) each."""
+    and each perturbed node are sampled once on the basis's support grid,
+    checked against the claimed envelope (EnvelopeClaimError over it, or NaN)
+    and fitted: one row (node, measured C at the claimed s, regression
+    exponent) each.  The origin's samples are zero-padded to the grid."""
     grid = settings.grid()
     origin = (0,) * settings.d
     basis = lat.BasisSet(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
+    support = basis.support_grid(grid)
     bound = basis.envelope_C * (1.0 + settings.tolerances["claimed_rtol"])
     rows = []
     for node in dict.fromkeys([origin] + [node for node, _ in fam.spec.perturbations]):
-        values = basis.sample(node, grid)
+        values = basis.sample(node, support)
         if node == origin:
-            basis_k0 = values
-        samples = lat.measure_decay(values, node, grid)
+            basis_k0 = grid.embed(values, support)
+        samples = lat.measure_decay(values, node, grid, support)
         constant = lat.envelope_constant(*samples, fam.spec.claimed_s)
         if not constant <= bound:  # NaN fails too
             raise EnvelopeClaimError(f"measured envelope constant {constant:.6g} at node "
@@ -229,10 +231,11 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         C, core_radius, convergence = du.invert_section(M, settings.radii[-2],
                                                         tol["inversion"])
     C_meas = max(c for _, c, _ in basis_rows)
+    support = basis.support_grid(grid)
     if fam.spec.perturbations:
         # the unperturbed generator at the origin
-        bare = fam.spec.generator(grid.offsets(origin)).reshape(-1)
-        C_base = lat.envelope_constant(*lat.measure_decay(bare, origin, grid), s)
+        bare = fam.spec.generator(support.offsets(origin)).reshape(-1)
+        C_base = lat.envelope_constant(*lat.measure_decay(bare, origin, grid, support), s)
     else:
         C_base = C_meas
 
@@ -243,7 +246,6 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     limit = settings.dual_export_radius
     core = lat.LatticeWindow(settings.d, core_radius)
     nodes = [tuple(k) for k in core.indices.tolist()]
-    support = basis.support_grid(grid)
     block = du.synthesize_duals(C, core_radius, basis, nodes, grid)
     del basis  # synthesis reads the sample matrix last: free it before the fits
     duals, envelope_rows, D_emp = {}, [], 0.0
@@ -287,12 +289,15 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
 
 def calibrate_bounds(settings: RunSettings):
     """(lattice_sum_cal, convolution): the lattice-sum bound and the three
-    certified convolution brackets for every dimension in bounds_dims."""
+    certified convolution brackets for every dimension in bounds_dims.  A
+    bracket at a default start window is read from cst.DEFAULT_BRACKETS;
+    any other is scanned."""
     lattice_sum_cal = {d: cst.calibrate_lattice_sum_bound(d) for d in settings.bounds_dims}
-    convolution = {d: [cst.verify_convolution_discrete(float(d + off), d,
-                                                       settings.convolution_windows[d])
-                       for off in (1, 2, 4)]
-                   for d in settings.bounds_dims}
+    convolution = {}
+    for d in settings.bounds_dims:
+        keys = [(float(d + off), d, settings.convolution_windows[d]) for off in (1, 2, 4)]
+        convolution[d] = [cst.DEFAULT_BRACKETS.get(key) or cst.verify_convolution_discrete(*key)
+                          for key in keys]
     return lattice_sum_cal, convolution
 
 

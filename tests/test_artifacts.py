@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ def _zeros_but(d: int, **rows) -> tuple:
     return d, values
 
 
+def _special_runs(d: int, special: float) -> tuple:
+    """+0.0 samples of d's grid with runs of `special`: one within a chunk,
+    one across a chunk edge and one to the last row, and a run of numbers."""
+    n, chunk = WRITER_GRIDS[d].n_points, artifacts._CHUNK_ROWS
+    values = np.zeros(n)
+    values[5:40] = values[chunk - 3:chunk + 9] = values[n - 30:] = special
+    values[chunk + 9:chunk + 20] = 0.25
+    return d, values
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=grid_samples())
 @example(case=_zeros_but(2))
@@ -84,6 +95,12 @@ def _zeros_but(d: int, **rows) -> tuple:
 @example(case=_zeros_but(2, first=5e-324, mid=-0.0, last=math.nan))
 @example(case=_zeros_but(1, mid=math.inf))
 @example(case=(2, np.arange(1.0, WRITER_GRIDS[2].n_points + 1)))
+@example(case=_special_runs(1, -0.0))
+@example(case=_special_runs(1, math.nan))
+@example(case=_special_runs(1, math.inf))
+@example(case=_special_runs(2, -0.0))
+@example(case=_special_runs(2, math.nan))
+@example(case=_special_runs(2, math.inf))
 def test_zero_runs_match_loop_writer(tmp_path_factory, case):
     d, values = case
     out = tmp_path_factory.mktemp("zero-runs")
@@ -91,6 +108,22 @@ def test_zero_runs_match_loop_writer(tmp_path_factory, case):
     artifacts._write_samples(fast, WRITER_TEXT[d], values)
     loop_write_samples(slow, WRITER_GRIDS[d], values)
     assert fast.read_bytes() == slow.read_bytes()
+
+
+def test_zero_sample_file_is_written_without_a_copy(tmp_path):
+    # the d=2 benchmark grid: a 589,822-byte file, written from views of the
+    # row text's zero bytes
+    grid = lat.Grid(h=1 / 8, R=12.0, d=2)
+    text = artifacts._row_text(grid)
+    values = np.zeros(grid.n_points)
+    tracemalloc.start()
+    try:
+        artifacts._write_samples(tmp_path / "zeros.csv", text, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "zeros.csv").stat().st_size == len(text[2]) + len(text[0]) == 589_822
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("extra", [-1, 1])

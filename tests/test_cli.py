@@ -380,10 +380,9 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     assert len(measured) == 3
     with open(os.path.join(out, "report.json")) as fh:
         cores = {name: fam["core_radius"] for name, fam in json.load(fh)["families"].items()}
-    # per family: one measure_decay of the validated origin over the grid, and
-    # one per core dual over the family's support grid
-    sizes = [n_points] * len(cores) + [support_points[name] for name, c in cores.items()
-                                        for _ in range(2 * c + 1)]
+    # per family: one measure_decay of the validated origin and one per core
+    # dual, each over the family's support grid
+    sizes = [support_points[name] for name, c in cores.items() for _ in range(2 * c + 2)]
     assert sorted(len(values) for values, *_ in fits) == sorted(sizes)
     # no fit reads more than the samples of one function on the grid
     assert max(passes["envelope_constant"] + passes["decay_exponent"]) == n_points
@@ -562,14 +561,20 @@ def _envelopes_at_t(value):
      "line 2: D_emp nan at t=2 is not a finite number >= 0"),
     ("bump/envelopes.csv", _envelopes_at_t("-0.5"),
      "line 2: D_emp -0.5 at t=2 is not a finite number >= 0"),
-    ("bump/envelopes.csv", _envelopes_at_t(None), "holds 0 rows at t=2, the core of radius")],
+    ("bump/envelopes.csv", _envelopes_at_t(None), "holds 0 rows at t=2, the core of radius"),
+    # bump's core is -2..2; lines 2 and 4 hold nodes -2 and -1 at t
+    ("bump/envelopes.csv", _replace_line(4, lambda lines: lines[1]),
+     "line 4: node '-2' at t=2 has a second row"),
+    ("bump/envelopes.csv", _replace_line(2, lambda lines: "3" + lines[1][2:]),
+     "line 2: node '3' at t=2 is not in the core of radius 2")],
     ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
          "eigens-short-row", "nested-report-key", "nested-report-null",
          "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
          "core-radius-over-window", "core-radius-huge", "core-radius-fraction",
          "gramian-1x1", "coeffs-1x1", "both-matrices-1x1", "lambda-min-zero",
          "lambda-min-negative", "eigens-radius-dropped", "eigens-radius-changed",
-         "D-emp-nan", "D-emp-negative", "D-emp-rows-at-t-dropped"])
+         "D-emp-nan", "D-emp-negative", "D-emp-rows-at-t-dropped",
+         "D-emp-node-overwritten-by-neighbour", "D-emp-node-outside-core"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
     # `rel` is the damaged file, or several of them, the first named
@@ -690,6 +695,72 @@ def test_cli_runs_are_bit_identical(mini_config, tmp_path, capsys):
             a = os.path.join(root, name)
             b = a.replace(out_a, out_b, 1)
             assert Path(a).read_bytes() == Path(b).read_bytes(), name
+
+
+# three d=2 indicator families at the default convolution start window
+D2_TINY_CONFIG = """
+[run]
+name = d2_tiny
+
+[window]
+d = 2
+radii = 1 2
+
+[grid]
+h = 0.25
+R = 10
+
+[targets]
+t = 3
+
+[family:indicator]
+family = bspline-indicator
+claimed_C = 64
+claimed_s = 6
+
+[family:indicator-p1]
+family = bspline-indicator
+claimed_C = 245
+claimed_s = 6
+perturb = 0,0:0.25,-0.25; 1,0:-0.25,0.0
+
+[family:indicator-p2]
+family = bspline-indicator
+claimed_C = 245
+claimed_s = 6
+perturb = -1,0:0.25,0.25; 0,1:0.0,-0.25
+"""
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_cli_default_brackets_write_what_the_scan_writes(mini_config, tmp_path, monkeypatch,
+                                                         dims, capsys):
+    """`all` and `bounds` at the default start windows read every bracket
+    from cst.DEFAULT_BRACKETS, scan none, and write the same bytes as runs
+    that scan them all."""
+    path = tmp_path / "defaults.ini"
+    path.write_text(D2_TINY_CONFIG if dims == 2 else Path(mini_config[0]).read_text().replace(
+        "convolution_window_d1 = 32", "convolution_window_d1 = 128"))
+    keys = [(float(dims + off), dims, 128 if dims == 1 else 16) for off in (1, 2, 4)]
+    assert set(keys) <= set(cst.DEFAULT_BRACKETS)
+    files, scans, codes = {}, {}, {}
+    for table in ("pinned", "empty"):
+        with monkeypatch.context() as patch:
+            if table == "empty":
+                patch.setattr(cst, "DEFAULT_BRACKETS", {})
+            scans[table] = _recorder(patch, cst, "verify_convolution_discrete")
+            codes[table] = [cli.main([stage, "--config", str(path), "--out",
+                                      str(tmp_path / table / stage)])
+                            for stage in ("all", "bounds")]
+        root = tmp_path / table
+        files[table] = {rel: (root / rel).read_bytes() for rel in _files(str(root))
+                        if os.path.basename(rel) != "report.json"}  # its timings differ
+    capsys.readouterr()
+    assert codes["pinned"] == codes["empty"] == [5 if dims == 2 else 0, 0]
+    assert files["pinned"] == files["empty"]
+    assert {"all/constants.csv", "bounds/constants.csv"} <= set(files["pinned"])
+    assert scans["pinned"] == []
+    assert [call[:3] for call in scans["empty"]] == keys * 2
 
 
 def test_shipped_suite_artifacts_hold_no_numpy_reprs(tmp_path, capsys):

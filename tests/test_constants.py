@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -11,7 +12,7 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay.errors import ConfigError, HypothesisViolation
 
-from conftest import leibniz_check
+from conftest import d2_indicator_settings, leibniz_check
 
 
 # --- shell machinery -----------------------------------------------------------
@@ -261,6 +262,21 @@ def test_convolution_bracket_contains_wider_source_ratio(u, d, window, radius):
     ratio = _cube_lhs(u, cal.binding, radius) * (1.0 + max(map(abs, cal.binding))) ** u
     assert cal.lower <= ratio <= cal.constant
     assert cal.constant <= 1.01 * cal.lower
+
+
+def test_default_brackets_are_the_scans_at_the_default_windows():
+    """DEFAULT_BRACKETS holds, bit for bit, what verify_convolution_discrete
+    returns at exactly the (u, d, window) a run asks for when RunSettings
+    fills in the start windows of d = 1 and 2.  On a mismatch the message is
+    the fresh table, to paste into constants.py."""
+    settings = dataclasses.replace(d2_indicator_settings(), bounds_dims=(1, 2),
+                                   convolution_windows={})
+    keys = [(float(d + off), d, settings.convolution_windows[d])
+            for d in settings.bounds_dims for off in (1, 2, 4)]
+    assert sorted(cst.DEFAULT_BRACKETS) == sorted(keys)
+    fresh = {key: cst.verify_convolution_discrete(*key) for key in keys}
+    literal = "".join(f"    {key!r}: {cal!r},\n" for key, cal in fresh.items())
+    assert fresh == cst.DEFAULT_BRACKETS, f"DEFAULT_BRACKETS = {{\n{literal}}}"
 
 
 # --- the dual-decay constant -------------------------------------------------------

@@ -185,6 +185,39 @@ def test_perturbation_penalty_base_matches_the_bare_basis(d1_suite):
         assert result.C_base != result.C_meas, result.name
 
 
+def _compact_spec(d: int, kind: str) -> GeneratorSpec:
+    if kind == "hat":
+        return GeneratorSpec("bspline-order-m", d, 1e4, 3.0 + 2 * d, params={"order": 2})
+    shifts = {} if kind == "indicator" else \
+        {(0,) * d: (0.25,) + (-0.25,) * (d - 1), (1,) + (0,) * (d - 1): (-0.125,) * d}
+    return GeneratorSpec("bspline-indicator", d, 1e4, 3.0 + 2 * d, perturbations=shifts)
+
+
+@pytest.mark.parametrize("kind", ["indicator", "hat", "perturbed-indicator"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_basis_measured_on_support_grid_matches_full_grid(d, kind):
+    """The basis rows, the origin's samples and C_base of a compact family,
+    measured on its support grid, are those measured on the whole grid."""
+    spec = _compact_spec(d, kind)
+    settings = pl.RunSettings(name="compact", d=d, radii=(2, 4), grid_h=1 / 8, grid_R=12.0,
+                              t=1 + d, families=[pl.FamilySettings(kind, spec)],
+                              tolerances={"inversion": 1e-2})
+    grid, origin = settings.grid(), (0,) * d
+    basis = lat.BasisSet(spec, lat.LatticeWindow(d, 4))
+    assert basis.support_grid(grid).n_points < grid.n_points
+    result = pl.run_family(settings.families[0], settings)
+
+    def row(values, node):
+        samples = lat.measure_decay(values, node, grid)
+        return node, lat.envelope_constant(*samples, spec.claimed_s), lat.decay_exponent(*samples)
+
+    nodes = dict.fromkeys([origin] + [node for node, _ in spec.perturbations])
+    assert result.basis_rows == [row(basis.sample(node, grid), node) for node in nodes]
+    assert result.basis_k0.tobytes() == basis.sample(origin, grid).tobytes()
+    bare = row(spec.generator(grid.offsets(origin)).reshape(-1), origin)[1]
+    assert result.C_base == (bare if spec.perturbations else result.C_meas)
+
+
 def test_run_family_samples_each_basis_once(sample_builds):
     settings = suite_settings(16, (4, 8, 12, 16))
     grid = settings.grid()
