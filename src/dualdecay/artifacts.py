@@ -18,6 +18,7 @@ import os
 
 import numpy as np
 
+from .constants import CalibrationCase, calibrate_E
 from .errors import ConfigError
 from .gramian import DecayMatrix
 from .lattice import LatticeWindow
@@ -403,7 +404,7 @@ def verify_artifacts(settings: RunSettings) -> list:
     E_emp = entry("calibration", "E_emp", kind=_NUMBER)
     invariants = entry("invariants", kind=list)
     window = LatticeWindow(settings.d, settings.radii[-1])
-    verdicts = []
+    verdicts, cases = [], []
     for name in sorted(entry("families", kind=dict)):
         A_stored, C_meas, claimed_s = (entry("families", name, key, kind=_NUMBER)
                                        for key in ("A_est", "C_meas", "claimed_s"))
@@ -448,6 +449,12 @@ def verify_artifacts(settings: RunSettings) -> list:
         d_emp = max([0.0, *at_t.values()])
         verdicts.append(dual_decay_domination(name, d_emp, C_meas, a_est, claimed_s, t, d,
                                               E_emp))
+        cases.append(CalibrationCase(name, d_emp, C_meas, a_est, claimed_s, t, d))
+
+    # a raised E only raises every D above, so it is calibrated again here
+    E_cal = calibrate_E(cases)
+    verdicts.append(Verdict("E_emp_consistent", math.isclose(E_cal.E_emp, E_emp, rel_tol=1e-12),
+                            E_cal.E_emp, E_emp, f"binding family {E_cal.binding_family}"))
 
     stored_fail = [entry("invariants", i, "name", kind=str) for i in range(len(invariants))
                    if not entry("invariants", i, "passed", kind=bool)]

@@ -13,19 +13,19 @@ writes its slice of the results:
     all      basis exports plus the full report
     verify   re-check invariants from a previous run's artifacts
 
-Exit codes: 0 success, 2 config/artifact error (including a malformed or
-non-finite config value, a key its section does not read, a perturbed node
-given twice, a bounds dimension over 15, a gaussian sigma under 1e-100,
-fewer than three families for report/all, a missing or malformed artifact,
-an envelopes.csv whose D_emp at t is not a finite number >= 0 or whose rows
-at t are not the core nodes, one row each, artifacts written for another
-config, a sample matrix over the sample_all entry cap, a family name that is
-empty, '.' or '..' or holds '/' or ',', an artifact that cannot be written
-and a theoretical D past the float range), 3 hypothesis violation (including
-claimed C < 1 and a section that is not a Riesz sequence at this
-resolution), 4 convergence failure, 5 invariant failure (including a
-measured envelope over its claimed C, or NaN). Every error exit prints one
-line to stderr.
+Exit codes: 0 success, 2 config/artifact error (including a bad argument, a
+malformed or non-finite config value, a key its section does not read, a
+perturbed node given twice, a bounds dimension over 15, a gaussian sigma
+under 1e-100, fewer than three families for report/all, a missing or
+malformed artifact, an envelopes.csv whose D_emp at t is not a finite number
+>= 0 or whose rows at t are not the core nodes, one row each, artifacts
+written for another config, a sample matrix over the sample_all entry cap, a
+family name that is empty, '.' or '..' or holds '/' or ',', an artifact that
+cannot be written and a theoretical D past the float range), 3 hypothesis
+violation (including claimed C < 1 and a section that is not a Riesz
+sequence at this resolution), 4 convergence failure, 5 invariant failure
+(including a measured envelope over its claimed C, or NaN). Every error exit
+prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import argparse
 import configparser
 import os
 import sys
-from fnmatch import fnmatchcase
 
 from . import artifacts
 from . import constants as cst
@@ -73,24 +72,23 @@ def _parse_perturbations(text: str):
     return out
 
 
-# the keys each section reads, as glob patterns; [tolerances] reads the
-# names of DEFAULT_TOLERANCES
+# the keys each section reads; [tolerances] reads the names of
+# DEFAULT_TOLERANCES
 _KEYS = {"run": ("name", "out", "seed", "dual_export_radius"),
          "window": ("d", "radii"),
          "grid": ("h", "R"),
          "targets": ("t",),
-         "bounds": ("dims", "convolution_window_d*"),
+         "bounds": ("dims",),
          "family": ("family", "claimed_C", "claimed_s", "s", "sigma", "order", "perturb")}
 
 
 def _check_keys(section, kind: str):
     """A ConfigError naming the first key of `section` that a section of
     `kind` does not read (configparser gives the keys in lower case)."""
-    patterns = _KEYS[kind]
     for key in section:
-        if not any(fnmatchcase(key, pattern.lower()) for pattern in patterns):
+        if key not in map(str.lower, _KEYS[kind]):
             raise ConfigError(f"[{section.name}] unknown key {key!r}; the keys are "
-                              + ", ".join(patterns))
+                              + ", ".join(_KEYS[kind]))
 
 
 def _value(section, key: str, convert, default=None):
@@ -148,16 +146,11 @@ def load_config(path: str, out_override=None, seed_override=None,
             sec = parser["tolerances"]
             tolerances = {key: _value(sec, key, float) for key in sec}
         bounds_dims = ()
-        conv_windows = {}
         if parser.has_section("bounds"):
             sec = parser["bounds"]
             _check_keys(sec, "bounds")
             if "dims" in sec:
                 bounds_dims = _value(sec, "dims", _ints)
-            for key in sec:
-                if key.startswith("convolution_window_d"):
-                    dim = _value(sec, key, lambda _: int(key.rsplit("d", 1)[1]))
-                    conv_windows[dim] = _value(sec, key, int)
         settings = pl.RunSettings(
             name=run.get("name", os.path.basename(path)),
             d=d,
@@ -172,7 +165,6 @@ def load_config(path: str, out_override=None, seed_override=None,
                         else run.get("out", "out")),
             tolerances=tolerances,
             bounds_dims=bounds_dims,
-            convolution_windows=conv_windows,
             dual_export_radius=_value(run, "dual_export_radius", int, "0"),
         )
         if stage in ("report", "all"):
@@ -233,8 +225,15 @@ def _print_verdicts(verdicts: list, summary: str) -> int:
     return 0 if passed == len(verdicts) else EXIT_INVARIANT
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 2 on a bad argument with the one line `dualdecay: error:
+        <message>`, without the usage lines."""
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dualdecay",
         description="dual systems of localized Riesz bases: experiments and checks")
     parser.add_argument("stage", choices=STAGES)

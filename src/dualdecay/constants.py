@@ -147,24 +147,21 @@ class BoundCalibration:
     grid: tuple
 
 
-def calibrate_lattice_sum_bound(d: int, u_grid=None, tol: float = 1e-7) -> BoundCalibration:
-    """Least c with W_u <= c (1 + 1/(u-d)) over a grid of exponents in (d, d+10].
+def calibrate_lattice_sum_bound(d: int) -> BoundCalibration:
+    """Least c with W_u <= c (1 + 1/(u-d)) over the exponents u = d + 2^-i,
+    i = 0..6, and u = d + 2..d + 10.
 
-    Each W_u is the closed form of `w_sum`, which costs the same at every
-    exponent; near u = d, W_u grows like 2^d / (u - d), so its float
-    rounding allowance (and the least attainable tol) grows with it.
+    Each W_u is the closed form of `w_sum` to within 1e-7, which costs the
+    same at every exponent; near u = d, W_u grows like 2^d / (u - d), so its
+    float rounding allowance (and the least attainable tol) grows with it.
     """
-    if u_grid is None:
-        u_grid = [d + 2.0**-i for i in range(7)] + [d + k for k in range(2, 11)]
-    u_grid = sorted(float(u) for u in u_grid)
-    if not all(d < u <= d + 10 for u in u_grid):
-        raise ValueError("exponent grid must lie in (d, d+10]")
+    grid = sorted([d + 2.0**-i for i in range(7)] + [float(d + k) for k in range(2, 11)])
     best_c, best_u = -math.inf, None
-    for u in u_grid:
-        ratio = w_sum(u, d, tol).value / (1.0 + 1.0 / (u - d))
+    for u in grid:
+        ratio = w_sum(u, d, 1e-7).value / (1.0 + 1.0 / (u - d))
         if ratio > best_c:
             best_c, best_u = ratio, u
-    return BoundCalibration(constant=best_c, binding=(best_u,), grid=tuple(u_grid))
+    return BoundCalibration(constant=best_c, binding=(best_u,), grid=tuple(grid))
 
 
 @dataclass(frozen=True)
@@ -346,11 +343,17 @@ def verify_convolution_discrete(u: float, d: int, window: int,
                                   u=u, lower=lower, scan_radius=M)
 
 
+def conv_start_window(d: int) -> int:
+    """The radius M at which a run starts the exact axis scan of
+    `verify_convolution_discrete` in d dimensions."""
+    return 128 if d == 1 else 16
+
+
 # verify_convolution_discrete(u, d, window) by (u, d, window), at the start
-# windows RunSettings fills in (128 for d=1, 16 for d=2) and u = d+1, d+2,
-# d+4.  The brackets do not depend on the run, so a run reads these instead
-# of scanning again; tests/test_constants.py recomputes every entry and
-# prints the fresh literal when one differs.
+# windows conv_start_window(d) of d = 1 and 2 and u = d+1, d+2, d+4.  The
+# brackets do not depend on the run, so a run reads these instead of
+# scanning again; tests/test_constants.py recomputes every entry and prints
+# the fresh literal when one differs.
 DEFAULT_BRACKETS = {
     (2.0, 1, 128): ConvolutionCalibration(
         constant=4.593642713376921, normalized=2.0060730335425765, scale=2.289868133696453,
@@ -473,7 +476,7 @@ def calibrate_E(suite) -> ECalibration:
 
 
 def recursion_trace(A_est: float, C_meas: float, W: float, t: int,
-                    schur_constant: float = 1.0) -> tuple:
+                    schur_constant: float) -> tuple:
     """Iterated bound (v_0, ..., v_t) on the derivation powers of the inverse
     Gramian: v_0 = 1/A and v_u = c (C^2 W / A) 2^u v_{u-1}, where c is the
     calibrated Schur constant of the Gramian side."""

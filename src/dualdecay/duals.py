@@ -44,7 +44,7 @@ def _invert_pd(entries: np.ndarray, radius: int) -> np.ndarray:
 
 
 def invert_section(M: DecayMatrix, inner: int,
-                   tol: float = 1e-8) -> tuple[DecayMatrix, int, SectionConvergence]:
+                   tol: float) -> tuple[DecayMatrix, int, SectionConvergence]:
     """(C, core radius, convergence): C = M^-1 on M.window, from inverting M
     and its central block at radius `inner` < M.window.N.
 

@@ -35,7 +35,7 @@ def _tail_bound(basis: BasisSet, a: np.ndarray, b: np.ndarray, grid: Grid) -> fl
     rho = basis.spec.support_radius
     if rho is not None and grid.R >= max(reach) + rho:
         return 0.0
-    C, s = basis.envelope_C, basis.spec.claimed_s
+    C, s = basis.spec.claimed_C, basis.spec.claimed_s
     # sup of one envelope outside the box times the full integral of the other
     return min(C * C * (1.0 + max(0.0, grid.R - r)) ** (-s) * decay_integral(s, grid.d)
                for r in reach)
@@ -219,7 +219,7 @@ def assemble(basis: BasisSet, window: LatticeWindow | None, grid: Grid) -> Decay
 
 
 def sections(basis: BasisSet, radii, grid: Grid,
-             rtol: float = 1e-6) -> tuple[DecayMatrix, RieszBounds]:
+             rtol: float) -> tuple[DecayMatrix, RieszBounds]:
     """(M, bounds): the Gramian M on the window of the largest radius, and
     the Riesz bounds of its nested sections {|k| <= N}, N in radii.
 
@@ -233,9 +233,6 @@ def apply_derivation(L: DecayMatrix, h: int, u: int) -> DecayMatrix:
     """Entrywise map l_{k,j} -> (k_h - j_h)^u l_{k,j}; u = 0 is the identity."""
     if u < 0 or int(u) != u:
         raise ValueError(f"derivation power must be a nonnegative integer, got {u}")
-    if u == 0:
-        return DecayMatrix(L.window, L.entries.copy(), symmetric=L.symmetric,
-                           quadrature_tail=L.quadrature_tail)
     diffs = L.node_diffs(h)
     entries = L.entries * diffs**u
     # odd powers flip sign under transposition
@@ -267,7 +264,7 @@ class RieszBounds:
     converged: bool
 
 
-def riesz_bounds(M: DecayMatrix, radii, rtol: float = 1e-6) -> RieszBounds:
+def riesz_bounds(M: DecayMatrix, radii, rtol: float) -> RieszBounds:
     """Eigenvalue extremes of the central blocks of M at strictly increasing
     radii, the last M's own; estimates taken at the largest radius."""
     radii = tuple(radii)

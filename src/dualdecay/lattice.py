@@ -325,16 +325,14 @@ class GeneratorSpec:
 
 class BasisSet:
     """The generator of `spec` at every node of a lattice window:
-    f_k = amplitude * phi(. - c_k), with c_k = k + delta_k the row of k in
-    the read-only (window.size, d) array `centers`."""
+    f_k = phi(. - c_k), with c_k = k + delta_k the row of k in the
+    read-only (window.size, d) array `centers`."""
 
-    def __init__(self, spec: GeneratorSpec, window: LatticeWindow, amplitude: float = 1.0):
+    def __init__(self, spec: GeneratorSpec, window: LatticeWindow):
         if spec.d != window.d:
             raise ValueError(f"spec dimension {spec.d} != window dimension {window.d}")
         self.spec = spec
         self.window = window
-        self.amplitude = float(amplitude)
-        self.envelope_C = abs(self.amplitude) * spec.claimed_C
         centers = window.indices.astype(float)
         for node, delta in spec.perturbations:
             if not window.contains(node):
@@ -348,7 +346,7 @@ class BasisSet:
         """f_k at every grid point, shape (n_points,), evaluated axis by axis
         on grid.offsets around c_k = k + delta_k."""
         center = self.centers[self.window.index_of(k)]
-        return (self.amplitude * self.spec.generator(grid.offsets(center))).reshape(-1)
+        return self.spec.generator(grid.offsets(center)).reshape(-1)
 
     def sample_all(self, grid: Grid) -> np.ndarray:
         """Every f_k at all grid points, shape (window.size, n_points)."""
@@ -356,7 +354,7 @@ class BasisSet:
         generator = self.spec.generator
         out = np.empty((self.window.size, grid.n_points))
         for row, center in enumerate(self.centers):
-            out[row] = (self.amplitude * generator(grid.offsets(center))).reshape(-1)
+            out[row] = generator(grid.offsets(center)).reshape(-1)
         return out
 
     def support_grid(self, grid: Grid) -> Grid:

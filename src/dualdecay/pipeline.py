@@ -53,7 +53,6 @@ class RunSettings:
     out_dir: str = "out"
     tolerances: dict = field(default_factory=dict)
     bounds_dims: tuple = ()          # dimensions for the constants stage
-    convolution_windows: dict = field(default_factory=dict)
     dual_export_radius: int = 0     # dual_k*.csv for core nodes within this radius
     # W_(s-t) by exponent s - t, summed once here to check w_tol; not an input
     w_values: dict = field(init=False, repr=False)
@@ -82,19 +81,6 @@ class RunSettings:
         if max(self.bounds_dims) > cst.MAX_BOUNDS_DIM:
             raise ConfigError(f"bounds dimension {max(self.bounds_dims)} is over the maximum "
                               f"{cst.MAX_BOUNDS_DIM} of the lattice-sum bound")
-        for d, start in self.convolution_windows.items():
-            if d not in self.bounds_dims:
-                raise ConfigError(f"convolution_window_d{d} is set, but bounds dims "
-                                  f"{self.bounds_dims} do not include {d}")
-            if start < 1:
-                raise ConfigError(f"convolution_window_d{d} must be >= 1, got {start}")
-            if start > cst.CONV_SCAN_CAP:
-                raise ConfigError(f"convolution_window_d{d} must be at most the scan cap "
-                                  f"{cst.CONV_SCAN_CAP}, got {start}")
-        # starting radius, per dimension, of the exact axis scan that
-        # brackets the convolution constants over all of Z^d
-        self.convolution_windows = {d: self.convolution_windows.get(d, 128 if d == 1 else 16)
-                                    for d in self.bounds_dims}
         if not self.families:
             raise ConfigError("at least one family is required")
         if self.grid_R < self.radii[-1] + 8:
@@ -202,7 +188,7 @@ def measure_basis(fam: FamilySettings, settings: RunSettings):
     origin = (0,) * settings.d
     basis = lat.BasisSet(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
     support = basis.support_grid(grid)
-    bound = basis.envelope_C * (1.0 + settings.tolerances["claimed_rtol"])
+    bound = fam.spec.claimed_C * (1.0 + settings.tolerances["claimed_rtol"])
     rows = []
     for node in dict.fromkeys([origin] + [node for node, _ in fam.spec.perturbations]):
         values = basis.sample(node, support)
@@ -212,7 +198,7 @@ def measure_basis(fam: FamilySettings, settings: RunSettings):
         constant = lat.envelope_constant(*samples, fam.spec.claimed_s)
         if not constant <= bound:  # NaN fails too
             raise EnvelopeClaimError(f"measured envelope constant {constant:.6g} at node "
-                                     f"{node} exceeds claimed {basis.envelope_C:.6g}")
+                                     f"{node} exceeds claimed {fam.spec.claimed_C:.6g}")
         rows.append((node, constant, lat.decay_exponent(*samples)))
     return basis, rows, basis_k0
 
@@ -289,13 +275,13 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
 
 def calibrate_bounds(settings: RunSettings):
     """(lattice_sum_cal, convolution): the lattice-sum bound and the three
-    certified convolution brackets for every dimension in bounds_dims.  A
-    bracket at a default start window is read from cst.DEFAULT_BRACKETS;
-    any other is scanned."""
+    certified convolution brackets for every dimension in bounds_dims, each
+    scan started at cst.conv_start_window(d).  The brackets of d = 1 and 2
+    are read from cst.DEFAULT_BRACKETS; any other dimension's are scanned."""
     lattice_sum_cal = {d: cst.calibrate_lattice_sum_bound(d) for d in settings.bounds_dims}
     convolution = {}
     for d in settings.bounds_dims:
-        keys = [(float(d + off), d, settings.convolution_windows[d]) for off in (1, 2, 4)]
+        keys = [(float(d + off), d, cst.conv_start_window(d)) for off in (1, 2, 4)]
         convolution[d] = [cst.DEFAULT_BRACKETS.get(key) or cst.verify_convolution_discrete(*key)
                           for key in keys]
     return lattice_sum_cal, convolution

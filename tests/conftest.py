@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
+
+# the run's tolerances of the Riesz-bound convergence and of section inversion
+RIESZ_RTOL = pl.DEFAULT_TOLERANCES["riesz_rtol"]
+INVERSION_TOL = pl.DEFAULT_TOLERANCES["inversion"]
 
 
 def grid_points(grid: lat.Grid) -> np.ndarray:
@@ -30,7 +36,7 @@ def evaluate(basis: lat.BasisSet, k, x):
         x = x.reshape(-1, 1)
     if x.shape[-1] != d:
         raise ValueError(f"points must have last axis of size {d}")
-    out = basis.amplitude * basis.spec.generator(np.moveaxis(x - center(basis, k), -1, 0))
+    out = basis.spec.generator(np.moveaxis(x - center(basis, k), -1, 0))
     return float(out.reshape(-1)[0]) if scalar else out
 
 
@@ -51,9 +57,23 @@ def verdict(suite: pl.SuiteResult, name: str) -> pl.Verdict:
     return next(v for v in suite.verdicts if v.name == name)
 
 
+@dataclasses.dataclass(frozen=True)
+class ScaledSpec(lat.GeneratorSpec):
+    """A spec whose generator is `alpha` times that of the spec it copies."""
+
+    alpha: float = 1.0
+
+    @property
+    def generator(self):
+        generator = super().generator
+        return lambda ys: self.alpha * generator(ys)
+
+
 def scaled_basis(basis: lat.BasisSet, alpha: float) -> lat.BasisSet:
-    """The family {alpha * f_k} on the same window."""
-    return lat.BasisSet(basis.spec, basis.window, amplitude=basis.amplitude * alpha)
+    """The family {alpha * f_k} on the same window, claimed at |alpha| C."""
+    fields = {f.name: getattr(basis.spec, f.name) for f in dataclasses.fields(basis.spec)}
+    fields["claimed_C"] = abs(alpha) * basis.spec.claimed_C
+    return lat.BasisSet(ScaledSpec(**fields, alpha=alpha), basis.window)
 
 
 def core_nodes(d: int, core_radius: int) -> list:
@@ -121,8 +141,7 @@ def d2_indicator_settings() -> pl.RunSettings:
             indicator("indicator", 64.0),
             indicator("indicator-p1", 245.0, {(0, 0): (0.25, -0.25), (1, 0): (-0.25, 0.0)}),
             indicator("indicator-p2", 245.0, {(-1, 0): (0.25, 0.25), (0, 1): (0.0, -0.25)}),
-        ],
-        convolution_windows={2: 4})
+        ])
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,8 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 
-from conftest import core_nodes, entry, leibniz_check, scaled_basis, verdict
+from conftest import (INVERSION_TOL, RIESZ_RTOL, core_nodes, entry, leibniz_check, scaled_basis,
+                      verdict)
 
 
 def report(num, label, ok, detail):
@@ -38,8 +39,8 @@ def test_c01_biorthogonality_runtime():
     for spec in (lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5}),
                  lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})):
         basis = lat.BasisSet(spec, lat.LatticeWindow(1, 16))
-        M, _ = gr.sections(basis, (4, 8, 12, 16), grid)
-        C, core, _ = du.invert_section(M, 12, tol=1e-8)
+        M, _ = gr.sections(basis, (4, 8, 12, 16), grid, RIESZ_RTOL)
+        C, core, _ = du.invert_section(M, 12, INVERSION_TOL)
         # <g_k, f_j> by quadrature over core k and window j
         nodes = core_nodes(1, core)
         G = du.synthesize_duals(C, core, basis, nodes, grid)
@@ -80,7 +81,7 @@ def test_c04_scaling_homogeneity(d1_suite):
     for f in d1_suite.families:
         basis = lat.BasisSet(f.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
         scaled = scaled_basis(basis, alpha)
-        C, core, _ = du.invert_section(gr.sections(scaled, settings.radii, grid)[0],
+        C, core, _ = du.invert_section(gr.sections(scaled, settings.radii, grid, RIESZ_RTOL)[0],
                                        settings.radii[-2], tol=settings.tolerances["inversion"])
         g0_scaled = grid.embed(du.synthesize_dual(C, core, scaled, origin, grid),
                                scaled.support_grid(grid))

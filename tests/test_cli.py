@@ -49,7 +49,6 @@ t = 2
 
 [bounds]
 dims = 1
-convolution_window_d1 = 32
 
 [family:indicator]
 family = bspline-indicator
@@ -199,7 +198,38 @@ def test_cli_verify_rechecks_stored_eigens_and_envelopes(mini_run, tmp_path, che
     assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == \
         cli.EXIT_INVARIANT
     failed = re.findall(r"(?m)^\[FAIL\] ([^:]+):", capsys.readouterr().out)
-    assert failed == [f"{family}.{check}"]
+    # the binding family's doubled D_emp also needs a larger E than the stored one
+    assert failed == [f"{family}.{check}"] + ["E_emp_consistent"] * (check != "interlacing")
+
+
+@pytest.mark.parametrize("case", ["d1", "d1-raised-E", "d2"])
+def test_cli_verify_calibrates_E_again(mini_run, tmp_path, case, capsys):
+    """`verify` calibrates E again from the stored D_emp at t, C_meas, s and
+    A.  A raised E_emp in report.json passes every dual_decay_domination (a
+    larger E only raises each D), so E_emp_consistent is the check that
+    fails; untouched artifacts pass it, and those of a d=2 run fail only
+    stored_verdicts_pass, the echo of its red convolution verdict."""
+    config, out = tmp_path / "run.ini", tmp_path / "out"
+    if case == "d2":
+        config.write_text(D2_TINY_CONFIG)
+        assert cli.main(["all", "--config", str(config), "--out", str(out)]) == \
+            cli.EXIT_INVARIANT
+    else:
+        config.write_text(mini_run)
+        shutil.copytree(re.search(r"(?m)^out = (.*)$", mini_run)[1], out)
+    if case == "d1-raised-E":
+        report = json.loads((out / "report.json").read_text())
+        assert report["calibration"]["E_emp"] < 0.99
+        report["calibration"]["E_emp"] = 0.99
+        (out / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    code = cli.main(["verify", "--config", str(config), "--out", str(out)])
+    printed = capsys.readouterr().out
+    expected = {"d1": [], "d1-raised-E": ["E_emp_consistent"],
+                "d2": ["stored_verdicts_pass"]}[case]
+    assert re.findall(r"(?m)^\[FAIL\] ([^:]+):", printed) == expected
+    assert code == (cli.EXIT_INVARIANT if expected else 0)
+    assert ("[pass] E_emp_consistent:" in printed) == (case != "d1-raised-E")
 
 
 def test_cli_verify_missing_artifacts(mini_config, capsys):
@@ -653,6 +683,9 @@ def test_cli_all_runs_alike_under_the_benchmark_tracer(mini_config, tmp_path, mo
     without it, records the work counts the benchmark reports, and
     uninstall() puts every original back."""
     path, _ = mini_config
+    # `all` reads the d = 1 brackets from the table; d = 3's are scanned
+    bounds = tmp_path / "dims13.ini"
+    bounds.write_text(Path(path).read_text().replace("dims = 1", "dims = 1 3"))
     plain = cli.main(["all", "--config", path])
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "dualbench"))
     spans = importlib.import_module("spans")
@@ -666,10 +699,11 @@ def test_cli_all_runs_alike_under_the_benchmark_tracer(mini_config, tmp_path, mo
     try:
         assert cst.w_sum is not before[modules.index(cst)]["w_sum"]
         traced = cli.main(["all", "--config", path, "--out", str(tmp_path / "traced")])
+        scanned = cli.main(["bounds", "--config", str(bounds), "--out", str(tmp_path / "b")])
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert traced == plain == 0
+    assert traced == plain == scanned == 0
     summary = spans.summarize(tracer.records())
     for name, count in (("gramian.assemble", "assembled_products"),
                         ("constants.verify_convolution_discrete", "pairs"),
@@ -739,9 +773,8 @@ def test_cli_default_brackets_write_what_the_scan_writes(mini_config, tmp_path, 
     from cst.DEFAULT_BRACKETS, scan none, and write the same bytes as runs
     that scan them all."""
     path = tmp_path / "defaults.ini"
-    path.write_text(D2_TINY_CONFIG if dims == 2 else Path(mini_config[0]).read_text().replace(
-        "convolution_window_d1 = 32", "convolution_window_d1 = 128"))
-    keys = [(float(dims + off), dims, 128 if dims == 1 else 16) for off in (1, 2, 4)]
+    path.write_text(D2_TINY_CONFIG if dims == 2 else Path(mini_config[0]).read_text())
+    keys = [(float(dims + off), dims, cst.conv_start_window(dims)) for off in (1, 2, 4)]
     assert set(keys) <= set(cst.DEFAULT_BRACKETS)
     files, scans, codes = {}, {}, {}
     for table in ("pinned", "empty"):
@@ -775,18 +808,40 @@ def test_shipped_suite_artifacts_hold_no_numpy_reprs(tmp_path, capsys):
         assert "np." not in Path(path).read_text(), path
 
 
-def test_shipped_config_parses(tmp_path):
-    config = os.path.join(os.path.dirname(__file__), "..", "configs", "d1_suite.ini")
-    settings = cli.load_config(config, out_override=str(tmp_path))
-    assert settings.d == 1
-    assert settings.radii == (4, 8, 12, 16)
-    assert len(settings.families) == 5
+@pytest.mark.parametrize("config", sorted(Path(__file__).resolve().parents[1].glob(
+    "configs/*.ini")), ids=lambda path: path.name)
+def test_shipped_config_parses(config, tmp_path, capsys):
+    """Every shipped config loads as configparser reads it, holds no key
+    that a section does not read, and runs `bounds`."""
+    parser = configparser.ConfigParser()
+    parser.read(config)
+    settings = cli.load_config(str(config), out_override=str(tmp_path))
+    assert settings.d == int(parser["window"]["d"])
+    assert settings.radii == tuple(map(int, parser["window"]["radii"].split()))
+    assert [f"family:{f.name}" for f in settings.families] == \
+        [name for name in parser.sections() if name.startswith("family:")]
+    assert cli.main(["bounds", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "constants.csv").is_file()
+    capsys.readouterr()
 
 
 def _one_line(err: str) -> str:
     lines = err.strip().splitlines()
     assert len(lines) == 1 and "Traceback" not in err, err
     return lines[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["all"], "the following arguments are required: --config"),
+    (["stats", "--config", "run.ini"], "argument stage: invalid choice: 'stats'"),
+    (["all", "--config", "run.ini", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+], ids=["no-config", "unknown-stage", "seed-not-int"])
+def test_cli_argument_error_prints_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG
+    line = _one_line(capsys.readouterr().err)
+    assert line.startswith(f"dualdecay: error: {message}"), line
 
 
 def test_cli_claimed_envelope_exceeded_exits_invariant(tmp_path, capsys):
@@ -971,10 +1026,8 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
     ("[bounds]", "[tolerances]\ninversion = tight\n\n[bounds]", "all",
      "[tolerances] inversion:"),
     ("dims = 1", "dims = one", "all", "[bounds] dims:"),
-    ("convolution_window_d1 = 32", "convolution_window_d1 = wide", "all",
-     "[bounds] convolution_window_d1:"),
-    ("convolution_window_d1 = 32", "convolution_window_dx = 32", "all",
-     "[bounds] convolution_window_dx:"),
+    ("dims = 1", "dims = 1\nconvolution_window_d1 = 128", "all",
+     "[bounds] unknown key 'convolution_window_d1'; the keys are dims"),
     ("order = 2", "order = 2.5", "all", "[family:hat] order:"),
     ("h = 0.015625", "h = 0.5", "all", "grid spacing"),
     ("claimed_C = 32\n", "claimed_C = 32\nperturb = 40:0.3\n", "all",
@@ -992,24 +1045,14 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
     ("dims = 1", "dims = 0", "all", "bounds dims must be >= 1"),
     ("[bounds]", "[tolerances]\ninversion = nan\n\n[bounds]", "all",
      "all tolerances must be positive and finite"),
-    ("convolution_window_d1 = 32", "convolution_window_d1 = -5", "bounds",
-     "convolution_window_d1 must be >= 1, got -5"),
-    ("convolution_window_d1 = 32", "convolution_window_d1 = 0", "bounds",
-     "convolution_window_d1 must be >= 1, got 0"),
     ("seed = 77", "seed = 77\ndual_export_radius = -1", "all",
      "dual_export_radius must be >= 0, got -1"),
     ("claimed_C = 32\nclaimed_s = 5", "claimed_C = 32\nclaimed_s = 3.0000001", "all",
      "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-10 unattainable"),
     ("[bounds]", "[tolerances]\nw_tol = 1e-20\n\n[bounds]", "all",
      "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-20 unattainable"),
-    ("convolution_window_d1 = 32", "convolution_window_d1 = 32\nconvolution_window_d2 = 4",
-     "all", "convolution_window_d2 is set, but bounds dims (1,) do not include 2"),
     ("claimed_C = 32\n", "claimed_C = 32\nperturb = 99999999999999999999:0.3\n", "verify",
      "perturbed node (99999999999999999999,) lies outside the window"),
-    ("convolution_window_d1 = 32", "convolution_window_d1 = 99999999999999999999", "bounds",
-     "convolution_window_d1 must be at most the scan cap 4096, got 99999999999999999999"),
-    ("convolution_window_d1 = 32", "convolution_window_d1 = 4097", "bounds",
-     "convolution_window_d1 must be at most the scan cap 4096, got 4097"),
     ("order = 2", "order = 11", "basis",
      "family 'hat': bspline-order-m needs an integer order in [1, 10], got 11"),
     ("order = 2", "order = 99999999999999999999", "basis",
@@ -1036,18 +1079,15 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
      "[run] unknown key 'dual_export_radious'; the keys are name, out, seed, "
      "dual_export_radius"),
     ("dims = 1", "dim = 1", "bounds",
-     "[bounds] unknown key 'dim'; the keys are dims, convolution_window_d*"),
+     "[bounds] unknown key 'dim'; the keys are dims"),
     ("d = 1", "d = 1\nN = 12", "verify", "[window] unknown key 'n'; the keys are d, radii"),
     ("R = 20", "R = 20\nspacing = 0.5", "basis", "[grid] unknown key 'spacing'"),
     ("t = 2", "t = 2\ns = 5", "all", "[targets] unknown key 's'; the keys are t"),
-], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "window-suffix",
-        "order", "grid-h", "perturbed-outside", "two-families-report",
-        "two-families-all", "tolerance-typo", "tolerance-removed", "schur-slack-removed",
-        "negative-radius", "infinite-extent", "zero-bounds-dim", "nan-tolerance",
-        "negative-convolution-window", "zero-convolution-window",
-        "negative-dual-export-radius", "w-sum-near-divergence", "w-tol-unattainable",
-        "convolution-window-outside-dims", "perturbed-node-past-int64",
-        "convolution-window-past-int64", "convolution-window-over-scan-cap",
+], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "order", "grid-h",
+        "perturbed-outside", "two-families-report", "two-families-all", "tolerance-typo",
+        "tolerance-removed", "schur-slack-removed", "negative-radius", "infinite-extent",
+        "zero-bounds-dim", "nan-tolerance", "negative-dual-export-radius",
+        "w-sum-near-divergence", "w-tol-unattainable", "perturbed-node-past-int64",
         "order-over-maximum", "order-past-int64", "bounds-dim-over-maximum",
         "bounds-dim-past-shell-poly", "sigma-squared-underflows", "sigma-quotient-overflows",
         "family-name-climbs-out", "family-name-absolute", "family-name-comma",
@@ -1081,24 +1121,21 @@ def test_cli_theoretical_D_past_the_float_range_exits_config(mini_config, capsys
     assert not os.path.exists(out)
 
 
-def test_load_config_accepts_the_largest_order_and_scan_window(mini_config, tmp_path):
-    """The bounds just inside the two limits load; no scan runs at load."""
+def test_load_config_accepts_the_largest_order(mini_config, tmp_path):
+    """The order just inside its limit loads."""
     path, _ = mini_config
     edge = tmp_path / "edge.ini"
-    edge.write_text(Path(path).read_text().replace("order = 2", "order = 10")
-                    .replace("convolution_window_d1 = 32", "convolution_window_d1 = 4096"))
+    edge.write_text(Path(path).read_text().replace("order = 2", "order = 10"))
     settings = cli.load_config(str(edge))
-    assert settings.convolution_windows == {1: 4096}
     assert [f.spec.params["order"] for f in settings.families if f.name == "hat"] == [10]
 
 
 # --- fuzzed configs -----------------------------------------------------------
 
-# MINI_CONFIG on a coarser grid and with a smaller convolution window, so that
-# a config the fuzz leaves valid runs `all` in about 0.1 s
+# MINI_CONFIG on a coarser grid, so that a config the fuzz leaves valid runs
+# `all` in about 0.1 s
 FUZZ_BASE = configparser.ConfigParser(interpolation=None)
-FUZZ_BASE.read_string(MINI_CONFIG.replace("h = 0.015625", "h = 0.125")
-                      .replace("convolution_window_d1 = 32", "convolution_window_d1 = 8"))
+FUZZ_BASE.read_string(MINI_CONFIG.replace("h = 0.015625", "h = 0.125"))
 # values that keep the grid and the window small: the sample cap bounds the
 # memory of a valid config, not its run time
 _NON_NUMERIC = st.text(alphabet="abxyz.,:-+ e", max_size=4)

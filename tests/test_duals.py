@@ -8,7 +8,8 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay.errors import ConvergenceError, SingularSectionError
 
-from conftest import core_nodes, core_positions, entry, evaluate, grid_points, scaled_basis
+from conftest import (INVERSION_TOL, RIESZ_RTOL, core_nodes, core_positions, entry, evaluate,
+                      grid_points, scaled_basis)
 
 GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 
@@ -19,22 +20,22 @@ GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 def indicator_system(N=16, radii=(4, 8, 16)):
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     basis = lat.BasisSet(spec, lat.LatticeWindow(1, N))
-    M, _ = gr.sections(basis, radii, GRID)
-    return (basis, M) + du.invert_section(M, radii[-2], tol=1e-8)
+    M, _ = gr.sections(basis, radii, GRID, RIESZ_RTOL)
+    return (basis, M) + du.invert_section(M, radii[-2], INVERSION_TOL)
 
 
 def gaussian_system(N=16, radii=(4, 8, 12, 16)):
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     basis = lat.BasisSet(spec, lat.LatticeWindow(1, N))
-    M, _ = gr.sections(basis, radii, GRID)
-    return (basis, M) + du.invert_section(M, radii[-2], tol=1e-8)
+    M, _ = gr.sections(basis, radii, GRID, RIESZ_RTOL)
+    return (basis, M) + du.invert_section(M, radii[-2], INVERSION_TOL)
 
 
 def bump_system(N=16, radii=(4, 8, 12, 16)):
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
     basis = lat.BasisSet(spec, lat.LatticeWindow(1, N))
-    M, _ = gr.sections(basis, radii, GRID)
-    return (basis, M) + du.invert_section(M, radii[-2], tol=1e-8)
+    M, _ = gr.sections(basis, radii, GRID, RIESZ_RTOL)
+    return (basis, M) + du.invert_section(M, radii[-2], INVERSION_TOL)
 
 
 def toeplitz_section(rho, N):
@@ -61,13 +62,13 @@ def test_identity_inverts_to_identity():
 def test_scaled_identity_inverts_to_half():
     M = toeplitz_section(0.0, 8)
     M.entries *= 2.0
-    C, _, _ = du.invert_section(M, 4, tol=1e-8)
+    C, _, _ = du.invert_section(M, 4, INVERSION_TOL)
     assert np.allclose(C.entries, 0.5 * np.eye(17), atol=1e-15)
 
 
 def test_tridiagonal_toeplitz_matches_symbol_oracle():
     rho = 0.25
-    C, core, _ = du.invert_section(toeplitz_section(rho, 32), 16, tol=1e-8)
+    C, core, _ = du.invert_section(toeplitz_section(rho, 32), 16, INVERSION_TOL)
     assert core >= 8
     # reciprocal-symbol Fourier coefficients, computed spectrally
     n_fft = 4096
@@ -84,16 +85,16 @@ def test_singular_section_raises():
     M = toeplitz_section(0.6, 8)  # symbol 1 + 1.2 cos has a sign change
     # the inner block is inverted first, and it is already indefinite
     with pytest.raises(SingularSectionError, match="radius 4 is not positive definite"):
-        du.invert_section(M, 4, tol=1e-8)
+        du.invert_section(M, 4, INVERSION_TOL)
 
 
 def test_nonconvergence_raises():
     # the (8,16) pair is too coarse for the gaussian at this tolerance
     spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
     basis = lat.BasisSet(spec, lat.LatticeWindow(1, 16))
-    M, _ = gr.sections(basis, (8, 16), GRID)
+    M, _ = gr.sections(basis, (8, 16), GRID, RIESZ_RTOL)
     with pytest.raises(ConvergenceError, match="did not stabilize"):
-        du.invert_section(M, 8, tol=1e-8)
+        du.invert_section(M, 8, INVERSION_TOL)
 
 
 def test_invert_needs_two_sections():
@@ -101,7 +102,7 @@ def test_invert_needs_two_sections():
     for inner in (-1, 8, 9):
         with pytest.raises(ValueError, match=r"inner section radius must be in \[0, 8\), "
                                              f"got {inner}"):
-            du.invert_section(toeplitz_section(0.25, 8), inner, tol=1e-8)
+            du.invert_section(toeplitz_section(0.25, 8), inner, INVERSION_TOL)
 
 
 def test_coeffs_hermitian_and_core_block():
@@ -149,8 +150,8 @@ def test_scaling_halves_the_duals():
     basis, _, C, core, _ = gaussian_system()
     g0 = du.synthesize_dual(C, core, basis, 0, GRID)
     scaled = scaled_basis(basis, 2.0)
-    M, _ = gr.sections(scaled, (4, 8, 12, 16), GRID)
-    C2, core2, _ = du.invert_section(M, 12, tol=1e-8)
+    M, _ = gr.sections(scaled, (4, 8, 12, 16), GRID, RIESZ_RTOL)
+    C2, core2, _ = du.invert_section(M, 12, INVERSION_TOL)
     g0_scaled = du.synthesize_dual(C2, core2, scaled, 0, GRID)
     rel = np.max(np.abs(g0_scaled - 0.5 * g0)) / np.max(np.abs(g0))
     assert rel < 1e-10
@@ -217,8 +218,8 @@ def test_dual_envelope_scales_inversely():
     basis, _, C, core, _ = gaussian_system()
     base = dual_envelope(du.synthesize_dual(C, core, basis, 0, GRID), 0, 2.0)
     scaled = scaled_basis(basis, 2.0)
-    C2, core2, _ = du.invert_section(gr.sections(scaled, (4, 8, 12, 16), GRID)[0], 12,
-                                     tol=1e-8)
+    M2, _ = gr.sections(scaled, (4, 8, 12, 16), GRID, RIESZ_RTOL)
+    C2, core2, _ = du.invert_section(M2, 12, INVERSION_TOL)
     g0_scaled = du.synthesize_dual(C2, core2, scaled, 0, GRID)
     assert dual_envelope(g0_scaled, 0, 2.0) == 0.5 * base
 
@@ -251,7 +252,7 @@ def test_gaussian_gram_duals():
 def test_doubled_gramian_gives_half_norms():
     M = toeplitz_section(0.0, 8)
     M.entries *= 2.0
-    C, core, _ = du.invert_section(M, 4, tol=1e-8)
+    C, core, _ = du.invert_section(M, 4, INVERSION_TOL)
     spec = lat.GeneratorSpec("bspline-indicator", 1, 32.0, 5.0)
     # indicator scaled by sqrt(2) has Gramian 2I; duals have squared norm 1/2
     basis = scaled_basis(lat.BasisSet(spec, lat.LatticeWindow(1, 8)), math.sqrt(2.0))

@@ -9,7 +9,7 @@ from dualdecay import gramian as gr
 from dualdecay import lattice as lat
 from dualdecay.errors import NotRieszError
 
-from conftest import entry, evaluate, grid_points, inner_product, scaled_basis
+from conftest import RIESZ_RTOL, entry, evaluate, grid_points, inner_product, scaled_basis
 
 GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 
@@ -154,7 +154,7 @@ def test_subwindow_assembly_matches_central_block():
 def test_sections_are_nested_blocks():
     basis = gaussian_basis(N=8)
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
-    M, rb = gr.sections(basis, (2, 4, 8), grid)
+    M, rb = gr.sections(basis, (2, 4, 8), grid, RIESZ_RTOL)
     assert M.window.N == 8 and rb.radii == (2, 4, 8)
     assert np.array_equal(M.entries, gr.assemble(basis, None, grid).entries)
     # the section at radius 2 is the central block of M, which is the
@@ -162,7 +162,7 @@ def test_sections_are_nested_blocks():
     eig = np.linalg.eigvalsh(gr.assemble(basis, lat.LatticeWindow(1, 2), grid).entries)
     assert (rb.lambda_min[0], rb.lambda_max[0]) == (eig[0], eig[-1])
     with pytest.raises(ValueError):
-        gr.sections(basis, (4, 4, 8), grid)
+        gr.sections(basis, (4, 4, 8), grid, RIESZ_RTOL)
 
 
 @pytest.mark.parametrize("radii", [(), (2, 4), (2, 8, 4), (4, 4, 8), (2, 4, 8, 8)])
@@ -170,7 +170,7 @@ def test_riesz_bounds_need_strictly_increasing_radii_to_the_window(radii):
     M = gr.assemble(gaussian_basis(N=8), None, lat.Grid(h=1 / 64, R=16.0, d=1))
     with pytest.raises(ValueError, match="section radii must increase strictly up to "
                                          "the window radius 8"):
-        gr.riesz_bounds(M, radii)
+        gr.riesz_bounds(M, radii, RIESZ_RTOL)
 
 
 def test_symmetric_flag_requires_hermitian_entries():
@@ -274,7 +274,7 @@ def test_schur_dominates_spectral_norm(d1_suite):
 
 def test_indicator_riesz_bounds_are_one():
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
-    _, rb = gr.sections(indicator_basis(N=8), (2, 4, 8), grid)
+    _, rb = gr.sections(indicator_basis(N=8), (2, 4, 8), grid, RIESZ_RTOL)
     assert rb.A_est == pytest.approx(1.0, abs=1e-12)
     assert rb.B_est == pytest.approx(1.0, abs=1e-12)
     assert rb.converged
@@ -283,8 +283,8 @@ def test_indicator_riesz_bounds_are_one():
 def test_riesz_bounds_scale_quadratically():
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
     basis = gaussian_basis(N=4)
-    _, rb = gr.sections(basis, (2, 4), grid)
-    _, rb_scaled = gr.sections(scaled_basis(basis, 2.0), (2, 4), grid)
+    _, rb = gr.sections(basis, (2, 4), grid, RIESZ_RTOL)
+    _, rb_scaled = gr.sections(scaled_basis(basis, 2.0), (2, 4), grid, RIESZ_RTOL)
     assert rb_scaled.A_est == pytest.approx(4.0 * rb.A_est, rel=1e-13)
     assert rb_scaled.B_est == pytest.approx(4.0 * rb.B_est, rel=1e-13)
 
@@ -297,7 +297,7 @@ def test_gaussian_riesz_bounds_match_symbol_oracle():
     idx = win.indices[:, 0]
     ent = sigma * math.sqrt(math.pi) * np.exp(-(idx[:, None] - idx[None, :]) ** 2
                                               / (4 * sigma**2))
-    rb = gr.riesz_bounds(gr.DecayMatrix(win, ent), (64, 128, 256))
+    rb = gr.riesz_bounds(gr.DecayMatrix(win, ent), (64, 128, 256), RIESZ_RTOL)
     n = np.arange(-40, 41)
 
     def symbol(xi):
@@ -312,7 +312,7 @@ def test_gaussian_riesz_bounds_match_symbol_oracle():
 
 def test_interlacing_of_section_extremes():
     grid = lat.Grid(h=1 / 64, R=24.0, d=1)
-    _, rb = gr.sections(bump_basis(N=16), (4, 8, 16), grid)
+    _, rb = gr.sections(bump_basis(N=16), (4, 8, 16), grid, RIESZ_RTOL)
     assert rb.lambda_min[0] >= rb.lambda_min[1] >= rb.lambda_min[2] - 1e-14
     assert rb.lambda_max[0] <= rb.lambda_max[1] <= rb.lambda_max[2] + 1e-14
 
@@ -321,7 +321,7 @@ def test_not_riesz_error():
     win = lat.LatticeWindow(1, 1)
     entries = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(NotRieszError, match="not a Riesz sequence"):
-        gr.riesz_bounds(gr.DecayMatrix(win, entries), (1,))
+        gr.riesz_bounds(gr.DecayMatrix(win, entries), (1,), RIESZ_RTOL)
 
 
 # --- off-diagonal fits ------------------------------------------------------------

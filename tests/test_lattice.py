@@ -438,7 +438,7 @@ def test_scaled_basis_amplitude():
     spec = lat.GeneratorSpec("polynomial-bump", 1, 1.0, 5.0, params={"s": 5.0})
     basis = scaled_basis(lat.BasisSet(spec, lat.LatticeWindow(1, 0)), 2.0)
     assert evaluate(basis, 0, 1.0) == pytest.approx(2.0 * 2.0**-5)
-    assert basis.envelope_C == 2.0
+    assert basis.spec.claimed_C == 2.0
 
 
 def _positions_by_loop(win, sub):
