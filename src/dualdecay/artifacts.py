@@ -173,9 +173,8 @@ def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
     for fam in suite.families:
         _write_matrices(out_dir, fam.name, fam.gramian, fam.riesz, fam.coeffs)
         fdir = os.path.join(out_dir, fam.name)
-        _write(os.path.join(fdir, "envelopes.csv"), _write_lines, ["k,t,D_emp,exponent_fit"] + [
-            f"{_node_label(node)},{_fmt(u)},{_fmt(const)},{_fmt(exponent)}"
-            for node, u, const, exponent in fam.envelope_rows])
+        _write(os.path.join(fdir, "envelopes.csv"), _write_lines, ["k,t,D_emp"] + [
+            f"{_node_label(node)},{_fmt(u)},{_fmt(const)}" for node, u, const in fam.envelope_rows])
         for node, samples in sorted(fam.duals.items()):
             _write(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"), _write_samples,
                    text, samples)
@@ -239,17 +238,21 @@ def _settings_dict(s) -> dict:
             "bounds_dims": list(s.bounds_dims)}
 
 
+def _family_dict(spec) -> dict:
+    """The definition of a family, as report.json stores it and verify
+    compares it with the config."""
+    return {"family": spec.family, "params": dict(spec.params), "claimed_C": spec.claimed_C,
+            "claimed_s": spec.claimed_s,
+            "perturbations": [[list(n), list(d)] for n, d in spec.perturbations]}
+
+
 def report_dict(suite: SuiteResult) -> dict:
     s = suite.settings
     value = {v.name: v.value for v in suite.verdicts}
     fams = {}
     for fam in suite.families:
         fams[fam.name] = {
-            "family": fam.spec.family,
-            "params": dict(fam.spec.params),
-            "claimed_C": fam.spec.claimed_C,
-            "claimed_s": fam.spec.claimed_s,
-            "perturbations": [[list(n), list(d)] for n, d in fam.spec.perturbations],
+            **_family_dict(fam.spec),
             "A_est": fam.A_est,
             "B_est": fam.B_est,
             "lambda_min": list(fam.riesz.lambda_min),
@@ -392,12 +395,19 @@ def verify_artifacts(settings: RunSettings) -> list:
         return value
 
     # artifacts of another problem are rejected; seed, out and tolerances may differ
-    now = dict(_settings_dict(settings), families=sorted(f.name for f in settings.families))
-    for key in ("d", "radii", "grid_h", "grid_R", "t", "families"):
-        was = sorted(entry("families", kind=dict)) if key == "families" else entry("settings", key)
-        if was != now[key]:
+    def compare(key, was, now):
+        if was != now:
             raise ConfigError(f"artifacts in {out_dir} were written with {key} = "
-                              f"{was!r}, the config has {now[key]!r}")
+                              f"{was!r}, the config has {now!r}")
+
+    now = _settings_dict(settings)
+    for key in ("d", "radii", "grid_h", "grid_R", "t", "bounds_dims"):
+        compare(key, entry("settings", key), now[key])
+    compare("families", sorted(entry("families", kind=dict)),
+            sorted(f.name for f in settings.families))
+    for fam in settings.families:
+        for key, value in _family_dict(fam.spec).items():
+            compare(f"families.{fam.name}.{key}", entry("families", fam.name, key), value)
     tol = {key: entry("settings", "tolerances", key, kind=_NUMBER)
            for key in DEFAULT_TOLERANCES}
     t, d = entry("settings", "t"), entry("settings", "d")
@@ -431,8 +441,8 @@ def verify_artifacts(settings: RunSettings) -> list:
         envelopes_path = os.path.join(fdir, "envelopes.csv")
         core = {_node_label(k) for k in LatticeWindow(d, core_radius).indices.tolist()}
         at_t = {}
-        for number, (label, u, c, _) in enumerate(
-                _read_rows(envelopes_path, (str, float, float, float)), start=2):
+        for number, (label, u, c) in enumerate(
+                _read_rows(envelopes_path, (str, float, float)), start=2):
             if u != t:
                 continue
             if not 0 <= c < math.inf:

@@ -19,9 +19,11 @@ perturbed node given twice, a bounds dimension over 15, a gaussian sigma
 under 1e-100, fewer than three families for report/all, a missing or
 malformed artifact, an envelopes.csv whose D_emp at t is not a finite number
 >= 0 or whose rows at t are not the core nodes, one row each, artifacts
-written for another config, a sample matrix over the sample_all entry cap, a
-family name that is empty, '.' or '..' or holds '/' or ',', an artifact that
-cannot be written and a theoretical D past the float range), 3 hypothesis
+written for another config (another d, radii, grid, t, bounds dims or set of
+family names, or a family of another family, params, claimed_C, claimed_s or
+perturbations), a sample matrix over the sample_all entry cap, a family
+name that is empty, '.' or '..' or holds '/' or ',', an artifact that cannot
+be written and a theoretical D past the float range), 3 hypothesis
 violation (including claimed C < 1 and a section that is not a Riesz
 sequence at this resolution), 4 convergence failure, 5 invariant failure
 (including a measured envelope over its claimed C, or NaN). Every error exit
@@ -37,8 +39,6 @@ import sys
 
 from . import artifacts
 from . import constants as cst
-from . import duals as du
-from . import gramian as gr
 from . import lattice as lat
 from . import pipeline as pl
 from .duals import biorthogonality_residual  # noqa: F401  kept in this namespace for tracing
@@ -181,25 +181,22 @@ def load_config(path: str, out_override=None, seed_override=None,
 
 
 def _stage_families(settings: pl.RunSettings, stage: str):
-    """basis, gramian and duals: run each family's pipeline through `stage`,
-    then write what was computed, also when a matrix check failed."""
+    """basis, gramian and duals: run each family through the pipeline's steps
+    up to `stage`, then write what was computed, also when a matrix check
+    failed."""
     basis_rows, matrices, failure = [], [], None
     for fam in settings.families:
         with family_errors(fam.name):
-            basis, rows, k0 = pl.measure_basis(fam, settings)
-            basis_rows.append((fam.name, fam.spec, rows, k0))
             if stage == "basis":
+                rows, k0 = pl.measure_basis(fam, settings)[1:]
+                basis_rows.append((fam.name, fam.spec, rows, k0))
                 continue
-            gramian, riesz = gr.sections(basis, settings.radii, settings.grid(),
-                                         settings.tolerances["riesz_rtol"])
+            rows, k0, gramian, riesz = pl.family_matrices(fam, settings)[1:]
+            basis_rows.append((fam.name, fam.spec, rows, k0))
             print(f"gramian stage: {fam.name}: A_est={riesz.A_est!r} B_est={riesz.B_est!r}")
             coeffs = None
             if stage == "duals":
-                coeffs, core_radius, _ = du.invert_section(gramian, settings.radii[-2],
-                                                           settings.tolerances["inversion"])
-                checks = pl.matrix_checks(fam.name, gramian, coeffs, core_radius,
-                                          riesz.radii, riesz.lambda_min, riesz.lambda_max,
-                                          settings.tolerances)
+                coeffs, core_radius, _, checks = pl.family_inverse(fam, settings, gramian, riesz)
                 biorth, gram = checks[:2]
                 print(f"duals stage: {fam.name}: core={core_radius} "
                       f"biorthogonality={biorth.value!r} gram_duals={gram.value!r}")

@@ -140,7 +140,7 @@ class FamilyResult:
     basis_rows: list            # (node, measured C at claimed s, regression exponent)
     basis_k0: np.ndarray        # the basis function at the origin, sampled on the grid
     D_emp: float                # max dual envelope constant at exponent t
-    envelope_rows: list         # (k, exponent, constant, regression_exponent)
+    envelope_rows: list         # (k, exponent, constant)
     inverse_decay: float        # shell-regression decay exponent of |c_0j| over the core
     alpha_t: float              # coefficient envelope constant at exponent t
     schur_ratio: float          # max_u schur(D^u M) / (C^2 W)
@@ -151,6 +151,7 @@ class FamilyResult:
     coeffs: gr.DecayMatrix      # C = M^-1; trusted between core nodes only
     duals: dict                 # exported core node -> samples of its dual on the grid
     gramian: gr.DecayMatrix
+    checks: list                # the five matrix_checks verdicts on M and C
     elapsed: float
 
     @property
@@ -203,19 +204,36 @@ def measure_basis(fam: FamilySettings, settings: RunSettings):
     return basis, rows, basis_k0
 
 
+def family_matrices(fam: FamilySettings, settings: RunSettings):
+    """(basis, rows, origin samples, M, riesz): measure_basis, then the
+    Gramian M on the largest window and the Riesz bounds of its sections."""
+    basis, rows, basis_k0 = measure_basis(fam, settings)
+    M, riesz = gr.sections(basis, settings.radii, settings.grid(),
+                           settings.tolerances["riesz_rtol"])
+    return basis, rows, basis_k0, M, riesz
+
+
+def family_inverse(fam: FamilySettings, settings: RunSettings, M: gr.DecayMatrix,
+                   riesz: gr.RieszBounds):
+    """(C, core_radius, convergence, checks): the inverse of M from its
+    sections at radii[-2] and [-1], and the five matrix_checks verdicts."""
+    tol = settings.tolerances
+    C, core_radius, convergence = du.invert_section(M, settings.radii[-2], tol["inversion"])
+    checks = matrix_checks(fam.name, M, C, core_radius, riesz.radii, riesz.lambda_min,
+                           riesz.lambda_max, tol)
+    return C, core_radius, convergence, checks
+
+
 def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     t0 = time.perf_counter()
     grid = settings.grid()
     t = settings.t
     s = fam.spec.claimed_s
-    tol = settings.tolerances
     origin = (0,) * settings.d
 
     with family_errors(fam.name):
-        basis, basis_rows, basis_k0 = measure_basis(fam, settings)
-        M, riesz = gr.sections(basis, settings.radii, grid, tol["riesz_rtol"])
-        C, core_radius, convergence = du.invert_section(M, settings.radii[-2],
-                                                        tol["inversion"])
+        basis, basis_rows, basis_k0, M, riesz = family_matrices(fam, settings)
+        C, core_radius, convergence, checks = family_inverse(fam, settings, M, riesz)
     C_meas = max(c for _, c, _ in basis_rows)
     support = basis.support_grid(grid)
     if fam.spec.perturbations:
@@ -239,10 +257,9 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         fitted = lat.measure_decay(samples, node, grid, support)
         if max(abs(c) for c in node) <= limit:
             duals[node] = grid.embed(samples, support)
-        exponent = lat.decay_exponent(*fitted)
         for u in dict.fromkeys((float(t), float(s))):
             constant = lat.envelope_constant(*fitted, u)
-            envelope_rows.append((node, u, constant, exponent))
+            envelope_rows.append((node, u, constant))
             if u == float(t):
                 D_emp = max(D_emp, constant)
     inverse_decay = du.coefficient_decay_fit(C, core_radius)
@@ -268,7 +285,7 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         envelope_rows=envelope_rows, inverse_decay=inverse_decay, alpha_t=alpha_t,
         schur_ratio=schur_ratio, schur_M=schur_M, W_value=W_value,
         offdiag_constant=offdiag_constant, offdiag_exponent=offdiag_exponent,
-        coeffs=C, duals=duals, gramian=M,
+        coeffs=C, duals=duals, gramian=M, checks=checks,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -379,8 +396,7 @@ def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
     verdicts = []
     for r in results:
         pre = f"{r.name}."
-        verdicts += matrix_checks(r.name, r.gramian, r.coeffs, r.core_radius,
-                                  r.riesz.radii, r.riesz.lambda_min, r.riesz.lambda_max, tol)
+        verdicts += r.checks
         passed = r.C_meas <= r.spec.claimed_C * (1 + tol["claimed_rtol"])
         verdicts.append(Verdict(pre + "claimed_C", passed, r.C_meas, r.spec.claimed_C))
         if r.spec.perturbations:

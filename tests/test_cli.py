@@ -167,9 +167,9 @@ def _double_D_emp_at_t(text):
     """envelopes.csv with D_emp doubled on every row at u = t = 2."""
     lines = text.splitlines()
     for i, line in enumerate(lines[1:], start=1):
-        k, u, const, exponent = line.split(",")
+        k, u, const = line.split(",")
         if float(u) == 2.0:
-            lines[i] = ",".join([k, u, repr(2 * float(const)), exponent])
+            lines[i] = ",".join([k, u, repr(2 * float(const))])
     return "\n".join(lines) + "\n"
 
 
@@ -419,6 +419,25 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     capsys.readouterr()
 
 
+def test_cli_family_stages_call_the_pipeline_steps(mini_config, monkeypatch, capsys):
+    """The family stages are slices of run_family: basis measures each family,
+    gramian builds its matrices and duals and all also invert them, each
+    through the pipeline's own step, once per family."""
+    path, _ = mini_config
+    steps = {name: _recorder(monkeypatch, pl, name)
+             for name in ("measure_basis", "family_matrices", "family_inverse")}
+    per_stage = {"basis": (1, 0, 0), "gramian": (1, 1, 0), "duals": (1, 1, 1),
+                 "all": (1, 1, 1)}
+    for stage, counts in per_stage.items():
+        for calls in steps.values():
+            calls.clear()
+        assert cli.main([stage, "--config", path]) == 0
+        for (name, calls), count in zip(steps.items(), counts):
+            assert [fam.name for fam, *_ in calls] == ["indicator", "bump", "hat"] * count, \
+                (stage, name)
+    capsys.readouterr()
+
+
 def test_cli_all_samples_each_checked_node_once(mini_config, monkeypatch, capsys):
     # the indicator is perturbed at its origin and at node 3, its two checked
     # nodes; the other families have one, the origin
@@ -462,19 +481,30 @@ def mini_run(tmp_path_factory):
     return path.read_text()
 
 
-@pytest.mark.parametrize("old,new", [
-    ("h = 0.015625", "h = 0.03125"),
-    ("radii = 4 8 12", "radii = 4 12"),
-    ("t = 2", "t = 3"),
-    ("[family:hat]", "[family:tent]"),
-], ids=["grid-h", "radii", "t", "family-names"])
-def test_cli_verify_rejects_artifacts_of_another_config(mini_run, tmp_path, old, new,
+@pytest.mark.parametrize("old,new,key", [
+    ("h = 0.015625", "h = 0.03125", "grid_h"),
+    ("radii = 4 8 12", "radii = 4 12", "radii"),
+    ("t = 2", "t = 3", "t"),
+    ("[family:hat]", "[family:tent]", "families"),
+    ("dims = 1", "dims = 1 2", "bounds_dims"),
+    ("claimed_C = 50", "claimed_C = 60", "families.hat.claimed_C"),
+    ("order = 2", "order = 3", "families.hat.params"),
+    ("claimed_C = 50", "claimed_C = 50\nperturb = 0:0.25", "families.hat.perturbations"),
+    ("claimed_C = 32\nclaimed_s = 5", "claimed_C = 32\nclaimed_s = 5.5",
+     "families.indicator.claimed_s"),
+    ("family = bspline-indicator", "family = polynomial-bump\ns = 5",
+     "families.indicator.family"),
+    ("s = 5\nclaimed_C = 1", "s = 6\nclaimed_C = 1", "families.bump.params"),
+], ids=["grid-h", "radii", "t", "family-names", "bounds-dims", "claimed-C", "order",
+        "perturbation", "claimed-s", "family-kind", "bump-s"])
+def test_cli_verify_rejects_artifacts_of_another_config(mini_run, tmp_path, old, new, key,
                                                         capsys):
     other = tmp_path / "other.ini"
+    assert mini_run.count(old) == 1
     other.write_text(mini_run.replace(old, new))
     assert cli.main(["verify", "--config", str(other)]) == cli.EXIT_CONFIG
     line = _one_line(capsys.readouterr().err)
-    assert line.startswith("config error:") and "were written with" in line
+    assert line.startswith("config error:") and f"were written with {key} = " in line, line
 
 
 def test_cli_verify_ignores_seed_out_and_tolerances(mini_run, tmp_path, capsys):
@@ -551,14 +581,20 @@ def _envelopes_at_t(value):
         header, *rows = text.splitlines()
         out = [header]
         for row in rows:
-            k, u, c, fit = row.split(",")
+            k, u, c = row.split(",")
             if float(u) == 2.0:
                 if value is None:
                     continue
                 c = value
-            out.append(",".join((k, u, c, fit)))
+            out.append(",".join((k, u, c)))
         return "\n".join(out) + "\n"
     return edit
+
+
+def _envelopes_with_exponent_fit(text):
+    """envelopes.csv in the earlier `k,t,D_emp,exponent_fit` format."""
+    header, *rows = text.splitlines()
+    return "\n".join([header + ",exponent_fit"] + [row + ",4.5" for row in rows]) + "\n"
 
 
 @pytest.mark.parametrize("rel,edit,fragment", [
@@ -596,7 +632,8 @@ def _envelopes_at_t(value):
     ("bump/envelopes.csv", _replace_line(4, lambda lines: lines[1]),
      "line 4: node '-2' at t=2 has a second row"),
     ("bump/envelopes.csv", _replace_line(2, lambda lines: "3" + lines[1][2:]),
-     "line 2: node '3' at t=2 is not in the core of radius 2")],
+     "line 2: node '3' at t=2 is not in the core of radius 2"),
+    ("bump/envelopes.csv", _envelopes_with_exponent_fit, "line 2: 4 fields, expected 3")],
     ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
          "eigens-short-row", "nested-report-key", "nested-report-null",
          "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
@@ -604,7 +641,8 @@ def _envelopes_at_t(value):
          "gramian-1x1", "coeffs-1x1", "both-matrices-1x1", "lambda-min-zero",
          "lambda-min-negative", "eigens-radius-dropped", "eigens-radius-changed",
          "D-emp-nan", "D-emp-negative", "D-emp-rows-at-t-dropped",
-         "D-emp-node-overwritten-by-neighbour", "D-emp-node-outside-core"])
+         "D-emp-node-overwritten-by-neighbour", "D-emp-node-outside-core",
+         "envelopes-four-fields"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
     # `rel` is the damaged file, or several of them, the first named

@@ -251,7 +251,7 @@ def test_run_family_reuses_the_checked_W(monkeypatch):
     assert result.W_value == real(u, settings.d, settings.tolerances["w_tol"]).value
 
 
-def test_dual_regression_fitted_once_per_core_node(monkeypatch):
+def test_run_family_fits_no_regression_per_core_dual(monkeypatch):
     calls = []
     real = lat.decay_exponent
 
@@ -262,15 +262,14 @@ def test_dual_regression_fitted_once_per_core_node(monkeypatch):
     monkeypatch.setattr(du, "decay_exponent", counting)
     monkeypatch.setattr(lat, "decay_exponent", counting)
     settings = suite_settings(16, (4, 8, 12, 16))
-    result = pl.run_family(settings.families[1], settings)
-    nodes = core_nodes(settings.d, result.core_radius)
-    # one regression per core dual and per basis row, plus the coefficient decay fit
-    assert len(calls) == len(nodes) + len(result.basis_rows) + 1
-    exponents = {}
-    for node, _, _, exponent in result.envelope_rows:
-        exponents.setdefault(node, []).append(exponent)
-    assert list(exponents) == nodes
-    assert all(len(e) == 2 and e[0] == e[1] for e in exponents.values())
+    for fam in settings.families:
+        calls.clear()
+        result = pl.run_family(fam, settings)
+        # one regression per basis row, plus the coefficient decay fit
+        assert len(calls) == len(result.basis_rows) + 1, fam.name
+        us = list(dict.fromkeys((float(settings.t), fam.spec.claimed_s)))
+        assert [row[:2] for row in result.envelope_rows] == \
+            [(node, u) for node in core_nodes(settings.d, result.core_radius) for u in us]
 
 
 def _oracle_settings(spec: GeneratorSpec, h: float, t: int, **extra) -> pl.RunSettings:
@@ -328,17 +327,22 @@ def test_support_grid_run_matches_full_grid_oracle(case):
     G = C.entries[core_positions(C, result.core_radius)] @ F
     same(np.stack([result.duals[node] for node in nodes]), G)
 
-    def fits(samples, node, us):
-        radii = lat.axes_max_norm(grid.offsets(node))
-        exponent = lat.decay_exponent(samples, radii)
-        return [(lat.envelope_constant(samples, radii, u), exponent) for u in us]
+    def constant(samples, node, u):
+        return lat.envelope_constant(samples, lat.axes_max_norm(grid.offsets(node)), u)
 
-    dense = [fit for node, g in zip(nodes, G) for fit in fits(g, node, dict.fromkeys((t, s)))]
+    us = dict.fromkeys((t, s))
     assert [row[:2] for row in result.envelope_rows] == \
-        [(node, u) for node in nodes for u in dict.fromkeys((t, s))]
-    same([row[2:] for row in result.envelope_rows], dense)
-    members = [fits(basis.sample(node, grid), node, [s])[0] for node, _, _ in result.basis_rows]
-    same([row[1:] for row in result.basis_rows], members)
+        [(node, u) for node in nodes for u in us]
+    same([row[2] for row in result.envelope_rows],
+         [constant(g, node, u) for node, g in zip(nodes, G) for u in us])
+
+    def member(node):
+        samples = basis.sample(node, grid)
+        radii = lat.axes_max_norm(grid.offsets(node))
+        return lat.envelope_constant(samples, radii, s), lat.decay_exponent(samples, radii)
+
+    same([row[1:] for row in result.basis_rows],
+         [member(node) for node, _, _ in result.basis_rows])
 
 
 def test_d2_indicator_suite_end_to_end(sample_builds):
