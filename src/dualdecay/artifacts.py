@@ -1,12 +1,13 @@
 """Artifact writers and the recomputation-free verification pass.
 
-Every run writes a report.json plus per-family CSVs (Gramian and coefficient
-matrices in the window text format, eigenvalue traces, the samples of the
-duals within `dual_export_radius`, and envelope summaries) and a top-level
-constants table.  Each file is written where it is produced, through
-`_write`, which makes its folder and names the file on a failed write; the
-stages and `all` share the basis and matrix writers.  `verify_artifacts`
-re-checks the invariants from those files alone, with no quadrature.
+Every run writes a report.json plus per family the Gramian and its inverse
+as `.npy` (one C-order float64 array each) and CSVs (eigenvalue traces, the
+samples of the duals within `dual_export_radius`, and envelope summaries),
+and a top-level constants table.  Each file is written where it is
+produced, through `_write`, which makes its folder and names the file on a
+failed write; the stages and `all` share the basis and matrix writers.
+`verify_artifacts` re-checks the invariants from those files alone, with
+no quadrature.
 """
 
 from __future__ import annotations
@@ -131,21 +132,21 @@ def _write_basis(out_dir: str, text: tuple, families):
 
 
 def _write_matrices(out_dir: str, name: str, gramian, riesz, coeffs):
-    """gramian.csv and eigens.csv of an assembled family, and coeffs.csv
+    """gramian.npy and eigens.csv of an assembled family, and coeffs.npy
     unless `coeffs` is None (not inverted)."""
     fdir = os.path.join(out_dir, name)
-    _write(os.path.join(fdir, "gramian.csv"), gramian.to_text)
+    _write(os.path.join(fdir, "gramian.npy"), gramian.to_text)
     _write(os.path.join(fdir, "eigens.csv"), _write_lines, ["N,lambda_min,lambda_max"] + [
         f"{N},{_fmt(lo)},{_fmt(hi)}"
         for N, lo, hi in zip(riesz.radii, riesz.lambda_min, riesz.lambda_max)])
     if coeffs is not None:
-        _write(os.path.join(fdir, "coeffs.csv"), coeffs.to_text)
+        _write(os.path.join(fdir, "coeffs.npy"), coeffs.to_text)
 
 
 def write_stage(out_dir: str, grid, basis: list, matrices: list):
     """The files of the basis, gramian and duals stages: basis_envelopes.csv
     and each basis_k0.csv from one (name, spec, basis rows, origin samples)
-    per family in `basis`, and gramian.csv, eigens.csv and coeffs.csv from
+    per family in `basis`, and gramian.npy, eigens.csv and coeffs.npy from
     one (name, Gramian, riesz bounds, coefficient matrix or None) per
     assembled family in `matrices`."""
     _write_basis(out_dir, _row_text(grid), basis)
@@ -345,15 +346,11 @@ def _read_rows(path: str, types: tuple) -> list:
 
 
 def _read_matrix(path: str, window: LatticeWindow) -> DecayMatrix:
-    """The matrix stored at `path`, which must be on `window`."""
+    """The symmetric matrix on `window` stored at `path`."""
     try:
-        matrix = DecayMatrix.from_text(_require(path))
+        return DecayMatrix.from_text(_require(path), window)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if matrix.window != window:
-        raise ConfigError(f"{path} holds a matrix on the window d={matrix.window.d} "
-                          f"N={matrix.window.N}, the config's is d={window.d} N={window.N}")
-    return matrix
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _positive(text: str) -> float:
@@ -424,7 +421,7 @@ def verify_artifacts(settings: RunSettings) -> list:
                               f"in [0, {settings.radii[-1]}]: {core_radius!r}")
         fdir = os.path.join(out_dir, name)
         gram, coeffs = (_read_matrix(os.path.join(fdir, f), window)
-                        for f in ("gramian.csv", "coeffs.csv"))
+                        for f in ("gramian.npy", "coeffs.npy"))
         # a run never stores a non-positive lambda_min: NotRieszError comes first
         eigens_path = os.path.join(fdir, "eigens.csv")
         radii, lo, hi = (list(column) for column in

@@ -17,13 +17,15 @@ Exit codes: 0 success, 2 config/artifact error (including a bad argument, a
 malformed or non-finite config value, a key its section does not read, a
 perturbed node given twice, a bounds dimension over 15, a gaussian sigma
 under 1e-100, fewer than three families for report/all, a missing or
-malformed artifact, an envelopes.csv whose D_emp at t is not a finite number
->= 0 or whose rows at t are not the core nodes, one row each, artifacts
-written for another config (another d, radii, grid, t, bounds dims or set of
-family names, or a family of another family, params, claimed_C, claimed_s or
-perturbations), a sample matrix over the sample_all entry cap, a family
-name that is empty, '.' or '..' or holds '/' or ',', an artifact that cannot
-be written and a theoretical D past the float range), 3 hypothesis
+malformed artifact (a gramian.npy or coeffs.npy that is not exactly
+symmetric <f8 of the config's window shape in C order), an envelopes.csv
+whose D_emp at t is not a finite number >= 0 or whose rows at t are not
+the core nodes, one row each, artifacts written for another config
+(another d, radii, grid, t, bounds dims or set of family names, or a family
+of another family, params, claimed_C, claimed_s or perturbations), a
+sample matrix over the sample_all entry cap, a family name that is empty,
+'.' or '..' or holds '/' or ',', an artifact that cannot be written and a
+theoretical D past the float range), 3 hypothesis
 violation (including claimed C < 1 and a section that is not a Riesz
 sequence at this resolution), 4 convergence failure, 5 invariant failure
 (including a measured envelope over its claimed C, or NaN). Every error exit
@@ -214,12 +216,16 @@ def _stage_families(settings: pl.RunSettings, stage: str):
 
 
 def _print_verdicts(verdicts: list, summary: str) -> int:
-    """One line per verdict, then `summary` with the pass count; the exit code."""
+    """One line per verdict, then `summary` with the pass count; the exit
+    code, and one stderr line naming the first failed verdict if any."""
     for v in verdicts:
         print(f"{v} ({v.detail})" if v.detail else v)
-    passed = sum(v.passed for v in verdicts)
-    print(summary.format(f"{passed}/{len(verdicts)}"))
-    return 0 if passed == len(verdicts) else EXIT_INVARIANT
+    failed = [v.name for v in verdicts if not v.passed]
+    print(summary.format(f"{len(verdicts) - len(failed)}/{len(verdicts)}"))
+    if failed:
+        print(f"invariant failure: {len(failed)} of {len(verdicts)} checks failed, "
+              f"first {failed[0]}", file=sys.stderr)
+    return EXIT_INVARIANT if failed else 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -10,7 +10,6 @@ absolute sums) dominates the l2 operator norm.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,7 @@ class DecayMatrix:
     """Dense window matrix with off-diagonal decay metadata.
 
     Rows and columns follow the window enumeration.  When `symmetric` is
-    set the stored entries are exactly Hermitian.
+    set the stored entries are exactly Hermitian, a NaN matching a NaN.
     """
 
     window: LatticeWindow
@@ -61,8 +60,8 @@ class DecayMatrix:
             raise ValueError(f"entries must be {n}x{n} for window size {n}")
         if self.symmetric:
             herm = np.conj(self.entries.T)
-            if not np.array_equal(self.entries, herm):
-                raise ValueError("symmetric flag set but entries are not exactly Hermitian")
+            if not np.array_equal(self.entries, herm, equal_nan=True):
+                raise ValueError("entries are not exactly Hermitian")
 
     def node_diffs(self, axis: int) -> np.ndarray:
         """Matrix of k_h - j_h over the window (axis is 1-based)."""
@@ -71,117 +70,35 @@ class DecayMatrix:
         coords = self.window.indices[:, axis - 1].astype(float)
         return coords[:, None] - coords[None, :]
 
-    # -- simple text format: header "d N symmetric", rows "k_1..k_d j_1..j_d value"
-
+    # the text-era names stay: dualbench/spans.py looks both methods up by name
     def to_text(self, path):
-        """The header, then one row `k j repr(value)` per entry, row-major;
-        each distinct entry is formatted once."""
-        labels = _node_labels(self.window)
-        entries = np.ascontiguousarray(self.entries, dtype=float).ravel()
-        # keyed by bit pattern, so -0.0 and +0.0 keep texts of their own
-        keys, inverse = np.unique(entries.view(np.int64), return_inverse=True)
-        texts = np.array(list(map(float.__repr__, keys.view(float).tolist())), dtype=object)
-        # one `k j %s` line per entry, joined row by row from the labels
-        cells = [j + " %s" for j in labels]
-        rows = "".join([f"{k} " + f"\n{k} ".join(cells) + "\n" for k in labels])
-        with open(path, "w") as fh:
-            fh.write(f"{self.window.d} {self.window.N} {int(self.symmetric)}\n")
-            fh.write(rows % tuple(texts[inverse].tolist()))
+        """Write the entries to `path` as `.npy`: one C-order float64 array,
+        saved without pickle."""
+        with open(path, "wb") as fh:
+            np.save(fh, np.ascontiguousarray(self.entries, dtype="<f8"), allow_pickle=False)
 
     @classmethod
-    def from_text(cls, path) -> "DecayMatrix":
-        """The matrix stored by `to_text`, its rows in any order, one per line;
-        a ValueError names the file and the row or the (k, j) entry that is
-        malformed, outside the window, missing or repeated."""
-        try:
-            with open(path) as fh:
-                header = fh.readline().removesuffix("\n")
-                try:
-                    d, N, sym = (int(c) for c in header.split())
-                    if sym not in (0, 1):
-                        raise ValueError(f"symmetric flag {sym} is not 0 or 1")
-                    window = LatticeWindow(d, N)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: bad header {header!r}: {exc}") from exc
-                n = window.size
-                try:
-                    with warnings.catch_warnings():
-                        # an empty body is reported below as a row count
-                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                        rows = _load_rows(fh, d)
-                except ValueError:
-                    rows = None
-                if rows is None or len(rows) != n * n:
-                    raise _rejected(path, _row_fields(fh), d, n)
-                nodes = rows["nodes"]
-                outside = np.flatnonzero(np.abs(nodes).max(axis=1) > N)
-                if outside.size:
-                    raise _row_error(path, _row_fields(fh), outside[0],
-                                     f"has a node outside the window N={N}")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-        flat = window.positions(nodes[:, :d]) * n + window.positions(nodes[:, d:])
-        counts = np.bincount(flat, minlength=n * n)
-        if np.any(counts != 1):
-            labels = _node_labels(window)
-            missing, repeated = (divmod(int(np.flatnonzero(test)[0]), n)
-                                 for test in (counts == 0, counts > 1))
-            raise ValueError(f"{path}: no matrix row for k j = "
-                             f"{' '.join(labels[i] for i in missing)!r}, more than one "
-                             f"for {' '.join(labels[i] for i in repeated)!r}")
-        entries = np.empty((n, n))
-        entries.flat[flat] = rows["value"]
-        if sym:
-            entries = 0.5 * (entries + entries.T)
-        return cls(window, entries, symmetric=bool(sym))
-
-
-def _node_labels(window: LatticeWindow) -> list:
-    """The `k_1 .. k_d` text of every window node, in enumeration order."""
-    return [" ".join(map(str, k)) for k in window.indices.tolist()]
-
-
-def _load_rows(lines, d: int) -> np.ndarray:
-    """The `k j value` rows of `lines` (an open file or a list of lines) by
-    numpy's C text reader: one record of int64 `nodes` (k, then j) and a
-    float `value` per line that is not blank."""
-    dtype = [("nodes", np.int64, (2 * d,)), ("value", float)]
-    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-
-
-def _row_fields(fh) -> list:
-    """The fields of every line below the header of the open matrix file
-    `fh` that is not blank, read again from the start of the file."""
-    fh.seek(0)
-    fh.readline()
-    return [fields for fields in map(str.split, fh.read().split("\n")) if fields]
-
-
-def _row_error(path, lines: list, r: int, why: str) -> ValueError:
-    return ValueError(f"{path}: matrix row {r + 1} {why}: {' '.join(lines[r])!r}")
-
-
-def _rejected(path, lines: list, d: int, n: int) -> ValueError:
-    """The error for matrix rows `lines` (fields per line) that are not n*n
-    rows `k j value`: their field count when that is not n*n rows of 2d+1
-    fields, else their first line that the reader does not take as a row."""
-    width = 2 * d + 1
-    count = sum(map(len, lines))
-    rows, extra = divmod(count, width)
-    if extra or rows != n * n:
-        found = f"{rows}" if not extra else f"{count} fields, not rows of {width}"
-        return ValueError(f"{path}: expected {n * n} matrix rows, found {found}")
-    r = next(r for r, fields in enumerate(lines) if not _is_row(fields, d))
-    return _row_error(path, lines, r, "is not `k j value`")
-
-
-def _is_row(fields, d: int) -> bool:
-    """Whether the reader takes `fields` as one row `k j value`."""
-    try:
-        _load_rows([" ".join(fields)], d)
-    except ValueError:
-        return False
-    return True
+    def from_text(cls, path, window: LatticeWindow) -> "DecayMatrix":
+        """The symmetric matrix on `window` that `to_text` stored at `path`,
+        bit for bit. The `.npy` header must give format 1.0, dtype <f8, C
+        order and shape (n, n), n = window.size, and is checked before any
+        data is read."""
+        n = window.size
+        with open(path, "rb") as fh:
+            try:  # np.save writes format 1.0 for every 2-D float64 array
+                if np.lib.format.read_magic(fh) != (1, 0):
+                    raise ValueError("the format version is not 1.0")
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            except ValueError as exc:
+                raise ValueError(f"not a .npy matrix: {exc}") from None
+            if (shape, fortran, dtype) != ((n, n), False, np.dtype("<f8")):
+                raise ValueError(f"holds a {dtype.str} array of shape {shape}"
+                                 f"{' in Fortran order' * fortran}, not <f8 of shape ({n}, {n}) "
+                                 f"in C order for the window d={window.d} N={window.N}")
+            entries = np.fromfile(fh, dtype="<f8", count=n * n)
+            if entries.size != n * n or fh.read(1):
+                raise ValueError(f"does not hold exactly the {n * n} entries its header gives")
+        return cls(window, entries.reshape(n, n))
 
 
 def assemble(basis: BasisSet, window: LatticeWindow | None, grid: Grid) -> DecayMatrix:

@@ -182,7 +182,7 @@ def test_write_suite_writes_each_artifact_once(request, tmp_path, suite, exporte
     for fam in suite.families:
         nodes = core_nodes(fam.spec.d, fam.core_radius if exported == "core" else 0)
         expected |= {os.path.join(fam.name, name) for name in
-                     ("basis_k0.csv", "gramian.csv", "coeffs.csv", "eigens.csv",
+                     ("basis_k0.csv", "gramian.npy", "coeffs.npy", "eigens.csv",
                       "envelopes.csv", *(f"dual_k{artifacts._node_label(k)}.csv"
                                          for k in nodes))}
     assert set(_tree(tmp_path)) == expected

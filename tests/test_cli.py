@@ -152,12 +152,10 @@ def test_cli_all_and_verify_roundtrip(mini_config, capsys):
 def test_cli_verify_detects_corruption(mini_config, capsys):
     path, out = mini_config
     assert cli.main(["all", "--config", path]) == 0
-    coeffs = os.path.join(out, "bump", "coeffs.csv")
-    lines = Path(coeffs).read_text().splitlines()
-    parts = lines[3].split()
-    parts[-1] = repr(float(parts[-1]) + 0.25)
-    lines[3] = " ".join(parts)
-    Path(coeffs).write_text("\n".join(lines) + "\n")
+    coeffs = os.path.join(out, "bump", "coeffs.npy")
+    entries = np.load(coeffs, allow_pickle=False)
+    entries[0, 2] = entries[2, 0] = entries[0, 2] + 0.25  # still symmetric
+    np.save(coeffs, entries, allow_pickle=False)
     assert cli.main(["verify", "--config", path]) == cli.EXIT_INVARIANT
     out_text = capsys.readouterr().out
     assert "biorthogonality" in out_text and "FAIL" in out_text
@@ -330,9 +328,9 @@ def test_cli_stage_artifacts(mini_config, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "basis_envelopes.csv"))
     assert cli.main(["duals", "--config", path]) == 0
     for fam in ("indicator", "bump", "hat"):
-        assert os.path.exists(os.path.join(out, fam, "gramian.csv"))
+        assert os.path.exists(os.path.join(out, fam, "gramian.npy"))
         assert os.path.exists(os.path.join(out, fam, "eigens.csv"))
-        assert os.path.exists(os.path.join(out, fam, "coeffs.csv"))
+        assert os.path.exists(os.path.join(out, fam, "coeffs.npy"))
     assert cli.main(["bounds", "--config", path]) == 0
     assert os.path.exists(os.path.join(out, "constants.csv"))
 
@@ -591,6 +589,40 @@ def _envelopes_at_t(value):
     return edit
 
 
+def _npy(array) -> bytes:
+    """The .npy bytes of `array`; an object array is pickled."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=array.dtype == object)
+    return buf.getvalue()
+
+
+def _npy_edit(edit):
+    """An edit of a stored .npy matrix: the .npy bytes of edit(entries)."""
+    return lambda data: _npy(edit(np.load(io.BytesIO(data), allow_pickle=False)))
+
+
+def _repeat_row(entries):
+    entries[4] = entries[3]
+    return entries
+
+
+def _one_ulp_off_diagonal(entries):
+    entries[0, 1] = np.nextafter(entries[0, 1], np.inf)
+    return entries
+
+
+def _huge_header(data):
+    """A .npy header that claims a 300000 x 300000 float64 array (671 GiB),
+    then the stored file."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (300000, 300000)})
+    return buf.getvalue() + data
+
+
+_NOT_25x25 = "not <f8 of shape (25, 25) in C order for the window d=1 N=12"
+
+
 def _envelopes_with_exponent_fit(text):
     """envelopes.csv in the earlier `k,t,D_emp,exponent_fit` format."""
     header, *rows = text.splitlines()
@@ -598,25 +630,26 @@ def _envelopes_with_exponent_fit(text):
 
 
 @pytest.mark.parametrize("rel,edit,fragment", [
-    ("bump/gramian.csv", _replace_line(626, None), "expected 625 matrix rows, found 624"),
-    ("bump/coeffs.csv", _replace_line(4, lambda lines: "-12 -10 abc"),
-     "matrix row 3 is not `k j value`: '-12 -10 abc'"),
-    ("bump/gramian.csv", _replace_line(6, lambda lines: "40 -8 0.5"),
-     "matrix row 5 has a node outside the window N=12"),
+    ("bump/gramian.npy", lambda data: data[:-8],
+     "does not hold exactly the 625 entries its header gives"),
+    ("bump/coeffs.npy", _npy_edit(lambda entries: entries.astype(object)),
+     f"holds a |O array of shape (25, 25), {_NOT_25x25}"),
+    # the matrix of the window N=13, whose outer nodes are outside N=12
+    ("bump/gramian.npy", _npy_edit(lambda entries: np.eye(27)),
+     f"holds a <f8 array of shape (27, 27), {_NOT_25x25}"),
     ("bump/eigens.csv", _replace_line(2, lambda lines: lines[1].rsplit(",", 1)[0]),
      "line 2: 2 fields, expected 3"),
     ("report.json", _drop_A_est, "has no 'families.bump.A_est' entry"),
     ("report.json", _null_A_est, "entry 'families.bump.A_est' is not a number: None"),
     ("report.json", _text_passed, "entry 'invariants.0.passed' is not a bool: 'yes'"),
-    ("bump/gramian.csv", _replace_line(5, lambda lines: lines[3]),
-     "no matrix row for k j = '-12 -9', more than one for '-12 -10'"),
+    ("bump/gramian.npy", _npy_edit(_repeat_row), "entries are not exactly Hermitian"),
 ] + [("report.json", _core_radius(value),
       f"entry 'families.bump.core_radius' is not an integer in [0, 12]: {value!r}")
      for value in (-1, 99, 1e300, 2.5)] + [
-    (rel, lambda text: "1 0 1\n0 0 1.0\n",
-     "holds a matrix on the window d=1 N=0, the config's is d=1 N=12")
-    for rel in ("bump/gramian.csv", "bump/coeffs.csv",
-                ("bump/gramian.csv", "bump/coeffs.csv"))] + [
+    (rel, _npy_edit(lambda entries: np.ones((1, 1))),
+     f"holds a <f8 array of shape (1, 1), {_NOT_25x25}")
+    for rel in ("bump/gramian.npy", "bump/coeffs.npy",
+                ("bump/gramian.npy", "bump/coeffs.npy"))] + [
     ("bump/eigens.csv", _replace_line(4, lambda lines, value=value: f"12,{value},2.0"),
      f"line 4: lambda_min {value} is not positive") for value in ("0.0", "-0.5")] + [
     ("bump/eigens.csv", _replace_line(3, None),
@@ -633,7 +666,22 @@ def _envelopes_with_exponent_fit(text):
      "line 4: node '-2' at t=2 has a second row"),
     ("bump/envelopes.csv", _replace_line(2, lambda lines: "3" + lines[1][2:]),
      "line 2: node '3' at t=2 is not in the core of radius 2"),
-    ("bump/envelopes.csv", _envelopes_with_exponent_fit, "line 2: 4 fields, expected 3")],
+    ("bump/envelopes.csv", _envelopes_with_exponent_fit, "line 2: 4 fields, expected 3"),
+    ("bump/gramian.npy", lambda data: b"", "not a .npy matrix: EOF: reading magic string"),
+    ("bump/gramian.npy", lambda data: data + b"\xff",
+     "does not hold exactly the 625 entries its header gives"),
+    # the earlier `k j value` text format under the new name
+    ("bump/gramian.npy", lambda data: b"1 12 1\n-12 -12 1.0\n",
+     "not a .npy matrix: the magic string is not correct"),
+    ("bump/gramian.npy", _npy_edit(np.asfortranarray),
+     f"holds a <f8 array of shape (25, 25) in Fortran order, {_NOT_25x25}"),
+    ("bump/gramian.npy", _huge_header, f"holds a <f8 array of shape (300000, 300000), "
+                                       f"{_NOT_25x25}"),
+    ("bump/coeffs.npy", _npy_edit(_one_ulp_off_diagonal),
+     "entries are not exactly Hermitian")] + [
+    ("bump/coeffs.npy", _npy_edit(lambda entries, dtype=dtype: entries.astype(dtype)),
+     f"holds a {np.dtype(dtype).str} array of shape (25, 25), {_NOT_25x25}")
+    for dtype in ("float32", "int64", "complex128", ">f8")],
     ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
          "eigens-short-row", "nested-report-key", "nested-report-null",
          "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
@@ -642,7 +690,10 @@ def _envelopes_with_exponent_fit(text):
          "lambda-min-negative", "eigens-radius-dropped", "eigens-radius-changed",
          "D-emp-nan", "D-emp-negative", "D-emp-rows-at-t-dropped",
          "D-emp-node-overwritten-by-neighbour", "D-emp-node-outside-core",
-         "envelopes-four-fields"])
+         "envelopes-four-fields", "gramian-empty", "gramian-trailing-byte",
+         "gramian-text-format", "gramian-fortran-order", "gramian-header-300000x300000",
+         "coeffs-one-ulp-asymmetric", "coeffs-float32", "coeffs-int64",
+         "coeffs-complex128", "coeffs-big-endian"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
     # `rel` is the damaged file, or several of them, the first named
@@ -650,7 +701,11 @@ def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fr
     shutil.copytree(re.search(r"(?m)^out = (.*)$", mini_run)[1], out)
     rels = [rel] if isinstance(rel, str) else rel
     for each in rels:
-        (out / each).write_text(edit((out / each).read_text()))
+        path = out / each
+        if path.suffix == ".npy":
+            path.write_bytes(edit(path.read_bytes()))
+        else:
+            path.write_text(edit(path.read_text()))
     damaged = out / rels[0]
     config = tmp_path / "mini.ini"
     config.write_text(mini_run)
@@ -661,8 +716,7 @@ def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fr
     assert fragment in line, line
 
 
-@pytest.mark.parametrize("rel", ["bump/gramian.csv", "bump/coeffs.csv", "bump/eigens.csv",
-                                 "bump/envelopes.csv", "report.json"])
+@pytest.mark.parametrize("rel", ["bump/eigens.csv", "bump/envelopes.csv", "report.json"])
 def test_cli_verify_rejects_non_utf8_artifact(mini_run, tmp_path, rel, capsys):
     out = tmp_path / "out"
     shutil.copytree(re.search(r"(?m)^out = (.*)$", mini_run)[1], out)
@@ -754,6 +808,25 @@ def test_cli_all_runs_alike_under_the_benchmark_tracer(mini_config, tmp_path, mo
     assert [cls.__dict__[attr] for cls, attr in methods] == raw
 
 
+def test_cli_failed_verdicts_print_one_stderr_line(tmp_path, monkeypatch, capsys):
+    """`all` and `verify` on the benchmark's d=2 indicator config exit 5 and
+    print, besides their verdict lines on stdout, one stderr line that counts
+    the failed checks and names the first."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "dualbench"))
+    config = tmp_path / "d2_indicator.ini"
+    config.write_text(importlib.import_module("workloads").d2_indicator_config(11))
+    for stage, first in (("all", "convolution_u_stability.d2"),
+                         ("verify", "stored_verdicts_pass")):
+        assert cli.main([stage, "--config", str(config), "--out", str(tmp_path / "out")]) \
+            == cli.EXIT_INVARIANT
+        printed = capsys.readouterr()
+        checks = re.findall(r"(?m)^\[(pass|FAIL)\] ([^:]+):", printed.out)
+        failed = [name for mark, name in checks if mark == "FAIL"]
+        assert failed[0] == first
+        assert _one_line(printed.err) == (f"invariant failure: {len(failed)} of {len(checks)} "
+                                          f"checks failed, first {first}")
+
+
 def test_cli_runs_are_bit_identical(mini_config, tmp_path, capsys):
     path, _ = mini_config
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -835,12 +908,13 @@ def test_cli_default_brackets_write_what_the_scan_writes(mini_config, tmp_path, 
 
 
 def test_shipped_suite_artifacts_hold_no_numpy_reprs(tmp_path, capsys):
-    # every float is written as its Python repr, never as np.float64(...)
+    # every float in a text artifact is written as its Python repr, never as
+    # np.float64(...)
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "d1_suite.ini")
     assert cli.main(["all", "--config", config, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     written = [os.path.join(root, name) for root, _, names in os.walk(tmp_path)
-               for name in names]
+               for name in names if name.endswith((".csv", ".txt", ".json"))]
     assert any(path.endswith("calibration.txt") for path in written)
     for path in written:
         assert "np." not in Path(path).read_text(), path
@@ -1247,9 +1321,7 @@ def test_cli_fuzzed_config_keeps_exit_code_contract(cfg):
     assert code in (0, cli.EXIT_CONFIG, cli.EXIT_HYPOTHESIS, cli.EXIT_CONVERGENCE,
                     cli.EXIT_INVARIANT), (code, lines)
     assert not any("Traceback" in line for line in lines), lines
-    if code in (cli.EXIT_CONFIG, cli.EXIT_HYPOTHESIS, cli.EXIT_CONVERGENCE):
-        assert len(lines) == 1, lines
-    if code == cli.EXIT_INVARIANT:  # one line for a failure, none for failed verdicts
-        assert len(lines) <= 1, lines
     if code == 0:
         assert lines == [], lines
+    else:
+        assert len(lines) == 1, lines

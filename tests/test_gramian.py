@@ -1,5 +1,7 @@
+import ast
 import math
-import warnings
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,14 +349,14 @@ def test_offdiag_fit_bump_gramian_exponent():
     assert constant < 2.0
 
 
-# --- text format -------------------------------------------------------------------
+# --- matrix files: `to_text` and `from_text` write and read .npy -------------------
 
 
 def test_matrix_text_roundtrip(tmp_path):
     M = gr.assemble(gaussian_basis(N=2), None, GRID)
-    path = tmp_path / "m.csv"
+    path = tmp_path / "m.npy"
     M.to_text(path)
-    back = gr.DecayMatrix.from_text(path)
+    back = gr.DecayMatrix.from_text(path, M.window)
     assert back.window == M.window
     assert back.symmetric == M.symmetric
     assert np.array_equal(back.entries, M.entries)
@@ -362,138 +364,148 @@ def test_matrix_text_roundtrip(tmp_path):
 
 def test_matrix_text_rejects_truncation(tmp_path):
     M = gr.assemble(indicator_basis(), None, GRID)
-    path = tmp_path / "m.csv"
+    path = tmp_path / "m.npy"
     M.to_text(path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError, match="expected"):
-        gr.DecayMatrix.from_text(path)
-
-
-def loop_to_text(M, path):
-    """The row-by-row writer that DecayMatrix.to_text must match byte for byte."""
-    lines = [f"{M.window.d} {M.window.N} {int(M.symmetric)}"]
-    idx = M.window.indices
-    for a, k in enumerate(idx):
-        for b, j in enumerate(idx):
-            coords = " ".join(str(int(c)) for c in k) + " " + " ".join(str(int(c)) for c in j)
-            lines.append(f"{coords} {float(M.entries[a, b])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def loop_from_text(path):
-    """The line-by-line reader that DecayMatrix.from_text must match bitwise."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        d, N, sym = int(header[0]), int(header[1]), bool(int(header[2]))
-        window = lat.LatticeWindow(d, N)
-        entries = np.empty((window.size, window.size))
-        for line in fh:
-            parts = line.split()
-            k, j = [int(c) for c in parts[:d]], [int(c) for c in parts[d:2 * d]]
-            entries[window.index_of(k), window.index_of(j)] = float(parts[2 * d])
-    if sym:
-        entries = 0.5 * (entries + entries.T)
-    return gr.DecayMatrix(window, entries, symmetric=sym)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(ValueError, match="does not hold exactly the 9 entries"):
+        gr.DecayMatrix.from_text(path, M.window)
 
 
 def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
 
-# a few values over a whole matrix, each signed zero among them many times:
-# the writer formats each distinct entry once, so it must key them by bits
-_REPEATED = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.1, -2.5e-8, 5e-324, -5e-324, 1e308, math.inf]
+def loop_to_npy(M, path):
+    """The .npy format 1.0 written by hand, one entry at a time: the bytes
+    that DecayMatrix.to_text must match."""
+    n = M.window.size
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': ({n}, {n}), }}"
+    header += " " * (21 - len(str(n)))  # numpy's room to grow the first axis
+    header += " " * (64 - (10 + len(header) + 1) % 64) + "\n"  # data 64-byte aligned
+    with open(path, "wb") as fh:
+        fh.write(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode())
+        for k in range(n):
+            for j in range(n):
+                fh.write(struct.pack("<d", M.entries[k, j]))
+
+
+def loop_from_npy(path) -> np.ndarray:
+    """The float64 matrix of a .npy file read by hand, one entry at a time:
+    the values that DecayMatrix.from_text must match bitwise."""
+    with open(path, "rb") as fh:
+        assert fh.read(8) == b"\x93NUMPY\x01\x00"
+        header = ast.literal_eval(fh.read(struct.unpack("<H", fh.read(2))[0]).decode())
+        assert header["descr"] == "<f8" and not header["fortran_order"]
+        rows, cols = header["shape"]
+        entries = [[struct.unpack("<d", fh.read(8))[0] for _ in range(cols)]
+                   for _ in range(rows)]
+        assert fh.read() == b""
+    return np.array(entries)
+
+
+# a few values over a whole matrix, each signed zero among them many times
+_REPEATED = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.1, -2.5e-8, 5e-324, -5e-324, 1e308, math.inf,
+             -math.inf, math.nan]
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "general", "repeated"])
 @pytest.mark.parametrize("d, N", [(1, 7), (2, 2), (3, 1)])
 def test_matrix_text_matches_loop_oracles(tmp_path, d, N, kind):
+    """`to_text` writes the bytes of the loop writer; `from_text` reads a
+    symmetric matrix back bit for bit, signed zeros, subnormals, infinities
+    and NaN included, as the loop reader does, and rejects one that is not
+    symmetric."""
     window = lat.LatticeWindow(d, N)
     rng = np.random.default_rng(17 * d + N)
     shape = (window.size,) * 2
     if kind == "repeated":
         a = rng.choice(_REPEATED, shape)
-        a.flat[:4] = [0.0, -0.0, -0.0, 0.0]
+        a.flat[:4] = [0.0, -0.0, -0.0, math.nan]
         zero, signed = a == 0, np.signbit(a)
         assert min(np.sum(zero & signed), np.sum(zero & ~signed)) >= 2
     else:
         a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
         a[0, 1], a[1, 2], a[2, 0] = 0.0, -0.0, 5e-324
-    symmetric = kind == "symmetric"
-    M = gr.DecayMatrix(window, 0.5 * (a + a.T) if symmetric else a, symmetric=symmetric)
-    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    if kind != "general":
+        a = np.where(np.triu(np.ones(shape, dtype=bool)), a, a.T)  # mirrors the bits
+    M = gr.DecayMatrix(window, a, symmetric=kind != "general")
+    fast, slow = tmp_path / "fast.npy", tmp_path / "slow.npy"
     M.to_text(fast)
-    loop_to_text(M, slow)
+    loop_to_npy(M, slow)
     assert fast.read_bytes() == slow.read_bytes()
-    back = gr.DecayMatrix.from_text(fast)
-    assert back.window == window and back.symmetric == symmetric
-    assert np.array_equal(bits(back.entries), bits(M.entries))
-    assert np.array_equal(bits(back.entries), bits(loop_from_text(fast).entries))
+    assert np.array_equal(bits(loop_from_npy(fast)), bits(a))
+    if kind == "general":
+        with pytest.raises(ValueError, match="entries are not exactly Hermitian"):
+            gr.DecayMatrix.from_text(fast, window)
+        return
+    back = gr.DecayMatrix.from_text(fast, window)
+    assert back.window == window and back.symmetric
+    assert np.array_equal(bits(back.entries), bits(a))
 
 
-def _rows(edit):
-    """An edit of the lines of a matrix file that applies `edit` to the rows
-    below the header."""
-    return lambda lines: lines[:1] + edit(lines[1:])
+def _npy_header(path, shape):
+    """A .npy header of a C-order float64 array of `shape` at `path`."""
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
 
 
-@pytest.mark.parametrize("edit, fragment", [
-    (_rows(lambda rows: rows[:3] + rows[4:]), "expected 9 matrix rows, found 8"),
-    (_rows(lambda rows: rows[:3] + ["0 1"] + rows[4:]), "found 26 fields, not rows of 3"),
-    (_rows(lambda rows: rows[:3] + ["0 x 0.5"] + rows[4:]),
-     "matrix row 4 is not `k j value`: '0 x 0.5'"),
-    (_rows(lambda rows: rows[:3] + ["0 99999999999999999999 0.5"] + rows[4:]),
-     "matrix row 4 is not `k j value`"),
-    (_rows(lambda rows: rows[:3] + ["2 0 0.5"] + rows[4:]), "matrix row 4 has a node outside"),
-    (_rows(lambda rows: rows[:3] + [rows[2]] + rows[4:]),
-     "no matrix row for k j = '0 -1', more than one for '-1 1'"),
-    (_rows(lambda rows: rows[:3] + ["1.0 0 0.5"] + rows[4:]),
-     "matrix row 4 is not `k j value`: '1.0 0 0.5'"),
-    (_rows(lambda rows: rows[:3] + ["0 1e0 0.5"] + rows[4:]),
-     "matrix row 4 is not `k j value`: '0 1e0 0.5'"),
-    (_rows(lambda rows: rows[:3] + ["0 -1 0.5#"] + rows[4:]),
-     "matrix row 4 is not `k j value`: '0 -1 0.5#'"),
-    (_rows(lambda rows: rows[:3] + ["0 -1", "0.0"] + rows[4:]),
-     "matrix row 4 is not `k j value`: '0 -1'"),
-    (_rows(lambda rows: rows[:3] + [rows[3] + " " + rows[4]] + rows[5:]),
-     "matrix row 4 is not `k j value`: '0 -1 0.0 0 0 1.0'"),
-    (lambda lines: ["1 1 7"] + lines[1:], "bad header '1 1 7': symmetric flag 7 is not 0 or 1"),
-], ids=["truncated", "short-row", "non-numeric", "overflow", "outside", "repeated",
-        "float-label", "exponent-label", "hash-in-value", "row-over-two-lines",
-        "two-rows-on-a-line", "symmetric-flag"])
-def test_matrix_text_rejects_malformed_rows(tmp_path, edit, fragment):
-    path = tmp_path / "m.csv"
+def _with_row_repeated(path):
+    a = np.arange(9.0).reshape(3, 3)
+    a = a + a.T
+    a[1] = a[0]
+    np.save(path, a)
+
+
+def _in_format_2_0(path):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, np.eye(3), version=(2, 0))
+
+
+@pytest.mark.parametrize("write, fragment", [
+    (lambda path: path.write_bytes(path.read_bytes()[:-1]),
+     "does not hold exactly the 9 entries its header gives"),
+    (lambda path: np.save(path, np.eye(3).astype(object), allow_pickle=True),
+     "holds a |O array of shape (3, 3), not <f8 of shape (3, 3) in C order for the window "
+     "d=1 N=1"),
+    (lambda path: np.save(path, np.eye(5)), "holds a <f8 array of shape (5, 5), not <f8"),
+    (_with_row_repeated, "entries are not exactly Hermitian"),
+    (lambda path: np.save(path, np.eye(3)[:, :2]), "holds a <f8 array of shape (3, 2), not <f8"),
+    (lambda path: np.save(path, np.eye(3).ravel()), "holds a <f8 array of shape (9,), not <f8"),
+    (_in_format_2_0, "not a .npy matrix: the format version is not 1.0"),
+], ids=["truncated", "non-numeric", "outside", "repeated", "short-row", "two-rows-on-a-line",
+        "version-2.0"])
+def test_matrix_text_rejects_malformed_rows(tmp_path, write, fragment):
+    path = tmp_path / "m.npy"
     gr.DecayMatrix(lat.LatticeWindow(1, 1), np.eye(3)).to_text(path)
-    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    write(path)
     with pytest.raises(ValueError) as err:
-        gr.DecayMatrix.from_text(path)
-    assert str(path) in str(err.value) and fragment in str(err.value), str(err.value)
+        gr.DecayMatrix.from_text(path, lat.LatticeWindow(1, 1))
+    assert fragment in str(err.value), str(err.value)
 
 
 def test_matrix_text_header_without_rows_is_a_row_count(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("1 1 1\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="expected 9 matrix rows, found 0"):
-            gr.DecayMatrix.from_text(path)
+    path = tmp_path / "m.npy"
+    _npy_header(path, (3, 3))
+    with pytest.raises(ValueError, match="does not hold exactly the 9 entries its header gives"):
+        gr.DecayMatrix.from_text(path, lat.LatticeWindow(1, 1))
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "general"])
-def test_matrix_text_reads_rows_in_any_order(tmp_path, symmetric):
-    window = lat.LatticeWindow(2, 1)
-    a = np.random.default_rng(5).standard_normal((window.size,) * 2)
-    M = gr.DecayMatrix(window, 0.5 * (a + a.T) if symmetric else a, symmetric=symmetric)
-    path = tmp_path / "m.csv"
-    M.to_text(path)
-    header, *rows = path.read_text().splitlines()
-    order = np.random.default_rng(6).permutation(len(rows))
-    path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
-    back = gr.DecayMatrix.from_text(path)
-    assert back.window == window and back.symmetric == symmetric
-    assert np.array_equal(bits(back.entries), bits(M.entries))
+def test_matrix_header_is_checked_before_any_data_is_read(tmp_path):
+    """A header that claims a 300000 x 300000 array (671 GiB) is rejected
+    from the header alone; np.load would try to allocate the array."""
+    path = tmp_path / "m.npy"
+    _npy_header(path, (300000, 300000))
+    with open(path, "ab") as fh:
+        fh.write(np.eye(3).tobytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="holds a <f8 array of shape \\(300000, 300000\\)"):
+            gr.DecayMatrix.from_text(path, lat.LatticeWindow(1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("d, N, sub_N", [(1, 6, 2), (2, 2, 1)])
