@@ -1,18 +1,19 @@
 """Artifact writers and the recomputation-free verification pass.
 
-Every run writes a report.json plus per family the Gramian and its inverse
-as `.npy` (one C-order float64 array each) and CSVs (eigenvalue traces, the
-samples of the duals within `dual_export_radius`, and envelope summaries),
-and a top-level constants table.  Each file is written where it is
+Arrays are `.npy` and tables are text.  Per family a run writes the
+Gramian and its inverse (`gramian.npy`, `coeffs.npy`) and the samples of
+the origin's basis function and of the duals within `dual_export_radius`
+(`basis_k0.npy`, `dual_k<k>.npy`), each one C-order float64 array, next to
+the eigenvalue trace and envelope summaries as CSV; on top sit a constants
+table, calibration.txt and report.json.  Each file is written where it is
 produced, through `_write`, which makes its folder and names the file on a
 failed write; the stages and `all` share the basis and matrix writers.
-`verify_artifacts` re-checks the invariants from those files alone, with
-no quadrature.
+`verify_artifacts` re-checks the invariants from the tables and matrices
+alone, with no quadrature and no sample file.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -59,53 +60,17 @@ def _write_lines(path: str, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-_CHUNK_ROWS = 4096  # rows formatted per write of a sample file
 _NUMBER = (int, float)  # what verify accepts where report.json holds a number
 
 
-def _row_text(grid) -> tuple:
-    """The text of a sample file on the grid, built once per grid: the
-    `x_1,..,x_d,value` header, the `x_1,..,x_d,` prefix of every grid point
-    in lexicographic order, `zeros`, the ASCII bytes of every row with value
-    +0.0, and the int64 `starts`, where row i of `zeros` begins (with its
-    length last)."""
-    axis = [_fmt(c) + "," for c in grid.axis.tolist()]
-    prefixes = list(map("".join, itertools.product(axis, repeat=grid.d)))
-    zeros = ("0.0\n".join(prefixes) + "0.0\n").encode("ascii")
-    widths = lengths = np.array([len(a) for a in axis], dtype=np.int64)
-    for _ in range(grid.d - 1):
-        lengths = np.add.outer(lengths, widths).ravel()
-    starts = np.zeros(len(prefixes) + 1, dtype=np.int64)
-    np.cumsum(lengths + len("0.0\n"), out=starts[1:])
-    header = ",".join(f"x_{i + 1}" for i in range(grid.d)) + ",value\n"
-    return header, prefixes, zeros, starts
-
-
-def _write_samples(path: str, text: tuple, values):
-    """One `x_1..x_d,value` row per grid point, from the grid's row text.
-
-    The rows go out _CHUNK_ROWS at a time.  In a chunk, each run of +0.0
-    samples is written as a view of the zero bytes, with no copy; every
-    other run (-0.0, NaN and inf included) is formatted, so the bytes are
-    those of `repr` row by row."""
-    header, prefixes, zeros, starts = text
-    values = np.asarray(values, dtype=float)
-    if len(values) != len(prefixes):
-        raise ValueError(f"{len(values)} samples for a grid of {len(prefixes)} points")
-    with open(path, "wb") as fh, memoryview(zeros) as view:
-        fh.write(header.encode("ascii"))
-        for first in range(0, len(values), _CHUNK_ROWS):
-            chunk = values[first:first + _CHUNK_ROWS]
-            formatted = chunk.view(np.int64) != 0  # +0.0 is the one float with no bit set
-            edges = [0, *(np.flatnonzero(formatted[1:] != formatted[:-1]) + 1).tolist(),
-                     len(chunk)]
-            for a, b in zip(edges, edges[1:]):
-                if not formatted[a]:
-                    fh.write(view[starts[first + a]:starts[first + b]])
-                    continue
-                rows = map(str.__add__, prefixes[first + a:first + b],
-                           map(float.__repr__, chunk[a:b].tolist()))
-                fh.write(("\n".join(rows) + "\n").encode("ascii"))
+def _write_samples(path: str, grid, values):
+    """The samples of one function on the grid as `.npy`: one C-order <f8
+    array of shape (2m+1,)*d, m = grid.steps, whose entry [i_1, .., i_d] is
+    the sample at (h(i_1 - m), .., h(i_d - m)), saved without pickle.  Samples
+    of another length raise before the file is opened."""
+    array = np.asarray(values, dtype="<f8").reshape((len(grid.axis),) * grid.d)
+    with open(path, "wb") as fh:
+        np.save(fh, array, allow_pickle=False)
 
 
 def _write(path: str, write, *args):
@@ -120,14 +85,14 @@ def _write(path: str, write, *args):
         raise
 
 
-def _write_basis(out_dir: str, text: tuple, families):
-    """basis_k0.csv per family, then basis_envelopes.csv, from one (name,
+def _write_basis(out_dir: str, grid, families):
+    """basis_k0.npy per family, then basis_envelopes.csv, from one (name,
     spec, basis rows, origin samples) per family."""
     lines = ["family,node,claimed_C,measured_C,regression_exponent"]
     for name, spec, rows, k0 in families:
         lines += [f"{name},{_node_label(node)},{_fmt(spec.claimed_C)},{_fmt(C)},"
                   f"{_fmt(exponent)}" for node, C, exponent in rows]
-        _write(os.path.join(out_dir, name, "basis_k0.csv"), _write_samples, text, k0)
+        _write(os.path.join(out_dir, name, "basis_k0.npy"), _write_samples, grid, k0)
     _write(os.path.join(out_dir, "basis_envelopes.csv"), _write_lines, lines)
 
 
@@ -145,11 +110,11 @@ def _write_matrices(out_dir: str, name: str, gramian, riesz, coeffs):
 
 def write_stage(out_dir: str, grid, basis: list, matrices: list):
     """The files of the basis, gramian and duals stages: basis_envelopes.csv
-    and each basis_k0.csv from one (name, spec, basis rows, origin samples)
+    and each basis_k0.npy from one (name, spec, basis rows, origin samples)
     per family in `basis`, and gramian.npy, eigens.csv and coeffs.npy from
     one (name, Gramian, riesz bounds, coefficient matrix or None) per
     assembled family in `matrices`."""
-    _write_basis(out_dir, _row_text(grid), basis)
+    _write_basis(out_dir, grid, basis)
     for name, gramian, riesz, coeffs in matrices:
         _write_matrices(out_dir, name, gramian, riesz, coeffs)
 
@@ -163,13 +128,11 @@ def write_bounds(out_dir: str, lattice_sum_cal: dict, convolution: dict):
 def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
     """Every file of the `report` stage and, with `basis`, the basis exports
     of `all`."""
-    # the top-level texts before the row text: of the orders measured, this
-    # one gave the lowest peak RSS on the d=2 benchmark workload
     report = json.dumps(report_dict(suite), indent=2, sort_keys=True)
     constants, calibration = _constants_lines(suite), _calibration_lines(suite)
-    text = _row_text(suite.settings.grid())
+    grid = suite.settings.grid()
     if basis:
-        _write_basis(out_dir, text, [(fam.name, fam.spec, fam.basis_rows, fam.basis_k0)
+        _write_basis(out_dir, grid, [(fam.name, fam.spec, fam.basis_rows, fam.basis_k0)
                                      for fam in suite.families])
     for fam in suite.families:
         _write_matrices(out_dir, fam.name, fam.gramian, fam.riesz, fam.coeffs)
@@ -177,8 +140,8 @@ def write_suite(out_dir: str, suite: SuiteResult, basis: bool = False):
         _write(os.path.join(fdir, "envelopes.csv"), _write_lines, ["k,t,D_emp"] + [
             f"{_node_label(node)},{_fmt(u)},{_fmt(const)}" for node, u, const in fam.envelope_rows])
         for node, samples in sorted(fam.duals.items()):
-            _write(os.path.join(fdir, f"dual_k{_node_label(node)}.csv"), _write_samples,
-                   text, samples)
+            _write(os.path.join(fdir, f"dual_k{_node_label(node)}.npy"), _write_samples,
+                   grid, samples)
     _write(os.path.join(out_dir, "constants.csv"), _write_lines, constants)
     _write(os.path.join(out_dir, "calibration.txt"), _write_lines, calibration)
     _write(os.path.join(out_dir, "report.json"), _write_lines, [report])
@@ -346,11 +309,14 @@ def _read_rows(path: str, types: tuple) -> list:
 
 
 def _read_matrix(path: str, window: LatticeWindow) -> DecayMatrix:
-    """The symmetric matrix on `window` stored at `path`."""
+    """The symmetric matrix on `window` stored at `path`, every entry finite."""
     try:
-        return DecayMatrix.from_text(_require(path), window)
+        matrix = DecayMatrix.from_text(_require(path), window)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not np.isfinite(matrix.entries).all():
+        raise ConfigError(f"{path}: holds an entry that is NaN or infinite")
+    return matrix
 
 
 def _positive(text: str) -> float:

@@ -18,9 +18,10 @@ malformed or non-finite config value, a key its section does not read, a
 perturbed node given twice, a bounds dimension over 15, a gaussian sigma
 under 1e-100, fewer than three families for report/all, a missing or
 malformed artifact (a gramian.npy or coeffs.npy that is not exactly
-symmetric <f8 of the config's window shape in C order), an envelopes.csv
-whose D_emp at t is not a finite number >= 0 or whose rows at t are not
-the core nodes, one row each, artifacts written for another config
+symmetric <f8 of the config's window shape in C order, or that holds NaN
+or inf), an envelopes.csv whose D_emp at t is not a finite number >= 0 or
+whose rows at t are not the core nodes, one row each, artifacts written
+for another config
 (another d, radii, grid, t, bounds dims or set of family names, or a family
 of another family, params, claimed_C, claimed_s or perturbations), a
 sample matrix over the sample_all entry cap, a family name that is empty,

@@ -151,12 +151,12 @@ def apply_derivation(L: DecayMatrix, h: int, u: int) -> DecayMatrix:
     if u < 0 or int(u) != u:
         raise ValueError(f"derivation power must be a nonnegative integer, got {u}")
     diffs = L.node_diffs(h)
-    entries = L.entries * diffs**u
-    # odd powers flip sign under transposition
-    sym = L.symmetric and u % 2 == 0
-    if sym:
-        entries = 0.5 * (entries + entries.T)
-    return DecayMatrix(L.window, entries, symmetric=sym, quadrature_tail=L.quadrature_tail)
+    # odd powers flip sign under transposition; an even one is taken of
+    # |k_h - j_h|, since numpy's array power can round x^u and (-x)^u one ulp
+    # apart (13^16), and the product must stay exactly symmetric
+    even = u % 2 == 0
+    return DecayMatrix(L.window, L.entries * (np.abs(diffs) if even else diffs)**u,
+                       symmetric=L.symmetric and even, quadrature_tail=L.quadrature_tail)
 
 
 def schur_bound(L: DecayMatrix) -> float:

@@ -53,7 +53,7 @@ class RunSettings:
     out_dir: str = "out"
     tolerances: dict = field(default_factory=dict)
     bounds_dims: tuple = ()          # dimensions for the constants stage
-    dual_export_radius: int = 0     # dual_k*.csv for core nodes within this radius
+    dual_export_radius: int = 0     # dual_k*.npy for core nodes within this radius
     # W_(s-t) by exponent s - t, summed once here to check w_tol; not an input
     w_values: dict = field(init=False, repr=False)
 

@@ -2,12 +2,9 @@ import dataclasses
 import errno
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from dualdecay import artifacts
 from dualdecay import lattice as lat
@@ -16,140 +13,43 @@ from dualdecay import pipeline as pl
 from conftest import core_nodes, d2_indicator_settings, grid_points
 
 
-def loop_write_samples(path, grid, values):
-    """The point-by-point writer that artifacts._write_samples must match."""
-    lines = [",".join(f"x_{i + 1}" for i in range(grid.d)) + ",value"]
-    lines += [",".join(repr(float(c)) for c in pt) + f",{float(v)!r}"
-              for pt, v in zip(grid_points(grid), values)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+SAMPLE_GRIDS = {d: lat.Grid(h=h, R=R, d=d) for d, h, R in
+                [(1, 1 / 64, 40.0), (2, 1 / 8, 4.0), (3, 0.25, 2.0)]}
 
 
-# each grid has more points than one chunk of rows
-@pytest.mark.parametrize("d, h, R", [(1, 1 / 64, 40.0), (2, 1 / 8, 4.0), (3, 0.25, 2.0)])
-def test_sample_rows_match_loop_writer(tmp_path, d, h, R):
-    grid = lat.Grid(h=h, R=R, d=d)
-    assert grid.n_points > artifacts._CHUNK_ROWS
+def _load_samples(path, grid) -> np.ndarray:
+    """The samples stored at `path`, checked to be one <f8 array of shape
+    (2m+1,)*d on `grid`, raveled."""
+    array = np.load(path, allow_pickle=False)
+    assert array.dtype == np.dtype("<f8") and array.shape == (2 * grid.steps + 1,) * grid.d
+    assert array.flags.c_contiguous
+    return array.ravel()
+
+
+@pytest.mark.parametrize("d", sorted(SAMPLE_GRIDS))
+def test_sample_file_keeps_every_bit(tmp_path, d):
+    grid = SAMPLE_GRIDS[d]
     rng = np.random.default_rng(d)
     values = rng.standard_normal(grid.n_points) * 10.0 ** rng.integers(-300, 300, grid.n_points)
-    values[:4] = 0.0, -0.0, 5e-324, -1.0
-    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-    artifacts._write_samples(fast, artifacts._row_text(grid), values)
-    loop_write_samples(slow, grid, values)
-    assert fast.read_bytes() == slow.read_bytes()
-
-
-# one grid per dimension, each with more points than one chunk of rows
-WRITER_GRIDS = {d: lat.Grid(h=h, R=R, d=d) for d, h, R in
-                [(1, 1 / 64, 40.0), (2, 1 / 8, 4.0), (3, 0.25, 2.0)]}
-WRITER_TEXT = {d: artifacts._row_text(grid) for d, grid in WRITER_GRIDS.items()}
-_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
-                            1.0, -2.5e300])
-
-
-@st.composite
-def grid_samples(draw):
-    """(d, values): dense or all-zero samples of d's grid, overwritten by spans
-    of +0.0, dense values or one special value (up to two chunks long) and by
-    single special values."""
-    d = draw(st.sampled_from(sorted(WRITER_GRIDS)))
-    n = WRITER_GRIDS[d].n_points
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    dense = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    values = dense.copy() if draw(st.booleans()) else np.zeros(n)
-    for _ in range(draw(st.integers(0, 6))):
-        start = draw(st.integers(0, n - 1))
-        stop = draw(st.integers(start + 1, min(n, start + 2 * artifacts._CHUNK_ROWS)))
-        fill = draw(st.sampled_from(["zero", "dense", "special"]))
-        values[start:stop] = (0.0 if fill == "zero" else dense[start:stop] if fill == "dense"
-                              else draw(_SPECIAL))
-    for _ in range(draw(st.integers(0, 4))):
-        values[draw(st.integers(0, n - 1))] = draw(_SPECIAL)
-    return d, values
-
-
-def _zeros_but(d: int, **rows) -> tuple:
-    """All +0.0 samples of d's grid except at the given rows (first, mid, last)."""
-    values = np.zeros(WRITER_GRIDS[d].n_points)
-    at = {"first": 0, "mid": artifacts._CHUNK_ROWS + 7, "last": -1}
-    for row, value in rows.items():
-        values[at[row]] = value
-    return d, values
-
-
-def _special_runs(d: int, special: float) -> tuple:
-    """+0.0 samples of d's grid with runs of `special`: one within a chunk,
-    one across a chunk edge and one to the last row, and a run of numbers."""
-    n, chunk = WRITER_GRIDS[d].n_points, artifacts._CHUNK_ROWS
-    values = np.zeros(n)
-    values[5:40] = values[chunk - 3:chunk + 9] = values[n - 30:] = special
-    values[chunk + 9:chunk + 20] = 0.25
-    return d, values
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(case=grid_samples())
-@example(case=_zeros_but(2))
-@example(case=_zeros_but(1, first=1.5))
-@example(case=_zeros_but(3, last=-2.0))
-@example(case=_zeros_but(2, first=5e-324, mid=-0.0, last=math.nan))
-@example(case=_zeros_but(1, mid=math.inf))
-@example(case=(2, np.arange(1.0, WRITER_GRIDS[2].n_points + 1)))
-@example(case=_special_runs(1, -0.0))
-@example(case=_special_runs(1, math.nan))
-@example(case=_special_runs(1, math.inf))
-@example(case=_special_runs(2, -0.0))
-@example(case=_special_runs(2, math.nan))
-@example(case=_special_runs(2, math.inf))
-def test_zero_runs_match_loop_writer(tmp_path_factory, case):
-    d, values = case
-    out = tmp_path_factory.mktemp("zero-runs")
-    fast, slow = out / "fast.csv", out / "slow.csv"
-    artifacts._write_samples(fast, WRITER_TEXT[d], values)
-    loop_write_samples(slow, WRITER_GRIDS[d], values)
-    assert fast.read_bytes() == slow.read_bytes()
-
-
-def test_zero_sample_file_is_written_without_a_copy(tmp_path):
-    # the d=2 benchmark grid: a 589,822-byte file, written from views of the
-    # row text's zero bytes
-    grid = lat.Grid(h=1 / 8, R=12.0, d=2)
-    text = artifacts._row_text(grid)
-    values = np.zeros(grid.n_points)
-    tracemalloc.start()
-    try:
-        artifacts._write_samples(tmp_path / "zeros.csv", text, values)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (tmp_path / "zeros.csv").stat().st_size == len(text[2]) + len(text[0]) == 589_822
-    assert peak < 64 * 1024
+    values[:9] = 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.nan, math.inf, -math.inf, -1.0
+    artifacts._write_samples(tmp_path / "samples.npy", grid, values)
+    stored = _load_samples(tmp_path / "samples.npy", grid)
+    assert np.array_equal(stored.view(np.int64), values.view(np.int64))
+    # entry [i_1, .., i_d] is the sample at (h(i_1 - m), .., h(i_d - m)): a
+    # function of x_j alone is stored as the axis along dimension j
+    for j, axis in enumerate(grid.offsets(np.zeros(d))):
+        artifacts._write_samples(tmp_path / "x.npy", grid, grid_points(grid)[:, j])
+        array = np.load(tmp_path / "x.npy", allow_pickle=False)
+        assert np.array_equal(array, np.broadcast_to(axis, array.shape)), j
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_samples_of_another_length_are_rejected(tmp_path, extra):
-    grid = WRITER_GRIDS[1]
-    with pytest.raises(ValueError, match=f"{grid.n_points + extra} samples for a grid of "
-                                         f"{grid.n_points} points"):
-        artifacts._write_samples(tmp_path / "short.csv", WRITER_TEXT[1],
-                                 np.zeros(grid.n_points + extra))
-    assert not (tmp_path / "short.csv").exists()
-
-
-def test_d2_indicator_sample_files_match_loop_writer(d2_suite_export_all, tmp_path):
-    suite = d2_suite_export_all
-    artifacts.write_suite(str(tmp_path / "out"), suite, basis=True)
-    grid = suite.settings.grid()
-    written = 0
-    for fam in suite.families:
-        files = {"basis_k0.csv": fam.basis_k0}
-        files.update({f"dual_k{artifacts._node_label(k)}.csv": v for k, v in fam.duals.items()})
-        for name, values in files.items():
-            loop_write_samples(tmp_path / "oracle.csv", grid, values)
-            assert ((tmp_path / "out" / fam.name / name).read_bytes()
-                    == (tmp_path / "oracle.csv").read_bytes()), (fam.name, name)
-            written += 1
-    assert written == sum(1 + len(fam.duals) for fam in suite.families) > 6
+    grid = SAMPLE_GRIDS[1]
+    with pytest.raises(ValueError, match=f"cannot reshape array of size {grid.n_points + extra}"):
+        artifacts._write(str(tmp_path / "out" / "short.npy"), artifacts._write_samples, grid,
+                         np.zeros(grid.n_points + extra))
+    assert not (tmp_path / "out" / "short.npy").exists()
 
 
 def _tree(root) -> dict:
@@ -182,10 +82,27 @@ def test_write_suite_writes_each_artifact_once(request, tmp_path, suite, exporte
     for fam in suite.families:
         nodes = core_nodes(fam.spec.d, fam.core_radius if exported == "core" else 0)
         expected |= {os.path.join(fam.name, name) for name in
-                     ("basis_k0.csv", "gramian.npy", "coeffs.npy", "eigens.csv",
-                      "envelopes.csv", *(f"dual_k{artifacts._node_label(k)}.csv"
+                     ("basis_k0.npy", "gramian.npy", "coeffs.npy", "eigens.csv",
+                      "envelopes.csv", *(f"dual_k{artifacts._node_label(k)}.npy"
                                          for k in nodes))}
     assert set(_tree(tmp_path)) == expected
+
+
+@pytest.mark.parametrize("suite", ["d1_suite", "d2_suite_export_all"])
+def test_sample_exports_hold_the_samples_bit_for_bit(request, tmp_path, suite):
+    suite = request.getfixturevalue(suite)
+    artifacts.write_suite(str(tmp_path), suite, basis=True)
+    grid = suite.settings.grid()
+    loaded = 0
+    for fam in suite.families:
+        files = {"basis_k0.npy": fam.basis_k0}
+        files.update({f"dual_k{artifacts._node_label(k)}.npy": v for k, v in fam.duals.items()})
+        for name, values in files.items():
+            stored = _load_samples(tmp_path / fam.name / name, grid)
+            assert np.array_equal(stored.view(np.int64),
+                                  np.asarray(values, dtype=float).view(np.int64)), (fam.name, name)
+            loaded += 1
+    assert loaded == sum(1 + len(fam.duals) for fam in suite.families)
 
 
 def test_only_exported_duals_keep_their_samples(d2_suite_export_0, tmp_path):

@@ -138,7 +138,7 @@ def test_cli_all_and_verify_roundtrip(mini_config, capsys):
                      "dual_decay_domination", "gram_duals"):
         assert any(fragment in n for n in names), fragment
     assert "convolution_u_stability.d1" in names
-    assert os.path.exists(os.path.join(out, "bump", "basis_k0.csv"))
+    assert os.path.exists(os.path.join(out, "bump", "basis_k0.npy"))
     # indicator family reports unit bounds and tiny residuals
     ind = report["families"]["indicator"]
     assert ind["A_est"] == pytest.approx(1.0, abs=1e-12)
@@ -147,6 +147,21 @@ def test_cli_all_and_verify_roundtrip(mini_config, capsys):
 
     assert cli.main(["verify", "--config", path]) == 0
     capsys.readouterr()
+
+
+def test_cli_verify_reads_no_sample_export(mini_config, capsys):
+    path, out = mini_config
+    assert cli.main(["all", "--config", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", path]) == 0
+    before = capsys.readouterr().out
+    samples = [p for p in Path(out).rglob("*.npy") if p.name == "basis_k0.npy"
+               or p.name.startswith("dual_k")]
+    assert len(samples) == 6
+    for sample in samples:
+        sample.unlink()
+    assert cli.main(["verify", "--config", path]) == 0
+    assert capsys.readouterr().out == before
 
 
 def test_cli_verify_detects_corruption(mini_config, capsys):
@@ -275,10 +290,10 @@ def test_cli_unwritable_out_exits_config(mini_config, tmp_path, stage, capsys):
 def test_cli_file_in_the_way_exits_config(mini_config, tmp_path, capsys):
     path, _ = mini_config
     out = tmp_path / "out"
-    (out / "bump" / "basis_k0.csv").mkdir(parents=True)
+    (out / "bump" / "basis_k0.npy").mkdir(parents=True)
     assert cli.main(["all", "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
     line = _one_line(capsys.readouterr().err)
-    assert line.startswith("artifact error:") and str(out / "bump" / "basis_k0.csv") in line
+    assert line.startswith("artifact error:") and str(out / "bump" / "basis_k0.npy") in line
 
 
 def test_cli_full_disk_names_the_bounds_file(mini_config, monkeypatch, capsys):
@@ -314,7 +329,7 @@ def test_cli_dual_export_radius_adds_the_core_duals_alone(mini_config, tmp_path,
     for fam, record in report["families"].items():
         r = record["core_radius"]
         assert r > 0, fam
-        duals |= {os.path.join(fam, f"dual_k{k}.csv") for k in range(-r, r + 1)}
+        duals |= {os.path.join(fam, f"dual_k{k}.npy") for k in range(-r, r + 1)}
     assert {rel for rel in files["wide"] if "dual_k" in rel} == duals
     assert set(files["wide"]) == set(files["default"]) | duals
     for rel, data in files["default"].items():
@@ -340,7 +355,7 @@ def test_cli_stage_artifacts(mini_config, tmp_path, capsys):
     capsys.readouterr()
     # by default only the origin dual of each family is exported
     assert [f for f in _files(full) if "dual_k" in f] == \
-        sorted(os.path.join(fam, "dual_k0.csv") for fam in ("indicator", "bump", "hat"))
+        sorted(os.path.join(fam, "dual_k0.npy") for fam in ("indicator", "bump", "hat"))
     for stage, count in (("basis", 4), ("gramian", 10), ("duals", 13)):
         part = str(tmp_path / stage)
         assert cli.main([stage, "--config", path, "--out", part]) == 0
@@ -611,6 +626,16 @@ def _one_ulp_off_diagonal(entries):
     return entries
 
 
+def _nan_pair(entries):
+    entries[0, 1] = entries[1, 0] = np.nan
+    return entries
+
+
+def _inf_on_diagonal(entries):
+    entries[3, 3] = np.inf
+    return entries
+
+
 def _huge_header(data):
     """A .npy header that claims a 300000 x 300000 float64 array (671 GiB),
     then the stored file."""
@@ -681,7 +706,9 @@ def _envelopes_with_exponent_fit(text):
      "entries are not exactly Hermitian")] + [
     ("bump/coeffs.npy", _npy_edit(lambda entries, dtype=dtype: entries.astype(dtype)),
      f"holds a {np.dtype(dtype).str} array of shape (25, 25), {_NOT_25x25}")
-    for dtype in ("float32", "int64", "complex128", ">f8")],
+    for dtype in ("float32", "int64", "complex128", ">f8")] + [
+    ("bump/gramian.npy", _npy_edit(_nan_pair), "holds an entry that is NaN or infinite"),
+    ("hat/coeffs.npy", _npy_edit(_inf_on_diagonal), "holds an entry that is NaN or infinite")],
     ids=["gramian-truncated", "coeffs-non-numeric", "node-outside-window",
          "eigens-short-row", "nested-report-key", "nested-report-null",
          "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
@@ -693,7 +720,8 @@ def _envelopes_with_exponent_fit(text):
          "envelopes-four-fields", "gramian-empty", "gramian-trailing-byte",
          "gramian-text-format", "gramian-fortran-order", "gramian-header-300000x300000",
          "coeffs-one-ulp-asymmetric", "coeffs-float32", "coeffs-int64",
-         "coeffs-complex128", "coeffs-big-endian"])
+         "coeffs-complex128", "coeffs-big-endian", "gramian-nan-pair",
+         "coeffs-inf-on-diagonal"])
 def test_cli_verify_rejects_malformed_artifact(mini_run, tmp_path, rel, edit, fragment,
                                                capsys):
     # `rel` is the damaged file, or several of them, the first named

@@ -9,9 +9,11 @@ from scipy.integrate import quad
 
 from dualdecay import gramian as gr
 from dualdecay import lattice as lat
+from dualdecay import pipeline as pl
 from dualdecay.errors import NotRieszError
 
-from conftest import RIESZ_RTOL, entry, evaluate, grid_points, inner_product, scaled_basis
+from conftest import (RIESZ_RTOL, d2_indicator_settings, entry, evaluate, grid_points,
+                      inner_product, scaled_basis)
 
 GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 
@@ -221,6 +223,27 @@ def test_derivation_multiplicative_in_power():
         twice = gr.apply_derivation(L, 1, 2)
         err = np.max(np.abs(once.entries - twice.entries)) / np.max(np.abs(twice.entries))
         assert err <= rtol, (L.window, rtol)
+
+
+@pytest.fixture(scope="module")
+def d2_indicator() -> pl.SuiteResult:
+    return pl.run_suite(d2_indicator_settings())
+
+
+@pytest.mark.parametrize("suite", ["d1_suite", "d2_indicator"])
+def test_even_derivation_of_a_symmetric_matrix_is_the_plain_product(request, suite):
+    # no averaging keeps an even derivation of M or C Hermitian: at the run's
+    # powers it is the plain entrywise product, and where x^u is not exact
+    # (13^16) it is the product with |k_h - j_h|^u
+    for fam in request.getfixturevalue(suite).families:
+        for L in (fam.gramian, fam.coeffs):
+            for h in range(1, L.window.d + 1):
+                for u, diffs in ((0, L.node_diffs(h)), (2, L.node_diffs(h)),
+                                 (4, L.node_diffs(h)), (16, np.abs(L.node_diffs(h)))):
+                    D = gr.apply_derivation(L, h, u)
+                    assert D.symmetric, (fam.name, h, u)
+                    assert np.array_equal(D.entries.view(np.int64),
+                                          (L.entries * diffs**u).view(np.int64)), (fam.name, h, u)
 
 
 def test_derivation_linear_in_matrix():
