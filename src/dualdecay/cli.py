@@ -16,7 +16,7 @@ writes its slice of the results:
 Exit codes: 0 success, 2 config/artifact error (including a bad argument, a
 malformed or non-finite config value, a key its section does not read, a
 perturbed node given twice, a bounds dimension over 15, a gaussian sigma
-under 1e-100, fewer than three families for report/all, a missing or
+under 1e-100 or with (sigma sqrt(pi))^d past the float range, fewer than three families for report/all, a missing or
 malformed artifact (a gramian.npy or coeffs.npy that is not exactly
 symmetric <f8 of the config's window shape in C order, or that holds NaN
 or inf), an envelopes.csv whose D_emp at t is not a finite number >= 0 or
@@ -27,8 +27,8 @@ of another family, params, claimed_C, claimed_s or perturbations), a
 sample matrix over the sample_all entry cap, a family name that is empty,
 '.' or '..' or holds '/' or ',', an artifact that cannot be written and a
 theoretical D past the float range), 3 hypothesis
-violation (including claimed C < 1 and a section that is not a Riesz
-sequence at this resolution), 4 convergence failure, 5 invariant failure
+violation (including claimed C < 1, measured C < 1 and a section that is
+not a Riesz sequence at this resolution), 4 convergence failure, 5 invariant failure
 (including a measured envelope over its claimed C, or NaN). Every error exit
 prints one line to stderr.
 """

@@ -1,10 +1,11 @@
 """Gramian finite sections, derivation operators, and operator-norm bounds.
 
 The Gramian of a basis family is the matrix of pairwise inner products
-m_{k,j} = <f_k, f_j>, assembled here by composite midpoint quadrature over
-a finite window of the lattice.  The derivation along axis h maps a matrix
-L to (k_h - j_h) l_{k,j}; the Schur bound (max of supremum row and column
-absolute sums) dominates the l2 operator norm.
+m_{k,j} = <f_k, f_j> over a finite window of the lattice: in closed form
+for a generator that has one, by composite midpoint quadrature otherwise.
+The derivation along axis h maps a matrix L to (k_h - j_h) l_{k,j}; the
+Schur bound (max of supremum row and column absolute sums) dominates the
+l2 operator norm.
 """
 
 from __future__ import annotations
@@ -140,9 +141,16 @@ def sections(basis: BasisSet, radii, grid: Grid,
     """(M, bounds): the Gramian M on the window of the largest radius, and
     the Riesz bounds of its nested sections {|k| <= N}, N in radii.
 
-    Every section is a central block of M, so Cauchy interlacing holds exactly.
+    M is the spec's closed form where it has one, exact and so with
+    quadrature_tail 0, and assemble's quadrature otherwise.  Every section
+    is a central block of M, so Cauchy interlacing holds exactly.
     """
-    M = assemble(basis, LatticeWindow(basis.window.d, radii[-1]), grid)
+    window = LatticeWindow(basis.window.d, radii[-1])
+    products = basis.spec.inner_products
+    if products is None:
+        M = assemble(basis, window, grid)
+    else:
+        M = DecayMatrix(window, products(basis.centers[basis.window.positions_of(window)]))
     return M, riesz_bounds(M, radii, rtol)
 
 

@@ -14,6 +14,7 @@ from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_PERTURBATION = 0.5  # keeps every node inside its own unit cell
 # _bspline_1d's alternating sum loses accuracy with the order: its partition
@@ -271,9 +272,17 @@ class GeneratorSpec:
             if not 0.0 < p.get("s", 0.0) < math.inf:
                 raise ValueError("polynomial-bump needs a finite exponent parameter s > 0")
         elif self.family == "gaussian":
-            if not MIN_GAUSSIAN_SIGMA <= p.get("sigma", 0.0) < math.inf:
+            sig = p.get("sigma", 0.0)
+            if not MIN_GAUSSIAN_SIGMA <= sig < math.inf:
                 raise ValueError(f"gaussian needs a finite width parameter sigma >= "
-                                 f"{MIN_GAUSSIAN_SIGMA:g}, got {p.get('sigma')}")
+                                 f"{MIN_GAUSSIAN_SIGMA:g}, got {sig}")
+            try:  # the diagonal of the closed-form Gramian, see inner_products
+                diagonal = (sig * math.sqrt(math.pi)) ** self.d
+            except OverflowError:
+                diagonal = math.inf
+            if diagonal == math.inf:
+                raise ValueError(f"gaussian width sigma = {sig:g} puts the Gramian diagonal "
+                                 f"(sigma sqrt(pi))^{self.d} past the float range")
         elif self.family == "bspline-order-m":
             order = p.get("order")
             if order is None or not 1 <= order <= MAX_BSPLINE_ORDER or int(order) != order:
@@ -313,6 +322,30 @@ class GeneratorSpec:
         return spline
 
     @property
+    def inner_products(self) -> Callable | None:
+        """The exact inner products <phi(. - a), phi(. - b)> of the generator's
+        translates, as a function of an (n, d) array of centres giving the
+        (n, n) matrix; None for a family with no closed form.
+
+        The gaussian's is (sigma sqrt(pi))^d exp(-|a - b|^2 / 4 sigma^2) in
+        any d.  The squared distance is summed axis by axis from diff * diff,
+        and a - b is exactly -(b - a), so the matrix is exactly symmetric.
+        """
+        if self.family != "gaussian":
+            return None
+        sig = float(self.params["sigma"])
+        diagonal = (sig * math.sqrt(math.pi)) ** self.d  # finite, see __post_init__
+
+        def gaussian(centers):
+            squares = 0.0
+            for c in np.asarray(centers, dtype=float).T:
+                diff = c[:, None] - c[None, :]
+                squares = squares + diff * diff
+            return diagonal * np.exp(-squares / (4.0 * sig * sig))
+
+        return gaussian
+
+    @property
     def support_radius(self) -> float | None:
         """Max-norm radius around the node containing the support, or None."""
         if self.family in ("bspline-indicator", "bspline-order-m"):
@@ -349,12 +382,34 @@ class BasisSet:
         return self.spec.generator(grid.offsets(center)).reshape(-1)
 
     def sample_all(self, grid: Grid) -> np.ndarray:
-        """Every f_k at all grid points, shape (window.size, n_points)."""
+        """Every f_k at all grid points, shape (window.size, n_points).
+
+        When h is a power of two, i*h - k is exact for every integer node k,
+        so the row of an unperturbed node is a slice of phi evaluated once
+        on the grid widened by N along every axis: the same floats as
+        phi(grid.offsets(k)).  Perturbed rows, and every row on any other
+        grid, are evaluated node by node.  So is every row on a grid less
+        than one unit wide, where the wide grid would hold more points than
+        the sample matrix that check_sample_cap bounds.
+        """
         check_sample_cap(self.window, grid)
         generator = self.spec.generator
         out = np.empty((self.window.size, grid.n_points))
-        for row, center in enumerate(self.centers):
-            out[row] = generator(grid.offsets(center)).reshape(-1)
+        rows = range(self.window.size)
+        d, step = grid.d, round(1.0 / grid.h)
+        if math.frexp(grid.h)[0] == 0.5 and step <= 2 * grid.steps + 1:
+            wide = Grid(grid.h, (grid.steps + self.window.N * step) * grid.h, d)
+            values = generator(wide.offsets(np.zeros(d)))
+            # the window starting at wide index (N - k) * step holds f_k;
+            # reversed, the starts run over k in window order
+            view = sliding_window_view(values, (2 * grid.steps + 1,) * d)
+            view = view[(slice(None, None, -step),) * d]
+            # assigned through a reshape of `out`: a reshape of the strided
+            # view would copy it whole first
+            out.reshape(view.shape)[...] = view
+            rows = [self.window.index_of(node) for node, _ in self.spec.perturbations]
+        for row in rows:
+            out[row] = generator(grid.offsets(self.centers[row])).reshape(-1)
         return out
 
     def support_grid(self, grid: Grid) -> Grid:

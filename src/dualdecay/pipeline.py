@@ -18,7 +18,7 @@ from . import constants as cst
 from . import duals as du
 from . import gramian as gr
 from . import lattice as lat
-from .errors import ConfigError, EnvelopeClaimError, family_errors
+from .errors import ConfigError, EnvelopeClaimError, HypothesisViolation, family_errors
 
 DEFAULT_TOLERANCES = {
     "inversion": 1e-8,
@@ -235,6 +235,9 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
         basis, basis_rows, basis_k0, M, riesz = family_matrices(fam, settings)
         C, core_radius, convergence, checks = family_inverse(fam, settings, M, riesz)
     C_meas = max(c for _, c, _ in basis_rows)
+    if not C_meas >= 1.0:  # the bound's hypothesis, here on the measured constant
+        raise HypothesisViolation(f"family {fam.name!r}: hypothesis C >= 1 violated by the "
+                                  f"measured envelope constant (C_meas={C_meas})")
     support = basis.support_grid(grid)
     if fam.spec.perturbations:
         # the unperturbed generator at the origin

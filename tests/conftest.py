@@ -59,7 +59,8 @@ def verdict(suite: pl.SuiteResult, name: str) -> pl.Verdict:
 
 @dataclasses.dataclass(frozen=True)
 class ScaledSpec(lat.GeneratorSpec):
-    """A spec whose generator is `alpha` times that of the spec it copies."""
+    """A spec whose generator is `alpha` times that of the spec it copies,
+    and whose closed-form inner products, if any, are alpha^2 times."""
 
     alpha: float = 1.0
 
@@ -67,6 +68,13 @@ class ScaledSpec(lat.GeneratorSpec):
     def generator(self):
         generator = super().generator
         return lambda ys: self.alpha * generator(ys)
+
+    @property
+    def inner_products(self):
+        products = super().inner_products
+        if products is None:
+            return None
+        return lambda centers: self.alpha**2 * products(centers)
 
 
 def scaled_basis(basis: lat.BasisSet, alpha: float) -> lat.BasisSet:

@@ -1034,12 +1034,11 @@ R = 10
 [targets]
 t = 2
 
-[family:needle]
-family = gaussian
-sigma = 0.001
-claimed_C = 1
+[family:twins]
+family = bspline-indicator
+claimed_C = 32
 claimed_s = 4
-perturb = 0:0.1
+perturb = 0:0.5; 1:-0.5
 
 [family:indicator]
 family = bspline-indicator
@@ -1055,13 +1054,61 @@ claimed_s = 4
 
 
 def test_cli_not_riesz_exits_hypothesis(tmp_path, capsys):
-    # a needle shifted off the grid samples to zero: the section has a zero row
+    # nodes 0 and 1 shifted onto one centre: two equal rows of the section
     path = tmp_path / "not_riesz.ini"
     path.write_text(NOT_RIESZ_CONFIG.format(out=tmp_path / "out"))
     assert cli.main(["report", "--config", str(path)]) == cli.EXIT_HYPOTHESIS
     line = _one_line(capsys.readouterr().err)
-    assert line.startswith("hypothesis violation: family 'needle': lambda_min")
+    assert line.startswith("hypothesis violation: family 'twins': lambda_min")
     assert "not a Riesz sequence" in line
+
+
+def test_cli_measured_C_below_one_exits_hypothesis(tmp_path, capsys):
+    # a needle shifted off the grid samples to zero at its checked node, so
+    # C_meas = 0, though its closed-form Gramian is Riesz
+    path = tmp_path / "needle.ini"
+    path.write_text(NOT_RIESZ_CONFIG.replace(
+        "[family:twins]\nfamily = bspline-indicator\nclaimed_C = 32\nclaimed_s = 4\n"
+        "perturb = 0:0.5; 1:-0.5",
+        "[family:needle]\nfamily = gaussian\nsigma = 0.001\nclaimed_C = 1\nclaimed_s = 4\n"
+        "perturb = 0:0.1").format(out=tmp_path / "out"))
+    assert cli.main(["report", "--config", str(path)]) == cli.EXIT_HYPOTHESIS
+    assert _one_line(capsys.readouterr().err) == (
+        "hypothesis violation: family 'needle': hypothesis C >= 1 violated by the "
+        "measured envelope constant (C_meas=0.0)")
+
+
+@pytest.mark.parametrize("d,sigma", [(2, "1e300"), (3, "1e150")])
+def test_cli_gaussian_gramian_past_float_range_exits_config(tmp_path, capsys, d, sigma):
+    # (sigma sqrt(pi))^d, the diagonal of the closed-form Gramian, overflows;
+    # the rest of the config is valid, so the gramian stage would reach it
+    path = tmp_path / "wide.ini"
+    path.write_text(f"""
+[run]
+name = wide
+
+[window]
+d = {d}
+radii = 1 2
+
+[grid]
+h = 0.25
+R = 10
+
+[targets]
+t = {d + 1}
+
+[family:wide]
+family = gaussian
+sigma = {sigma}
+claimed_C = 1e300
+claimed_s = {2 * d + 2}
+""")
+    assert cli.main(["gramian", "--config", str(path), "--out", str(tmp_path / "out")]) \
+        == cli.EXIT_CONFIG
+    assert _one_line(capsys.readouterr().err) == (
+        f"config error: family 'wide': gaussian width sigma = {float(sigma):g} puts the "
+        f"Gramian diagonal (sigma sqrt(pi))^{d} past the float range")
 
 
 NO_CONVERGENCE_CONFIG = """

@@ -13,7 +13,7 @@ from dualdecay import pipeline as pl
 from dualdecay.errors import NotRieszError
 
 from conftest import (RIESZ_RTOL, d2_indicator_settings, entry, evaluate, grid_points,
-                      inner_product, scaled_basis)
+                      inner_product, scaled_basis, standard_families)
 
 GRID = lat.Grid(h=1 / 64, R=24.0, d=1)
 
@@ -146,6 +146,28 @@ def test_gaussian_gramian_matches_closed_form():
     assert np.max(np.abs(M.entries - closed)) < 1e-8
 
 
+def _d2_perturbed_gaussian(N=3):
+    spec = lat.GeneratorSpec("gaussian", 2, 1e3, 8.0, params={"sigma": 0.5},
+                             perturbations={(0, 0): (0.3, -0.2), (1, -2): (-0.5, 0.45)})
+    return lat.BasisSet(spec, lat.LatticeWindow(2, N))
+
+
+@pytest.mark.parametrize("name", ["gauss", "gauss-pert", "d2-pert"])
+def test_gaussian_sections_take_the_closed_form(name):
+    # the run's Gramian of d1_suite's gaussian families and of a perturbed
+    # d=2 gaussian, against quadrature on the run's grid
+    if name == "d2-pert":
+        basis, grid = _d2_perturbed_gaussian(), lat.Grid(h=1 / 8, R=11.0, d=2)
+    else:
+        spec = next(f.spec for f in standard_families() if f.name == name)
+        basis, grid = lat.BasisSet(spec, lat.LatticeWindow(1, 16)), lat.Grid(1 / 64, 24.0, 1)
+    radii = (basis.window.N - 1, basis.window.N)
+    M, _ = gr.sections(basis, radii, grid, RIESZ_RTOL)
+    oracle = gr.assemble(basis, None, grid)
+    assert M.quadrature_tail == 0.0 and oracle.quadrature_tail > 0.0
+    assert np.max(np.abs(M.entries - oracle.entries)) <= 1e-14 * np.max(np.abs(M.entries))
+
+
 def test_subwindow_assembly_matches_central_block():
     basis = bump_basis(N=8)
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
@@ -160,10 +182,13 @@ def test_sections_are_nested_blocks():
     grid = lat.Grid(h=1 / 64, R=16.0, d=1)
     M, rb = gr.sections(basis, (2, 4, 8), grid, RIESZ_RTOL)
     assert M.window.N == 8 and rb.radii == (2, 4, 8)
-    assert np.array_equal(M.entries, gr.assemble(basis, None, grid).entries)
+    # the gaussian's Gramian is its closed form, which is exact
+    products = basis.spec.inner_products
+    assert np.array_equal(M.entries, products(basis.centers)) and M.quadrature_tail == 0.0
     # the section at radius 2 is the central block of M, which is the
     # sub-window's own Gramian bit for bit
-    eig = np.linalg.eigvalsh(gr.assemble(basis, lat.LatticeWindow(1, 2), grid).entries)
+    pos = basis.window.positions_of(lat.LatticeWindow(1, 2))
+    eig = np.linalg.eigvalsh(products(basis.centers[pos]))
     assert (rb.lambda_min[0], rb.lambda_max[0]) == (eig[0], eig[-1])
     with pytest.raises(ValueError):
         gr.sections(basis, (4, 4, 8), grid, RIESZ_RTOL)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -555,21 +556,43 @@ def _dense_generator(spec: lat.GeneratorSpec, y: np.ndarray) -> np.ndarray:
     ("bspline-order-m", {"order": 3}),
 ])
 def test_axis_wise_sampling_matches_dense_points(family, params, d):
-    # centers off the dyadic grid, so every offset axis - c_i is rounded
+    # two centers off the dyadic grid, so every offset axis - c_i is rounded;
+    # on the dyadic grid sample_all slices the other rows from one wide
+    # evaluation, on h = 1/5 it evaluates every row, and with no
+    # perturbation it slices every row
     rng = np.random.default_rng(d)
-    perturbations = {(0,) * d: tuple(rng.uniform(-0.5, 0.5, d)),
-                     (1,) + (-1,) * (d - 1): tuple(rng.uniform(-0.5, 0.5, d))}
-    spec = lat.GeneratorSpec(family, d, 1e3, d + 4.0, params=params,
-                             perturbations=perturbations)
-    basis = lat.BasisSet(spec, lat.LatticeWindow(d, 1))
-    grid = lat.Grid(h=0.25, R=3.0, d=d)
-    F = basis.sample_all(grid)
-    points = grid_points(grid)
+    perturbed = {(0,) * d: tuple(rng.uniform(-0.5, 0.5, d)),
+                 (1,) + (-1,) * (d - 1): tuple(rng.uniform(-0.5, 0.5, d))}
+    for h, perturbations in ((0.25, perturbed), (0.2, perturbed), (0.25, {}), (0.2, {})):
+        spec = lat.GeneratorSpec(family, d, 1e3, d + 4.0, params=params,
+                                 perturbations=perturbations)
+        basis = lat.BasisSet(spec, lat.LatticeWindow(d, 1))
+        grid = lat.Grid(h=h, R=3.0, d=d)
+        F = basis.sample_all(grid)
+        points = grid_points(grid)
+        for row, k in enumerate(basis.window.indices):
+            case = (h, bool(perturbations), tuple(k))
+            dense, c = evaluate(basis, k, points), center(basis, k)
+            assert np.array_equal(F[row], dense), case
+            assert np.array_equal(basis.sample(k, grid), dense), case
+            assert np.array_equal(dense, _dense_generator(spec, points - c)), case
+            radii = lat.axes_max_norm(grid.offsets(c)).reshape(-1)
+            assert np.array_equal(radii, lat.max_norm(points - c)), case
+            assert np.array_equal(radii, np.max(np.abs(points - c), axis=-1)), case
+
+
+def test_sample_all_on_a_grid_narrower_than_a_unit_evaluates_each_row():
+    # h = 2^-12 is dyadic, but at R = h the grid widened by N = 50 would hold
+    # 409603 points against the 303 entries of the sample matrix
+    spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, 50))
+    grid = lat.Grid(h=2.0**-12, R=2.0**-12, d=1)
+    tracemalloc.start()
+    try:
+        F = basis.sample_all(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
     for row, k in enumerate(basis.window.indices):
-        dense, c = evaluate(basis, k, points), center(basis, k)
-        assert np.array_equal(F[row], dense), k
-        assert np.array_equal(basis.sample(k, grid), dense), k
-        assert np.array_equal(dense, _dense_generator(spec, points - c)), k
-        radii = lat.axes_max_norm(grid.offsets(c)).reshape(-1)
-        assert np.array_equal(radii, lat.max_norm(points - c)), k
-        assert np.array_equal(radii, np.max(np.abs(points - c), axis=-1)), k
+        assert np.array_equal(F[row], evaluate(basis, k, grid_points(grid))), k

@@ -57,8 +57,10 @@ def test_report_dict_numbers_trace_to_results(d1_suite):
         assert entry["D_emp"] == fam.D_emp
         assert entry["core_radius"] == fam.core_radius
         assert entry["gramian_tail_bound"] == fam.gramian.quadrature_tail
-        # the grid box holds every compact member, and no other
-        assert (entry["gramian_tail_bound"] == 0.0) == (fam.spec.support_radius is not None)
+        # no mass is dropped from a closed form, nor where the grid box holds
+        # every compact member; it is from every other family
+        exact = fam.spec.inner_products is not None or fam.spec.support_radius is not None
+        assert (entry["gramian_tail_bound"] == 0.0) == exact
         assert entry["biorthogonality_residual"] == \
             du.biorthogonality_residual(fam.coeffs.entries, fam.gramian.entries)
         for key, check in (("biorthogonality_residual", "biorthogonality"),
