@@ -24,8 +24,8 @@ from .constants import CalibrationCase, calibrate_E
 from .errors import ConfigError
 from .gramian import DecayMatrix
 from .lattice import LatticeWindow
-from .pipeline import (DEFAULT_TOLERANCES, RunSettings, SuiteResult, Verdict,
-                       dual_decay_domination, matrix_checks)
+from .pipeline import (TOLERANCES, RunSettings, SuiteResult, Verdict, dual_decay_domination,
+                       matrix_checks)
 
 
 def _fmt(x) -> str:
@@ -198,7 +198,7 @@ def _finite(x):
 
 def _settings_dict(s) -> dict:
     return {"d": s.d, "radii": list(s.radii), "grid_h": s.grid_h, "grid_R": s.grid_R,
-            "t": s.t, "seed": s.seed, "tolerances": s.tolerances,
+            "t": s.t, "seed": s.seed, "tolerances": TOLERANCES,
             "bounds_dims": list(s.bounds_dims)}
 
 
@@ -357,7 +357,8 @@ def verify_artifacts(settings: RunSettings) -> list:
                               f"{noun}: {value!r}")
         return value
 
-    # artifacts of another problem are rejected; seed, out and tolerances may differ
+    # artifacts of another problem are rejected; seed and out may differ, and
+    # the stored tolerances are not read: every threshold is pipeline.TOLERANCES
     def compare(key, was, now):
         if was != now:
             raise ConfigError(f"artifacts in {out_dir} were written with {key} = "
@@ -371,16 +372,20 @@ def verify_artifacts(settings: RunSettings) -> list:
     for fam in settings.families:
         for key, value in _family_dict(fam.spec).items():
             compare(f"families.{fam.name}.{key}", entry("families", fam.name, key), value)
-    tol = {key: entry("settings", "tolerances", key, kind=_NUMBER)
-           for key in DEFAULT_TOLERANCES}
     t, d = entry("settings", "t"), entry("settings", "d")
+    # a run stores neither an E_emp <= 0 nor a C_meas < 1: its hypothesis
+    # checks exit 3 first
     E_emp = entry("calibration", "E_emp", kind=_NUMBER)
+    if not E_emp > 0:
+        raise ConfigError(f"{path} entry 'calibration.E_emp' is not > 0: {E_emp!r}")
     invariants = entry("invariants", kind=list)
     window = LatticeWindow(settings.d, settings.radii[-1])
     verdicts, cases = [], []
     for name in sorted(entry("families", kind=dict)):
         A_stored, C_meas, claimed_s = (entry("families", name, key, kind=_NUMBER)
                                        for key in ("A_est", "C_meas", "claimed_s"))
+        if not C_meas >= 1:
+            raise ConfigError(f"{path} entry 'families.{name}.C_meas' is not >= 1: {C_meas!r}")
         core_radius = entry("families", name, "core_radius")
         if type(core_radius) is not int or not 0 <= core_radius <= settings.radii[-1]:
             raise ConfigError(f"{path} entry 'families.{name}.core_radius' is not an integer "
@@ -395,7 +400,7 @@ def verify_artifacts(settings: RunSettings) -> list:
         if tuple(radii) != settings.radii:
             raise ConfigError(f"{eigens_path} holds sections at radii {tuple(radii)}, "
                               f"the config's are {settings.radii}")
-        verdicts += matrix_checks(name, gram, coeffs, core_radius, radii, lo, hi, tol)
+        verdicts += matrix_checks(name, gram, coeffs, core_radius, radii, lo, hi)
         a_est = lo[-1]
         verdicts.append(Verdict(f"{name}.eigens_consistent",
                                 math.isclose(a_est, A_stored, rel_tol=1e-12), a_est, A_stored))

@@ -14,7 +14,8 @@ writes its slice of the results:
     verify   re-check invariants from a previous run's artifacts
 
 Exit codes: 0 success, 2 config/artifact error (including a bad argument, a
-malformed or non-finite config value, a key its section does not read, a
+malformed or non-finite config value, a section other than run, window,
+grid, targets, bounds and family:NAME, a key its section does not read, a
 perturbed node given twice, a bounds dimension over 15, a gaussian sigma
 under 1e-100 or with (sigma sqrt(pi))^d past the float range, fewer than three families for report/all, a missing or
 malformed artifact (a gramian.npy or coeffs.npy that is not exactly
@@ -75,8 +76,8 @@ def _parse_perturbations(text: str):
     return out
 
 
-# the keys each section reads; [tolerances] reads the names of
-# DEFAULT_TOLERANCES
+# the keys each section reads; family stands for every [family:NAME], and a
+# section of another name is a config error
 _KEYS = {"run": ("name", "out", "seed", "dual_export_radius"),
          "window": ("d", "radii"),
          "grid": ("h", "R"),
@@ -109,7 +110,6 @@ def _ints(text: str) -> tuple:
 
 
 def _family_from_section(name: str, section, d: int) -> pl.FamilySettings:
-    _check_keys(section, "family")
     try:
         family = section["family"]
         claimed_C = _value(section, "claimed_C", float)
@@ -138,22 +138,20 @@ def load_config(path: str, out_override=None, seed_override=None,
     parser = configparser.ConfigParser()
     try:
         parser.read(path)
+        # configparser copies the keys of [DEFAULT] into every other section
+        for name in ["DEFAULT"] * bool(parser.defaults()) + parser.sections():
+            kind = "family" if name.startswith("family:") else name
+            if kind not in _KEYS:
+                raise ConfigError(f"unknown section [{name}]; the sections are "
+                                  + ", ".join(_KEYS).replace("family", "family:NAME"))
+            _check_keys(parser[name], kind)
         run, window, grid, targets = (parser[k] for k in ("run", "window", "grid", "targets"))
-        for section in (run, window, grid, targets):
-            _check_keys(section, section.name)
         d = _value(window, "d", int, "1")
         families = [_family_from_section(sec.split(":", 1)[1], parser[sec], d)
                     for sec in parser.sections() if sec.startswith("family:")]
-        tolerances = {}
-        if parser.has_section("tolerances"):
-            sec = parser["tolerances"]
-            tolerances = {key: _value(sec, key, float) for key in sec}
         bounds_dims = ()
-        if parser.has_section("bounds"):
-            sec = parser["bounds"]
-            _check_keys(sec, "bounds")
-            if "dims" in sec:
-                bounds_dims = _value(sec, "dims", _ints)
+        if parser.has_option("bounds", "dims"):
+            bounds_dims = _value(parser["bounds"], "dims", _ints)
         settings = pl.RunSettings(
             name=run.get("name", os.path.basename(path)),
             d=d,
@@ -166,7 +164,6 @@ def load_config(path: str, out_override=None, seed_override=None,
             else _value(run, "seed", int, "1234"),
             out_dir=str(out_override if out_override is not None
                         else run.get("out", "out")),
-            tolerances=tolerances,
             bounds_dims=bounds_dims,
             dual_export_radius=_value(run, "dual_export_radius", int, "0"),
         )

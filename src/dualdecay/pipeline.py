@@ -7,7 +7,6 @@ constants and evaluates every invariant with a pass/fail verdict.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -20,7 +19,9 @@ from . import gramian as gr
 from . import lattice as lat
 from .errors import ConfigError, EnvelopeClaimError, HypothesisViolation, family_errors
 
-DEFAULT_TOLERANCES = {
+# the threshold of each verdict and numerical step: one value each, read when
+# used and set nowhere else
+TOLERANCES = {
     "inversion": 1e-8,
     "biorthogonality": 1e-6,
     "bound_slack": 1e-6,       # multiplicative slack on the 1/A bounds
@@ -51,22 +52,12 @@ class RunSettings:
     families: list
     seed: int = 1234
     out_dir: str = "out"
-    tolerances: dict = field(default_factory=dict)
     bounds_dims: tuple = ()          # dimensions for the constants stage
     dual_export_radius: int = 0     # dual_k*.npy for core nodes within this radius
     # W_(s-t) by exponent s - t, summed once here to check w_tol; not an input
     w_values: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ConfigError(f"unknown tolerance {unknown[0]!r}; the tolerances are "
-                              + ", ".join(DEFAULT_TOLERANCES))
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(self.tolerances)
-        self.tolerances = tol
-        if not all(0 < v < math.inf for v in tol.values()):
-            raise ConfigError("all tolerances must be positive and finite")
         self.radii = tuple(int(r) for r in self.radii)
         if len(self.radii) < 2 or list(self.radii) != sorted(set(self.radii)):
             raise ConfigError(f"radii must be strictly increasing, got {self.radii}")
@@ -101,11 +92,13 @@ class RunSettings:
             cst.validate_hypotheses(fam.spec.claimed_C, fam.spec.claimed_s, self.t, self.d)
             u = fam.spec.claimed_s - self.t
             try:
-                self.w_values[u] = cst.w_sum(u, self.d, tol["w_tol"]).value
+                self.w_values[u] = cst.w_sum(u, self.d, TOLERANCES["w_tol"]).value
             except ValueError as exc:
                 raise ConfigError(f"family {fam.name!r}: W_(s-t) misses w_tol: {exc}") from exc
+        # after the hypotheses, which are cheap, and before any window is enumerated
+        lat.check_sample_cap(window, grid)
+        for fam in self.families:
             lat.BasisSet(fam.spec, window)  # rejects perturbed nodes outside the window
-        lat.check_sample_cap(window, grid)  # before any family is sampled
 
     def grid(self) -> lat.Grid:
         return lat.Grid(h=self.grid_h, R=self.grid_R, d=self.d)
@@ -189,7 +182,7 @@ def measure_basis(fam: FamilySettings, settings: RunSettings):
     origin = (0,) * settings.d
     basis = lat.BasisSet(fam.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
     support = basis.support_grid(grid)
-    bound = fam.spec.claimed_C * (1.0 + settings.tolerances["claimed_rtol"])
+    bound = fam.spec.claimed_C * (1.0 + TOLERANCES["claimed_rtol"])
     rows = []
     for node in dict.fromkeys([origin] + [node for node, _ in fam.spec.perturbations]):
         values = basis.sample(node, support)
@@ -208,8 +201,7 @@ def family_matrices(fam: FamilySettings, settings: RunSettings):
     """(basis, rows, origin samples, M, riesz): measure_basis, then the
     Gramian M on the largest window and the Riesz bounds of its sections."""
     basis, rows, basis_k0 = measure_basis(fam, settings)
-    M, riesz = gr.sections(basis, settings.radii, settings.grid(),
-                           settings.tolerances["riesz_rtol"])
+    M, riesz = gr.sections(basis, settings.radii, settings.grid(), TOLERANCES["riesz_rtol"])
     return basis, rows, basis_k0, M, riesz
 
 
@@ -217,10 +209,10 @@ def family_inverse(fam: FamilySettings, settings: RunSettings, M: gr.DecayMatrix
                    riesz: gr.RieszBounds):
     """(C, core_radius, convergence, checks): the inverse of M from its
     sections at radii[-2] and [-1], and the five matrix_checks verdicts."""
-    tol = settings.tolerances
-    C, core_radius, convergence = du.invert_section(M, settings.radii[-2], tol["inversion"])
+    C, core_radius, convergence = du.invert_section(M, settings.radii[-2],
+                                                    TOLERANCES["inversion"])
     checks = matrix_checks(fam.name, M, C, core_radius, riesz.radii, riesz.lambda_min,
-                           riesz.lambda_max, tol)
+                           riesz.lambda_max)
     return C, core_radius, convergence, checks
 
 
@@ -353,7 +345,7 @@ def run_suite(settings: RunSettings) -> SuiteResult:
 
 
 def matrix_checks(family: str, M: gr.DecayMatrix, C: gr.DecayMatrix, core_radius: int,
-                  radii, lam_min, lam_max, tol: dict) -> list:
+                  radii, lam_min, lam_max) -> list:
     """The five verdicts on the largest section M, its inverse C, the core
     radius and the eigenvalue trace, in report order:
 
@@ -366,9 +358,9 @@ def matrix_checks(family: str, M: gr.DecayMatrix, C: gr.DecayMatrix, core_radius
     """
     core = M.window.positions_of(lat.LatticeWindow(M.window.d, core_radius))
     block = C.entries[np.ix_(core, core)]
-    residual = tol["biorthogonality"]
-    bound = (1.0 + tol["bound_slack"]) / lam_min[-1]
-    eps = tol["interlacing"]
+    residual = TOLERANCES["biorthogonality"]
+    bound = (1.0 + TOLERANCES["bound_slack"]) / lam_min[-1]
+    eps = TOLERANCES["interlacing"]
     biorth = du.biorthogonality_residual(C.entries, M.entries)
     gram = du.gram_duals_check(C.entries, M.entries, core)
     dual_norm = np.max(np.diag(block))
@@ -395,12 +387,11 @@ def dual_decay_domination(family: str, D_emp: float, C: float, A: float, s: floa
 
 
 def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
-    tol = settings.tolerances
     verdicts = []
     for r in results:
         pre = f"{r.name}."
         verdicts += r.checks
-        passed = r.C_meas <= r.spec.claimed_C * (1 + tol["claimed_rtol"])
+        passed = r.C_meas <= r.spec.claimed_C * (1 + TOLERANCES["claimed_rtol"])
         verdicts.append(Verdict(pre + "claimed_C", passed, r.C_meas, r.spec.claimed_C))
         if r.spec.perturbations:
             bound = r.C_base * 1.5**r.spec.claimed_s
@@ -423,8 +414,8 @@ def _build_verdicts(settings, results, E_cal, recursion, convolution) -> list:
         mean = sum(norms) / len(norms)
         dev = max(abs(x - mean) / mean for x in norms)
         brackets = [(round(c.lower / c.scale, 4), round(x, 4)) for c, x in zip(cals, norms)]
-        verdicts.append(Verdict(f"convolution_u_stability.d{d}", dev <= tol["convolution_band"],
-                                dev, tol["convolution_band"],
+        band = TOLERANCES["convolution_band"]
+        verdicts.append(Verdict(f"convolution_u_stability.d{d}", dev <= band, dev, band,
                                 f"normalized constants {[round(x, 4) for x in norms]}, "
                                 f"certified brackets {brackets}"))
     return verdicts

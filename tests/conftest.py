@@ -8,8 +8,8 @@ from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 
 # the run's tolerances of the Riesz-bound convergence and of section inversion
-RIESZ_RTOL = pl.DEFAULT_TOLERANCES["riesz_rtol"]
-INVERSION_TOL = pl.DEFAULT_TOLERANCES["inversion"]
+RIESZ_RTOL = pl.TOLERANCES["riesz_rtol"]
+INVERSION_TOL = pl.TOLERANCES["inversion"]
 
 
 def grid_points(grid: lat.Grid) -> np.ndarray:

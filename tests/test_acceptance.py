@@ -82,7 +82,7 @@ def test_c04_scaling_homogeneity(d1_suite):
         basis = lat.BasisSet(f.spec, lat.LatticeWindow(settings.d, settings.radii[-1]))
         scaled = scaled_basis(basis, alpha)
         C, core, _ = du.invert_section(gr.sections(scaled, settings.radii, grid, RIESZ_RTOL)[0],
-                                       settings.radii[-2], tol=settings.tolerances["inversion"])
+                                       settings.radii[-2], tol=INVERSION_TOL)
         g0_scaled = grid.embed(du.synthesize_dual(C, core, scaled, origin, grid),
                                scaled.support_grid(grid))
         g0 = f.duals[origin]

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -67,6 +68,10 @@ order = 2
 claimed_C = 50
 claimed_s = 5
 """
+
+
+# the last section of MINI_CONFIG; deleting it leaves two families
+HAT_SECTION = MINI_CONFIG[MINI_CONFIG.index("[family:hat]"):]
 
 
 @pytest.fixture()
@@ -478,7 +483,7 @@ def test_cli_all_samples_each_checked_node_once(mini_config, monkeypatch, capsys
 def test_cli_family_stages_accept_two_families(mini_config, tmp_path, capsys):
     path, out = mini_config
     two = tmp_path / "two.ini"
-    two.write_text(Path(path).read_text().replace("[family:hat]", "[unused]"))
+    two.write_text(Path(path).read_text().replace(HAT_SECTION, ""))
     assert cli.main(["basis", "--config", str(two)]) == 0
     assert Path(out, "basis_envelopes.csv").read_text().count("\n") == 3
     capsys.readouterr()
@@ -520,13 +525,34 @@ def test_cli_verify_rejects_artifacts_of_another_config(mini_run, tmp_path, old,
     assert line.startswith("config error:") and f"were written with {key} = " in line, line
 
 
-def test_cli_verify_ignores_seed_out_and_tolerances(mini_run, tmp_path, capsys):
+def test_cli_verify_ignores_seed_and_out(mini_run, tmp_path, capsys):
     out = re.search(r"(?m)^out = (.*)$", mini_run)[1]
     other = tmp_path / "other.ini"
-    other.write_text(mini_run.replace("seed = 77", "seed = 5").replace(
-        "[bounds]", "[tolerances]\nbound_slack = 1e-5\n\n[bounds]"))
+    other.write_text(mini_run.replace("seed = 77", "seed = 5"))
     assert cli.main(["verify", "--config", str(other), "--out", out, "--seed", "9"]) == 0
     capsys.readouterr()
+
+
+def test_cli_verify_reads_no_threshold_from_the_artifacts(mini_run, tmp_path, capsys):
+    # a tampered coefficient fails biorthogonality, however loose the stored
+    # thresholds are
+    out = tmp_path / "out"
+    shutil.copytree(re.search(r"(?m)^out = (.*)$", mini_run)[1], out)
+    coeffs = np.load(out / "bump" / "coeffs.npy")
+    coeffs[0, 1] += 0.5
+    coeffs[1, 0] += 0.5
+    np.save(out / "bump" / "coeffs.npy", coeffs)
+    report = json.loads((out / "report.json").read_text())
+    report["settings"]["tolerances"].update(biorthogonality=1e9, bound_slack=1e9)
+    (out / "report.json").write_text(json.dumps(report))
+    config = tmp_path / "mini.ini"
+    config.write_text(mini_run)
+    assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == \
+        cli.EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert re.search(r"(?m)^\[FAIL\] bump\.biorthogonality: .* threshold=1e-06$",
+                     captured.out), captured.out
+    assert _one_line(captured.err).endswith("first bump.biorthogonality")
 
 
 @pytest.mark.parametrize("key", ["settings", "families", "calibration", "invariants",
@@ -566,25 +592,16 @@ def _drop_A_est(text):
     return json.dumps(data)
 
 
-def _null_A_est(text):
-    data = json.loads(text)
-    data["families"]["bump"]["A_est"] = None
-    return json.dumps(data)
-
-
-def _core_radius(value):
-    """An edit of report.json that sets families.bump.core_radius to `value`."""
+def _report_entry(value, *keys):
+    """An edit of report.json that sets the entry at `keys` to `value`."""
     def edit(text):
         data = json.loads(text)
-        data["families"]["bump"]["core_radius"] = value
+        entry = data
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
         return json.dumps(data)
     return edit
-
-
-def _text_passed(text):
-    data = json.loads(text)
-    data["invariants"][0]["passed"] = "yes"
-    return json.dumps(data)
 
 
 def _envelopes_at_t(value):
@@ -665,12 +682,19 @@ def _envelopes_with_exponent_fit(text):
     ("bump/eigens.csv", _replace_line(2, lambda lines: lines[1].rsplit(",", 1)[0]),
      "line 2: 2 fields, expected 3"),
     ("report.json", _drop_A_est, "has no 'families.bump.A_est' entry"),
-    ("report.json", _null_A_est, "entry 'families.bump.A_est' is not a number: None"),
-    ("report.json", _text_passed, "entry 'invariants.0.passed' is not a bool: 'yes'"),
+    ("report.json", _report_entry(None, "families", "bump", "A_est"),
+     "entry 'families.bump.A_est' is not a number: None"),
+    ("report.json", _report_entry("yes", "invariants", 0, "passed"),
+     "entry 'invariants.0.passed' is not a bool: 'yes'"),
     ("bump/gramian.npy", _npy_edit(_repeat_row), "entries are not exactly Hermitian"),
-] + [("report.json", _core_radius(value),
+] + [("report.json", _report_entry(value, "families", "bump", "core_radius"),
       f"entry 'families.bump.core_radius' is not an integer in [0, 12]: {value!r}")
      for value in (-1, 99, 1e300, 2.5)] + [
+    # values no run stores: the run's own hypothesis checks exit 3 first
+    ("report.json", _report_entry(value, "families", "bump", "C_meas"),
+     f"entry 'families.bump.C_meas' is not >= 1: {value!r}") for value in (0.5, math.nan)] + [
+    ("report.json", _report_entry(value, "calibration", "E_emp"),
+     f"entry 'calibration.E_emp' is not > 0: {value!r}") for value in (0.0, -1.0, math.nan)] + [
     (rel, _npy_edit(lambda entries: np.ones((1, 1))),
      f"holds a <f8 array of shape (1, 1), {_NOT_25x25}")
     for rel in ("bump/gramian.npy", "bump/coeffs.npy",
@@ -713,6 +737,7 @@ def _envelopes_with_exponent_fit(text):
          "eigens-short-row", "nested-report-key", "nested-report-null",
          "invariant-passed-text", "gramian-row-repeated", "core-radius-negative",
          "core-radius-over-window", "core-radius-huge", "core-radius-fraction",
+         "C-meas-below-one", "C-meas-nan", "E-emp-zero", "E-emp-negative", "E-emp-nan",
          "gramian-1x1", "coeffs-1x1", "both-matrices-1x1", "lambda-min-zero",
          "lambda-min-negative", "eigens-radius-dropped", "eigens-radius-changed",
          "D-emp-nan", "D-emp-negative", "D-emp-rows-at-t-dropped",
@@ -789,7 +814,7 @@ def test_cli_family_count_checked_before_any_family(mini_config, tmp_path, monke
                                                     stage, capsys):
     path, _ = mini_config
     two = tmp_path / "two.ini"
-    two.write_text(Path(path).read_text().replace("[family:hat]", "[unused]"))
+    two.write_text(Path(path).read_text().replace(HAT_SECTION, ""))
     computed = _recorder(monkeypatch, pl, "run_family")
     assert cli.main([stage, "--config", str(two)]) == cli.EXIT_CONFIG
     assert computed == []
@@ -1193,25 +1218,26 @@ claimed_s = 6
 
 
 def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
-    # 1089 window nodes x 148225 grid points would be a 1.3 GB sample matrix
-    path = tmp_path / "over_cap.ini"
-    path.write_text(SAMPLE_CAP_CONFIG.format(out=tmp_path / "out"))
-    tracemalloc.start()
-    try:
-        code = cli.main(["report", "--config", str(path)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == cli.EXIT_CONFIG
-    assert peak < 64e6
-    line = _one_line(capsys.readouterr().err)
-    assert line.startswith("config error:") and "8e7 cap" in line
+    # 1089 window nodes x 148225 grid points would be a 1.3 GB sample matrix;
+    # at radius 1000 the window's own node and center arrays would take 128 MB
+    for radii, R in (("1 16", "24"), ("1 1000", "1008")):
+        path = tmp_path / "over_cap.ini"
+        path.write_text(SAMPLE_CAP_CONFIG.format(out=tmp_path / "out").replace(
+            "radii = 1 16", f"radii = {radii}").replace("R = 24", f"R = {R}"))
+        tracemalloc.start()
+        try:
+            code = cli.main(["report", "--config", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG, radii
+        assert peak < 64e6, radii
+        line = _one_line(capsys.readouterr().err)
+        assert line.startswith("config error:") and "8e7 cap" in line, radii
 
 
 @pytest.mark.parametrize("old,new,stage,fragment", [
     ("d = 1", "d = one", "all", "[window] d:"),
-    ("[bounds]", "[tolerances]\ninversion = tight\n\n[bounds]", "all",
-     "[tolerances] inversion:"),
     ("dims = 1", "dims = one", "all", "[bounds] dims:"),
     ("dims = 1", "dims = 1\nconvolution_window_d1 = 128", "all",
      "[bounds] unknown key 'convolution_window_d1'; the keys are dims"),
@@ -1219,25 +1245,21 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
     ("h = 0.015625", "h = 0.5", "all", "grid spacing"),
     ("claimed_C = 32\n", "claimed_C = 32\nperturb = 40:0.3\n", "all",
      "perturbed node (40,)"),
-    ("[family:hat]", "[unused]", "report", ">= 3 families"),
-    ("[family:hat]", "[unused]", "all", ">= 3 families"),
-    ("[bounds]", "[tolerances]\ninverson = 1e-6\n\n[bounds]", "all",
-     "unknown tolerance 'inverson'"),
-    ("[bounds]", "[tolerances]\nleibniz = 1e-13\n\n[bounds]", "all",
-     "unknown tolerance 'leibniz'"),
-    ("[bounds]", "[tolerances]\nschur_slack = 1e-10\n\n[bounds]", "all",
-     "unknown tolerance 'schur_slack'"),
+    (HAT_SECTION, "", "report", ">= 3 families"),
+    (HAT_SECTION, "", "all", ">= 3 families"),
+    # the band that d=2 fails, set where no threshold is read
+    ("[bounds]", "[tolerances]\nconvolution_band = 0.07\n\n[bounds]", "all",
+     "unknown section [tolerances]; the sections are run, window, grid, targets, bounds, "
+     "family:NAME"),
+    ("[bounds]", "[bound]", "all", "unknown section [bound]"),
+    ("[run]", "[DEFAULT]\nseed = 5\n\n[run]", "all", "unknown section [DEFAULT]"),
     ("radii = 4 8 12", "radii = -1 2", "all", "radii must be >= 0"),
     ("R = 20", "R = inf", "all", "grid extent must be positive with R/h finite"),
     ("dims = 1", "dims = 0", "all", "bounds dims must be >= 1"),
-    ("[bounds]", "[tolerances]\ninversion = nan\n\n[bounds]", "all",
-     "all tolerances must be positive and finite"),
     ("seed = 77", "seed = 77\ndual_export_radius = -1", "all",
      "dual_export_radius must be >= 0, got -1"),
     ("claimed_C = 32\nclaimed_s = 5", "claimed_C = 32\nclaimed_s = 3.0000001", "all",
      "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-10 unattainable"),
-    ("[bounds]", "[tolerances]\nw_tol = 1e-20\n\n[bounds]", "all",
-     "family 'indicator': W_(s-t) misses w_tol: tolerance 1e-20 unattainable"),
     ("claimed_C = 32\n", "claimed_C = 32\nperturb = 99999999999999999999:0.3\n", "verify",
      "perturbed node (99999999999999999999,) lies outside the window"),
     ("order = 2", "order = 11", "basis",
@@ -1270,11 +1292,11 @@ def test_cli_sample_cap_exits_config_before_allocating(tmp_path, capsys):
     ("d = 1", "d = 1\nN = 12", "verify", "[window] unknown key 'n'; the keys are d, radii"),
     ("R = 20", "R = 20\nspacing = 0.5", "basis", "[grid] unknown key 'spacing'"),
     ("t = 2", "t = 2\ns = 5", "all", "[targets] unknown key 's'; the keys are t"),
-], ids=["window-d", "tolerance", "bounds-dims", "convolution-window", "order", "grid-h",
-        "perturbed-outside", "two-families-report", "two-families-all", "tolerance-typo",
-        "tolerance-removed", "schur-slack-removed", "negative-radius", "infinite-extent",
-        "zero-bounds-dim", "nan-tolerance", "negative-dual-export-radius",
-        "w-sum-near-divergence", "w-tol-unattainable", "perturbed-node-past-int64",
+], ids=["window-d", "bounds-dims", "convolution-window", "order", "grid-h",
+        "perturbed-outside", "two-families-report", "two-families-all",
+        "tolerances-section", "section-misspelled", "default-section", "negative-radius",
+        "infinite-extent", "zero-bounds-dim", "negative-dual-export-radius",
+        "w-sum-near-divergence", "perturbed-node-past-int64",
         "order-over-maximum", "order-past-int64", "bounds-dim-over-maximum",
         "bounds-dim-past-shell-poly", "sigma-squared-underflows", "sigma-quotient-overflows",
         "family-name-climbs-out", "family-name-absolute", "family-name-comma",
@@ -1293,6 +1315,17 @@ def test_cli_malformed_config_exits_config(mini_config, tmp_path, old, new, stag
     line = _one_line(capsys.readouterr().err)
     assert line.startswith("config error:") and fragment in line, line
     assert not os.path.exists(out)
+
+
+def test_readme_config_block_lists_the_parsed_sections_and_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"(?s)### Config format\n.*?```ini\n(.*?)```", readme)[1]
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.optionxform = str
+    parser.read_string(block)
+    assert parser.sections() == [kind.replace("family", "family:NAME") for kind in cli._KEYS]
+    for kind, keys in cli._KEYS.items():
+        assert tuple(parser[kind.replace("family", "family:NAME")]) == keys, kind
 
 
 def test_cli_theoretical_D_past_the_float_range_exits_config(mini_config, capsys):
@@ -1337,7 +1370,7 @@ _PERTURBATION = st.lists(
                                "0.1,0.2", ""])).map(":".join),
     min_size=1, max_size=3).map("; ".join)
 _NUMERIC_KEYS = [("window", "d"), ("window", "radii"), ("grid", "h"), ("grid", "R"),
-                 ("targets", "t"), ("tolerances", "inversion"), ("bounds", "dims"),
+                 ("targets", "t"), ("bounds", "dims"),
                  ("family:indicator", "claimed_C"), ("family:bump", "s"),
                  ("family:hat", "order")]
 _EDITS = st.one_of(
@@ -1350,10 +1383,8 @@ _EDITS = st.one_of(
               st.just("perturb"), _PERTURBATION),
     st.tuples(st.sampled_from(["targets", "bounds"]), st.sampled_from(["t", "dims"]),
               st.sampled_from(["-1", "0", "1", "3"])),
-    st.tuples(st.sampled_from(["family:indicator", "family:bump", "family:hat",
-                               "tolerances"]),
-              st.sampled_from(["claimed_C", "claimed_s", "s", "inversion", "w_tol"]),
-              _FLOATS),
+    st.tuples(st.sampled_from(["family:indicator", "family:bump", "family:hat"]),
+              st.sampled_from(["claimed_C", "claimed_s", "s"]), _FLOATS),
     st.tuples(st.sampled_from(["window", "family:hat"]), st.sampled_from(["d", "order"]),
               st.sampled_from(["0", "-1", "2.5"])),
     st.sampled_from(_NUMERIC_KEYS).flatmap(lambda key: st.tuples(*map(st.just, key),

@@ -43,10 +43,11 @@ def test_every_family_invariant_reported(d1_suite):
     assert len(set(names)) == len(names) == 8 * 5 + 3
 
 
-def test_readme_lists_every_tolerance():
+def test_readme_lists_the_thresholds():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    listed = re.search(r"(?s)\[tolerances\](.*?)\(all optional", readme)[1]
-    assert re.findall(r"[a-z_]+", listed) == list(pl.DEFAULT_TOLERANCES)
+    listed = re.search(r"(?s)### Thresholds\n(.*?)\n#", readme)[1]
+    rows = re.findall(r"(?m)^- `([a-z_]+) = ([0-9e.-]+)`", listed)
+    assert [(name, float(value)) for name, value in rows] == list(pl.TOLERANCES.items())
 
 
 def test_report_dict_numbers_trace_to_results(d1_suite):
@@ -197,13 +198,13 @@ def _compact_spec(d: int, kind: str) -> GeneratorSpec:
 
 @pytest.mark.parametrize("kind", ["indicator", "hat", "perturbed-indicator"])
 @pytest.mark.parametrize("d", [1, 2])
-def test_basis_measured_on_support_grid_matches_full_grid(d, kind):
+def test_basis_measured_on_support_grid_matches_full_grid(d, kind, monkeypatch):
     """The basis rows, the origin's samples and C_base of a compact family,
     measured on its support grid, are those measured on the whole grid."""
     spec = _compact_spec(d, kind)
     settings = pl.RunSettings(name="compact", d=d, radii=(2, 4), grid_h=1 / 8, grid_R=12.0,
-                              t=1 + d, families=[pl.FamilySettings(kind, spec)],
-                              tolerances={"inversion": 1e-2})
+                              t=1 + d, families=[pl.FamilySettings(kind, spec)])
+    monkeypatch.setitem(pl.TOLERANCES, "inversion", 1e-2)
     grid, origin = settings.grid(), (0,) * d
     basis = lat.BasisSet(spec, lat.LatticeWindow(d, 4))
     assert basis.support_grid(grid).n_points < grid.n_points
@@ -250,7 +251,7 @@ def test_run_family_reuses_the_checked_W(monkeypatch):
     monkeypatch.setattr(cst, "w_sum", lambda *args: pytest.fail("W_(s-t) summed again"))
     result = pl.run_family(fam, settings)
     u = fam.spec.claimed_s - settings.t
-    assert result.W_value == real(u, settings.d, settings.tolerances["w_tol"]).value
+    assert result.W_value == real(u, settings.d, pl.TOLERANCES["w_tol"]).value
 
 
 def test_run_family_fits_no_regression_per_core_dual(monkeypatch):
@@ -274,11 +275,11 @@ def test_run_family_fits_no_regression_per_core_dual(monkeypatch):
             [(node, u) for node in core_nodes(settings.d, result.core_radius) for u in us]
 
 
-def _oracle_settings(spec: GeneratorSpec, h: float, t: int, **extra) -> pl.RunSettings:
+def _oracle_settings(spec: GeneratorSpec, h: float, t: int) -> pl.RunSettings:
     # every core dual is exported: the export radius is the window's
     return pl.RunSettings(name="oracle", d=spec.d, radii=(2, 4), grid_h=h, grid_R=12.0, t=t,
                           families=[pl.FamilySettings("oracle", spec)],
-                          dual_export_radius=4, **extra)
+                          dual_export_radius=4)
 
 
 def _hat(perturbations=()) -> GeneratorSpec:
@@ -286,26 +287,27 @@ def _hat(perturbations=()) -> GeneratorSpec:
                          perturbations=perturbations)
 
 
-# (settings, whether every sample and grid weight is dyadic): indicator values
-# are 0 or 1 at h = 1/8, so the Gramian is exact on any grid; at h = 0.1 the
-# hat's are not, and a shorter contraction may regroup the Gramian's sums.
-# The hat's inverse converges slowly, so its sections are compared at a
-# looser inversion tolerance.
+# (settings, whether every sample and grid weight is dyadic, inversion
+# tolerance): indicator values are 0 or 1 at h = 1/8, so the Gramian is exact
+# on any grid; at h = 0.1 the hat's are not, and a shorter contraction may
+# regroup the Gramian's sums. The hat's inverse converges slowly, so its
+# sections are compared at a looser inversion tolerance than the run's.
 ORACLE_CASES = {
     "d2-indicator-shifted": (_oracle_settings(
         GeneratorSpec("bspline-indicator", 2, 245.0, 6.0,
                       perturbations={(0, 0): (0.125, -0.375), (1, 0): (-0.25, 0.0),
                                      (-4, 4): (-0.125, 0.25)}),
-        0.125, 3), True),
-    "d1-hat": (_oracle_settings(_hat(), 0.1, 2, tolerances={"inversion": 1e-2}), False),
-    "d1-hat-perturbed": (_oracle_settings(_hat({(0,): (0.3,), (4,): (0.45,)}), 0.1, 2,
-                                          tolerances={"inversion": 1e-2}), False),
+        0.125, 3), True, pl.TOLERANCES["inversion"]),
+    "d1-hat": (_oracle_settings(_hat(), 0.1, 2), False, 1e-2),
+    "d1-hat-perturbed": (_oracle_settings(_hat({(0,): (0.3,), (4,): (0.45,)}), 0.1, 2),
+                         False, 1e-2),
 }
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
-def test_support_grid_run_matches_full_grid_oracle(case):
-    settings, dyadic = ORACLE_CASES[case]
+def test_support_grid_run_matches_full_grid_oracle(case, monkeypatch):
+    settings, dyadic, inversion = ORACLE_CASES[case]
+    monkeypatch.setitem(pl.TOLERANCES, "inversion", inversion)
     fam, grid = settings.families[0], settings.grid()
     t, s = float(settings.t), fam.spec.claimed_s
     result = pl.run_family(fam, settings)
