@@ -15,6 +15,6 @@ from .errors import (ConfigError, ConvergenceError, EnvelopeClaimError, Hypothes
 from .gramian import (DecayMatrix, RieszBounds, apply_derivation, assemble, offdiag_fit,
                       riesz_bounds, schur_bound, sections)
 from .lattice import (BasisSet, GeneratorSpec, Grid, LatticeWindow, decay_exponent,
-                      envelope_constant, measure_decay)
+                      envelope_constant, envelope_constants, measure_decay)
 
 __version__ = "0.1.0"

@@ -120,6 +120,14 @@ class Grid:
     def weight(self) -> float:
         return self.h**self.d
 
+    @property
+    def dyadic(self) -> bool:
+        """Whether h is a power of two, so that m*h - k is exact for every
+        integer m and k: the points minus an integer node are the points of
+        a wider grid, and a function of them is a window of one evaluation
+        there."""
+        return math.frexp(self.h)[0] == 0.5
+
     @cached_property
     def axis(self) -> np.ndarray:
         M = self.steps
@@ -175,6 +183,74 @@ def envelope_constant(values: np.ndarray, radii: np.ndarray, u: float) -> float:
     return float(np.max(values[nonzero] * weights, initial=0.0))
 
 
+def _translates(wide_values: np.ndarray, grid: Grid) -> np.ndarray:
+    """The windows of `wide_values`, a function sampled on `grid` widened
+    by N units along every axis, over the points x - k of `grid` for each
+    integer node k, |k| <= N: a read-only strided view whose entry at index
+    k + N (per axis) holds the function at x - k, x on `grid`, in the
+    grid's order.  Those are its values at x - k only on a dyadic grid."""
+    view = sliding_window_view(wide_values, (2 * grid.steps + 1,) * grid.d)
+    # the window starting at wide index (N - k) * step lies over x - k;
+    # reversed, the starts run over k in window order
+    return view[(slice(None, None, -round(1.0 / grid.h)),) * grid.d]
+
+
+def _widened(grid: Grid, N: int) -> Grid | None:
+    """`grid` widened by N units along every axis, when the windows of a
+    function on it give its translates exactly: on a dyadic grid at least
+    one unit wide.  None otherwise: on a narrower grid the wide one would
+    hold more points than the windows themselves."""
+    step = round(1.0 / grid.h)
+    if not grid.dyadic or step > 2 * grid.steps + 1:
+        return None
+    return Grid(grid.h, (grid.steps + N * step) * grid.h, grid.d)
+
+
+def envelope_constants(values: np.ndarray, nodes, grid: Grid, support: Grid,
+                       us) -> np.ndarray:
+    """The envelope_constant of each row of `values` against its radii to
+    its node, at each exponent of `us`: an array of shape (len(us),
+    len(nodes)), entry [i, j] that of row j at us[i].
+
+    Row j samples a function on `support`, a centred sub-grid of `grid`
+    (see measure_decay), about the integer node nodes[j].  On a dyadic grid
+    the radii |x - k| are exact, so the weights (1 + r)^u of every row are
+    one window of a single field per exponent, evaluated on `support`
+    widened by the largest |k|: the same floats as the row's own weights.
+    On any other grid each row is fitted through measure_decay.
+    """
+    us = [float(u) for u in us]
+    out = np.empty((len(us), len(nodes)))
+    ks = np.asarray(nodes, dtype=int).reshape(len(nodes), grid.d)
+    reach = int(np.max(np.abs(ks), initial=0))
+    wide = _widened(support, reach)
+    if wide is None:
+        for j, (row, k) in enumerate(zip(values, nodes)):
+            samples = measure_decay(row, k, grid, support)
+            out[:, j] = [envelope_constant(*samples, u) for u in us]
+        return out
+    if grid.R - reach < 8.0 - 1e-9:  # measure_decay's coverage, for every node
+        raise ValueError("grid must cover |x - k| <= 8 around the node")
+    base = 1.0 + axes_max_norm(wide.offsets(np.zeros(grid.d)))
+    with np.errstate(over="ignore"):
+        fields = [np.power(base, u) for u in us]
+    # an exact zero needs no c, whatever its weight: in a field that
+    # overflows, each product 0 * inf = nan is set back to 0
+    overflows = [bool(np.isinf(field).any()) for field in fields]
+    windows = [_translates(field, support) for field in fields]
+    shape = (2 * support.steps + 1,) * grid.d
+    magnitudes, product = np.empty(shape), np.empty(shape)
+    with np.errstate(invalid="ignore"):  # 0 * inf, set to 0 below
+        for j, (row, at) in enumerate(zip(values, ks + reach)):
+            np.abs(np.reshape(row, shape), out=magnitudes)
+            for i, (view, overflow) in enumerate(zip(windows, overflows)):
+                np.multiply(magnitudes, view[tuple(at)], out=product)
+                if overflow:
+                    product[magnitudes == 0] = 0.0
+                out[i, j] = product.max()
+    return out
+
+
 def decay_exponent(values: np.ndarray, radii: np.ndarray, bin_width: float = 0.5) -> float:
     """Decay rate of |values| against radii >= 0: minus the slope of
     log(bin max) on log(1+r), taken at the first sample of each radius bin
@@ -207,6 +283,13 @@ def decay_exponent(values: np.ndarray, radii: np.ndarray, bin_width: float = 0.5
 # ---------------------------------------------------------------------------
 # Generator families
 # ---------------------------------------------------------------------------
+
+def _flush(values: np.ndarray) -> np.ndarray:
+    """`values` >= 0 with every subnormal set to 0: a product that reads a
+    subnormal float runs many times slower, and one that small is an
+    underflow of the exponential, not a value of the function."""
+    return np.where(values < np.finfo(float).tiny, 0.0, values)
+
 
 FAMILIES = ("polynomial-bump", "gaussian", "bspline-indicator", "bspline-order-m")
 
@@ -305,7 +388,7 @@ class GeneratorSpec:
                 squares = ys[0] * ys[0]
                 for y in ys[1:]:
                     squares = squares + y * y
-                return np.exp(-squares / (2.0 * sig * sig))
+                return _flush(np.exp(-squares / (2.0 * sig * sig)))
 
             return gaussian
         if self.family == "bspline-indicator":
@@ -330,7 +413,22 @@ class GeneratorSpec:
         The gaussian's is (sigma sqrt(pi))^d exp(-|a - b|^2 / 4 sigma^2) in
         any d.  The squared distance is summed axis by axis from diff * diff,
         and a - b is exactly -(b - a), so the matrix is exactly symmetric.
+
+        The indicator's is prod_i max(0, 1 - |a_i - b_i|), the overlap of
+        the two unit cubes: the autocorrelation B_2(1 + a - b) of the order-1
+        B-spline, axis by axis.  When every shift is a multiple of a dyadic
+        h, the midpoint rule on that grid counts the overlap's points
+        exactly, so the two agree bit for bit; for any other shift this is
+        the exact value, where the midpoint rule is off by O(h).
         """
+        if self.family == "bspline-indicator":
+            def indicator(centers):
+                overlap = 1.0
+                for c in np.asarray(centers, dtype=float).T:
+                    overlap = overlap * np.maximum(0.0, 1.0 - np.abs(c[:, None] - c[None, :]))
+                return overlap
+
+            return indicator
         if self.family != "gaussian":
             return None
         sig = float(self.params["sigma"])
@@ -341,7 +439,7 @@ class GeneratorSpec:
             for c in np.asarray(centers, dtype=float).T:
                 diff = c[:, None] - c[None, :]
                 squares = squares + diff * diff
-            return diagonal * np.exp(-squares / (4.0 * sig * sig))
+            return _flush(diagonal * np.exp(-squares / (4.0 * sig * sig)))
 
         return gaussian
 
@@ -384,11 +482,11 @@ class BasisSet:
     def sample_all(self, grid: Grid) -> np.ndarray:
         """Every f_k at all grid points, shape (window.size, n_points).
 
-        When h is a power of two, i*h - k is exact for every integer node k,
-        so the row of an unperturbed node is a slice of phi evaluated once
-        on the grid widened by N along every axis: the same floats as
-        phi(grid.offsets(k)).  Perturbed rows, and every row on any other
-        grid, are evaluated node by node.  So is every row on a grid less
+        On a dyadic grid (Grid.dyadic), i*h - k is exact for every integer
+        node k, so the row of an unperturbed node is a window of phi
+        evaluated once on the grid widened by N along every axis: the same
+        floats as phi(grid.offsets(k)).  Perturbed rows, and every row on
+        any other grid, are evaluated node by node.  So is every row on a grid less
         than one unit wide, where the wide grid would hold more points than
         the sample matrix that check_sample_cap bounds.
         """
@@ -396,14 +494,9 @@ class BasisSet:
         generator = self.spec.generator
         out = np.empty((self.window.size, grid.n_points))
         rows = range(self.window.size)
-        d, step = grid.d, round(1.0 / grid.h)
-        if math.frexp(grid.h)[0] == 0.5 and step <= 2 * grid.steps + 1:
-            wide = Grid(grid.h, (grid.steps + self.window.N * step) * grid.h, d)
-            values = generator(wide.offsets(np.zeros(d)))
-            # the window starting at wide index (N - k) * step holds f_k;
-            # reversed, the starts run over k in window order
-            view = sliding_window_view(values, (2 * grid.steps + 1,) * d)
-            view = view[(slice(None, None, -step),) * d]
+        wide = _widened(grid, self.window.N)
+        if wide is not None:
+            view = _translates(generator(wide.offsets(np.zeros(grid.d))), grid)
             # assigned through a reshape of `out`: a reshape of the strided
             # view would copy it whole first
             out.reshape(view.shape)[...] = view

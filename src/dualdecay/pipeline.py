@@ -238,25 +238,25 @@ def run_family(fam: FamilySettings, settings: RunSettings) -> FamilyResult:
     else:
         C_base = C_meas
 
-    # all core duals come from one product on the support grid, and each is
-    # fitted there against its distances to its node; the exported ones are
-    # zero-padded to the grid into arrays of their own, so the block dies
-    # with the family
+    # all core duals come from one product on the support grid, and all are
+    # fitted there in one pass against their distances to their nodes; the
+    # exported ones are zero-padded to the grid into arrays of their own, so
+    # the block dies with the family
     limit = settings.dual_export_radius
     core = lat.LatticeWindow(settings.d, core_radius)
     nodes = [tuple(k) for k in core.indices.tolist()]
     block = du.synthesize_duals(C, core_radius, basis, nodes, grid)
     del basis  # synthesis reads the sample matrix last: free it before the fits
-    duals, envelope_rows, D_emp = {}, [], 0.0
-    for node, samples in zip(nodes, block):
-        fitted = lat.measure_decay(samples, node, grid, support)
-        if max(abs(c) for c in node) <= limit:
-            duals[node] = grid.embed(samples, support)
-        for u in dict.fromkeys((float(t), float(s))):
-            constant = lat.envelope_constant(*fitted, u)
-            envelope_rows.append((node, u, constant))
-            if u == float(t):
-                D_emp = max(D_emp, constant)
+    duals = {node: grid.embed(samples, support)
+             for node, samples in zip(nodes, block) if max(map(abs, node)) <= limit}
+    us = list(dict.fromkeys((float(t), float(s))))  # t first
+    constants = lat.envelope_constants(block, nodes, grid, support, us).T.tolist()
+    del block
+    envelope_rows = [(node, u, c) for node, row in zip(nodes, constants)
+                     for u, c in zip(us, row)]
+    D_emp = 0.0
+    for row in constants:
+        D_emp = max(D_emp, row[0])  # a NaN constant leaves D_emp as it is
     inverse_decay = du.coefficient_decay_fit(C, core_radius)
 
     W_value = settings.w_values[s - t]

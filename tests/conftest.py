@@ -47,6 +47,16 @@ def inner_product(basis: lat.BasisSet, k, j, grid: lat.Grid) -> tuple[float, flo
     return value, gr._tail_bound(basis, center(basis, k), center(basis, j), grid)
 
 
+def envelope_rows(values, nodes, grid: lat.Grid, support: lat.Grid, us) -> np.ndarray:
+    """The oracle of lattice.envelope_constants: row by row, the samples and
+    radii of measure_decay and one envelope_constant per exponent."""
+    out = np.empty((len(us), len(nodes)))
+    for j, (row, k) in enumerate(zip(values, nodes)):
+        samples = lat.measure_decay(row, k, grid, support)
+        out[:, j] = [lat.envelope_constant(*samples, u) for u in us]
+    return out
+
+
 def entry(matrix: gr.DecayMatrix, k, j) -> float:
     """The entry of a window matrix at nodes (k, j)."""
     return matrix.entries[matrix.window.index_of(k), matrix.window.index_of(j)]

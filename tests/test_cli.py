@@ -403,6 +403,7 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
 
     measured = _recorder(monkeypatch, pl, "measure_basis")
     fits = _recorder(monkeypatch, lat, "measure_decay")
+    dual_fits = _recorder(monkeypatch, lat, "envelope_constants")
     settings = cli.load_config(path)
     grid, window = settings.grid(), lat.LatticeWindow(settings.d, settings.radii[-1])
     n_points = grid.n_points
@@ -428,10 +429,13 @@ def test_cli_stages_run_each_pipeline_step_once(mini_config, monkeypatch, capsys
     assert len(measured) == 3
     with open(os.path.join(out, "report.json")) as fh:
         cores = {name: fam["core_radius"] for name, fam in json.load(fh)["families"].items()}
-    # per family: one measure_decay of the validated origin and one per core
-    # dual, each over the family's support grid
-    sizes = [support_points[name] for name, c in cores.items() for _ in range(2 * c + 2)]
+    # per family: one measure_decay of the validated origin, over the
+    # family's support grid, and one envelope_constants of its block of
+    # core duals, (2c + 1)^d rows over that grid
+    sizes = [support_points[name] for name in cores]
     assert sorted(len(values) for values, *_ in fits) == sorted(sizes)
+    assert sorted(np.shape(values) for values, *_ in dual_fits) == \
+        sorted(((2 * c + 1) ** settings.d, support_points[name]) for name, c in cores.items())
     # no fit reads more than the samples of one function on the grid
     assert max(passes["envelope_constant"] + passes["decay_exponent"]) == n_points
     capsys.readouterr()

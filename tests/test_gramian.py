@@ -46,6 +46,35 @@ def test_indicator_inner_products_exact():
     assert tail01 == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_indicator_closed_form_is_the_midpoint_rule_on_dyadic_shifts(d):
+    # shifts that are multiples of h = 1/8: the midpoint rule counts the
+    # points of each overlap exactly
+    shifts = {(0,) * d: (0.25,) + (-0.375,) * (d - 1), (1,) + (0,) * (d - 1): (-0.125,) * d,
+              (-2,) * d: (0.5,) * d}
+    spec = lat.GeneratorSpec("bspline-indicator", d, 1e4, d + 4.0, perturbations=shifts)
+    basis = lat.BasisSet(spec, lat.LatticeWindow(d, 3))
+    grid = lat.Grid(h=1 / 8, R=6.0, d=d)
+    oracle = gr.assemble(basis, None, grid)
+    M, _ = gr.sections(basis, (2, 3), grid, RIESZ_RTOL)
+    assert oracle.quadrature_tail == M.quadrature_tail == 0.0
+    assert M.entries.tobytes() == oracle.entries.tobytes()
+    assert M.entries.tobytes() == spec.inner_products(basis.centers).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_indicator_closed_form_is_exact_off_the_grid(d):
+    # two unit cubes 0.3 apart along the first axis overlap in 1 - 0.3; the
+    # midpoint rule on h = 1/8 counts 5 points of it, 0.625
+    spec = lat.GeneratorSpec("bspline-indicator", d, 1e4, d + 4.0)
+    a, b = np.zeros(d), np.array([0.3] + [0.0] * (d - 1))
+    assert spec.inner_products(np.stack([a, b])).tolist() == [[1.0, 1.0 - 0.3],
+                                                               [1.0 - 0.3, 1.0]]
+    grid = lat.Grid(h=1 / 8, R=3.0, d=d)
+    cubes = [spec.generator(grid.offsets(c)).reshape(-1) for c in (a, b)]
+    assert np.dot(*cubes) * grid.weight == 0.625
+
+
 def test_bump_inner_product_against_adaptive_quadrature():
     f = lambda x: (1 + abs(x)) ** -5 * (1 + abs(x - 1)) ** -5
     oracle = sum(quad(f, a, b, epsabs=1e-14, limit=400)[0]

@@ -11,7 +11,7 @@ from dualdecay import lattice as lat
 from dualdecay import pipeline as pl
 from dualdecay.errors import HypothesisViolation
 
-from conftest import center, evaluate, grid_points, scaled_basis
+from conftest import center, envelope_rows, evaluate, grid_points, scaled_basis
 
 
 def test_window_cardinality():
@@ -303,6 +303,98 @@ def test_all_zero_samples_flagged():
     # nonzero one an infinite one, with no RuntimeWarning (an error here)
     assert lat.envelope_constant([0.0, 1.0], [1e3, 0.0], 400.0) == 1.0
     assert lat.envelope_constant([1e-300, 1.0], [1e3, 0.0], 400.0) == math.inf
+
+
+def _envelope_block(family: str, d: int, h: float):
+    """(values, nodes, grid, support): the members of a perturbed family at
+    the nodes |k| <= 2, each sampled on the family's support grid, edited so
+    that one row holds exact zeros and a sign flip, one is all -0.0 and one
+    holds a NaN."""
+    shifts = {(0,) * d: (0.25,) + (-0.375,) * (d - 1), (1,) + (-2,) * (d - 1): (-0.5,) * d}
+    params = {"sigma": 0.5} if family == "gaussian" else {}
+    spec = lat.GeneratorSpec(family, d, 1e4, d + 4.0, params=params, perturbations=shifts)
+    basis = lat.BasisSet(spec, lat.LatticeWindow(d, 2))
+    grid = lat.Grid(h=h, R=10.0, d=d)
+    support = basis.support_grid(grid)
+    nodes = [tuple(k) for k in basis.window.indices.tolist()]
+    values = np.stack([basis.sample(k, support) for k in nodes])
+    values[0, ::3] = 0.0
+    values[0, 1::5] *= -1.0
+    values[1] = -0.0
+    values[2, values.shape[1] // 3] = np.nan
+    return values, nodes, grid, support
+
+
+@pytest.mark.parametrize("h", [1 / 8, 0.1])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("family", ["gaussian", "bspline-indicator"])
+def test_envelope_constants_match_the_per_row_fits(family, d, h, monkeypatch):
+    # at u = 400 the weights (1 + r)^400 overflow past r = 4.9: the
+    # gaussian's nonzero tails give inf, the indicator's zeros there give 0
+    values, nodes, grid, support = _envelope_block(family, d, h)
+    us = (2.0, d + 4.0, 400.0)
+    oracle = envelope_rows(values, nodes, grid, support, us)
+    assert np.isnan(oracle[:, 2]).all() and (oracle[:, 1] == 0.0).all()
+    assert np.isinf(oracle[2]).any() == (family == "gaussian")
+    if grid.dyadic:  # each row's weights are a window of one field per exponent
+        monkeypatch.setattr(lat, "measure_decay", lambda *args: pytest.fail("per-row fit"))
+    found = lat.envelope_constants(values, nodes, grid, support, us)
+    assert found.shape == (3, len(nodes))
+    assert found.tobytes() == oracle.tobytes()
+
+
+def test_envelope_constants_check_the_coverage_of_every_node():
+    nodes = [(k,) for k in range(-2, 3)]
+    for h in (1 / 8, 0.1):
+        narrow = lat.Grid(h=h, R=9.5, d=1)  # 8 units past |k| = 1.5 only
+        rows = np.zeros((len(nodes), narrow.n_points))
+        with pytest.raises(ValueError, match="cover"):
+            lat.envelope_constants(rows, nodes, narrow, narrow, (2.0,))
+
+
+def test_envelope_constants_make_no_copy_of_the_block():
+    # a d1_large-sized gaussian block: the temporaries are the wide grid, its
+    # radii, the exponents' weight fields on it (the support grid widened by
+    # the largest |k|) and two rows; no array the size of the block
+    grid, N = lat.Grid(h=1 / 64, R=40.0, d=1), 32
+    spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
+    basis = lat.BasisSet(spec, lat.LatticeWindow(1, N))
+    values = basis.sample_all(grid)
+    nodes = [tuple(k) for k in basis.window.indices.tolist()]
+    wide_points = grid.n_points + 2 * N * 64
+    tracemalloc.start()
+    try:
+        lat.envelope_constants(values, nodes, grid, grid, (2.0, 5.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (5 * wide_points + 2 * grid.n_points) < values.nbytes / 4
+
+
+def test_grid_dyadic_is_a_power_of_two_spacing():
+    for h, dyadic in ((0.25, True), (1 / 64, True), (2.0**-40, True), (0.2, False),
+                      (0.1, False), (3 / 16, False)):
+        assert lat.Grid(h=h, R=1.0, d=1).dyadic == dyadic, h
+
+
+def test_gaussian_holds_no_subnormal():
+    # exp(-x^2 / 2 sigma^2) is subnormal for x in about (18.8, 19.3) at
+    # sigma = 0.5, and exp(-|a - b|^2) for |a - b| = 27
+    tiny = np.finfo(float).tiny
+    spec = lat.GeneratorSpec("gaussian", 1, 6.0, 5.0, params={"sigma": 0.5})
+    grid = lat.Grid(h=1 / 64, R=40.0, d=1)
+    raw = np.exp(-grid.axis**2 / 0.5)
+    assert ((raw > 0) & (raw < tiny)).any()
+    values = spec.generator(grid.offsets((0,))).reshape(-1)
+    assert np.array_equal(values, np.where(raw < tiny, 0.0, raw))
+    products = spec.inner_products(np.arange(-40.0, 41.0)[:, None])
+    assert (products == 0).any()
+    for found in (values, products):
+        assert not ((found > 0) & (found < tiny)).any()
+    spec = lat.GeneratorSpec("gaussian", 2, 1e3, 8.0, params={"sigma": 0.5},
+                             perturbations={(1, 0): (0.3, -0.1)})
+    F = lat.BasisSet(spec, lat.LatticeWindow(2, 2)).sample_all(lat.Grid(h=1 / 4, R=28.0, d=2))
+    assert (F == 0).any() and not ((F > 0) & (F < tiny)).any()
 
 
 def loop_loglog_fit(values, radii, bin_width):

@@ -275,6 +275,24 @@ def test_run_family_fits_no_regression_per_core_dual(monkeypatch):
             [(node, u) for node in core_nodes(settings.d, result.core_radius) for u in us]
 
 
+def test_run_family_folds_D_emp_past_a_nan_constant(monkeypatch):
+    # D_emp is the left fold max(D_emp, c) over the core duals at u = t: a
+    # NaN constant leaves it as it is, where np.max would return NaN
+    real = lat.envelope_constants
+
+    def with_nans(*args):
+        out = real(*args)
+        out[:, 0] = out[0, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(lat, "envelope_constants", with_nans)
+    settings = d2_indicator_settings()
+    result = pl.run_family(settings.families[0], settings)
+    at_t = [c for _, u, c in result.envelope_rows if u == settings.t]
+    assert np.isnan(at_t[0]) and np.isnan(at_t[-1])
+    assert result.D_emp == max(at_t[1:-1]) > 0.0
+
+
 def _oracle_settings(spec: GeneratorSpec, h: float, t: int) -> pl.RunSettings:
     # every core dual is exported: the export radius is the window's
     return pl.RunSettings(name="oracle", d=spec.d, radii=(2, 4), grid_h=h, grid_R=12.0, t=t,
